@@ -11,7 +11,7 @@ soc::RunResult ProgramSlice::run(soc::System& system, std::uint64_t budget) {
   }
   // Cpu::run takes a *cumulative* cap, so "budget more cycles" is the
   // consumed count plus the budget; the instruction in flight at the cap
-  // completes, identically on every tier.
+  // completes.
   const std::uint64_t consumed = state_.cpu.cycles;
   const soc::RunResult result = system.run(consumed + budget);
   state_ = system.save_slice();

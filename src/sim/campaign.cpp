@@ -1,22 +1,13 @@
 #include "sim/campaign.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "cpu/microcode.h"
 #include "sim/checkpoint.h"
-#include "sim/gold_cache.h"
-#include "sim/system_pool.h"
 #include "util/fault_injector.h"
-#include "xtalk/batch.h"
 
 namespace xtest::sim {
 
@@ -48,84 +39,6 @@ void apply_defect(soc::System& system, soc::BusKind bus,
   }
 }
 
-const xtalk::CrosstalkErrorModel& bus_model(const soc::System& system,
-                                            soc::BusKind bus) {
-  switch (bus) {
-    case soc::BusKind::kAddress: return system.address_model();
-    case soc::BusKind::kData: return system.data_model();
-    case soc::BusKind::kControl: return system.control_model();
-  }
-  return system.address_model();
-}
-
-/// The unique (held, driven) transitions one gold run drives on one bus,
-/// with the word the gold receiver sampled -- the input of the
-/// transition-major batched screen.  `held` reconstructs the tristate
-/// bus's kept word: zeros after load_and_reset, then the previously
-/// *driven* word after every transfer (soc::TristateBus semantics).
-struct GoldTransitions {
-  std::vector<std::uint64_t> held;
-  std::vector<std::uint64_t> driven;
-  std::vector<std::uint64_t> expected;
-};
-
-std::shared_ptr<const GoldTransitions> collect_transitions(
-    const soc::BusTrace& trace, soc::BusKind bus) {
-  auto out = std::make_shared<GoldTransitions>();
-  std::unordered_set<std::uint64_t> seen;
-  std::uint64_t held = 0;
-  for (const soc::BusEvent& e : trace.events()) {
-    if (e.bus != bus) continue;
-    const std::uint64_t driven = e.driven.bits();
-    // Exact dedup key: every system bus is at most 12 wires wide
-    // (ScenarioSpec::validate pins the widths to the CPU architecture),
-    // so (held, driven) packs collision-free.
-    const std::uint64_t key = (held << 32) | driven;
-    if (seen.insert(key).second) {
-      out->held.push_back(held);
-      out->driven.push_back(driven);
-      out->expected.push_back(e.received.bits());
-    }
-    held = driven;
-  }
-  return out;
-}
-
-// Process-wide memo of gold transition streams, the batched-path sibling
-// of GoldRunCache: keyed by the gold-run content hash (plus the bus), so
-// entries can never go stale -- the stream is a pure function of the key.
-// Bounded like the snapshot memo; a full table is simply dropped.
-std::uint64_t transitions_key(std::uint64_t gold_key, soc::BusKind bus) {
-  return gold_key ^ ((static_cast<std::uint64_t>(bus) + 1) *
-                     0x9E3779B97F4A7C15ull);
-}
-
-struct TransitionsMemo {
-  std::mutex mu;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const GoldTransitions>>
-      map;
-};
-
-TransitionsMemo& transitions_memo() {
-  static TransitionsMemo* m = new TransitionsMemo;
-  return *m;
-}
-
-std::shared_ptr<const GoldTransitions> transitions_find(std::uint64_t key) {
-  TransitionsMemo& m = transitions_memo();
-  const std::lock_guard<std::mutex> lock(m.mu);
-  const auto it = m.map.find(key);
-  return it == m.map.end() ? nullptr : it->second;
-}
-
-void transitions_store(std::uint64_t key,
-                       std::shared_ptr<const GoldTransitions> value) {
-  TransitionsMemo& m = transitions_memo();
-  const std::lock_guard<std::mutex> lock(m.mu);
-  if (m.map.size() >= 256) m.map.clear();
-  m.map[key] = std::move(value);
-}
-
 /// One whole-program defect simulation: apply, run, classify, restore.
 Verdict simulate_one(soc::System& system, soc::BusKind bus,
                      const xtalk::Defect& defect,
@@ -151,17 +64,19 @@ xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
                                          soc::BusKind bus, std::size_t count,
                                          std::uint64_t seed,
                                          double sigma_pct) {
-  const soc::System system(config);
+  // The nominal network and Cth exactly as soc::System derives them,
+  // without building a whole simulator.
+  const xtalk::BusGeometry& geometry =
+      bus == soc::BusKind::kAddress ? config.address_geometry
+      : bus == soc::BusKind::kData  ? config.data_geometry
+                                    : config.control_geometry;
+  const xtalk::RcNetwork nominal(geometry);
   xtalk::DefectConfig dc;
   dc.sigma_pct = sigma_pct;
-  switch (bus) {
-    case soc::BusKind::kAddress: dc.cth_fF = system.address_cth(); break;
-    case soc::BusKind::kData: dc.cth_fF = system.data_cth(); break;
-    case soc::BusKind::kControl: dc.cth_fF = system.control_cth(); break;
-  }
+  dc.cth_fF = xtalk::recommended_cth(nominal, config.cth_ratio);
   dc.count = count;
   dc.seed = seed;
-  return xtalk::DefectLibrary::generate(nominal_net(system, bus), dc);
+  return xtalk::DefectLibrary::generate(nominal, dc);
 }
 
 std::string default_checkpoint_key(soc::BusKind bus,
@@ -187,77 +102,23 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
     throw std::invalid_argument(
         "campaign shard " + std::to_string(shard.index) + "/" +
         std::to_string(shard.count) + ": index must be < count");
-  const bool batching = options.batched && options.batch_size >= 1 && n > 0;
   // One completed-verdict notification (checkpoint already updated); the
   // worker-process heartbeat and the deterministic worker.exit chaos site
   // hang off this.
   const auto notify_progress = [&options] {
     if (options.progress) options.progress();
   };
-  // Gold-run reuse: the snapshot is a pure function of (config, program,
-  // budget), so identical gold programs across sessions, per-line sweeps,
-  // and checkpoint resumes are answered from the process-wide memo.  An
-  // armed fault injector bypasses the memo (see gold_cache.h).
   soc::CacheCounters xfer_counters;
-  soc::TierCounters tier_counters;
-  // Simulators come from the process-wide pool (system_pool.h) and carry
-  // counter history from earlier leases, so stats absorb per-lease deltas.
-  const auto absorb = [&xfer_counters,
-                       &tier_counters](const SystemPool::Lease& lease) {
-    const soc::CacheCounters c = lease.cache_delta();
+  const auto absorb = [&xfer_counters](const soc::System& system) {
+    const soc::CacheCounters c = system.transition_cache_counters();
     xfer_counters.hits += c.hits;
     xfer_counters.misses += c.misses;
-    const soc::TierCounters t = lease.tier_delta();
-    tier_counters.decoded_programs += t.decoded_programs;
-    tier_counters.decode_cache_hits += t.decode_cache_hits;
-    tier_counters.jit_blocks += t.jit_blocks;
-    tier_counters.jit_bailouts += t.jit_bailouts;
   };
-  // The program never changes across defects: pre-decode it once and pin
-  // the result on every simulator (gold, workers, retry), so no System
-  // re-validates the image per load.  Skipped under an armed injector so
-  // the cpu.decode fault site keeps its per-load decision.
-  std::shared_ptr<const cpu::MicroProgram> micro;
-  if (config.exec_tier != cpu::ExecTier::kReference &&
-      !util::FaultInjector::global().armed()) {
-    bool built = false;
-    micro = cpu::DecodeCache::global().obtain(program.image, &built);
-    if (built)
-      ++tier_counters.decoded_programs;
-    else
-      ++tier_counters.decode_cache_hits;
-  }
   ResponseSnapshot gold;
-  bool gold_reused = false;
-  std::size_t gold_evicted = 0;
-  const bool gold_cacheable =
-      options.reuse_gold && !util::FaultInjector::global().armed();
-  std::uint64_t gold_key = 0;
-  std::shared_ptr<const GoldTransitions> transitions;
-  if (gold_cacheable) {
-    gold_key = gold_run_key(config, program, 1'000'000);
-    gold_reused = GoldRunCache::global().find(gold_key, gold);
-    if (gold_reused && batching) {
-      transitions = transitions_find(transitions_key(gold_key, bus));
-      // A snapshot hit without its transition stream still costs a traced
-      // gold re-run; count it as a miss so the accounting stays honest.
-      if (transitions == nullptr) gold_reused = false;
-    }
-  }
-  if (!gold_reused) {
-    SystemPool::Lease gold_system = SystemPool::global().acquire(config);
-    gold_system->set_micro_program(micro);
-    soc::BusTrace trace;
-    if (batching) gold_system->set_trace(&trace);
-    gold = run_and_capture(*gold_system, program, 1'000'000);
-    gold_system->set_trace(nullptr);
+  {
+    soc::System gold_system(config);
+    gold = run_and_capture(gold_system, program, 1'000'000);
     absorb(gold_system);
-    if (batching) transitions = collect_transitions(trace, bus);
-    if (gold_cacheable) {
-      gold_evicted = GoldRunCache::global().store(gold_key, gold);
-      if (batching)
-        transitions_store(transitions_key(gold_key, bus), transitions);
-    }
   }
   if (!gold.completed)
     throw std::runtime_error("gold run did not complete; bad program");
@@ -312,121 +173,18 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
 
   std::atomic<std::size_t> simulated{0};
 
-  // Whole-run reuse (gold_cache.h): on accelerated tiers a defect's
-  // (verdict, cycles) outcome is a pure function of (gold key, bus,
-  // budget, defect factors), so repeated passes over the same library --
-  // bench reruns, per-line sweeps, resumed sessions -- replay from the
-  // process-wide memo instead of re-simulating.  Reference-tier campaigns
-  // keep the seed's simulate-every-defect behaviour, and gold_cacheable
-  // already excludes armed-injector runs (chaos faults must be able to
-  // hit every simulation).
-  const bool memo_runs =
-      gold_cacheable && config.exec_tier != cpu::ExecTier::kReference;
-  std::atomic<std::size_t> run_reuses{0};
-
-  // Transition-major batched pre-screen (the defect-batched fast path):
-  // the screen runs serially *before* the worker fan-out, so the screened
-  // set is a pure function of the inputs -- identical at every thread
-  // count, and recomputed identically on any resume (restored slots are
-  // simply not gathered), which makes every checkpoint boundary
-  // batch-safe.  A lane whose received word matches the gold word on
-  // every unique gold transition provably executes the gold run verbatim
-  // (only the bus under test is perturbed; while execution matches gold
-  // the faulty run sees exactly gold's (held, driven) pairs), so it is
-  // recorded kUndetected after gold.cycles without being simulated --
-  // exactly the verdict and cycle count the full simulation would
-  // produce.  Diverging lanes may still be masked, so they fall through
-  // to the unchanged per-defect simulation below.
-  std::vector<std::uint8_t> screened(n, 0);
-  std::uint64_t screen_transitions = 0;
-  std::size_t screen_lanes = 0;
-  std::size_t screen_capacity = 0;
-  std::size_t screened_count = 0;
-  if (batching) {
-    const SystemPool::Lease probe = SystemPool::global().acquire(config);
-    const xtalk::RcNetwork& nominal = nominal_net(*probe, bus);
-    const xtalk::ErrorModelConfig model_config =
-        bus_model(*probe, bus).config();
-    // Width-mismatched defects (e.g. poisoned CSV reloads) are not
-    // gathered; they hit apply() in the worker and take the ordinary
-    // quarantine path.
-    std::vector<std::size_t> candidates;
-    candidates.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      if (!restored[i] && shard.owns(i) &&
-          library[i].width() == nominal.width())
-        candidates.push_back(i);
-    std::vector<std::size_t> window;
-    for (std::size_t begin = 0; begin < candidates.size() && !cancelled();
-         begin += options.batch_size) {
-      const std::size_t end =
-          std::min(begin + options.batch_size, candidates.size());
-      window.assign(candidates.begin() + begin, candidates.begin() + end);
-      const xtalk::DefectBatch batch(nominal, library, window);
-      xtalk::BatchEvaluator evaluator(batch, model_config);
-      std::vector<std::uint8_t> live(window.size(), 1);
-      std::size_t alive = window.size();
-      for (std::size_t t = 0; t < transitions->held.size() && alive > 0;
-           ++t) {
-        ++screen_transitions;
-        alive = evaluator.screen(transitions->held[t], transitions->driven[t],
-                                 xtalk::BusDirection::kCpuToCore,
-                                 transitions->expected[t], live.data());
-      }
-      screen_lanes += window.size();
-      screen_capacity += options.batch_size;
-      for (std::size_t l = 0; l < window.size(); ++l) {
-        if (!live[l]) continue;
-        if (cancelled()) break;
-        const std::size_t i = window[l];
-        verdicts[i] = Verdict::kUndetected;
-        run_cycles[i] = gold.cycles;
-        screened[i] = 1;
-        ++screened_count;
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        if (checkpoint)
-          checkpoint->record(options.checkpoint_section, i, verdicts[i]);
-        notify_progress();
-        util::FaultInjector& inj = util::FaultInjector::global();
-        if (inj.fire("campaign.kill")) killed.store(true);
-        if (inj.fire("campaign.crash")) {
-          crashed.store(true);
-          killed.store(true);
-        }
-      }
-    }
-  }
-
   // Each worker lazily owns its private simulator; verdict slots are
   // written by defect index, so the result is independent of the worker
   // count and of any interleaving.
   const unsigned workers = options.parallel.resolve(n);
-  std::vector<SystemPool::Lease> systems(workers);
+  std::vector<std::unique_ptr<soc::System>> systems(workers);
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, options.parallel, [&](std::size_t i, unsigned w) {
-        if (restored[i] || screened[i] || !shard.owns(i) || cancelled())
-          return;
-        std::uint64_t run_key = 0;
-        bool run_reused = false;
-        if (memo_runs) {
-          run_key = defect_run_key(gold_key, bus, budget, library[i]);
-          run_reused = DefectRunCache::global().find(run_key, verdicts[i],
-                                                     run_cycles[i]);
-        }
-        if (run_reused) {
-          run_reuses.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          if (!systems[w]) {
-            systems[w] = SystemPool::global().acquire(config);
-            systems[w]->set_micro_program(micro);
-          }
-          verdicts[i] =
-              simulate_one(*systems[w], bus, library[i], program, gold,
-                           budget, options.defect_deadline_ms, run_cycles[i]);
-          if (memo_runs)
-            DefectRunCache::global().store(run_key, verdicts[i],
-                                           run_cycles[i]);
-        }
+        if (restored[i] || !shard.owns(i) || cancelled()) return;
+        if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
+        verdicts[i] =
+            simulate_one(*systems[w], bus, library[i], program, gold, budget,
+                         options.defect_deadline_ms, run_cycles[i]);
         simulated.fetch_add(1, std::memory_order_relaxed);
         if (checkpoint)
           checkpoint->record(options.checkpoint_section, i, verdicts[i]);
@@ -439,10 +197,8 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
         }
       });
 
-  for (const SystemPool::Lease& s : systems) {
-    if (!s) continue;
-    absorb(s);
-  }
+  for (const std::unique_ptr<soc::System>& s : systems)
+    if (s) absorb(*s);
 
   // Quarantine: each failed defect is retried once serially on a fresh
   // simulator (a transient poisoned-worker state cannot recur there); a
@@ -454,17 +210,12 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
     // The parallel.item injection site fires for every index of the
     // range, including slots this shard never simulates; those are not
     // this shard's work and must not leak into its verdicts or stats.
-    if (!shard.owns(e.index) || restored[e.index] || screened[e.index])
-      continue;
+    if (!shard.owns(e.index) || restored[e.index]) continue;
     std::string message = e.message;
     bool recovered = false;
     if (options.retry_errors) {
       ++retries;
-      // Deliberately not leased from the pool: the quarantine guarantee
-      // is a *fresh* simulator, where a transient poisoned-worker state
-      // cannot recur.
       soc::System system(config);
-      system.set_micro_program(micro);
       try {
         verdicts[e.index] =
             simulate_one(system, bus, library[e.index], program, gold, budget,
@@ -475,14 +226,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
       } catch (...) {
         message = "unknown exception";
       }
-      const soc::CacheCounters c = system.transition_cache_counters();
-      xfer_counters.hits += c.hits;
-      xfer_counters.misses += c.misses;
-      const soc::TierCounters t = system.tier_counters();
-      tier_counters.decoded_programs += t.decoded_programs;
-      tier_counters.decode_cache_hits += t.decode_cache_hits;
-      tier_counters.jit_blocks += t.jit_blocks;
-      tier_counters.jit_bailouts += t.jit_bailouts;
+      absorb(system);
     }
     if (!recovered) {
       verdicts[e.index] = Verdict::kSimError;
@@ -522,17 +266,6 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
     if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
     stats.cache_hits += xfer_counters.hits;
     stats.cache_misses += xfer_counters.misses;
-    stats.gold_reuses += gold_reused ? 1 : 0;
-    stats.gold_evictions += gold_evicted;
-    stats.run_reuses += run_reuses.load();
-    stats.batch_screened += screened_count;
-    stats.batched_transitions += screen_transitions;
-    stats.batch_lanes += screen_lanes;
-    stats.batch_capacity += screen_capacity;
-    stats.decoded_programs += tier_counters.decoded_programs;
-    stats.decode_cache_hits += tier_counters.decode_cache_hits;
-    stats.jit_blocks += tier_counters.jit_blocks;
-    stats.jit_bailouts += tier_counters.jit_bailouts;
     // A sharded run tallies only the slots it owns, so per-shard verdict
     // breakdowns sum to exactly the unsharded breakdown under
     // merge_shard_results.

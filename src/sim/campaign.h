@@ -52,7 +52,7 @@ struct CampaignInterrupted : std::runtime_error {
 /// One slice of a sharded campaign: shard `index` of `count` owns every
 /// defect whose library index is congruent to it modulo `count`.  The
 /// assignment is a pure function of (defect index, count) -- independent
-/// of thread count, batch size, and checkpoint schedule -- so any process
+/// of thread count and checkpoint schedule -- so any process
 /// can compute which slots any shard owns, and merge_shard_results can
 /// recombine per-shard verdict vectors into exactly the single-process
 /// result.  The default {0, 1} owns everything (an unsharded campaign).
@@ -104,47 +104,25 @@ struct CampaignOptions {
   /// defect simulation exceeding this is quarantined as kSimError instead
   /// of wedging its worker for the whole cycle budget.
   std::uint64_t defect_deadline_ms = 0;
-  /// Reuse gold snapshots from the process-wide GoldRunCache (keyed by a
-  /// hash of the system config + program) instead of re-simulating
-  /// identical gold programs per session/line/resume.  Automatically
-  /// bypassed while the fault injector is armed, so injected faults hit
-  /// the same runs they would without the memo.
-  bool reuse_gold = true;
-  /// Transition-major batched pre-screening: before the per-defect loop,
-  /// gather the library into DefectBatch windows of `batch_size` lanes and
-  /// score every unique (held, driven) transition of the gold run against
-  /// the whole window at once.  A defect whose received word matches the
-  /// gold word on every transition provably runs identically to gold (the
-  /// other buses stay nominal, so while execution matches gold the faulty
-  /// run sees exactly gold's transitions) and is recorded kUndetected
-  /// without simulation; diverging defects may still be masked later, so
-  /// they fall through to the unchanged whole-program simulation.
-  /// Verdicts are therefore bitwise identical with batching on or off, at
-  /// any batch size -- enforced by tests/test_batch_equivalence.cpp.
-  /// Screening runs serially before the worker fan-out and is recomputed
-  /// on resume, so any checkpoint boundary is batch-safe.
-  bool batched = true;
-  /// Defects gathered per DefectBatch window (>= 1).
-  std::size_t batch_size = 64;
   /// Shard of the library this call simulates (default: all of it).
-  /// Non-owned slots are never simulated, screened, checkpointed, or
-  /// tallied into stats; they stay kUndetected placeholders in the
-  /// returned vector, and merge_shard_results recombines the slices.
+  /// Non-owned slots are never simulated, checkpointed, or tallied into
+  /// stats; they stay kUndetected placeholders in the returned vector, and
+  /// merge_shard_results recombines the slices.
   ShardSpec shard;
-  /// When non-null, called after every newly completed verdict (screened,
-  /// simulated, or retried) -- the worker-process heartbeat hook.  May be
-  /// invoked concurrently from several worker threads; must not throw.
+  /// When non-null, called after every newly completed verdict (simulated
+  /// or retried) -- the worker-process heartbeat hook.  May be invoked
+  /// concurrently from several worker threads; must not throw.
   std::function<void()> progress;
 };
 
 /// Runs `program` under every defect of `library` applied to `bus`.
 /// Returns one Verdict per defect.
 ///
-/// Defects fan out across `options.parallel.resolve(library.size())`
-/// workers, each owning its own soc::System; verdicts are written by
-/// defect index, so the result is bitwise identical for every thread
-/// count (threads = 1 is the exact serial path) and for any
-/// interrupt/resume schedule.
+/// The gold run is simulated once per call.  Defects then fan out across
+/// `options.parallel.resolve(library.size())` workers, each owning its own
+/// soc::System; verdicts are written by defect index, so the result is
+/// bitwise identical for every thread count (threads = 1 is the exact
+/// serial path) and for any interrupt/resume schedule.
 std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const sbst::TestProgram& program,
                                    soc::BusKind bus,

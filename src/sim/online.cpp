@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cpu/microcode.h"
 #include "sbst/slice.h"
 #include "sim/signature.h"
 #include "util/crc32.h"
@@ -407,16 +406,10 @@ class OnlineCheckpoint {
   std::map<std::pair<std::string, std::size_t>, OnlineOutcome> slots_;
 };
 
-void absorb_system(const soc::System& system, soc::CacheCounters& cache,
-                   soc::TierCounters& tier) {
+void absorb_system(const soc::System& system, soc::CacheCounters& cache) {
   const soc::CacheCounters c = system.transition_cache_counters();
   cache.hits += c.hits;
   cache.misses += c.misses;
-  const soc::TierCounters t = system.tier_counters();
-  tier.decoded_programs += t.decoded_programs;
-  tier.decode_cache_hits += t.decode_cache_hits;
-  tier.jit_blocks += t.jit_blocks;
-  tier.jit_bailouts += t.jit_bailouts;
 }
 
 }  // namespace
@@ -463,19 +456,6 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
   };
 
   soc::CacheCounters xfer_counters;
-  soc::TierCounters tier_counters;
-  // The test program is fixed across defects: pre-decode once and pin on
-  // every simulator (same policy and injector exemption as off-line).
-  std::shared_ptr<const cpu::MicroProgram> micro;
-  if (config.exec_tier != cpu::ExecTier::kReference &&
-      !util::FaultInjector::global().armed()) {
-    bool built = false;
-    micro = cpu::DecodeCache::global().obtain(program.image, &built);
-    if (built)
-      ++tier_counters.decoded_programs;
-    else
-      ++tier_counters.decode_cache_hits;
-  }
 
   OnlineResult result;
   result.outcomes.assign(n, OnlineOutcome{});
@@ -484,10 +464,9 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
   std::vector<RoundSnap> gold_rounds;
   {
     soc::System gold_system(config);
-    gold_system.set_micro_program(micro);
     gold_rounds = run_gold_schedule(gold_system, online, workload, program,
                                     result.gold, gold_cycles);
-    absorb_system(gold_system, xfer_counters, tier_counters);
+    absorb_system(gold_system, xfer_counters);
   }
 
   std::vector<std::uint8_t> restored(n, 0);
@@ -531,10 +510,7 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, options.parallel, [&](std::size_t i, unsigned w) {
         if (restored[i] || cancelled()) return;
-        if (!systems[w]) {
-          systems[w] = std::make_unique<soc::System>(config);
-          systems[w]->set_micro_program(micro);
-        }
+        if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
         result.outcomes[i] = simulate_one_online(
             *systems[w], online, workload, program, bus, library[i],
             gold_rounds, options.defect_deadline_ms, run_cycles[i]);
@@ -553,7 +529,7 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
 
   for (const std::unique_ptr<soc::System>& s : systems) {
     if (!s) continue;
-    absorb_system(*s, xfer_counters, tier_counters);
+    absorb_system(*s, xfer_counters);
   }
 
   // Quarantine: one serial retry on a fresh simulator, then kSimError.
@@ -566,7 +542,6 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
     if (options.retry_errors) {
       ++retries;
       soc::System system(config);
-      system.set_micro_program(micro);
       try {
         result.outcomes[e.index] = simulate_one_online(
             system, online, workload, program, bus, library[e.index],
@@ -577,7 +552,7 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
       } catch (...) {
         message = "unknown exception";
       }
-      absorb_system(system, xfer_counters, tier_counters);
+      absorb_system(system, xfer_counters);
     }
     if (!recovered) {
       result.outcomes[e.index] = OnlineOutcome{};
@@ -621,10 +596,6 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
     if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
     stats.cache_hits += xfer_counters.hits;
     stats.cache_misses += xfer_counters.misses;
-    stats.decoded_programs += tier_counters.decoded_programs;
-    stats.decode_cache_hits += tier_counters.decode_cache_hits;
-    stats.jit_blocks += tier_counters.jit_blocks;
-    stats.jit_bailouts += tier_counters.jit_bailouts;
     // The on-line aggregates are sums over the complete outcome vector
     // (restored slots included), so an interrupted-then-resumed campaign
     // reports exactly the uninterrupted numbers.

@@ -13,10 +13,9 @@
 // Both contexts are full SliceState snapshots, so each swap-in replays
 // the exact architectural state (memory, registers, bus held words) the
 // context last saw; bus transfers stay cycle-accurate through the same
-// BusEvaluator/TransitionCache/exec-tier machinery as any off-line run.
-// The functional window attaches the DeadlineDevice MMIO window (which
-// forces the reference interpreter, as MMIO always does); the test slice
-// detaches it, so a traceless slice enters the decoded tier.
+// BusEvaluator/TransitionCache machinery as any off-line run.  The
+// functional window attaches the DeadlineDevice MMIO window; the test
+// slice detaches it.
 //
 // Functional interference is measured at the MMIO seam: the workload
 // writes a heartbeat register, and the device timestamps every write on
@@ -136,9 +135,9 @@ class InterleavedScheduler {
   /// by the cycles the window actually consumed.
   void run_functional_window();
 
-  /// Prepares the core for a test slice: detaches every MMIO window so a
-  /// traceless slice is decoded-tier eligible.  The caller then runs its
-  /// ProgramSlice against the system and reports the consumed cycles.
+  /// Prepares the core for a test slice: detaches every MMIO window.  The
+  /// caller then runs its ProgramSlice against the system and reports the
+  /// consumed cycles.
   void begin_test_slice() { system_.clear_mmio(); }
   void end_test_slice(std::uint64_t cycles_consumed) {
     global_cycles_ += cycles_consumed;

@@ -10,8 +10,6 @@
 #include <sstream>
 
 #include "cpu/isa.h"
-#include "cpu/microcode.h"
-#include "sim/gold_cache.h"
 #include "soc/control.h"
 
 namespace xtest::spec {
@@ -85,14 +83,6 @@ sbst::PlacementOrder order_value(const std::string& v) {
   throw std::invalid_argument(
       "expected victim-major, delays-first, glitches-first or center-out, "
       "got '" + v + "'");
-}
-
-cpu::ExecTier tier_value(const std::string& v) {
-  const std::optional<cpu::ExecTier> tier = cpu::parse_exec_tier(v);
-  if (!tier)
-    throw std::invalid_argument("expected reference, decoded or jit, got '" +
-                                v + "'");
-  return *tier;
 }
 
 xtalk::ElectricalBackend electrical_value(const std::string& v) {
@@ -211,13 +201,6 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.system.transition_cache = bool_value(v);
        }},
-      {"system.exec_tier",
-       [](const ScenarioSpec& s) {
-         return cpu::to_string(s.system.exec_tier);
-       },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.system.exec_tier = tier_value(v);
-       }},
       {"system.electrical",
        [](const ScenarioSpec& s) {
          return xtalk::to_string(s.system.electrical.backend);
@@ -305,11 +288,6 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.retry_errors = bool_value(v);
        }},
-      {"campaign.reuse_gold",
-       [](const ScenarioSpec& s) { return bool_text(s.reuse_gold); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.reuse_gold = bool_value(v);
-       }},
       {"campaign.checkpoint_every",
        [](const ScenarioSpec& s) { return u64_text(s.checkpoint_every); },
        [](ScenarioSpec& s, const std::string& v) {
@@ -319,21 +297,6 @@ const std::vector<KeyDef>& key_table() {
        [](const ScenarioSpec& s) { return u64_text(s.defect_deadline_ms); },
        [](ScenarioSpec& s, const std::string& v) {
          s.defect_deadline_ms = u64_value(v);
-       }},
-      {"campaign.batched",
-       [](const ScenarioSpec& s) { return bool_text(s.batched); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.batched = bool_value(v);
-       }},
-      {"campaign.batch_size",
-       [](const ScenarioSpec& s) { return u64_text(s.batch_size); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.batch_size = static_cast<std::size_t>(u64_value(v));
-       }},
-      {"campaign.gold_cache_capacity",
-       [](const ScenarioSpec& s) { return u64_text(s.gold_cache_capacity); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.gold_cache_capacity = static_cast<std::size_t>(u64_value(v));
        }},
       {"campaign.compare_bist",
        [](const ScenarioSpec& s) { return bool_text(s.compare_bist); },
@@ -449,17 +412,13 @@ std::vector<sbst::GenerationResult> ScenarioSpec::make_sessions() const {
 
 sim::CampaignOptions ScenarioSpec::campaign_options(
     util::CampaignStats* stats) const {
-  sim::GoldRunCache::global().set_capacity(gold_cache_capacity);
   sim::CampaignOptions opts;
   opts.cycle_factor = cycle_factor;
   opts.parallel = {threads};
   opts.stats = stats;
   opts.retry_errors = retry_errors;
-  opts.reuse_gold = reuse_gold;
   opts.checkpoint_every = checkpoint_every;
   opts.defect_deadline_ms = defect_deadline_ms;
-  opts.batched = batched;
-  opts.batch_size = batch_size;
   opts.shard = {shard_index, shard_count};
   return opts;
 }
@@ -495,8 +454,6 @@ void ScenarioSpec::validate() const {
            "program.data_bus)");
   if (cycle_factor == 0)
     throw SpecParseError(0, "campaign.cycle_factor must be positive");
-  if (batch_size == 0)
-    throw SpecParseError(0, "campaign.batch_size must be at least 1");
   if (shard_count == 0)
     throw SpecParseError(0, "campaign.shard count must be at least 1");
   if (shard_index >= shard_count)

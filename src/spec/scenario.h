@@ -95,17 +95,8 @@ struct ScenarioSpec {
   std::uint64_t cycle_factor = 16;
   unsigned threads = 0;  ///< 0 = auto ($XTEST_THREADS / hardware)
   bool retry_errors = true;
-  bool reuse_gold = true;
   std::size_t checkpoint_every = 32;
   std::uint64_t defect_deadline_ms = 0;
-  /// Transition-major batched pre-screening (CampaignOptions::batched /
-  /// batch_size): verdicts are bitwise identical with batching on or off,
-  /// at any batch size, so these are pure throughput knobs.
-  bool batched = true;
-  std::size_t batch_size = 64;
-  /// Entry cap applied to the process-wide sim::GoldRunCache before the
-  /// campaign runs (LRU eviction beyond it).
-  std::size_t gold_cache_capacity = 256;
   /// Also run the hardware-BIST baseline over the same library and report
   /// the coverage comparison (the paper's Section 1 argument).
   bool compare_bist = false;

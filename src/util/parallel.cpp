@@ -123,12 +123,7 @@ std::string CampaignStats::json(const std::string& label) const {
       "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
       "\"salvaged_sections\":%zu,\"dropped_slots\":%zu,"
       "\"flush_failures\":%zu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_hit_rate\":%.4f,\"gold_reuses\":%zu,\"gold_evictions\":%zu,"
-      "\"run_reuses\":%zu,"
-      "\"batch_screened\":%zu,\"batched_transitions\":%llu,"
-      "\"batch_lanes\":%zu,\"batch_capacity\":%zu,\"batch_fill\":%.4f,"
-      "\"decoded_programs\":%llu,\"decode_cache_hits\":%llu,"
-      "\"jit_blocks\":%llu,\"jit_bailouts\":%llu,"
+      "\"cache_hit_rate\":%.4f,"
       "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
       "\"online_deadlines_late\":%llu,\"online_deadlines_missed\":%llu,"
       "\"online_detection_latency_cycles\":%llu,"
@@ -141,13 +136,6 @@ std::string CampaignStats::json(const std::string& label) const {
       dropped_slots, flush_failures,
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), cache_hit_rate(),
-      gold_reuses, gold_evictions, run_reuses, batch_screened,
-      static_cast<unsigned long long>(batched_transitions), batch_lanes,
-      batch_capacity, batch_fill(),
-      static_cast<unsigned long long>(decoded_programs),
-      static_cast<unsigned long long>(decode_cache_hits),
-      static_cast<unsigned long long>(jit_blocks),
-      static_cast<unsigned long long>(jit_bailouts),
       static_cast<unsigned long long>(online_rounds),
       static_cast<unsigned long long>(online_mmio_heartbeats),
       static_cast<unsigned long long>(online_deadlines_late),
@@ -173,17 +161,6 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   flush_failures += other.flush_failures;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
-  gold_reuses += other.gold_reuses;
-  gold_evictions += other.gold_evictions;
-  run_reuses += other.run_reuses;
-  batch_screened += other.batch_screened;
-  batched_transitions += other.batched_transitions;
-  batch_lanes += other.batch_lanes;
-  batch_capacity += other.batch_capacity;
-  decoded_programs += other.decoded_programs;
-  decode_cache_hits += other.decode_cache_hits;
-  jit_blocks += other.jit_blocks;
-  jit_bailouts += other.jit_bailouts;
   online_rounds += other.online_rounds;
   online_mmio_heartbeats += other.online_mmio_heartbeats;
   online_deadlines_late += other.online_deadlines_late;
@@ -259,17 +236,6 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "flush_failures", out.flush_failures);
   any |= json_counter(obj, "cache_hits", out.cache_hits);
   any |= json_counter(obj, "cache_misses", out.cache_misses);
-  any |= json_counter(obj, "gold_reuses", out.gold_reuses);
-  any |= json_counter(obj, "gold_evictions", out.gold_evictions);
-  any |= json_counter(obj, "run_reuses", out.run_reuses);
-  any |= json_counter(obj, "batch_screened", out.batch_screened);
-  any |= json_counter(obj, "batched_transitions", out.batched_transitions);
-  any |= json_counter(obj, "batch_lanes", out.batch_lanes);
-  any |= json_counter(obj, "batch_capacity", out.batch_capacity);
-  any |= json_counter(obj, "decoded_programs", out.decoded_programs);
-  any |= json_counter(obj, "decode_cache_hits", out.decode_cache_hits);
-  any |= json_counter(obj, "jit_blocks", out.jit_blocks);
-  any |= json_counter(obj, "jit_bailouts", out.jit_bailouts);
   any |= json_counter(obj, "online_rounds", out.online_rounds);
   any |= json_counter(obj, "online_mmio_heartbeats",
                       out.online_mmio_heartbeats);

@@ -112,45 +112,18 @@ struct CampaignStats {
   /// Periodic checkpoint flushes that failed (ENOSPC, injected fault, ...)
   /// and were deferred to the next flush instead of aborting the campaign.
   std::size_t flush_failures = 0;
-  // Hot-path counters (results are unaffected: cached words and reused
-  // gold snapshots are bit-identical to recomputation).
+  // Transition-cache counters (results are unaffected: cached words are
+  // bit-identical to recomputation).  Every run starts from an empty
+  // cache, so both are pure functions of the campaign inputs.
   /// Bus transfers answered from a transition memo instead of re-evaluated.
   std::uint64_t cache_hits = 0;
   /// Bus transfers that missed the memo and ran the analytic fast path.
   std::uint64_t cache_misses = 0;
-  /// Gold runs answered from the process-wide snapshot memo.
+  // Nothing writes these four; perfbench still reads them.
   std::size_t gold_reuses = 0;
-  /// Gold snapshots evicted by the memo's LRU entry cap during this
-  /// campaign's stores (process-wide memo, so sweeps accumulate).
-  std::size_t gold_evictions = 0;
-  /// Whole defect runs answered from the process-wide run memo instead of
-  /// re-simulated (accelerated tiers only; the memoed verdict and cycle
-  /// count are the exact values the re-simulation would produce).
   std::size_t run_reuses = 0;
-  // Transition-major batched screening (verdicts are unaffected: a
-  // screened defect provably produces the gold response).
-  /// Defects proven undetected by the batched screen, never simulated.
   std::size_t batch_screened = 0;
-  /// Gold transitions scored against a whole DefectBatch window (one per
-  /// screen pass; early-exits when a window has no live lane left).
-  std::uint64_t batched_transitions = 0;
-  /// Defect lanes gathered into batches, and the total lane capacity of
-  /// the launched batches (batches x batch_size); their ratio is the
-  /// batch fill.
   std::size_t batch_lanes = 0;
-  std::size_t batch_capacity = 0;
-  // Execution-tier counters (cpu/microcode.h; verdicts are unaffected:
-  // accelerated tiers are bitwise-equivalent or finish on the reference
-  // interpreter).  All zero on the reference tier.
-  /// Program images pre-decoded into micro-op arrays.
-  std::uint64_t decoded_programs = 0;
-  /// Pre-decode passes answered from a decode memo instead of rebuilt.
-  std::uint64_t decode_cache_hits = 0;
-  /// Straight-line blocks compiled by the jit tier.
-  std::uint64_t jit_blocks = 0;
-  /// Runs degraded to a slower tier (self-modified instruction fetch,
-  /// mid-program resume, unavailable jit backend).
-  std::uint64_t jit_bailouts = 0;
   // On-line interleaved campaigns (sim/online.h; all zero in off-line
   // mode).  Pure functions of the campaign inputs, like the verdicts:
   // identical at every thread count and across checkpoint resumes.
@@ -180,14 +153,6 @@ struct CampaignStats {
                : 0.0;
   }
 
-  /// Fraction of gathered lanes over launched batch capacity, in [0, 1]
-  /// (1.0 = every batch ran full; partial tail windows lower it).
-  double batch_fill() const {
-    return batch_capacity > 0 ? static_cast<double>(batch_lanes) /
-                                    static_cast<double>(batch_capacity)
-                              : 0.0;
-  }
-
   /// Fraction of cache-eligible transfers served from the memo, in [0, 1].
   double cache_hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -205,7 +170,7 @@ struct CampaignStats {
 
   /// Adds another campaign's RAW counters onto this one (shard merge,
   /// supervised workers).  Every derived ratio -- cache_hit_rate,
-  /// batch_fill, defects_per_second -- stays a function over the merged
+  /// defects_per_second -- stays a function over the merged
   /// raw counters, so merging never averages rates: the merged hit rate
   /// is (sum hits) / (sum hits + sum misses), not the mean of per-shard
   /// rates.  wall_seconds accumulates (aggregate time inside campaign
@@ -226,9 +191,9 @@ struct StatsJsonError : std::runtime_error {
 };
 
 /// Best-effort inverse of CampaignStats::json for the flat numeric fields
-/// (verdict breakdown, cycles, cache/batch/gold counters, wall_seconds,
-/// threads).  Scans `line` for the first '{'...'}' JSON object; returns
-/// false when no such object or no known key is found, and throws
+/// (verdict breakdown, cycles, cache counters, wall_seconds, threads).
+/// Scans `line` for the first '{'...'}' JSON object; returns false when
+/// no such object or no known key is found, and throws
 /// StatsJsonError for an object that is damaged (see above).  Environment
 /// fields (hardware_concurrency, build_type) and derived ratios are
 /// ignored -- ratios are recomputed from the raw counters.  This is how a

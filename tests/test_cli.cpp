@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -104,9 +105,6 @@ TEST(Cli, CampaignReportsCoverage) {
 }
 
 TEST(Cli, CampaignReportsHotPathCounters) {
-  // A seed no other in-process test uses: the process-wide run memo
-  // (sim::DefectRunCache) would otherwise replay a colliding campaign's
-  // defects wholesale and this cold run would see no cache traffic.
   const CliRun r = run_cli({"campaign", "--bus", "data", "--defects", "10",
                             "--seed", "7031", "--stats-json"});
   ASSERT_EQ(r.code, 0) << r.err;
@@ -114,13 +112,9 @@ TEST(Cli, CampaignReportsHotPathCounters) {
   EXPECT_NE(r.out.find("cache_hits="), std::string::npos) << r.out;
   EXPECT_EQ(r.out.find("cache_hits=0 "), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("cache_hit_rate="), std::string::npos);
-  EXPECT_NE(r.out.find("gold_reuses="), std::string::npos);
-  EXPECT_NE(r.out.find("run_reuses="), std::string::npos);
   // --stats-json appends the machine-readable record.
   EXPECT_NE(r.out.find("{\"campaign\":\"campaign\""), std::string::npos);
   EXPECT_NE(r.out.find("\"cache_hits\":"), std::string::npos);
-  EXPECT_NE(r.out.find("\"gold_reuses\":"), std::string::npos);
-  EXPECT_NE(r.out.find("\"run_reuses\":"), std::string::npos);
 }
 
 TEST(Cli, CampaignThreadsFlagKeepsCoverageIdentical) {
@@ -136,41 +130,6 @@ TEST(Cli, CampaignThreadsFlagKeepsCoverageIdentical) {
             par.out.substr(0, par.out.find('\n')));
   EXPECT_NE(serial.out.find("threads=1 "), std::string::npos);
   EXPECT_NE(par.out.find("threads=4 "), std::string::npos);
-}
-
-TEST(Cli, CampaignBatchLineAndNoBatchKeepVerdictsIdentical) {
-  const CliRun on = run_cli({"campaign", "--bus", "data", "--defects", "12",
-                             "--seed", "7", "--batch-size", "5"});
-  ASSERT_EQ(on.code, 0) << on.err;
-  EXPECT_NE(on.out.find("batch=5 screened="), std::string::npos) << on.out;
-  EXPECT_NE(on.out.find("batch_fill="), std::string::npos) << on.out;
-
-  const CliRun off = run_cli({"campaign", "--bus", "data", "--defects", "12",
-                              "--seed", "7", "--no-batch"});
-  ASSERT_EQ(off.code, 0) << off.err;
-  EXPECT_NE(off.out.find("batch=off"), std::string::npos) << off.out;
-
-  // The verdict lines (coverage + breakdown) are bitwise identical with
-  // the screen on or off; only the perf counters may differ.
-  const auto verdict_lines = [](const std::string& s) {
-    const std::size_t first = s.find('\n');
-    return s.substr(0, s.find('\n', first + 1));
-  };
-  EXPECT_EQ(verdict_lines(on.out), verdict_lines(off.out));
-}
-
-TEST(Cli, BatchSizeZeroOrNegativeIsAUsageErrorNamingTheFlag) {
-  // "-3" would silently wrap through stoull into 2^64-3 without the
-  // explicit sign check -- both campaign and chaos must reject it before
-  // any work starts.
-  for (const char* cmd : {"campaign", "chaos"}) {
-    for (const char* bad : {"0", "-3", "-1"}) {
-      const CliRun r = run_cli({cmd, "--batch-size", bad});
-      EXPECT_EQ(r.code, kExitUsage) << cmd << " --batch-size " << bad;
-      EXPECT_NE(r.err.find("--batch-size"), std::string::npos) << r.err;
-      EXPECT_NE(r.err.find(bad), std::string::npos) << r.err;
-    }
-  }
 }
 
 TEST(Cli, ErrorsAreReported) {
@@ -241,19 +200,6 @@ TEST(Cli, ChaosSoakSmokeRunPasses) {
   const CliRun r = run_cli({"chaos", "--bus", "data", "--defects", "6",
                             "--cycles", "3", "--threads", "1", "--seed",
                             "7"});
-  ASSERT_EQ(r.code, 0) << r.err << r.out;
-  EXPECT_NE(r.out.find("verdicts identical"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("chaos soak passed"), std::string::npos) << r.out;
-}
-
-TEST(Cli, ChaosSoakExercisesTheBatchedPathAtANonDivisorBatchSize) {
-  // The kill/crash/resume chains run with a 7-lane batch that does not
-  // divide the 6-defect library; the uninterrupted reference inside chaos
-  // runs at the default batch size, so "verdicts identical" doubles as a
-  // batched-vs-batched differential check across batch sizes.
-  const CliRun r = run_cli({"chaos", "--bus", "data", "--defects", "6",
-                            "--cycles", "3", "--threads", "1", "--seed",
-                            "7", "--batch-size", "7"});
   ASSERT_EQ(r.code, 0) << r.err << r.out;
   EXPECT_NE(r.out.find("verdicts identical"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("chaos soak passed"), std::string::npos) << r.out;
@@ -333,6 +279,47 @@ TEST(Cli, SupervisedWorkersMatchTheSerialVerdictLines) {
       << supervised.out;
 }
 
+TEST(Cli, SupervisedRunRemovesItsDefaultCheckpointsSoAnEditIsNotReplayed) {
+  // Without --checkpoint a supervised run keeps its shard checkpoints at
+  // a temp path named by scenario name, bus and seed, under a key that
+  // covers only the library.  A completed run must remove them: the same
+  // name and seed with a slower tester clock would otherwise restore the
+  // first run's verdicts instead of simulating.
+  ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
+  const std::string base = (std::filesystem::temp_directory_path() /
+                            "xtest_ckpt-replay_data_7.ckpt")
+                               .string();
+  for (const char* k : {".shard0", ".shard1"})
+    std::remove((base + k).c_str());
+  const std::string text =
+      "name = ckpt-replay\nbus = data\ndefects = 40\nseed = 7\n"
+      "campaign.threads = 1\ncampaign.workers = 2\n";
+  const std::string at_speed = temp_path("ckpt_replay_at_speed.scn");
+  const std::string slow = temp_path("ckpt_replay_slow.scn");
+  std::ofstream(at_speed) << text;
+  std::ofstream(slow) << text << "system.clock_period_scale = 3\n";
+
+  const CliRun first = run_cli({"campaign", "--scenario", at_speed});
+  ASSERT_EQ(first.code, 0) << first.err << first.out;
+  EXPECT_FALSE(std::filesystem::exists(base + ".shard0"));
+  EXPECT_FALSE(std::filesystem::exists(base + ".shard1"));
+
+  const CliRun second = run_cli({"campaign", "--scenario", slow});
+  const CliRun in_process =
+      run_cli({"campaign", "--scenario", slow, "--workers", "0"});
+  unsetenv("XTEST_WORKER_BINARY");
+  ASSERT_EQ(second.code, 0) << second.err << second.out;
+  ASSERT_EQ(in_process.code, 0) << in_process.err;
+  EXPECT_NE(second.out.find("restored=0 "), std::string::npos) << second.out;
+  EXPECT_EQ(line_starting_with(second.out, "detected="),
+            line_starting_with(in_process.out, "detected="));
+  // The edit changes the verdicts, so a replay could not pass the above.
+  EXPECT_NE(line_starting_with(first.out, "detected="),
+            line_starting_with(second.out, "detected="));
+  std::remove(at_speed.c_str());
+  std::remove(slow.c_str());
+}
+
 TEST(Cli, ScenarioFlagMatchesDefaultCampaignAtEveryThreadCount) {
   // `--scenario paper-baseline` must be bitwise identical to the
   // hard-coded default path: same verdicts, signatures, and coverage.
@@ -381,71 +368,24 @@ TEST(Cli, ScenariosDumpRoundTripsThroughAFile) {
   EXPECT_NE(ran.out.find("bus=data defects=6"), std::string::npos) << ran.out;
 }
 
-TEST(Cli, UnknownExecTierIsAUsageErrorNamingTheFlag) {
-  for (const char* cmd : {"campaign", "chaos", "submit"}) {
-    std::vector<std::string> args = {cmd, "--exec-tier", "turbo"};
-    if (std::string(cmd) == "submit")  // tier validation precedes connect
-      args.insert(args.end(), {"--socket", temp_path("no-daemon.sock")});
-    const CliRun r = run_cli(args);
-    EXPECT_EQ(r.code, kExitUsage) << cmd;
-    EXPECT_NE(r.err.find("--exec-tier"), std::string::npos) << r.err;
-    EXPECT_NE(r.err.find("turbo"), std::string::npos) << r.err;
+TEST(Cli, ScenarioWithARemovedKeyIsAUsageErrorNamingIt) {
+  // Keys of deleted acceleration layers are plain unknown keys now: an
+  // old scenario file still carrying one fails loudly instead of being
+  // silently accepted.
+  for (const char* line :
+       {"campaign.batched = true", "campaign.gold_cache_capacity = 256"}) {
+    const std::string path = temp_path("removed_key.scn");
+    {
+      std::ofstream f(path);
+      f << "name = old\n" << line << "\n";
+    }
+    const CliRun r = run_cli({"campaign", "--scenario", path});
+    EXPECT_EQ(r.code, kExitUsage) << line;
+    const std::string key(line, std::string(line).find(' '));
+    EXPECT_NE(r.err.find("unknown key '" + key + "'"), std::string::npos)
+        << r.err;
+    std::remove(path.c_str());
   }
-}
-
-TEST(Cli, ExecTierFlagSelectsTheTierAndKeepsVerdictsIdentical) {
-  const std::vector<std::string> base = {"campaign", "--bus",  "data",
-                                         "--defects", "8",     "--seed",
-                                         "11",        "--threads", "1"};
-  const auto with = [&](const char* tier) {
-    std::vector<std::string> args = base;
-    args.insert(args.end(), {"--exec-tier", tier});
-    return run_cli(args);
-  };
-  const CliRun dec = with("decoded");
-  const CliRun ref = with("reference");
-  ASSERT_EQ(dec.code, 0) << dec.err;
-  ASSERT_EQ(ref.code, 0) << ref.err;
-  EXPECT_NE(dec.out.find("tier=decoded"), std::string::npos) << dec.out;
-  EXPECT_NE(ref.out.find("tier=reference"), std::string::npos) << ref.out;
-  const auto line = [](const std::string& s, const char* prefix) {
-    const std::size_t p = s.find(prefix);
-    EXPECT_NE(p, std::string::npos) << s;
-    return s.substr(p, s.find('\n', p) - p);
-  };
-  EXPECT_EQ(line(dec.out, "detected="), line(ref.out, "detected="));
-}
-
-TEST(Cli, ScenariosDumpRoundTripsTheExecTierKey) {
-  const CliRun dump = run_cli({"scenarios", "--dump", "paper-baseline"});
-  ASSERT_EQ(dump.code, 0) << dump.err;
-  const std::string key = "system.exec_tier = decoded";
-  ASSERT_NE(dump.out.find(key), std::string::npos) << dump.out;
-
-  // Overriding the key in a scenario file survives a dump round-trip.
-  std::string text = dump.out;
-  text.replace(text.find(key), key.size(), "system.exec_tier = reference");
-  const std::string path = temp_path("tier.scn");
-  {
-    std::ofstream f(path);
-    f << text;
-  }
-  const CliRun redump = run_cli({"scenarios", "--dump", path});
-  ASSERT_EQ(redump.code, 0) << redump.err;
-  EXPECT_NE(redump.out.find("system.exec_tier = reference"),
-            std::string::npos)
-      << redump.out;
-
-  // An unknown tier value is a usage error naming the key and its line.
-  text = dump.out;
-  text.replace(text.find(key), key.size(), "system.exec_tier = warp");
-  {
-    std::ofstream f(path);
-    f << text;
-  }
-  const CliRun bad = run_cli({"campaign", "--scenario", path});
-  EXPECT_EQ(bad.code, kExitUsage);
-  EXPECT_NE(bad.err.find("exec_tier"), std::string::npos) << bad.err;
 }
 
 TEST(Cli, ScenariosDumpRoundTripsOnlineAndElectricalKeys) {
@@ -574,7 +514,7 @@ TEST(Cli, UsageIsGeneratedFromTheFlagTable) {
   for (const char* flag :
        {"--scenario", "--bus", "--defects", "--seed", "--threads",
         "--checkpoint", "--no-retry", "--faults", "--defect-deadline-ms",
-        "--batch-size", "--no-batch", "--stats-json", "--entry", "--trace",
+        "--stats-json", "--entry", "--trace",
         "--max-cycles", "--cycles", "--dump", "--out"})
     EXPECT_NE(r.err.find(flag), std::string::npos) << flag;
   EXPECT_NE(r.err.find("paper-baseline"), std::string::npos);

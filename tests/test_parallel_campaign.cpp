@@ -14,6 +14,7 @@
 #include "hwbist/bist.h"
 #include "hwbist/random_patterns.h"
 #include "soc/control.h"
+#include "spec/scenario.h"
 #include "util/parallel.h"
 
 namespace xtest::sim {
@@ -120,8 +121,9 @@ TEST(ParallelCampaign, RepeatedRunsWithSameSeedAreIdentical) {
 }
 
 TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
-  // defects_simulated and simulated_cycles are pure functions of the
-  // campaign inputs; wall_seconds and threads are the only host-dependent
+  // defects_simulated, simulated_cycles and the transition-cache counters
+  // are pure functions of the campaign inputs (every run starts from an
+  // empty cache); wall_seconds and threads are the only host-dependent
   // fields.
   const soc::SystemConfig cfg;
   const auto prog =
@@ -135,6 +137,7 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_stats.defects_simulated, lib.size());
   EXPECT_EQ(serial_stats.threads, 1u);
   EXPECT_GT(serial_stats.simulated_cycles, 0u);
+  EXPECT_GT(serial_stats.cache_misses, 0u);
   EXPECT_GE(serial_stats.wall_seconds, 0.0);
 
   for (unsigned t : kThreadCounts) {
@@ -144,7 +147,55 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(s.defects_simulated, serial_stats.defects_simulated);
     EXPECT_EQ(s.simulated_cycles, serial_stats.simulated_cycles)
         << "threads " << t;
+    EXPECT_EQ(s.cache_hits, serial_stats.cache_hits) << "threads " << t;
+    EXPECT_EQ(s.cache_misses, serial_stats.cache_misses) << "threads " << t;
     EXPECT_EQ(s.threads, t);
+  }
+}
+
+struct VerdictCounts4 {
+  std::size_t detected, timeout, undetected, sim_errors;
+  bool operator==(const VerdictCounts4&) const = default;
+};
+
+VerdictCounts4 counts_of(const util::CampaignStats& s) {
+  return {s.detected, s.detected_by_timeout, s.undetected, s.sim_errors};
+}
+
+TEST(ParallelCampaign, EveryBuiltinScenarioMatchesSerialAtFourThreads) {
+  // Every built-in scenario, three library seeds, every session: the
+  // 4-thread campaign must reproduce the serial verdicts and every
+  // verdict-pure counter exactly.
+  for (const std::string& name : spec::builtin_scenario_names()) {
+    spec::ScenarioSpec s = spec::builtin_scenario(name);
+    s.defect_count = 12;
+    for (const std::uint64_t seed : {kSeed, kSeed + 7, std::uint64_t{424242}}) {
+      s.seed = seed;
+      const auto sessions = s.make_sessions();
+      const auto lib = s.make_library();
+      util::CampaignStats ref_stats;
+      CampaignOptions ref_opts = s.campaign_options(&ref_stats);
+      ref_opts.parallel = serial();
+      const std::vector<Verdict> reference =
+          run_detection_sessions(s.system, sessions, s.bus, lib, ref_opts);
+
+      util::CampaignStats stats;
+      CampaignOptions opts = s.campaign_options(&stats);
+      opts.parallel = {4};
+      const std::vector<Verdict> det =
+          run_detection_sessions(s.system, sessions, s.bus, lib, opts);
+      EXPECT_EQ(det, reference) << name << " seed=" << seed;
+      EXPECT_EQ(counts_of(stats), counts_of(ref_stats))
+          << name << " seed=" << seed;
+      EXPECT_EQ(stats.defects_simulated, ref_stats.defects_simulated)
+          << name << " seed=" << seed;
+      EXPECT_EQ(stats.simulated_cycles, ref_stats.simulated_cycles)
+          << name << " seed=" << seed;
+      EXPECT_EQ(stats.cache_hits, ref_stats.cache_hits)
+          << name << " seed=" << seed;
+      EXPECT_EQ(stats.cache_misses, ref_stats.cache_misses)
+          << name << " seed=" << seed;
+    }
   }
 }
 

@@ -675,52 +675,6 @@ TEST(Resilience, HardCrashKeepsOnlyPeriodicallyFlushedVerdicts) {
   std::remove(path.c_str());
 }
 
-TEST(Resilience, BatchedKillAndCrashResumeBitwiseIdenticalAtOddBatchSize) {
-  // The batched screen must stay kill/crash/resume safe at a batch size
-  // that does not divide the library (7 into 20): a checkpoint can land
-  // mid-window, and the resumed campaign re-screens from scratch.  Both
-  // the interrupted chains and the final verdicts must equal the
-  // *unbatched* uninterrupted run -- the full differential contract under
-  // interruption.
-  GlobalInjectorGuard guard;
-  const soc::SystemConfig cfg;
-  const auto lib = make_defect_library(cfg, soc::BusKind::kAddress, 20, kSeed);
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-
-  CampaignOptions unbatched;
-  unbatched.batched = false;
-  const std::vector<Verdict> reference =
-      run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, unbatched);
-
-  const std::string path = temp_path("ckpt_batched_chain");
-  std::remove(path.c_str());
-  CampaignOptions options;
-  options.parallel = {1u};
-  options.batch_size = 7;
-  options.checkpoint_path = path;
-  options.checkpoint_every = 2;
-
-  // Graceful kill mid-window (4th new verdict of a 7-lane batch), resume,
-  // hard crash past the first window, resume again, then drain.
-  for (const char* site : {"campaign.kill@4", "campaign.crash@9"}) {
-    util::FaultInjector::global().configure(site);
-    EXPECT_THROW(
-        run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, options),
-        CampaignInterrupted)
-        << site;
-    util::FaultInjector::global().disarm();
-  }
-
-  util::CampaignStats stats;
-  options.stats = &stats;
-  const std::vector<Verdict> resumed =
-      run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, options);
-  EXPECT_EQ(resumed, reference);
-  EXPECT_GT(stats.restored_from_checkpoint, 0u);
-  std::remove(path.c_str());
-}
-
 TEST(Resilience, CancelFlagStopsTheCampaignBeforeNewWork) {
   const soc::SystemConfig cfg;
   const auto lib = make_defect_library(cfg, soc::BusKind::kData, 6, kSeed);

@@ -1,8 +1,8 @@
 // Property tests for sbst::ProgramSlice (src/sbst/slice.h): splitting a
 // self-test program at ANY instruction boundary and resuming must be
 // invisible -- same memory image, same cycle count, same halt reason as
-// the uninterrupted run -- on every execution tier, at 1 and 4 checker
-// threads, and across different System instances.
+// the uninterrupted run -- at 1 and 4 checker threads, and across
+// different System instances.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +21,6 @@ using namespace xtest;
 namespace {
 
 constexpr std::uint64_t kBudget = 1u << 20;  // far past any session's halt
-
-soc::SystemConfig tier_config(cpu::ExecTier tier) {
-  soc::SystemConfig cfg;  // the paper-baseline electricals
-  cfg.exec_tier = tier;
-  return cfg;
-}
 
 /// The uninterrupted reference: one slice, one budget.
 soc::SliceState unsliced(const soc::SystemConfig& cfg,
@@ -67,8 +61,8 @@ void expect_same_state(const soc::SliceState& got,
 /// [cut, halt] on ANOTHER System, and compare with the unsliced run.  The
 /// boundary sweep is itself sharded over `threads` workers (each worker
 /// owns private Systems, so this also soaks concurrent slicing).
-void check_every_boundary(cpu::ExecTier tier, unsigned threads) {
-  const soc::SystemConfig cfg = tier_config(tier);
+void check_every_boundary(unsigned threads) {
+  const soc::SystemConfig cfg;  // the paper-baseline electricals
   // A compact but complete program: single-session generation over both
   // buses exercises every test kind the generator emits.
   spec::ScenarioSpec scn;
@@ -93,33 +87,19 @@ void check_every_boundary(cpu::ExecTier tier, unsigned threads) {
   EXPECT_TRUE(errors.empty());
 }
 
-TEST(ProgramSlice, EveryBoundaryReferenceSerial) {
-  check_every_boundary(cpu::ExecTier::kReference, 1);
-}
+TEST(ProgramSlice, EveryBoundaryReferenceSerial) { check_every_boundary(1); }
 
-TEST(ProgramSlice, EveryBoundaryReferenceThreaded) {
-  check_every_boundary(cpu::ExecTier::kReference, 4);
-}
+TEST(ProgramSlice, EveryBoundaryReferenceThreaded) { check_every_boundary(4); }
 
-TEST(ProgramSlice, EveryBoundaryDecodedSerial) {
-  check_every_boundary(cpu::ExecTier::kDecoded, 1);
-}
-
-TEST(ProgramSlice, EveryBoundaryDecodedThreaded) {
-  check_every_boundary(cpu::ExecTier::kDecoded, 4);
-}
-
-// Tiers must agree with each other slice-for-slice, not just with their
-// own unsliced runs: a fixed ping-pong budget schedule on the decoded
-// tier must land on exactly the reference tier's state.
-TEST(ProgramSlice, TiersAgreeUnderPingPongSlicing) {
+// Many short slices alternating between two Systems: a fixed ping-pong
+// budget schedule must land on exactly the unsliced run's state.
+TEST(ProgramSlice, PingPongAcrossSystemsMatchesUnsliced) {
   spec::ScenarioSpec scn;
   scn.multi_session = false;
   const sbst::TestProgram prog = scn.make_sessions()[0].program;
-  const soc::SliceState want =
-      unsliced(tier_config(cpu::ExecTier::kReference), prog);
+  const soc::SystemConfig cfg;
+  const soc::SliceState want = unsliced(cfg, prog);
 
-  const soc::SystemConfig cfg = tier_config(cpu::ExecTier::kDecoded);
   soc::System a(cfg);
   soc::System b(cfg);
   sbst::ProgramSlice slice(prog);
@@ -140,7 +120,7 @@ TEST(ProgramSlice, MemoryAtReadsSuspendedMemory) {
   spec::ScenarioSpec scn;
   scn.multi_session = false;
   const sbst::TestProgram prog = scn.make_sessions()[0].program;
-  soc::System sys(tier_config(cpu::ExecTier::kReference));
+  soc::System sys;
   sbst::ProgramSlice slice(prog);
   slice.run(sys, kBudget);
   ASSERT_TRUE(slice.halted());

@@ -83,10 +83,8 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.cycle_factor = 1 + rng.below(64);
   s.threads = static_cast<unsigned>(rng.below(16));
   s.retry_errors = rng.below(2) == 0;
-  s.reuse_gold = rng.below(2) == 0;
   s.checkpoint_every = 1 + rng.below(256);
   s.defect_deadline_ms = rng.below(100000);
-  s.gold_cache_capacity = 1 + rng.below(1024);
   s.compare_bist = rng.below(2) == 0;
   s.workers = rng.below(5);
   s.system.electrical.backend =
@@ -346,7 +344,6 @@ TEST(ScenarioSpec, CampaignOptionsCarryTheSpecFields) {
   s.cycle_factor = 9;
   s.threads = 3;
   s.retry_errors = false;
-  s.reuse_gold = false;
   s.checkpoint_every = 5;
   s.defect_deadline_ms = 1234;
   util::CampaignStats stats;
@@ -354,7 +351,6 @@ TEST(ScenarioSpec, CampaignOptionsCarryTheSpecFields) {
   EXPECT_EQ(o.cycle_factor, 9ull);
   EXPECT_EQ(o.parallel.threads, 3u);
   EXPECT_FALSE(o.retry_errors);
-  EXPECT_FALSE(o.reuse_gold);
   EXPECT_EQ(o.checkpoint_every, 5u);
   EXPECT_EQ(o.defect_deadline_ms, 1234ull);
   EXPECT_EQ(o.stats, &stats);

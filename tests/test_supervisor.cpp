@@ -206,8 +206,6 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   util::CampaignStats a;
   a.cache_hits = 90;
   a.cache_misses = 10;  // rate 0.9 over 100 transfers
-  a.batch_lanes = 50;
-  a.batch_capacity = 100;  // fill 0.5
   a.wall_seconds = 1.5;
   a.threads = 2;
   a.detected = 7;
@@ -216,8 +214,6 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   util::CampaignStats b;
   b.cache_hits = 1;
   b.cache_misses = 9;  // rate 0.1 over only 10 transfers
-  b.batch_lanes = 5;
-  b.batch_capacity = 5;  // fill 1.0
   b.wall_seconds = 0.5;
   b.threads = 4;
   b.detected = 2;
@@ -228,7 +224,6 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   // (90 + 1) / (100 + 10), NOT the mean of 0.9 and 0.1: the big shard
   // dominates because the merge sums raw counters.
   EXPECT_DOUBLE_EQ(a.cache_hit_rate(), 91.0 / 110.0);
-  EXPECT_DOUBLE_EQ(a.batch_fill(), 55.0 / 105.0);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 2.0);
   EXPECT_EQ(a.threads, 4u);
   EXPECT_EQ(a.detected, 9u);
@@ -253,12 +248,6 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   st.flush_failures = 1;
   st.cache_hits = 1000;
   st.cache_misses = 50;
-  st.gold_reuses = 6;
-  st.gold_evictions = 2;
-  st.batch_screened = 33;
-  st.batched_transitions = 4444;
-  st.batch_lanes = 110;
-  st.batch_capacity = 128;
 
   util::CampaignStats got;
   ASSERT_TRUE(util::parse_stats_json(st.json("roundtrip"), got));
@@ -277,12 +266,6 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   EXPECT_EQ(got.flush_failures, st.flush_failures);
   EXPECT_EQ(got.cache_hits, st.cache_hits);
   EXPECT_EQ(got.cache_misses, st.cache_misses);
-  EXPECT_EQ(got.gold_reuses, st.gold_reuses);
-  EXPECT_EQ(got.gold_evictions, st.gold_evictions);
-  EXPECT_EQ(got.batch_screened, st.batch_screened);
-  EXPECT_EQ(got.batched_transitions, st.batched_transitions);
-  EXPECT_EQ(got.batch_lanes, st.batch_lanes);
-  EXPECT_EQ(got.batch_capacity, st.batch_capacity);
 }
 
 TEST(CampaignStatsMerge, ParseRejectsLinesWithoutAStatsObject) {

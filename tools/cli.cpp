@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -75,9 +74,6 @@ const std::vector<CommandDef>& command_table() {
         {"no-retry", nullptr},
         {"faults", "SPEC"},
         {"defect-deadline-ms", "N"},
-        {"batch-size", "N"},
-        {"no-batch", nullptr},
-        {"exec-tier", "TIER"},
         {"stats-json", nullptr},
         {"workers", "N"},
         {"shard", "K/N"},
@@ -92,9 +88,6 @@ const std::vector<CommandDef>& command_table() {
         {"seed", "S"},
         {"cycles", "K"},
         {"threads", "T"},
-        {"batch-size", "N"},
-        {"no-batch", nullptr},
-        {"exec-tier", "TIER"},
         {"workers", "N"},
         {"serve", nullptr},
         {"faults", "SPEC"}}},
@@ -118,9 +111,6 @@ const std::vector<CommandDef>& command_table() {
         {"defects", "N"},
         {"seed", "S"},
         {"threads", "T"},
-        {"batch-size", "N"},
-        {"no-batch", nullptr},
-        {"exec-tier", "TIER"},
         {"workers", "N"},
         {"priority", "0..9"},
         {"no-wait", nullptr},
@@ -295,25 +285,6 @@ void apply_overrides(const Parsed& p, spec::ScenarioSpec& s) {
   if (p.options.count("threads"))
     s.threads =
         static_cast<unsigned>(parse_u64("threads", p.options.at("threads")));
-  if (p.options.count("batch-size")) {
-    // Validate before parse_u64: stoull silently wraps a leading '-'
-    // ("-3" -> 2^64-3), which would otherwise become an absurd-but-legal
-    // batch size instead of the usage error it is.
-    const std::string& v = p.options.at("batch-size");
-    if (v.empty() || v[0] == '-' || parse_u64("batch-size", v) == 0)
-      throw UsageError("--batch-size: must be a positive defect count, got '" +
-                       v + "'");
-    s.batch_size = static_cast<std::size_t>(parse_u64("batch-size", v));
-  }
-  if (p.options.count("no-batch")) s.batched = false;
-  if (p.options.count("exec-tier")) {
-    const std::string& v = p.options.at("exec-tier");
-    const std::optional<cpu::ExecTier> tier = cpu::parse_exec_tier(v);
-    if (!tier)
-      throw UsageError("--exec-tier: must be reference, decoded or jit, got '" +
-                       v + "'");
-    s.system.exec_tier = *tier;
-  }
   if (p.options.count("workers"))
     s.workers =
         static_cast<std::size_t>(parse_u64("workers", p.options.at("workers")));
@@ -466,8 +437,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
                 "defects/sec=%.0f\n"
-                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%% "
-                "gold_reuses=%zu run_reuses=%zu\n",
+                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%%\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
@@ -476,28 +446,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 stats.wall_seconds, stats.defects_per_second(),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
-                100.0 * stats.cache_hit_rate(), stats.gold_reuses,
-                stats.run_reuses);
-  out << buf;
-  if (s.batched) {
-    std::snprintf(buf, sizeof buf,
-                  "batch=%zu screened=%zu batched_transitions=%llu "
-                  "batch_fill=%.1f%%\n",
-                  s.batch_size, stats.batch_screened,
-                  static_cast<unsigned long long>(stats.batched_transitions),
-                  100.0 * stats.batch_fill());
-  } else {
-    std::snprintf(buf, sizeof buf, "batch=off\n");
-  }
-  out << buf;
-  std::snprintf(buf, sizeof buf,
-                "tier=%s decoded_programs=%llu decode_cache_hits=%llu "
-                "jit_blocks=%llu jit_bailouts=%llu\n",
-                cpu::to_string(s.system.exec_tier).c_str(),
-                static_cast<unsigned long long>(stats.decoded_programs),
-                static_cast<unsigned long long>(stats.decode_cache_hits),
-                static_cast<unsigned long long>(stats.jit_blocks),
-                static_cast<unsigned long long>(stats.jit_bailouts));
+                100.0 * stats.cache_hit_rate());
   out << buf;
 }
 
@@ -618,12 +567,15 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
     live[i] = !sessions[i].program.tests.empty();
 
   std::string base;
-  if (p.options.count("checkpoint")) {
+  const bool own_checkpoints = p.options.count("checkpoint") == 0;
+  if (!own_checkpoints) {
     base = p.options.at("checkpoint");
     if (base.empty()) throw UsageError("--checkpoint: missing file name");
   } else {
     // Deterministic default so an interrupted supervised run resumes when
-    // re-invoked with the same scenario.
+    // re-invoked with the same scenario.  The key only covers the library,
+    // so a completed run removes these files (below): a later run with
+    // other system or program settings must not replay its verdicts.
     base = (std::filesystem::temp_directory_path() /
             ("xtest_" + s.name + "_" + soc::to_string(s.bus) + "_" +
              std::to_string(static_cast<unsigned long long>(s.seed)) +
@@ -648,6 +600,11 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
 
   sim::Supervisor supervisor(job, sup);
   const sim::SupervisorResult r = supervisor.run();
+  // An interrupted run has thrown by now; a degraded one keeps its shards
+  // so re-running the same command resumes them.
+  if (own_checkpoints && !r.degraded())
+    for (std::size_t k = 0; k < s.workers; ++k)
+      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
 
   print_campaign_summary(out, s, lib.size(), r.verdicts, r.stats);
   std::size_t spawns = 0;
