@@ -33,7 +33,9 @@ void print_fig11() {
   util::CampaignStats stats;
   const sim::PerLineCoverage cov =
       sim::per_line_coverage(cfg, soc::BusKind::kAddress, lib, scn.program,
-                             scn.cycle_factor, par, &stats);
+                             {.cycle_factor = scn.cycle_factor,
+                              .parallel = par,
+                              .stats = &stats});
 
   util::Table t({"line", "MA tests", "individual", "cumulative", ""});
   for (unsigned i = 0; i < 12; ++i) {

@@ -68,7 +68,7 @@ void print_speed_sweep() {
 
     const double coupling_cov = sim::coverage(sim::run_detection_sessions(
         cfg, sessions, soc::BusKind::kAddress, coupling_lib,
-        scn.cycle_factor, par, &stats));
+        {.cycle_factor = scn.cycle_factor, .parallel = par, .stats = &stats}));
 
     // Delay-only library: run per defect with the load applied.
     soc::System sys(cfg);

@@ -33,7 +33,9 @@ void print_data_coverage() {
   util::CampaignStats stats;
   const sim::PerLineCoverage cov =
       sim::per_line_coverage(cfg, soc::BusKind::kData, lib, scn.program,
-                             scn.cycle_factor, par, &stats);
+                             {.cycle_factor = scn.cycle_factor,
+                              .parallel = par,
+                              .stats = &stats});
 
   util::Table t({"line", "MA tests", "individual", "cumulative", ""});
   for (unsigned i = 0; i < 8; ++i)
@@ -56,8 +58,8 @@ void print_data_coverage() {
     gc.data_faults = faults;
     const auto sessions = sbst::TestProgramGenerator::generate_sessions(gc);
     const auto det = sim::run_detection_sessions(
-        cfg, sessions, soc::BusKind::kData, lib, scn.cycle_factor, par,
-        &stats);
+        cfg, sessions, soc::BusKind::kData, lib,
+        {.cycle_factor = scn.cycle_factor, .parallel = par, .stats = &stats});
     std::printf("  %s-direction tests alone: %s coverage\n",
                 write_dir ? "cpu->core (write)" : "core->cpu (read)",
                 util::Table::pct(sim::coverage(det)).c_str());

@@ -61,8 +61,10 @@ void print_ablation(soc::BusKind bus, util::CampaignStats& stats) {
   }
 
   const std::vector<sim::Verdict> verdicts = sim::run_detection_sessions(
-      cfg, sessions, bus, lib, scn.cycle_factor,
-      util::ParallelConfig{scn.threads}, &stats);
+      cfg, sessions, bus, lib,
+      {.cycle_factor = scn.cycle_factor,
+       .parallel = {scn.threads},
+       .stats = &stats});
   std::vector<bool> program(lib.size(), false);
   for (std::size_t i = 0; i < lib.size(); ++i)
     program[i] = sim::is_detected(verdicts[i]);

@@ -58,8 +58,8 @@ void print_coverage() {
   util::CampaignStats stats;
   const auto sessions = scn.make_sessions();
   const auto sbst_det = sim::run_detection_sessions(
-      cfg, sessions, soc::BusKind::kControl, lib, scn.cycle_factor, par,
-      &stats);
+      cfg, sessions, soc::BusKind::kControl, lib,
+      {.cycle_factor = scn.cycle_factor, .parallel = par, .stats = &stats});
 
   const hwbist::HardwareBist bist(soc::kControlBits, false);
   const auto bist_det =

@@ -31,7 +31,8 @@ OverTestResult analyze_overtest(const soc::SystemConfig& system_config,
   const std::vector<sbst::GenerationResult> sessions =
       sbst::TestProgramGenerator::generate_sessions(gen, max_sessions);
   const std::vector<sim::Verdict> by_sbst = sim::run_detection_sessions(
-      system_config, sessions, bus, library, 16, parallel, stats);
+      system_config, sessions, bus, library,
+      {.parallel = parallel, .stats = stats});
 
   OverTestResult r;
   r.library_size = library.size();

@@ -9,10 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -277,32 +275,9 @@ struct Server::Impl {
     if (s.workers == 0) s.workers = 2;
 
     const auto lib = s.make_library();
-    const auto sessions = s.make_sessions();
-
-    sim::SupervisorJob sup_job;
-    const char* worker_bin = std::getenv("XTEST_WORKER_BINARY");
-    sup_job.binary = worker_bin != nullptr && *worker_bin != '\0'
-                         ? worker_bin
-                         : util::current_executable();
-    if (sup_job.binary.empty())
-      throw std::runtime_error("serve: cannot resolve worker binary");
-    sup_job.defect_count = lib.size();
-    for (std::size_t i = 0; i < sessions.size(); ++i)
-      if (!sessions[i].program.tests.empty())
-        sup_job.sections.push_back("session" + std::to_string(i));
-    sup_job.checkpoint_key = sim::default_checkpoint_key(s.bus, lib);
-    sup_job.checkpoint_base = job_checkpoint_base(job.id);
-    sup_job.fault_spec = opt.fault_spec;
-
-    spec::ScenarioSpec worker_spec = s;
-    worker_spec.workers = 0;
-    sup_job.scenario_path = sup_job.checkpoint_base + ".job.scn";
-    {
-      std::ofstream out(sup_job.scenario_path);
-      if (!out)
-        throw std::runtime_error("serve: cannot write " + sup_job.scenario_path);
-      out << spec::serialize_scenario(worker_spec);
-    }
+    const sim::SupervisorJob sup_job =
+        spec::make_supervisor_job(s, lib, s.make_sessions(),
+                                  job_checkpoint_base(job.id), opt.fault_spec);
 
     sim::SupervisorOptions sup;
     sup.workers = s.workers;

@@ -4,9 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
+#include "sbst/slice.h"
 #include "sim/checkpoint.h"
+#include "sim/online.h"
 #include "util/fault_injector.h"
 
 namespace xtest::sim {
@@ -14,10 +18,6 @@ namespace xtest::sim {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 const xtalk::RcNetwork& nominal_net(const soc::System& system,
                                     soc::BusKind bus) {
@@ -39,23 +39,520 @@ void apply_defect(soc::System& system, soc::BusKind bus,
   }
 }
 
-/// One whole-program defect simulation: apply, run, classify, restore.
-Verdict simulate_one(soc::System& system, soc::BusKind bus,
-                     const xtalk::Defect& defect,
-                     const sbst::TestProgram& program,
-                     const ResponseSnapshot& gold, std::uint64_t budget,
-                     std::uint64_t deadline_ms, std::uint64_t& cycles) {
-  apply_defect(system, bus, defect);
-  ResponseSnapshot snap;
-  try {
-    snap = run_and_capture(system, program, budget, deadline_ms);
-  } catch (...) {
-    system.clear_defects();  // keep the worker's simulator reusable
-    throw;
+// --- slot bookkeeping per outcome type -------------------------------------
+// An off-line outcome is just its verdict.
+
+Verdict& verdict_of(Verdict& v) { return v; }
+Verdict& verdict_of(OnlineOutcome& o) { return o.verdict; }
+
+template <typename Outcome>
+std::vector<std::optional<Outcome>> restore_slots(CampaignCheckpoint& c,
+                                                  const std::string& section,
+                                                  std::size_t n) {
+  if constexpr (std::is_same_v<Outcome, Verdict>)
+    return c.restore(section, n);
+  else
+    return c.restore_outcomes(section, n);
+}
+
+/// Adds one outcome's on-line counters (the gold schedule's included).
+void book(util::CampaignStats&, Verdict) {}
+void book(util::CampaignStats& stats, const OnlineOutcome& o) {
+  stats.online_rounds += o.rounds;
+  stats.online_mmio_heartbeats += o.heartbeats;
+  stats.online_deadlines_late += o.deadlines_late;
+  stats.online_deadlines_missed += o.deadlines_missed;
+  if (is_detected(o.verdict)) {
+    stats.online_detection_latency_cycles += o.detection_latency_cycles;
+    ++stats.online_latency_samples;
   }
-  cycles = snap.cycles;
-  system.clear_defects();
-  return classify(gold, snap);
+}
+
+/// Folds one session's outcome into the defect's merged outcome.
+void fold_session(Verdict& merged, Verdict v) {
+  merged = merge_verdicts(merged, v);
+}
+void fold_session(OnlineOutcome& merged, const OnlineOutcome& o) {
+  // First detecting session wins the latency (the field notices the
+  // defect on its first diverging slice boundary).
+  if (!is_detected(merged.verdict) && is_detected(o.verdict))
+    merged.detection_latency_cycles = o.detection_latency_cycles;
+  merged.verdict = merge_verdicts(merged.verdict, o.verdict);
+  merged.rounds += o.rounds;
+  merged.heartbeats += o.heartbeats;
+  merged.deadlines_late += o.deadlines_late;
+  merged.deadlines_missed += o.deadlines_missed;
+}
+
+// --- per-defect policies ---------------------------------------------------
+// A policy is what one slot of a campaign is.  It names the slot's
+// `Outcome` and supplies two steps; the engine (run_slots) owns the rest:
+//
+//   Outcome gold(soc::System&, const sbst::TestProgram&, std::uint64_t& cycles)
+//     runs the program defect-free on a fresh simulator, once per program
+//     before any defect, and returns the gold run's own outcome;
+//   Outcome simulate(soc::System&, const xtalk::Defect&,
+//                    std::uint64_t& cycles) const
+//     runs one defect on a worker's simulator, concurrently with other
+//     workers; throws on a simulation failure and leaves the simulator
+//     defect-free either way.
+//
+// plus the checkpoint key a caller that names none gets:
+//
+//   std::string checkpoint_key(const xtalk::DefectLibrary&) const
+
+/// The off-line policy (Fig. 9): the whole program runs under the defect
+/// and its tester-visible responses are classified against the gold run.
+class WholeProgramRun {
+ public:
+  using Outcome = Verdict;
+
+  WholeProgramRun(soc::BusKind bus, const CampaignOptions& options)
+      : bus_(bus),
+        cycle_factor_(options.cycle_factor),
+        deadline_ms_(options.defect_deadline_ms) {}
+
+  std::string checkpoint_key(const xtalk::DefectLibrary& library) const {
+    return default_checkpoint_key(bus_, library);
+  }
+
+  Verdict gold(soc::System& system, const sbst::TestProgram& program,
+               std::uint64_t& cycles) {
+    gold_ = run_and_capture(system, program, 1'000'000);
+    if (!gold_.completed)
+      throw std::runtime_error("gold run did not complete; bad program");
+    program_ = &program;
+    budget_ = gold_.cycles * cycle_factor_ + 1000;
+    cycles = gold_.cycles;
+    return Verdict::kUndetected;
+  }
+
+  Verdict simulate(soc::System& system, const xtalk::Defect& defect,
+                   std::uint64_t& cycles) const {
+    apply_defect(system, bus_, defect);
+    ResponseSnapshot snap;
+    try {
+      snap = run_and_capture(system, *program_, budget_, deadline_ms_);
+    } catch (...) {
+      system.clear_defects();  // keep the worker's simulator reusable
+      throw;
+    }
+    cycles = snap.cycles;
+    system.clear_defects();
+    return classify(gold_, snap);
+  }
+
+ private:
+  soc::BusKind bus_;
+  std::uint64_t cycle_factor_;
+  std::uint64_t deadline_ms_;
+  const sbst::TestProgram* program_ = nullptr;
+  ResponseSnapshot gold_;
+  std::uint64_t budget_ = 0;
+};
+
+/// The on-line policy (sim/online.h): the gold step is the defect-free
+/// interleaved schedule; a defect's run is the whole schedule with the
+/// defect live in the functional windows and the test slices alike (a
+/// field defect does not care who owns the bus), detected at the first
+/// slice boundary whose snapshot diverges from the gold one.
+class InterleavedSchedule {
+ public:
+  using Outcome = OnlineOutcome;
+
+  InterleavedSchedule(const soc::SystemConfig& config,
+                      const soc::OnlineConfig& online, soc::BusKind bus,
+                      std::uint64_t deadline_ms)
+      : electrical_(config.electrical),
+        online_(online),
+        workload_(soc::make_default_workload()),
+        bus_(bus),
+        deadline_ms_(deadline_ms) {
+    if (online.slice_cycles == 0 || online.workload_cycles == 0)
+      throw std::invalid_argument(
+          "on-line campaign: slice_cycles and workload_cycles must be > 0");
+  }
+
+  std::string checkpoint_key(const xtalk::DefectLibrary& library) const {
+    return online_checkpoint_key(bus_, library, online_, electrical_);
+  }
+
+  /// Runs rounds until the program halts, recording every slice-boundary
+  /// snapshot.  The gold schedule may not exceed the off-line gold run's
+  /// absolute budget.  The engine discards the gold simulator afterwards,
+  /// so a throw here needs no MMIO cleanup.
+  OnlineOutcome gold(soc::System& system, const sbst::TestProgram& program,
+                     std::uint64_t& cycles) {
+    program_ = &program;
+    gold_.clear();
+    soc::InterleavedScheduler sched(system, online_, workload_);
+    sbst::ProgramSlice slice(program);
+    for (;;) {
+      gold_.push_back(round(sched, slice, system));
+      if (slice.halted()) break;
+      if (slice.cycles() >= 1'000'000)
+        throw std::runtime_error(
+            "gold on-line run did not complete; bad program");
+    }
+    if (slice.reason() != cpu::HaltReason::kHltInstruction)
+      throw std::runtime_error(
+          "gold on-line run halted abnormally; bad program");
+    OnlineOutcome out;
+    finish(sched, out, cycles);
+    fold_session(gold_total, out);
+    return out;
+  }
+
+  OnlineOutcome simulate(soc::System& system, const xtalk::Defect& defect,
+                         std::uint64_t& cycles) const {
+    apply_defect(system, bus_, defect);
+    try {
+      soc::InterleavedScheduler sched(system, online_, workload_);
+      sbst::ProgramSlice slice(*program_);
+      OnlineOutcome out;
+      const auto start = Clock::now();
+      for (const RoundSnap& g : gold_) {
+        const RoundSnap snap = round(sched, slice, system);
+        const bool value_div = snap.values != g.values;
+        const bool halt_div =
+            snap.halted != g.halted ||
+            (snap.halted && g.halted && snap.reason != g.reason);
+        if (value_div || halt_div) {
+          // A schedule still running after the gold schedule completed
+          // with matching responses is the on-line tester timeout;
+          // everything else pins the defect to a response or completion
+          // mismatch.
+          out.verdict = !snap.halted && g.halted && !value_div
+                            ? Verdict::kDetectedByTimeout
+                            : Verdict::kDetected;
+          out.detection_latency_cycles = snap.global_cycles;
+          break;
+        }
+        if (snap.halted) break;  // matched gold to completion: undetected
+        if (deadline_ms_ > 0) {
+          const auto elapsed =
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  Clock::now() - start)
+                  .count();
+          if (static_cast<std::uint64_t>(elapsed) >= deadline_ms_ ||
+              util::FaultInjector::global().fire("campaign.deadline"))
+            throw DeadlineExceeded(
+                "defect deadline: on-line schedule still running after " +
+                std::to_string(sched.global_cycles()) + " cycles (deadline " +
+                std::to_string(deadline_ms_) + " ms)");
+        }
+      }
+      finish(sched, out, cycles);
+      system.clear_defects();
+      return out;
+    } catch (...) {
+      system.clear_mmio();
+      system.clear_defects();  // keep the worker's simulator reusable
+      throw;
+    }
+  }
+
+  /// Interference of every gold schedule run so far (one per session).
+  OnlineOutcome gold_total;
+
+ private:
+  /// What the tester sees at one slice boundary: the response cells
+  /// unloaded from the *suspended* slice memory, the completion status,
+  /// and the global-clock stamp of the boundary.
+  struct RoundSnap {
+    std::vector<std::uint8_t> values;
+    bool halted = false;
+    cpu::HaltReason reason = cpu::HaltReason::kRunning;
+    std::uint64_t global_cycles = 0;
+  };
+
+  /// One round: a functional window, then one test slice.
+  RoundSnap round(soc::InterleavedScheduler& sched, sbst::ProgramSlice& slice,
+                  soc::System& system) const {
+    sched.run_functional_window();
+    sched.begin_test_slice();
+    const std::uint64_t before = slice.cycles();
+    const soc::RunResult rr = slice.run(system, online_.slice_cycles);
+    sched.end_test_slice(rr.cycles - before);
+    RoundSnap snap;
+    snap.values.reserve(program_->response_cells.size());
+    for (cpu::Addr a : program_->response_cells)
+      snap.values.push_back(slice.memory_at(a));
+    snap.halted = slice.halted();
+    snap.reason = slice.reason();
+    snap.global_cycles = sched.global_cycles();
+    return snap;
+  }
+
+  static void finish(soc::InterleavedScheduler& sched, OnlineOutcome& out,
+                     std::uint64_t& cycles) {
+    sched.finish();
+    out.rounds = sched.rounds();
+    const soc::InterferenceCounters& c = sched.interference();
+    out.heartbeats = c.heartbeats;
+    out.deadlines_late = c.deadlines_late;
+    out.deadlines_missed = c.deadlines_missed;
+    cycles = sched.global_cycles();
+  }
+
+  xtalk::ElectricalConfig electrical_;
+  soc::OnlineConfig online_;
+  soc::OnlineWorkload workload_;
+  soc::BusKind bus_;
+  std::uint64_t deadline_ms_;
+  const sbst::TestProgram* program_ = nullptr;
+  std::vector<RoundSnap> gold_;
+};
+
+// --- the engine ------------------------------------------------------------
+
+/// Runs `program` under every defect of `library` through `policy`: the
+/// gold step once, then one outcome per defect.  Defects fan out across
+/// `options.parallel.resolve(library.size())` workers, each owning its own
+/// soc::System; outcomes are written by defect index, so the result is
+/// bitwise identical for every thread count (threads = 1 is the exact
+/// serial path), for any interrupt/resume schedule, and -- merged with
+/// merge_shard_results -- for any sharding.
+template <typename Policy>
+std::vector<typename Policy::Outcome> run_slots(
+    const soc::SystemConfig& config, const sbst::TestProgram& program,
+    const xtalk::DefectLibrary& library, const CampaignOptions& options,
+    Policy& policy) {
+  using Outcome = typename Policy::Outcome;
+  const auto start = Clock::now();
+  const std::size_t n = library.size();
+  const ShardSpec shard = options.shard;
+  if (shard.count == 0 || (shard.count > 1 && shard.index >= shard.count))
+    throw std::invalid_argument(
+        "campaign shard " + std::to_string(shard.index) + "/" +
+        std::to_string(shard.count) + ": index must be < count");
+  // Every shard runs the gold step, shard 0 alone books it: merged shard
+  // stats then equal the unsharded run's.
+  const bool books_gold = shard.index == 0;
+  // One completed-verdict notification (checkpoint already updated); the
+  // worker-process heartbeat and the deterministic worker.exit chaos site
+  // hang off this.
+  const auto notify_progress = [&options] {
+    if (options.progress) options.progress();
+  };
+  soc::CacheCounters xfer_counters;
+  const auto absorb = [&xfer_counters](const soc::System& system) {
+    const soc::CacheCounters c = system.transition_cache_counters();
+    xfer_counters.hits += c.hits;
+    xfer_counters.misses += c.misses;
+  };
+  std::uint64_t gold_cycles = 0;
+  Outcome gold;
+  {
+    soc::System gold_system(config);
+    gold = policy.gold(gold_system, program, gold_cycles);
+    if (books_gold) absorb(gold_system);
+  }
+
+  std::vector<Outcome> outcomes(n);
+  std::vector<std::uint64_t> run_cycles(n, 0);
+  // Slots already carrying an outcome from a previous (interrupted) run.
+  std::vector<std::uint8_t> restored(n, 0);
+  std::size_t restored_count = 0;
+
+  std::unique_ptr<CampaignCheckpoint> checkpoint;
+  if (!options.checkpoint_path.empty()) {
+    checkpoint = std::make_unique<CampaignCheckpoint>(
+        options.checkpoint_path,
+        options.checkpoint_key.empty() ? policy.checkpoint_key(library)
+                                       : options.checkpoint_key,
+        options.checkpoint_every,
+        shard.count > 1 ? "s" + std::to_string(shard.index) : "");
+    const SalvageReport& sr = checkpoint->salvage();
+    if (sr.salvaged && options.stats != nullptr) {
+      options.stats->salvaged_sections += sr.sections_kept;
+      options.stats->dropped_slots += sr.dropped_slots;
+      options.stats->error_log.push_back(
+          "checkpoint " + options.checkpoint_path + ": salvaged " +
+          std::to_string(sr.sections_kept) + " section(s), dropped " +
+          std::to_string(sr.dropped_slots) +
+          " completed slot(s) from a corrupt tail");
+    }
+    const auto slots =
+        restore_slots<Outcome>(*checkpoint, options.checkpoint_section, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!slots[i]) continue;
+      outcomes[i] = *slots[i];
+      restored[i] = 1;
+      ++restored_count;
+    }
+  }
+
+  // Cooperative cancellation: set by the operator (options.cancel, wired
+  // to a SIGINT/SIGTERM flag) or by the chaos-soak injection sites.
+  // "campaign.kill" is a graceful kill (final flush happens, resumable
+  // from every completed verdict); "campaign.crash" models a hard kill
+  // (no final flush -- only periodically flushed state survives, exactly
+  // like a real SIGKILL mid-campaign).
+  std::atomic<bool> killed{false};
+  std::atomic<bool> crashed{false};
+  const auto cancelled = [&] {
+    return killed.load(std::memory_order_relaxed) ||
+           (options.cancel != nullptr &&
+            options.cancel->load(std::memory_order_relaxed));
+  };
+
+  std::atomic<std::size_t> simulated{0};
+
+  // Each worker lazily owns its private simulator; outcome slots are
+  // written by defect index, so the result is independent of the worker
+  // count and of any interleaving.
+  const unsigned workers = options.parallel.resolve(n);
+  std::vector<std::unique_ptr<soc::System>> systems(workers);
+  const std::vector<util::ItemError> errors = util::parallel_for_items(
+      n, options.parallel, [&](std::size_t i, unsigned w) {
+        if (restored[i] || !shard.owns(i) || cancelled()) return;
+        if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
+        outcomes[i] = policy.simulate(*systems[w], library[i], run_cycles[i]);
+        simulated.fetch_add(1, std::memory_order_relaxed);
+        if (checkpoint)
+          checkpoint->record(options.checkpoint_section, i, outcomes[i]);
+        notify_progress();
+        util::FaultInjector& inj = util::FaultInjector::global();
+        if (inj.fire("campaign.kill")) killed.store(true);
+        if (inj.fire("campaign.crash")) {
+          crashed.store(true);
+          killed.store(true);
+        }
+      });
+
+  for (const std::unique_ptr<soc::System>& s : systems)
+    if (s) absorb(*s);
+
+  // Quarantine: each failed defect is retried once serially on a fresh
+  // simulator (a transient poisoned-worker state cannot recur there); a
+  // second failure is recorded as kSimError and the campaign still
+  // completes with every other outcome intact.
+  std::size_t retries = 0;
+  for (const util::ItemError& e : errors) {
+    if (cancelled()) break;  // unrecorded items re-run on resume
+    // The parallel.item injection site fires for every index of the
+    // range, including slots this shard never simulates; those are not
+    // this shard's work and must not leak into its outcomes or stats.
+    if (!shard.owns(e.index) || restored[e.index]) continue;
+    std::string message = e.message;
+    bool recovered = false;
+    if (options.retry_errors) {
+      ++retries;
+      soc::System system(config);
+      try {
+        outcomes[e.index] =
+            policy.simulate(system, library[e.index], run_cycles[e.index]);
+        recovered = true;
+      } catch (const std::exception& retry_error) {
+        message = retry_error.what();
+      } catch (...) {
+        message = "unknown exception";
+      }
+      absorb(system);
+    }
+    if (!recovered) {
+      outcomes[e.index] = Outcome{};
+      verdict_of(outcomes[e.index]) = Verdict::kSimError;
+      run_cycles[e.index] = 0;
+      if (options.stats != nullptr)
+        options.stats->error_log.push_back(
+            "defect " + std::to_string(e.index) + ": " + message);
+    }
+    if (checkpoint)
+      checkpoint->record(options.checkpoint_section, e.index,
+                         outcomes[e.index]);
+    simulated.fetch_add(1, std::memory_order_relaxed);
+    notify_progress();
+  }
+
+  const bool interrupted = cancelled();
+  if (checkpoint && !crashed.load()) {
+    // The final flush is best-effort: the in-memory outcomes are the
+    // campaign result, a full disk must not turn them into a failure.
+    try {
+      checkpoint->flush();
+    } catch (const std::exception& e) {
+      if (options.stats != nullptr)
+        options.stats->error_log.push_back(
+            std::string("checkpoint final flush failed: ") + e.what());
+    }
+  }
+
+  if (options.stats != nullptr) {
+    util::CampaignStats& stats = *options.stats;
+    stats.threads = workers;
+    stats.defects_simulated += simulated.load();
+    stats.restored_from_checkpoint += restored_count;
+    stats.retries += retries;
+    if (books_gold) stats.simulated_cycles += gold_cycles;
+    for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
+    if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
+    stats.cache_hits += xfer_counters.hits;
+    stats.cache_misses += xfer_counters.misses;
+    // Outcome tallies cover the complete owned slice (restored slots
+    // included) and only a completed call, so an interrupted-then-resumed
+    // campaign reports exactly the uninterrupted numbers and per-shard
+    // tallies sum to the unsharded ones under merge_shard_results.
+    if (!interrupted) {
+      if (books_gold) book(stats, gold);
+      std::vector<Verdict> owned;
+      owned.reserve(shard.owned_of(n));
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!shard.owns(i)) continue;
+        owned.push_back(verdict_of(outcomes[i]));
+        book(stats, outcomes[i]);
+      }
+      tally_verdicts(owned, stats);
+    }
+    stats.wall_seconds +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+  }
+  if (interrupted)
+    throw CampaignInterrupted(
+        "campaign interrupted after " + std::to_string(simulated.load()) +
+        " new verdict(s)" +
+        (checkpoint ? (crashed.load()
+                           ? "; simulated crash, last periodic checkpoint "
+                             "flush survives"
+                           : "; checkpoint flushed to " +
+                                 options.checkpoint_path)
+                    : "; no checkpoint configured") +
+        " -- rerun the same command to resume");
+  return outcomes;
+}
+
+/// run_slots over a *set* of programs (multi-session): one call per
+/// non-empty session, each with its own checkpoint section
+/// ("session<i>"), folded per defect with fold_session.
+template <typename Policy>
+std::vector<typename Policy::Outcome> run_sessions(
+    const soc::SystemConfig& config,
+    const std::vector<sbst::GenerationResult>& sessions,
+    const xtalk::DefectLibrary& library, const CampaignOptions& options,
+    Policy& policy) {
+  std::vector<typename Policy::Outcome> merged(library.size());
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    if (sessions[s].program.tests.empty()) continue;
+    CampaignOptions session_options = options;
+    if (!options.checkpoint_path.empty())
+      session_options.checkpoint_section = "session" + std::to_string(s);
+    const auto one = run_slots(config, sessions[s].program, library,
+                               session_options, policy);
+    for (std::size_t i = 0; i < merged.size(); ++i)
+      fold_session(merged[i], one[i]);
+  }
+  return merged;
+}
+
+OnlineResult online_result(std::vector<OnlineOutcome> outcomes,
+                           const OnlineOutcome& gold) {
+  OnlineResult r;
+  r.outcomes = std::move(outcomes);
+  r.verdicts.reserve(r.outcomes.size());
+  for (const OnlineOutcome& o : r.outcomes) r.verdicts.push_back(o.verdict);
+  r.gold = gold;
+  return r;
 }
 
 }  // namespace
@@ -90,210 +587,68 @@ std::string default_checkpoint_key(soc::BusKind bus,
   return buf;
 }
 
+std::string online_checkpoint_key(soc::BusKind bus,
+                                  const xtalk::DefectLibrary& library,
+                                  const soc::OnlineConfig& online,
+                                  const xtalk::ElectricalConfig& electrical) {
+  std::string key = default_checkpoint_key(bus, library);
+  char buf[192];
+  std::snprintf(buf, sizeof buf,
+                " online slice=%llu workload=%llu deadline=%llu",
+                static_cast<unsigned long long>(online.slice_cycles),
+                static_cast<unsigned long long>(online.workload_cycles),
+                static_cast<unsigned long long>(online.deadline_cycles));
+  key += buf;
+  if (electrical.backend != xtalk::ElectricalBackend::kFullSwing) {
+    std::snprintf(buf, sizeof buf, " electrical=%s swing=%.17g restorer=%.17g",
+                  xtalk::to_string(electrical.backend).c_str(),
+                  electrical.swing_ratio, electrical.restorer_ratio);
+    key += buf;
+  }
+  return key;
+}
+
 std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const sbst::TestProgram& program,
                                    soc::BusKind bus,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
-  const auto start = Clock::now();
-  const std::size_t n = library.size();
-  const ShardSpec shard = options.shard;
-  if (shard.count == 0 || (shard.count > 1 && shard.index >= shard.count))
-    throw std::invalid_argument(
-        "campaign shard " + std::to_string(shard.index) + "/" +
-        std::to_string(shard.count) + ": index must be < count");
-  // One completed-verdict notification (checkpoint already updated); the
-  // worker-process heartbeat and the deterministic worker.exit chaos site
-  // hang off this.
-  const auto notify_progress = [&options] {
-    if (options.progress) options.progress();
-  };
-  soc::CacheCounters xfer_counters;
-  const auto absorb = [&xfer_counters](const soc::System& system) {
-    const soc::CacheCounters c = system.transition_cache_counters();
-    xfer_counters.hits += c.hits;
-    xfer_counters.misses += c.misses;
-  };
-  ResponseSnapshot gold;
-  {
-    soc::System gold_system(config);
-    gold = run_and_capture(gold_system, program, 1'000'000);
-    absorb(gold_system);
-  }
-  if (!gold.completed)
-    throw std::runtime_error("gold run did not complete; bad program");
-  const std::uint64_t budget = gold.cycles * options.cycle_factor + 1000;
+  WholeProgramRun policy(bus, options);
+  return run_slots(config, program, library, options, policy);
+}
 
-  std::vector<Verdict> verdicts(n, Verdict::kUndetected);
-  std::vector<std::uint64_t> run_cycles(n, 0);
-  // Slots already carrying a verdict from a previous (interrupted) run.
-  std::vector<std::uint8_t> restored(n, 0);
-  std::size_t restored_count = 0;
+std::vector<Verdict> run_detection_sessions(
+    const soc::SystemConfig& config,
+    const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
+    const xtalk::DefectLibrary& library, const CampaignOptions& options) {
+  WholeProgramRun policy(bus, options);
+  return run_sessions(config, sessions, library, options, policy);
+}
 
-  std::unique_ptr<CampaignCheckpoint> checkpoint;
-  if (!options.checkpoint_path.empty()) {
-    checkpoint = std::make_unique<CampaignCheckpoint>(
-        options.checkpoint_path,
-        options.checkpoint_key.empty() ? default_checkpoint_key(bus, library)
-                                       : options.checkpoint_key,
-        options.checkpoint_every,
-        shard.count > 1 ? "s" + std::to_string(shard.index) : "");
-    const SalvageReport& sr = checkpoint->salvage();
-    if (sr.salvaged && options.stats != nullptr) {
-      options.stats->salvaged_sections += sr.sections_kept;
-      options.stats->dropped_slots += sr.dropped_slots;
-      options.stats->error_log.push_back(
-          "checkpoint " + options.checkpoint_path + ": salvaged " +
-          std::to_string(sr.sections_kept) + " section(s), dropped " +
-          std::to_string(sr.dropped_slots) +
-          " completed slot(s) from a corrupt tail");
-    }
-    const auto slots = checkpoint->restore(options.checkpoint_section, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!slots[i]) continue;
-      verdicts[i] = *slots[i];
-      restored[i] = 1;
-      ++restored_count;
-    }
-  }
+OnlineResult run_online_detection(const soc::SystemConfig& config,
+                                  const soc::OnlineConfig& online,
+                                  const sbst::TestProgram& program,
+                                  soc::BusKind bus,
+                                  const xtalk::DefectLibrary& library,
+                                  const CampaignOptions& options) {
+  InterleavedSchedule policy(config, online, bus, options.defect_deadline_ms);
+  return online_result(run_slots(config, program, library, options, policy),
+                       policy.gold_total);
+}
 
-  // Cooperative cancellation: set by the operator (options.cancel, wired
-  // to a SIGINT/SIGTERM flag) or by the chaos-soak injection sites.
-  // "campaign.kill" is a graceful kill (final flush happens, resumable
-  // from every completed verdict); "campaign.crash" models a hard kill
-  // (no final flush -- only periodically flushed state survives, exactly
-  // like a real SIGKILL mid-campaign).
-  std::atomic<bool> killed{false};
-  std::atomic<bool> crashed{false};
-  const auto cancelled = [&] {
-    return killed.load(std::memory_order_relaxed) ||
-           (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed));
-  };
-
-  std::atomic<std::size_t> simulated{0};
-
-  // Each worker lazily owns its private simulator; verdict slots are
-  // written by defect index, so the result is independent of the worker
-  // count and of any interleaving.
-  const unsigned workers = options.parallel.resolve(n);
-  std::vector<std::unique_ptr<soc::System>> systems(workers);
-  const std::vector<util::ItemError> errors = util::parallel_for_items(
-      n, options.parallel, [&](std::size_t i, unsigned w) {
-        if (restored[i] || !shard.owns(i) || cancelled()) return;
-        if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
-        verdicts[i] =
-            simulate_one(*systems[w], bus, library[i], program, gold, budget,
-                         options.defect_deadline_ms, run_cycles[i]);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        if (checkpoint)
-          checkpoint->record(options.checkpoint_section, i, verdicts[i]);
-        notify_progress();
-        util::FaultInjector& inj = util::FaultInjector::global();
-        if (inj.fire("campaign.kill")) killed.store(true);
-        if (inj.fire("campaign.crash")) {
-          crashed.store(true);
-          killed.store(true);
-        }
-      });
-
-  for (const std::unique_ptr<soc::System>& s : systems)
-    if (s) absorb(*s);
-
-  // Quarantine: each failed defect is retried once serially on a fresh
-  // simulator (a transient poisoned-worker state cannot recur there); a
-  // second failure is recorded as kSimError and the campaign still
-  // completes with every other verdict intact.
-  std::size_t retries = 0;
-  for (const util::ItemError& e : errors) {
-    if (cancelled()) break;  // unrecorded items re-run on resume
-    // The parallel.item injection site fires for every index of the
-    // range, including slots this shard never simulates; those are not
-    // this shard's work and must not leak into its verdicts or stats.
-    if (!shard.owns(e.index) || restored[e.index]) continue;
-    std::string message = e.message;
-    bool recovered = false;
-    if (options.retry_errors) {
-      ++retries;
-      soc::System system(config);
-      try {
-        verdicts[e.index] =
-            simulate_one(system, bus, library[e.index], program, gold, budget,
-                         options.defect_deadline_ms, run_cycles[e.index]);
-        recovered = true;
-      } catch (const std::exception& retry_error) {
-        message = retry_error.what();
-      } catch (...) {
-        message = "unknown exception";
-      }
-      absorb(system);
-    }
-    if (!recovered) {
-      verdicts[e.index] = Verdict::kSimError;
-      run_cycles[e.index] = 0;
-      if (options.stats != nullptr)
-        options.stats->error_log.push_back(
-            "defect " + std::to_string(e.index) + ": " + message);
-    }
-    if (checkpoint)
-      checkpoint->record(options.checkpoint_section, e.index,
-                         verdicts[e.index]);
-    simulated.fetch_add(1, std::memory_order_relaxed);
-    notify_progress();
-  }
-
-  const bool interrupted = cancelled();
-  if (checkpoint && !crashed.load()) {
-    // The final flush is best-effort: the in-memory verdicts are the
-    // campaign result, a full disk must not turn them into a failure.
-    try {
-      checkpoint->flush();
-    } catch (const std::exception& e) {
-      if (options.stats != nullptr)
-        options.stats->error_log.push_back(
-            std::string("checkpoint final flush failed: ") + e.what());
-    }
-  }
-
-  if (options.stats != nullptr) {
-    util::CampaignStats& stats = *options.stats;
-    stats.threads = workers;
-    stats.defects_simulated += simulated.load();
-    stats.restored_from_checkpoint += restored_count;
-    stats.retries += retries;
-    stats.simulated_cycles += gold.cycles;
-    for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
-    if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
-    stats.cache_hits += xfer_counters.hits;
-    stats.cache_misses += xfer_counters.misses;
-    // A sharded run tallies only the slots it owns, so per-shard verdict
-    // breakdowns sum to exactly the unsharded breakdown under
-    // merge_shard_results.
-    if (!interrupted) {
-      if (shard.count <= 1) {
-        tally_verdicts(verdicts, stats);
-      } else {
-        std::vector<Verdict> owned;
-        owned.reserve(shard.owned_of(n));
-        for (std::size_t i = shard.index; i < n; i += shard.count)
-          owned.push_back(verdicts[i]);
-        tally_verdicts(owned, stats);
-      }
-    }
-    stats.wall_seconds += seconds_since(start);
-  }
-  if (interrupted)
-    throw CampaignInterrupted(
-        "campaign interrupted after " + std::to_string(simulated.load()) +
-        " new verdict(s)" +
-        (checkpoint ? (crashed.load()
-                           ? "; simulated crash, last periodic checkpoint "
-                             "flush survives"
-                           : "; checkpoint flushed to " +
-                                 options.checkpoint_path)
-                    : "; no checkpoint configured") +
-        " -- rerun the same command to resume");
-  return verdicts;
+OnlineResult run_online_detection_sessions(
+    const soc::SystemConfig& config, const soc::OnlineConfig& online,
+    const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
+    const xtalk::DefectLibrary& library, const CampaignOptions& options) {
+  InterleavedSchedule policy(config, online, bus, options.defect_deadline_ms);
+  bool any = false;
+  for (const sbst::GenerationResult& s : sessions)
+    any |= !s.program.tests.empty();
+  if (!any)
+    throw std::runtime_error("on-line campaign: no session carries any test");
+  return online_result(
+      run_sessions(config, sessions, library, options, policy),
+      policy.gold_total);
 }
 
 std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,
@@ -334,57 +689,11 @@ std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,
   return merged;
 }
 
-std::vector<Verdict> run_detection(const soc::SystemConfig& config,
-                                   const sbst::TestProgram& program,
-                                   soc::BusKind bus,
-                                   const xtalk::DefectLibrary& library,
-                                   std::uint64_t cycle_factor,
-                                   const util::ParallelConfig& parallel,
-                                   util::CampaignStats* stats) {
-  CampaignOptions options;
-  options.cycle_factor = cycle_factor;
-  options.parallel = parallel;
-  options.stats = stats;
-  return run_detection(config, program, bus, library, options);
-}
-
-std::vector<Verdict> run_detection_sessions(
-    const soc::SystemConfig& config,
-    const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
-    const xtalk::DefectLibrary& library, const CampaignOptions& options) {
-  std::vector<Verdict> merged(library.size(), Verdict::kUndetected);
-  for (std::size_t s = 0; s < sessions.size(); ++s) {
-    if (sessions[s].program.tests.empty()) continue;
-    CampaignOptions session_options = options;
-    if (!options.checkpoint_path.empty())
-      session_options.checkpoint_section = "session" + std::to_string(s);
-    const std::vector<Verdict> det = run_detection(
-        config, sessions[s].program, bus, library, session_options);
-    for (std::size_t i = 0; i < merged.size(); ++i)
-      merged[i] = merge_verdicts(merged[i], det[i]);
-  }
-  return merged;
-}
-
-std::vector<Verdict> run_detection_sessions(
-    const soc::SystemConfig& config,
-    const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
-    const xtalk::DefectLibrary& library, std::uint64_t cycle_factor,
-    const util::ParallelConfig& parallel, util::CampaignStats* stats) {
-  CampaignOptions options;
-  options.cycle_factor = cycle_factor;
-  options.parallel = parallel;
-  options.stats = stats;
-  return run_detection_sessions(config, sessions, bus, library, options);
-}
-
 PerLineCoverage per_line_coverage(const soc::SystemConfig& config,
                                   soc::BusKind bus,
                                   const xtalk::DefectLibrary& library,
                                   const sbst::GeneratorConfig& base_config,
-                                  std::uint64_t cycle_factor,
-                                  const util::ParallelConfig& parallel,
-                                  util::CampaignStats* stats) {
+                                  const CampaignOptions& options) {
   const soc::System probe(config);
   const unsigned width = nominal_net(probe, bus).width();
   PerLineCoverage out;
@@ -417,8 +726,8 @@ PerLineCoverage per_line_coverage(const soc::SystemConfig& config,
     const std::vector<sbst::GenerationResult> minis =
         sbst::TestProgramGenerator::generate_sessions(cfg);
     for (const auto& s : minis) out.tests_placed[line] += s.program.tests.size();
-    const std::vector<Verdict> det = run_detection_sessions(
-        config, minis, bus, library, cycle_factor, parallel, stats);
+    const std::vector<Verdict> det =
+        run_detection_sessions(config, minis, bus, library, options);
     out.individual[line] = coverage(det);
     for (std::size_t i = 0; i < cum.size(); ++i)
       cum[i] = merge_verdicts(cum[i], det[i]);
@@ -431,9 +740,8 @@ PerLineCoverage per_line_coverage(const soc::SystemConfig& config,
   full.include_data_bus = bus == soc::BusKind::kData;
   const std::vector<sbst::GenerationResult> all =
       sbst::TestProgramGenerator::generate_sessions(full);
-  out.overall = coverage(run_detection_sessions(config, all, bus, library,
-                                                cycle_factor, parallel,
-                                                stats));
+  out.overall =
+      coverage(run_detection_sessions(config, all, bus, library, options));
   return out;
 }
 

@@ -11,6 +11,12 @@
 // kSimError (optionally retried once serially) instead of aborting the
 // sweep, and a checkpoint file lets an interrupted campaign resume with
 // bitwise-identical results at any thread count.
+//
+// One engine (campaign.cpp) runs every campaign, off-line and on-line
+// (sim/online.h).  It owns the slot bookkeeping -- checkpoint restore and
+// record, shard ownership, cancellation, quarantine, progress and stats --
+// and a per-defect policy says what one slot is: the whole-program run
+// here, the interleaved schedule on-line.
 
 #pragma once
 
@@ -90,7 +96,8 @@ struct CampaignOptions {
   /// Completed verdicts between automatic checkpoint flushes.
   std::size_t checkpoint_every = 32;
   /// Campaign identity guard stored in the checkpoint; resuming with a
-  /// different key throws.  Empty = derived from the bus and library.
+  /// different key throws.  Empty = default_checkpoint_key off-line,
+  /// online_checkpoint_key on-line.
   std::string checkpoint_key;
   /// Section name inside the checkpoint file (multi-session campaigns use
   /// one section per session).
@@ -127,16 +134,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const sbst::TestProgram& program,
                                    soc::BusKind bus,
                                    const xtalk::DefectLibrary& library,
-                                   const CampaignOptions& options);
-
-/// Positional convenience overload (pre-resilience call sites).
-std::vector<Verdict> run_detection(const soc::SystemConfig& config,
-                                   const sbst::TestProgram& program,
-                                   soc::BusKind bus,
-                                   const xtalk::DefectLibrary& library,
-                                   std::uint64_t cycle_factor = 16,
-                                   const util::ParallelConfig& parallel = {},
-                                   util::CampaignStats* stats = nullptr);
+                                   const CampaignOptions& options = {});
 
 /// Detection by a *set* of programs (multi-session): per-session verdicts
 /// are merged with merge_verdicts (a defect is detected when any session
@@ -145,14 +143,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
 std::vector<Verdict> run_detection_sessions(
     const soc::SystemConfig& config,
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
-    const xtalk::DefectLibrary& library, const CampaignOptions& options);
-
-std::vector<Verdict> run_detection_sessions(
-    const soc::SystemConfig& config,
-    const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
-    const xtalk::DefectLibrary& library, std::uint64_t cycle_factor = 16,
-    const util::ParallelConfig& parallel = {},
-    util::CampaignStats* stats = nullptr);
+    const xtalk::DefectLibrary& library, const CampaignOptions& options = {});
 
 /// Default checkpoint identity for a (bus, library) pair; a campaign
 /// resumed against a different bus, size, seed, sigma, or Cth is rejected.
@@ -197,8 +188,6 @@ PerLineCoverage per_line_coverage(const soc::SystemConfig& config,
                                   soc::BusKind bus,
                                   const xtalk::DefectLibrary& library,
                                   const sbst::GeneratorConfig& base_config,
-                                  std::uint64_t cycle_factor = 16,
-                                  const util::ParallelConfig& parallel = {},
-                                  util::CampaignStats* stats = nullptr);
+                                  const CampaignOptions& options = {});
 
 }  // namespace xtest::sim

@@ -56,12 +56,25 @@ std::string crc_line(const std::string& covered) {
   return buf;
 }
 
+/// "section <name> <count>", plus " outcomes" for an on-line section.
 bool parse_section_header(const std::string& line, std::string& name,
-                          std::size_t& count) {
+                          std::size_t& count, bool& online) {
   std::istringstream hs(line);
   std::string word;
   if (!(hs >> word >> name >> count) || word != "section") return false;
-  return true;
+  online = static_cast<bool>(hs >> word);
+  return !online || (word == "outcomes" && !(hs >> word));
+}
+
+/// "<index> <latency> <rounds> <heartbeats> <late> <missed>" for the slot
+/// at `index`.
+bool parse_outcome_line(const std::string& line, std::size_t index,
+                        OnlineOutcome& out) {
+  std::istringstream ls(line);
+  std::size_t at = 0;
+  return ls >> at >> out.detection_latency_cycles >> out.rounds >>
+             out.heartbeats >> out.deadlines_late >> out.deadlines_missed &&
+         at == index && (ls >> std::ws).eof();
 }
 
 bool valid_slots(const std::string& slots) {
@@ -140,21 +153,43 @@ void CampaignCheckpoint::load_v2(const std::vector<std::string>& lines) {
                          "' (delete the file to start over)");
   std::size_t i = 3;
   while (i < lines.size()) {
-    std::string name;
-    std::size_t count = 0;
-    std::uint32_t crc = 0;
-    if (!parse_section_header(lines[i], name, count) ||
-        i + 2 >= lines.size() || lines[i + 1].size() != count ||
-        !valid_slots(lines[i + 1]) || !parse_crc_line(lines[i + 2], crc) ||
-        util::crc32(lines[i] + '\n' + lines[i + 1] + '\n') != crc) {
+    if (!load_v2_section(lines, i)) {
       drop_tail(lines, i);
       return;
     }
-    sections_.emplace_back(
-        name, std::vector<char>(lines[i + 1].begin(), lines[i + 1].end()));
-    ++salvage_.sections_kept;
-    i += 3;
   }
+}
+
+bool CampaignCheckpoint::load_v2_section(const std::vector<std::string>& lines,
+                                         std::size_t& i) {
+  Section section;
+  std::size_t count = 0;
+  if (!parse_section_header(lines[i], section.name, count, section.online) ||
+      i + 1 >= lines.size() || lines[i + 1].size() != count ||
+      !valid_slots(lines[i + 1]))
+    return false;
+  section.slots.assign(lines[i + 1].begin(), lines[i + 1].end());
+  std::string group = lines[i] + '\n' + lines[i + 1] + '\n';
+  std::size_t j = i + 2;
+  if (section.online) {
+    section.outcomes.resize(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      if (section.slots[k] == '.') continue;
+      OnlineOutcome& o = section.outcomes[k];
+      if (j >= lines.size() || !parse_outcome_line(lines[j], k, o))
+        return false;
+      verdict_from_char(section.slots[k], o.verdict);
+      group += lines[j++] + '\n';
+    }
+  }
+  std::uint32_t crc = 0;
+  if (j >= lines.size() || !parse_crc_line(lines[j], crc) ||
+      util::crc32(group) != crc)
+    return false;
+  sections_.push_back(std::move(section));
+  ++salvage_.sections_kept;
+  i = j + 1;
+  return true;
 }
 
 void CampaignCheckpoint::load_v1(const std::vector<std::string>& lines) {
@@ -173,16 +208,17 @@ void CampaignCheckpoint::load_v1(const std::vector<std::string>& lines) {
       ++i;
       continue;
     }
-    std::string name;
+    Section section;
     std::size_t count = 0;
-    if (!parse_section_header(lines[i], name, count) ||
-        i + 1 >= lines.size() || lines[i + 1].size() != count ||
-        !valid_slots(lines[i + 1])) {
+    if (!parse_section_header(lines[i], section.name, count,
+                              section.online) ||
+        section.online || i + 1 >= lines.size() ||
+        lines[i + 1].size() != count || !valid_slots(lines[i + 1])) {
       drop_tail(lines, i);
       return;
     }
-    sections_.emplace_back(
-        name, std::vector<char>(lines[i + 1].begin(), lines[i + 1].end()));
+    section.slots.assign(lines[i + 1].begin(), lines[i + 1].end());
+    sections_.push_back(std::move(section));
     ++salvage_.sections_kept;
     i += 2;
   }
@@ -225,42 +261,81 @@ void CampaignCheckpoint::cleanup_stale_tmps() const {
   }
 }
 
-std::vector<char>* CampaignCheckpoint::find_locked(const std::string& section) {
-  for (auto& [name, slots] : sections_)
-    if (name == section) return &slots;
+CampaignCheckpoint::Section* CampaignCheckpoint::find_locked(
+    const std::string& section) {
+  for (Section& s : sections_)
+    if (s.name == section) return &s;
   return nullptr;
+}
+
+CampaignCheckpoint::Section& CampaignCheckpoint::registered_locked(
+    const std::string& section, std::size_t count, bool online) {
+  Section* s = find_locked(section);
+  if (s == nullptr) {
+    sections_.push_back(
+        {section, std::vector<char>(count, '.'),
+         online ? std::vector<OnlineOutcome>(count)
+                : std::vector<OnlineOutcome>(),
+         online});
+    return sections_.back();
+  }
+  if (s->slots.size() != count)
+    malformed(path_, "section '" + section + "' has " +
+                         std::to_string(s->slots.size()) +
+                         " slots but the campaign needs " +
+                         std::to_string(count) +
+                         " (different library?)");
+  if (s->online != online)
+    malformed(path_, "section '" + section + "' holds " +
+                         (s->online ? "on-line outcomes" : "verdicts only") +
+                         " but the campaign is " +
+                         (online ? "on-line" : "off-line"));
+  return *s;
 }
 
 std::vector<std::optional<Verdict>> CampaignCheckpoint::restore(
     const std::string& section, std::size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<char>* slots = find_locked(section);
-  if (slots == nullptr) {
-    sections_.emplace_back(section, std::vector<char>(count, '.'));
-    return std::vector<std::optional<Verdict>>(count);
-  }
-  if (slots->size() != count)
-    malformed(path_, "section '" + section + "' has " +
-                         std::to_string(slots->size()) +
-                         " slots but the campaign needs " +
-                         std::to_string(count) +
-                         " (different library?)");
+  const Section& s = registered_locked(section, count, false);
   std::vector<std::optional<Verdict>> out(count);
   for (std::size_t i = 0; i < count; ++i) {
     Verdict v;
-    if (verdict_from_char((*slots)[i], v)) out[i] = v;
+    if (verdict_from_char(s.slots[i], v)) out[i] = v;
   }
+  return out;
+}
+
+std::vector<std::optional<OnlineOutcome>> CampaignCheckpoint::restore_outcomes(
+    const std::string& section, std::size_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Section& s = registered_locked(section, count, true);
+  std::vector<std::optional<OnlineOutcome>> out(count);
+  for (std::size_t i = 0; i < count; ++i)
+    if (s.slots[i] != '.') out[i] = s.outcomes[i];
   return out;
 }
 
 void CampaignCheckpoint::record(const std::string& section, std::size_t index,
                                 Verdict v) {
+  record_slot(section, index, v, nullptr);
+}
+
+void CampaignCheckpoint::record(const std::string& section, std::size_t index,
+                                const OnlineOutcome& outcome) {
+  record_slot(section, index, outcome.verdict, &outcome);
+}
+
+void CampaignCheckpoint::record_slot(const std::string& section,
+                                     std::size_t index, Verdict v,
+                                     const OnlineOutcome* outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<char>* slots = find_locked(section);
-  if (slots == nullptr || index >= slots->size())
+  Section* s = find_locked(section);
+  if (s == nullptr || index >= s->slots.size() ||
+      s->online != (outcome != nullptr))
     throw std::logic_error("CampaignCheckpoint::record: unknown slot " +
                            section + "[" + std::to_string(index) + "]");
-  (*slots)[index] = to_char(v);
+  s->slots[index] = to_char(v);
+  if (outcome != nullptr) s->outcomes[index] = *outcome;
   if (++dirty_ >= flush_every_) {
     try {
       flush_locked();
@@ -286,8 +361,8 @@ std::size_t CampaignCheckpoint::flush_failures() const {
 std::size_t CampaignCheckpoint::completed() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [name, slots] : sections_)
-    for (char c : slots) n += c != '.';
+  for (const Section& s : sections_)
+    for (const char c : s.slots) n += c != '.';
   return n;
 }
 
@@ -296,11 +371,21 @@ std::string CampaignCheckpoint::render_locked() const {
   const std::string header =
       std::string(kMagicV2) + '\n' + "key " + key_ + '\n';
   os << header << crc_line(header) << '\n';
-  for (const auto& [name, slots] : sections_) {
-    std::string group = "section " + name + ' ' +
-                        std::to_string(slots.size()) + '\n';
-    group.append(slots.data(), slots.size());
+  for (const Section& s : sections_) {
+    std::string group = "section " + s.name + ' ' +
+                        std::to_string(s.slots.size()) +
+                        (s.online ? " outcomes\n" : "\n");
+    group.append(s.slots.data(), s.slots.size());
     group += '\n';
+    for (std::size_t k = 0; s.online && k < s.slots.size(); ++k) {
+      if (s.slots[k] == '.') continue;
+      const OnlineOutcome& o = s.outcomes[k];
+      group += std::to_string(k) + ' ' +
+               std::to_string(o.detection_latency_cycles) + ' ' +
+               std::to_string(o.rounds) + ' ' + std::to_string(o.heartbeats) +
+               ' ' + std::to_string(o.deadlines_late) + ' ' +
+               std::to_string(o.deadlines_missed) + '\n';
+    }
     os << group << crc_line(group) << '\n';
   }
   return os.str();

@@ -23,6 +23,15 @@
 //   <count verdict chars: U D T E, '.' = pending>
 //   crc <8 hex digits over the section header + slot line>
 //
+// An on-line campaign's section carries each completed slot's full
+// OnlineOutcome, one line per completed slot in index order, inside the
+// same CRC group:
+//
+//   section <name> <count> outcomes
+//   <count verdict chars>
+//   <index> <latency> <rounds> <heartbeats> <late> <missed>
+//   crc <8 hex digits over the header, slot and outcome lines>
+//
 // Every line group carries a CRC-32 trailer, which makes the file
 // *salvageable*: a load that finds a truncated or corrupted tail keeps the
 // longest valid prefix of sections (dropping only the damaged suffix,
@@ -31,8 +40,8 @@
 //
 // Sections let one file cover a multi-session campaign (one section per
 // session program).  The key line guards against resuming with the wrong
-// library/bus/seed: a *CRC-valid* mismatching key throws instead of
-// silently mixing results (a corrupt key line is salvage, not mismatch).
+// campaign: a *CRC-valid* mismatching key throws instead of silently
+// mixing results (a corrupt key line is salvage, not mismatch).
 
 #pragma once
 
@@ -40,7 +49,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/verdict.h"
@@ -86,9 +94,16 @@ class CampaignCheckpoint {
 
   /// Returns the previously completed verdicts of `section` (nullopt =
   /// still pending), registering the section at `count` slots if it is
-  /// new.  Throws if the stored section has a different slot count.
+  /// new.  Throws if the stored section has a different slot count or is
+  /// an on-line one.
   std::vector<std::optional<Verdict>> restore(const std::string& section,
                                               std::size_t count);
+
+  /// restore() for an on-line section: the completed slots' full outcomes.
+  /// A new section is registered as an on-line one; throws if the stored
+  /// section is an off-line (verdict-only) one.
+  std::vector<std::optional<OnlineOutcome>> restore_outcomes(
+      const std::string& section, std::size_t count);
 
   /// Records one completed verdict.  Thread-safe; flushes the whole state
   /// atomically every `flush_every` records.  A *periodic* flush that
@@ -97,6 +112,10 @@ class CampaignCheckpoint {
   /// missed flush, and the next flush retries.  The section must have
   /// been registered via restore().
   void record(const std::string& section, std::size_t index, Verdict v);
+
+  /// record() for an on-line section registered via restore_outcomes().
+  void record(const std::string& section, std::size_t index,
+              const OnlineOutcome& outcome);
 
   /// Durable write: tmp + fsync + rename (+ directory fsync).  Throws on
   /// failure.  Thread-safe.
@@ -113,10 +132,27 @@ class CampaignCheckpoint {
   void load_v2(const std::vector<std::string>& lines);
   void load_v1(const std::vector<std::string>& lines);
   void drop_tail(const std::vector<std::string>& lines, std::size_t from);
+  struct Section {
+    std::string name;
+    /// Slot chars as in the file format.
+    std::vector<char> slots;
+    /// On-line sections only: every slot's outcome (valid where the slot
+    /// is completed).  Empty for an off-line section.
+    std::vector<OnlineOutcome> outcomes;
+    bool online = false;
+  };
+
+  bool load_v2_section(const std::vector<std::string>& lines,
+                       std::size_t& i);
   void cleanup_stale_tmps() const;
+  /// Both record()s: `outcome` is null for an off-line section.
+  void record_slot(const std::string& section, std::size_t index, Verdict v,
+                   const OnlineOutcome* outcome);
   void flush_locked();
   std::string render_locked() const;
-  std::vector<char>* find_locked(const std::string& section);
+  Section* find_locked(const std::string& section);
+  Section& registered_locked(const std::string& section, std::size_t count,
+                             bool online);
 
   std::string path_;
   std::string key_;
@@ -126,8 +162,8 @@ class CampaignCheckpoint {
   std::size_t flush_failures_ = 0;
   SalvageReport salvage_;
   mutable std::mutex mu_;
-  /// Insertion-ordered sections; slot chars as in the file format.
-  std::vector<std::pair<std::string, std::vector<char>>> sections_;
+  /// Insertion-ordered, as in the file.
+  std::vector<Section> sections_;
 };
 
 }  // namespace xtest::sim

@@ -15,10 +15,12 @@
 //     because the self-test held the core (and, under a defect, because
 //     the defect corrupted the workload's own traffic).
 //
-// Every per-defect outcome is a pure function of (config, online config,
-// program, bus, defect), so results are bitwise identical at any thread
-// count and across checkpoint interrupt/resume -- the same contract as the
-// off-line campaign, enforced by tests/test_online.cpp.
+// The interleaved schedule is the campaign engine's second per-defect
+// policy (sim/campaign.cpp), so every per-defect outcome is a pure
+// function of (config, online config, program, bus, defect) and results
+// are bitwise identical at any thread count, across checkpoint
+// interrupt/resume and under sharding -- the off-line contract, enforced
+// by tests/test_online.cpp.
 
 #pragma once
 
@@ -36,22 +38,6 @@
 
 namespace xtest::sim {
 
-/// Per-defect outcome of an on-line campaign round sequence.
-struct OnlineOutcome {
-  Verdict verdict = Verdict::kUndetected;
-  /// Global-clock cycles from activation to the first diverging slice
-  /// boundary; 0 for an undetected defect.
-  std::uint64_t detection_latency_cycles = 0;
-  /// Interleaved rounds this defect's schedule executed.
-  std::uint64_t rounds = 0;
-  /// Functional-interference counters of this defect's schedule.
-  std::uint64_t heartbeats = 0;
-  std::uint64_t deadlines_late = 0;
-  std::uint64_t deadlines_missed = 0;
-
-  bool operator==(const OnlineOutcome&) const = default;
-};
-
 /// Result of one on-line campaign: verdicts (same taxonomy as off-line)
 /// plus the per-defect outcomes and the defect-free baseline schedule.
 struct OnlineResult {
@@ -63,13 +49,11 @@ struct OnlineResult {
 };
 
 /// Runs `program` under every defect of `library` applied to `bus`, on the
-/// interleaved schedule of `online`.  Supported CampaignOptions: parallel,
-/// stats, retry_errors, cancel, progress, defect_deadline_ms, and the
-/// checkpoint_* knobs (the on-line checkpoint persists each completed
-/// outcome -- verdict, latency, and interference -- so a resumed campaign
-/// reports exactly the uninterrupted stats).  Batching, gold/run memo
-/// reuse, and sharding do not apply on-line and are ignored; ShardSpec
-/// other than {0,1} throws.
+/// interleaved schedule of `online`.  Every CampaignOptions knob means
+/// what it means off-line, except cycle_factor: a defect's schedule runs
+/// at most the gold schedule's rounds.  An on-line checkpoint section
+/// persists each completed outcome -- verdict, latency and interference --
+/// so a resumed campaign reports exactly the uninterrupted stats.
 OnlineResult run_online_detection(const soc::SystemConfig& config,
                                   const soc::OnlineConfig& online,
                                   const sbst::TestProgram& program,

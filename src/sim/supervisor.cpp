@@ -463,39 +463,22 @@ SupervisorResult Supervisor::run() {
     }
     const ShardSpec spec{w.shard, opt_.workers};
     std::size_t missing = 0;
+    // A quarantined shard's salvaged verdicts still count; its unrecovered
+    // session slots are sim errors, mirroring a serial run's tally.
+    std::vector<Verdict> quarantined_slots;
     for (std::size_t i = spec.index; i < n; i += opt_.workers) {
       Verdict merged = Verdict::kUndetected;
-      bool first = true;
-      for (const auto& slots : sections) {
-        const Verdict v = slots[i].value_or(Verdict::kSimError);
-        if (!slots[i].has_value()) ++missing;
-        merged = first ? v : merge_verdicts(merged, v);
-        first = false;
-      }
-      if (sections.empty()) {
-        merged = Verdict::kSimError;
-        missing += job_.sections.size();
+      for (std::size_t s = 0; s < job_.sections.size(); ++s) {
+        const bool have = s < sections.size() && sections[s][i].has_value();
+        const Verdict v = have ? *sections[s][i] : Verdict::kSimError;
+        missing += !have;
+        merged = merge_verdicts(merged, v);
+        if (w.quarantined) quarantined_slots.push_back(v);
       }
       result.verdicts[i] = merged;
     }
     if (w.quarantined) {
-      // Salvaged verdicts still count; unrecovered session slots are
-      // sim errors, mirroring the per-session tally of a serial run.
-      for (std::size_t s = 0; s < job_.sections.size(); ++s) {
-        for (std::size_t i = spec.index; i < n; i += opt_.workers) {
-          Verdict v = Verdict::kSimError;
-          if (s < sections.size() && sections[s][i].has_value())
-            v = *sections[s][i];
-          switch (v) {
-            case Verdict::kDetected: ++result.stats.detected; break;
-            case Verdict::kDetectedByTimeout:
-              ++result.stats.detected_by_timeout;
-              break;
-            case Verdict::kUndetected: ++result.stats.undetected; break;
-            case Verdict::kSimError: ++result.stats.sim_errors; break;
-          }
-        }
-      }
+      tally_verdicts(quarantined_slots, result.stats);
       std::string entry =
           "shard " + std::to_string(w.shard) + "/" +
           std::to_string(opt_.workers) + " quarantined after " +

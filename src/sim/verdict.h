@@ -89,6 +89,23 @@ inline Verdict merge_verdicts(Verdict a, Verdict b) {
   return rank(a) >= rank(b) ? a : b;
 }
 
+/// Per-defect outcome of an on-line campaign round sequence (sim/online.h):
+/// the verdict plus what the interleaved schedule measured on the way.
+struct OnlineOutcome {
+  Verdict verdict = Verdict::kUndetected;
+  /// Global-clock cycles from activation to the first diverging slice
+  /// boundary; 0 for an undetected defect.
+  std::uint64_t detection_latency_cycles = 0;
+  /// Interleaved rounds this defect's schedule executed.
+  std::uint64_t rounds = 0;
+  /// Functional-interference counters of this defect's schedule.
+  std::uint64_t heartbeats = 0;
+  std::uint64_t deadlines_late = 0;
+  std::uint64_t deadlines_missed = 0;
+
+  bool operator==(const OnlineOutcome&) const = default;
+};
+
 struct VerdictCounts {
   std::size_t detected = 0;
   std::size_t detected_by_timeout = 0;

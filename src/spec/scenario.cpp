@@ -11,6 +11,7 @@
 
 #include "cpu/isa.h"
 #include "soc/control.h"
+#include "util/subprocess.h"
 
 namespace xtest::spec {
 
@@ -423,6 +424,65 @@ sim::CampaignOptions ScenarioSpec::campaign_options(
   return opts;
 }
 
+std::string ScenarioSpec::checkpoint_key(
+    const xtalk::DefectLibrary& library) const {
+  static const std::set<std::string> kLeftOut = {
+      "name",
+      "description",
+      "bus",
+      "defects",
+      "seed",
+      "sigma_pct",
+      "system.fast_receive",
+      "system.transition_cache",
+      "campaign.threads",
+      "campaign.retry_errors",
+      "campaign.checkpoint_every",
+      "campaign.defect_deadline_ms",
+      "campaign.compare_bist",
+      "campaign.workers",
+      "campaign.shard"};
+  static const ScenarioSpec kDefaults;
+  std::string key = sim::default_checkpoint_key(bus, library);
+  for (const KeyDef& k : key_table()) {
+    if (kLeftOut.count(k.key) != 0) continue;
+    const std::string value = k.get(*this);
+    if (value != k.get(kDefaults))
+      key += " " + std::string(k.key) + "=" + value;
+  }
+  return key;
+}
+
+sim::SupervisorJob make_supervisor_job(
+    const ScenarioSpec& spec, const xtalk::DefectLibrary& library,
+    const std::vector<sbst::GenerationResult>& sessions,
+    const std::string& checkpoint_base, const std::string& fault_spec) {
+  sim::SupervisorJob job;
+  // $XTEST_WORKER_BINARY lets a process that embeds the CLI library (the
+  // tests) point workers at the real xtest binary instead of itself.
+  const char* worker_bin = std::getenv("XTEST_WORKER_BINARY");
+  job.binary = worker_bin != nullptr && *worker_bin != '\0'
+                   ? worker_bin
+                   : util::current_executable();
+  if (job.binary.empty())
+    throw SpecIoError("cannot resolve own executable path to spawn workers");
+  job.defect_count = library.size();
+  for (std::size_t i = 0; i < sessions.size(); ++i)
+    if (!sessions[i].program.tests.empty())
+      job.sections.push_back("session" + std::to_string(i));
+  job.checkpoint_key = spec.checkpoint_key(library);
+  job.checkpoint_base = checkpoint_base;
+  job.fault_spec = fault_spec;
+
+  ScenarioSpec worker_spec = spec;
+  worker_spec.workers = 0;
+  job.scenario_path = checkpoint_base + ".job.scn";
+  std::ofstream out(job.scenario_path);
+  if (!(out << serialize_scenario(worker_spec)))
+    throw SpecIoError("cannot write " + job.scenario_path);
+  return job;
+}
+
 void ScenarioSpec::validate() const {
   const auto check_width = [](const char* which, unsigned got,
                               unsigned expected) {
@@ -472,15 +532,12 @@ void ScenarioSpec::validate() const {
       system.electrical.restorer_ratio >= 1.0)
     throw SpecParseError(0, "system.restorer_ratio must be in (0, 1)");
   if (online.enabled) {
-    // The on-line schedule is one in-field sequence on one chip: no
-    // multi-process supervisor, no library sharding, and the BIST baseline
-    // (a test-mode comparison) has no interleaved equivalent.
+    // The worker supervisor carries verdicts only, not on-line outcomes,
+    // and the BIST baseline (a test-mode comparison) has no interleaved
+    // equivalent.
     if (workers > 0)
       throw SpecParseError(
           0, "online.enabled and campaign.workers are mutually exclusive");
-    if (shard_count > 1)
-      throw SpecParseError(
-          0, "online.enabled and campaign.shard are mutually exclusive");
     if (compare_bist)
       throw SpecParseError(
           0, "online.enabled and campaign.compare_bist are mutually "

@@ -36,6 +36,7 @@
 
 #include "sbst/generator.h"
 #include "sim/campaign.h"
+#include "sim/supervisor.h"
 #include "soc/online.h"
 #include "soc/system.h"
 #include "util/parallel.h"
@@ -116,8 +117,8 @@ struct ScenarioSpec {
   /// enabled the campaign interleaves self-test slices with a functional
   /// workload and reports detection latency and MMIO interference
   /// (sim/online.h).  Off by default -- the paper baseline is off-line.
-  /// Mutually exclusive with `workers` and a non-trivial shard: the
-  /// interleaved schedule is one in-field sequence.
+  /// Shards like an off-line campaign; mutually exclusive with `workers`
+  /// (the supervisor carries verdicts only, not on-line outcomes).
   soc::OnlineConfig online;
 
   bool operator==(const ScenarioSpec&) const = default;
@@ -135,12 +136,34 @@ struct ScenarioSpec {
   /// fields.  Checkpointing stays per-run (CLI flag), not per-scenario.
   sim::CampaignOptions campaign_options(util::CampaignStats* stats) const;
 
+  /// Checkpoint identity of this scenario's campaign over `library`:
+  /// sim::default_checkpoint_key, then " key=value" for every scenario key
+  /// whose value differs from ScenarioSpec{}.  Keys that cannot change a
+  /// verdict (name, description, the hot-path switches, threads, retry,
+  /// checkpoint cadence, deadline, compare_bist, workers, shard) and the
+  /// library keys the first part already states (bus, defects, seed,
+  /// sigma_pct) are left out, so a paper-baseline scenario keeps the plain
+  /// library key and a resume across any other edit is refused.
+  std::string checkpoint_key(const xtalk::DefectLibrary& library) const;
+
   /// Sanity checks a spec must pass before a campaign can run on the
   /// embedded CPU: bus widths must match the architecture (the CPU drives
   /// a 12-bit address / 8-bit data / 3-wire control bus), counts must be
   /// non-zero.  Throws SpecParseError (line 0) naming the violation.
   void validate() const;
 };
+
+/// The supervisor job for `spec` (whose `workers` it runs as shards): the
+/// worker binary ($XTEST_WORKER_BINARY, else this executable), the
+/// checkpoint sections of the live `sessions`, spec.checkpoint_key, and
+/// the worker-facing scenario file `<checkpoint_base>.job.scn` -- the spec
+/// with `workers = 0`, so a worker never spawns workers of its own.  The
+/// caller owns deleting that file.  Throws SpecIoError when the binary
+/// cannot be resolved or the file cannot be written.
+sim::SupervisorJob make_supervisor_job(
+    const ScenarioSpec& spec, const xtalk::DefectLibrary& library,
+    const std::vector<sbst::GenerationResult>& sessions,
+    const std::string& checkpoint_base, const std::string& fault_spec);
 
 /// Scenario -> text.  Emits every key in a fixed order, full precision
 /// (%.17g for doubles), so parse_scenario round-trips exactly.

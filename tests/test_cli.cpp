@@ -235,6 +235,61 @@ std::string line_starting_with(const std::string& text,
   return {};
 }
 
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// Temp-directory files whose name starts with `prefix`.
+std::vector<std::filesystem::path> temp_files_with_prefix(
+    const std::string& prefix) {
+  std::vector<std::filesystem::path> found;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path()))
+    if (e.path().filename().string().rfind(prefix, 0) == 0)
+      found.push_back(e.path());
+  return found;
+}
+
+TEST(Cli, CheckpointRefusesAResumeAcrossAnyVerdictSetting) {
+  // The checkpoint key covers every scenario setting that can change a
+  // verdict, not only the library: a paper-baseline checkpoint must not
+  // restore its verdicts into a low-swing or a slower-clock campaign.
+  const std::string ckpt = temp_path("cli_key_edit.ckpt");
+  std::remove(ckpt.c_str());
+  const std::string dump =
+      run_cli({"scenarios", "--dump", "paper-baseline"}).out;
+  const std::string base = temp_path("key_edit_base.scn");
+  const std::string low = temp_path("key_edit_low.scn");
+  const std::string slow = temp_path("key_edit_slow.scn");
+  std::ofstream(base) << dump;
+  std::ofstream(low) << replaced(dump, "system.electrical = full-swing",
+                                 "system.electrical = low-swing");
+  std::ofstream(slow) << replaced(dump, "system.clock_period_scale = 1\n",
+                                  "system.clock_period_scale = 1.5\n");
+  const auto campaign = [&ckpt](const std::string& scenario) {
+    return run_cli({"campaign", "--scenario", scenario, "--defects", "20",
+                    "--threads", "1", "--checkpoint", ckpt});
+  };
+  const CliRun first = campaign(base);
+  ASSERT_EQ(first.code, 0) << first.err;
+  for (const std::string& edited : {low, slow}) {
+    const CliRun r = campaign(edited);
+    EXPECT_EQ(r.code, 4) << edited << '\n' << r.out;
+    EXPECT_NE(r.err.find("key mismatch"), std::string::npos) << r.err;
+  }
+  // The unedited scenario still resumes every verdict.
+  const CliRun again = campaign(base);
+  ASSERT_EQ(again.code, 0) << again.err;
+  EXPECT_EQ(again.out.find("restored=0 "), std::string::npos) << again.out;
+  EXPECT_EQ(line_starting_with(again.out, "detected="),
+            line_starting_with(first.out, "detected="));
+  for (const std::string& f : {ckpt, base, low, slow}) std::remove(f.c_str());
+}
+
 TEST(Cli, ShardFlagRunsOneSliceOfTheLibrary) {
   // Shard 1 of 3 over 12 defects owns indices 1, 4, 7, 10.
   const CliRun r = run_cli({"campaign", "--bus", "data", "--defects", "12",
@@ -281,16 +336,13 @@ TEST(Cli, SupervisedWorkersMatchTheSerialVerdictLines) {
 
 TEST(Cli, SupervisedRunRemovesItsDefaultCheckpointsSoAnEditIsNotReplayed) {
   // Without --checkpoint a supervised run keeps its shard checkpoints at
-  // a temp path named by scenario name, bus and seed, under a key that
-  // covers only the library.  A completed run must remove them: the same
-  // name and seed with a slower tester clock would otherwise restore the
-  // first run's verdicts instead of simulating.
+  // a temp path named by scenario name, bus, seed and key digest.  A
+  // completed run must remove them, and the same name and seed with a
+  // slower tester clock must simulate instead of restoring.
   ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
-  const std::string base = (std::filesystem::temp_directory_path() /
-                            "xtest_ckpt-replay_data_7.ckpt")
-                               .string();
-  for (const char* k : {".shard0", ".shard1"})
-    std::remove((base + k).c_str());
+  const std::string prefix = "xtest_ckpt-replay_data_7";
+  for (const auto& f : temp_files_with_prefix(prefix))
+    std::filesystem::remove(f);
   const std::string text =
       "name = ckpt-replay\nbus = data\ndefects = 40\nseed = 7\n"
       "campaign.threads = 1\ncampaign.workers = 2\n";
@@ -301,8 +353,7 @@ TEST(Cli, SupervisedRunRemovesItsDefaultCheckpointsSoAnEditIsNotReplayed) {
 
   const CliRun first = run_cli({"campaign", "--scenario", at_speed});
   ASSERT_EQ(first.code, 0) << first.err << first.out;
-  EXPECT_FALSE(std::filesystem::exists(base + ".shard0"));
-  EXPECT_FALSE(std::filesystem::exists(base + ".shard1"));
+  EXPECT_TRUE(temp_files_with_prefix(prefix).empty());
 
   const CliRun second = run_cli({"campaign", "--scenario", slow});
   const CliRun in_process =
@@ -316,6 +367,45 @@ TEST(Cli, SupervisedRunRemovesItsDefaultCheckpointsSoAnEditIsNotReplayed) {
   // The edit changes the verdicts, so a replay could not pass the above.
   EXPECT_NE(line_starting_with(first.out, "detected="),
             line_starting_with(second.out, "detected="));
+  std::remove(at_speed.c_str());
+  std::remove(slow.c_str());
+}
+
+TEST(Cli, SupervisedDefaultCheckpointsOfAnEditedScenarioStartFresh) {
+  // A degraded supervised run keeps its default shard checkpoints so the
+  // same command resumes them.  The key digest in their name means an
+  // edited scenario (slower tester clock) starts fresh instead of
+  // restoring verdicts the edit would change.
+  ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
+  const std::string prefix = "xtest_key-digest_data_7";
+  for (const auto& f : temp_files_with_prefix(prefix))
+    std::filesystem::remove(f);
+  const std::string text =
+      "name = key-digest\nbus = data\ndefects = 40\nseed = 7\n"
+      "campaign.threads = 1\ncampaign.workers = 2\n"
+      "campaign.checkpoint_every = 1\n";
+  const std::string at_speed = temp_path("key_digest_at_speed.scn");
+  const std::string slow = temp_path("key_digest_slow.scn");
+  std::ofstream(at_speed) << text;
+  std::ofstream(slow) << text << "system.clock_period_scale = 3\n";
+
+  const CliRun degraded =
+      run_cli({"campaign", "--scenario", at_speed, "--worker-retries", "0",
+               "--worker-backoff-ms", "1", "--faults", "worker.exit@5"});
+  EXPECT_EQ(degraded.code, 6) << degraded.err << degraded.out;
+  EXPECT_FALSE(temp_files_with_prefix(prefix).empty());
+
+  const CliRun edited = run_cli({"campaign", "--scenario", slow});
+  const CliRun in_process =
+      run_cli({"campaign", "--scenario", slow, "--workers", "0"});
+  unsetenv("XTEST_WORKER_BINARY");
+  ASSERT_EQ(edited.code, 0) << edited.err << edited.out;
+  ASSERT_EQ(in_process.code, 0) << in_process.err;
+  EXPECT_NE(edited.out.find("restored=0 "), std::string::npos) << edited.out;
+  EXPECT_EQ(line_starting_with(edited.out, "detected="),
+            line_starting_with(in_process.out, "detected="));
+  for (const auto& f : temp_files_with_prefix(prefix))
+    std::filesystem::remove(f);
   std::remove(at_speed.c_str());
   std::remove(slow.c_str());
 }

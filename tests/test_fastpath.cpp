@@ -179,13 +179,16 @@ TEST(FastPath, CampaignVerdictsMatchReferencePath) {
     for (const unsigned threads : {1u, 4u}) {
       const util::ParallelConfig par{threads};
       const auto fast =
-          sim::run_detection(fast_cfg, prog.program, bus, lib, 16, par);
+          sim::run_detection(fast_cfg, prog.program, bus, lib,
+                             {.parallel = par});
       const auto reference =
-          sim::run_detection(ref_cfg, prog.program, bus, lib, 16, par);
+          sim::run_detection(ref_cfg, prog.program, bus, lib,
+                             {.parallel = par});
       EXPECT_EQ(fast, reference)
           << soc::to_string(bus) << " threads=" << threads;
       const auto nocache =
-          sim::run_detection(nocache_cfg, prog.program, bus, lib, 16, par);
+          sim::run_detection(nocache_cfg, prog.program, bus, lib,
+                             {.parallel = par});
       EXPECT_EQ(fast, nocache)
           << soc::to_string(bus) << " threads=" << threads;
     }

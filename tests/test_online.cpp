@@ -1,12 +1,14 @@
 // On-line campaign contract (src/sim/online.h): bitwise determinism
-// across thread counts, kill/resume through the on-line checkpoint,
-// electrical-backend self-consistency, interference accounting, and the
-// schedule/backend-keyed checkpoint identity.
+// across thread counts and shards, kill/resume through the on-line
+// checkpoint sections, electrical-backend self-consistency, interference
+// accounting, and the schedule/backend-keyed checkpoint identity.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "sim/online.h"
@@ -155,6 +157,43 @@ TEST(OnlineCampaign, ScheduleChangeRejectsStaleCheckpoint) {
   std::remove(ckpt.c_str());
 }
 
+TEST(OnlineCampaign, RetiredCheckpointFormatIsRefusedUntouched) {
+  // On-line campaigns checkpoint into the one v2 format now; a file in the
+  // separate on-line format of earlier releases is not a checkpoint, so
+  // the resume is refused naming the file, and the file is left alone.
+  const Fixture s = make_fixture(3);
+  const std::string ckpt = temp_checkpoint("old_format");
+  // The retired format's magic line, in two pieces so its name survives
+  // only as this test's input.
+  const std::string text =
+      "xtest-online-" "checkpoint v1\n"
+      "key bus=addr count=3 seed=20010618 sigma=50 cth=756.48000000000002 "
+      "online slice=512 workload=256 deadline=1024\n"
+      "crc f4b96088\n"
+      "slot session0 0 D 621 1 8 0 0 c73b63bc\n"
+      "slot session0 1 D 557 1 8 0 0 76e4bca6\n";
+  std::ofstream(ckpt, std::ios::binary) << text;
+  sim::CampaignOptions opts;
+  opts.parallel = {1};
+  opts.checkpoint_path = ckpt;
+  try {
+    sim::run_online_detection(s.config, s.online, s.program,
+                              soc::BusKind::kAddress, s.library, opts);
+    ADD_FAILURE() << "an old-format on-line checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(ckpt), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("not a checkpoint file"),
+              std::string::npos)
+        << e.what();
+  }
+  std::ifstream in(ckpt, std::ios::binary);
+  std::ostringstream back;
+  back << in.rdbuf();
+  EXPECT_EQ(back.str(), text);
+  std::remove(ckpt.c_str());
+}
+
 TEST(OnlineCampaign, CheckpointKeyCoversScheduleAndBackend) {
   const Fixture s = make_fixture(4);
   xtalk::ElectricalConfig full;  // default full-swing
@@ -210,15 +249,57 @@ TEST(OnlineCampaign, TightDeadlineShowsInterference) {
   EXPECT_GT(r.gold.deadlines_late + r.gold.deadlines_missed, 0u);
 }
 
-TEST(OnlineCampaign, ShardingRejected) {
-  const Fixture s = make_fixture(2);
-  sim::CampaignOptions opts;
-  opts.parallel = {1};
-  opts.shard = {0, 2};
-  EXPECT_THROW(sim::run_online_detection(s.config, s.online, s.program,
-                                         soc::BusKind::kAddress, s.library,
-                                         opts),
-               std::invalid_argument);
+TEST(OnlineCampaign, ShardsMergeToTheUnshardedRun) {
+  // The engine shards an on-line campaign like an off-line one: the two
+  // halves of a 2-way split merge to the unsharded verdicts, per-defect
+  // outcomes and every on-line counter (the gold schedule is booked on
+  // shard 0 only), at any thread count.
+  spec::ScenarioSpec scn = spec::builtin_scenario("online-baseline");
+  scn.defect_count = 13;  // odd: the shards own 7 and 6 defects
+  const auto sessions = scn.make_sessions();
+  const auto lib = scn.make_library();
+  for (const unsigned threads : {1u, 4u}) {
+    util::CampaignStats whole_stats;
+    sim::CampaignOptions opts = scn.campaign_options(&whole_stats);
+    opts.parallel = {threads};
+    const sim::OnlineResult whole = sim::run_online_detection_sessions(
+        scn.system, scn.online, sessions, scn.bus, lib, opts);
+
+    std::vector<sim::ShardResult> shards;
+    std::vector<sim::OnlineOutcome> outcomes(lib.size());
+    for (std::size_t k = 0; k < 2; ++k) {
+      sim::ShardResult r;
+      r.shard = {k, 2};
+      opts.stats = &r.stats;
+      opts.shard = r.shard;
+      const sim::OnlineResult part = sim::run_online_detection_sessions(
+          scn.system, scn.online, sessions, scn.bus, lib, opts);
+      EXPECT_EQ(part.gold, whole.gold);
+      for (std::size_t i = k; i < lib.size(); i += 2)
+        outcomes[i] = part.outcomes[i];
+      r.verdicts = part.verdicts;
+      shards.push_back(std::move(r));
+    }
+    util::CampaignStats merged;
+    EXPECT_EQ(sim::merge_shard_results(shards, &merged), whole.verdicts)
+        << "threads=" << threads;
+    EXPECT_EQ(outcomes, whole.outcomes) << "threads=" << threads;
+    EXPECT_EQ(merged.online_rounds, whole_stats.online_rounds);
+    EXPECT_EQ(merged.online_mmio_heartbeats,
+              whole_stats.online_mmio_heartbeats);
+    EXPECT_EQ(merged.online_deadlines_late, whole_stats.online_deadlines_late);
+    EXPECT_EQ(merged.online_deadlines_missed,
+              whole_stats.online_deadlines_missed);
+    EXPECT_EQ(merged.online_detection_latency_cycles,
+              whole_stats.online_detection_latency_cycles);
+    EXPECT_EQ(merged.online_latency_samples,
+              whole_stats.online_latency_samples);
+    EXPECT_EQ(merged.detected, whole_stats.detected);
+    EXPECT_EQ(merged.detected_by_timeout, whole_stats.detected_by_timeout);
+    EXPECT_EQ(merged.undetected, whole_stats.undetected);
+    EXPECT_EQ(merged.defects_simulated, whole_stats.defects_simulated);
+    EXPECT_EQ(merged.simulated_cycles, whole_stats.simulated_cycles);
+  }
 }
 
 TEST(OnlineCampaign, SessionsMergeFirstDetectionWins) {

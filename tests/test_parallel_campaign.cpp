@@ -35,10 +35,10 @@ TEST(ParallelCampaign, RunDetectionMatchesSerialOnEveryBus) {
   for (soc::BusKind bus : all_buses) {
     const auto lib = make_defect_library(cfg, bus, 24, kSeed);
     const auto gold =
-        run_detection(cfg, prog.program, bus, lib, 16, serial());
+        run_detection(cfg, prog.program, bus, lib, {.parallel = serial()});
     for (unsigned t : kThreadCounts) {
       const auto par =
-          run_detection(cfg, prog.program, bus, lib, 16, {t});
+          run_detection(cfg, prog.program, bus, lib, {.parallel = {t}});
       EXPECT_EQ(gold, par) << "bus " << soc::to_string(bus) << " threads "
                            << t;
     }
@@ -52,10 +52,10 @@ TEST(ParallelCampaign, RunDetectionSessionsMatchesSerialOnEveryBus) {
   for (soc::BusKind bus : all_buses) {
     const auto lib = make_defect_library(cfg, bus, 12, kSeed);
     const auto gold =
-        run_detection_sessions(cfg, sessions, bus, lib, 16, serial());
+        run_detection_sessions(cfg, sessions, bus, lib, {.parallel = serial()});
     for (unsigned t : kThreadCounts) {
       const auto par =
-          run_detection_sessions(cfg, sessions, bus, lib, 16, {t});
+          run_detection_sessions(cfg, sessions, bus, lib, {.parallel = {t}});
       EXPECT_EQ(gold, par) << "bus " << soc::to_string(bus) << " threads "
                            << t;
     }
@@ -67,11 +67,12 @@ TEST(ParallelCampaign, PerLineCoverageMatchesSerial) {
   const auto lib =
       make_defect_library(cfg, soc::BusKind::kAddress, 10, kSeed);
   const PerLineCoverage gold = per_line_coverage(
-      cfg, soc::BusKind::kAddress, lib, sbst::GeneratorConfig{}, 16,
-      serial());
+      cfg, soc::BusKind::kAddress, lib, sbst::GeneratorConfig{},
+      {.parallel = serial()});
   for (unsigned t : kThreadCounts) {
     const PerLineCoverage par = per_line_coverage(
-        cfg, soc::BusKind::kAddress, lib, sbst::GeneratorConfig{}, 16, {t});
+        cfg, soc::BusKind::kAddress, lib, sbst::GeneratorConfig{},
+        {.parallel = {t}});
     // Coverage fractions are ratios of per-defect verdict vectors; bitwise
     // identical verdicts mean exactly equal doubles, no tolerance needed.
     EXPECT_EQ(gold.individual, par.individual) << "threads " << t;
@@ -112,10 +113,10 @@ TEST(ParallelCampaign, RepeatedRunsWithSameSeedAreIdentical) {
         make_defect_library(cfg, soc::BusKind::kAddress, 20, kSeed);
     const auto lib_b =
         make_defect_library(cfg, soc::BusKind::kAddress, 20, kSeed);
-    const auto det_a = run_detection(cfg, prog.program,
-                                     soc::BusKind::kAddress, lib_a, 16, {t});
-    const auto det_b = run_detection(cfg, prog.program,
-                                     soc::BusKind::kAddress, lib_b, 16, {t});
+    const auto det_a = run_detection(cfg, prog.program, soc::BusKind::kAddress,
+                                     lib_a, {.parallel = {t}});
+    const auto det_b = run_detection(cfg, prog.program, soc::BusKind::kAddress,
+                                     lib_b, {.parallel = {t}});
     EXPECT_EQ(det_a, det_b) << "threads " << t;
   }
 }
@@ -132,8 +133,8 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
       make_defect_library(cfg, soc::BusKind::kAddress, 16, kSeed);
 
   util::CampaignStats serial_stats;
-  run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, 16, serial(),
-                &serial_stats);
+  run_detection(cfg, prog.program, soc::BusKind::kAddress, lib,
+                {.parallel = serial(), .stats = &serial_stats});
   EXPECT_EQ(serial_stats.defects_simulated, lib.size());
   EXPECT_EQ(serial_stats.threads, 1u);
   EXPECT_GT(serial_stats.simulated_cycles, 0u);
@@ -142,8 +143,8 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
 
   for (unsigned t : kThreadCounts) {
     util::CampaignStats s;
-    run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, 16, {t},
-                  &s);
+    run_detection(cfg, prog.program, soc::BusKind::kAddress, lib,
+                  {.parallel = {t}, .stats = &s});
     EXPECT_EQ(s.defects_simulated, serial_stats.defects_simulated);
     EXPECT_EQ(s.simulated_cycles, serial_stats.simulated_cycles)
         << "threads " << t;
@@ -209,8 +210,8 @@ TEST(ParallelCampaign, StatsAccumulateAcrossSessions) {
   for (const auto& s : sessions) live_sessions += !s.program.tests.empty();
 
   util::CampaignStats stats;
-  run_detection_sessions(cfg, sessions, soc::BusKind::kAddress, lib, 16,
-                         serial(), &stats);
+  run_detection_sessions(cfg, sessions, soc::BusKind::kAddress, lib,
+                         {.parallel = serial(), .stats = &stats});
   EXPECT_EQ(stats.defects_simulated, live_sessions * lib.size());
 }
 

@@ -460,53 +460,140 @@ TEST(Checkpoint, V1KeyMismatchStillThrows) {
 TEST(Checkpoint, TruncationAtEveryByteOffsetSalvagesOrRestartsNeverThrows) {
   // The acceptance bar of the resilience layer: cut a valid v2 file at
   // *any* byte offset and reopening must yield a usable checkpoint whose
-  // every restored verdict matches what was recorded -- a slot is allowed
-  // to be forgotten (re-simulated on resume), never wrong.
-  const std::string path = temp_path("ckpt_everyoffset_src");
-  std::remove(path.c_str());
+  // every restored slot matches what was recorded -- a slot is allowed to
+  // be forgotten (re-simulated on resume), never wrong.  Both section
+  // kinds: off-line verdicts, and on-line outcomes with their extra lines.
   const Verdict v[4] = {Verdict::kDetected, Verdict::kUndetected,
                         Verdict::kDetectedByTimeout, Verdict::kSimError};
-  {
-    CampaignCheckpoint ck(path, "k");
-    ck.restore("alpha", 4);
-    ck.restore("beta", 4);
-    for (std::size_t i = 0; i < 4; ++i) {
-      ck.record("alpha", i, v[i]);
-      ck.record("beta", i, v[3 - i]);
+  const auto outcome = [&v](std::size_t i) {
+    return OnlineOutcome{.verdict = v[i],
+                         .detection_latency_cycles = 100 * i + 7,
+                         .rounds = i + 1,
+                         .heartbeats = 8 * i,
+                         .deadlines_late = i % 2,
+                         .deadlines_missed = i / 2};
+  };
+  for (const bool online : {false, true}) {
+    const std::string path = temp_path("ckpt_everyoffset_src");
+    std::remove(path.c_str());
+    {
+      CampaignCheckpoint ck(path, "k");
+      for (const char* section : {"alpha", "beta"}) {
+        if (online)
+          ck.restore_outcomes(section, 4);
+        else
+          ck.restore(section, 4);
+      }
+      for (std::size_t i = 0; i < 4; ++i) {
+        if (online) {
+          ck.record("alpha", i, outcome(i));
+          ck.record("beta", i, outcome(3 - i));
+        } else {
+          ck.record("alpha", i, v[i]);
+          ck.record("beta", i, v[3 - i]);
+        }
+      }
+      ck.flush();
     }
+    const std::string full = read_file(path);
+    ASSERT_GT(full.size(), 40u);
+
+    const std::string cut_path = temp_path("ckpt_everyoffset_cut");
+    for (std::size_t len = 0; len <= full.size(); ++len) {
+      write_file(cut_path, full.substr(0, len));
+      try {
+        CampaignCheckpoint ck(cut_path, "k");
+        if (online) {
+          const auto alpha = ck.restore_outcomes("alpha", 4);
+          const auto beta = ck.restore_outcomes("beta", 4);
+          for (std::size_t i = 0; i < 4; ++i) {
+            if (alpha[i]) {
+              EXPECT_EQ(*alpha[i], outcome(i)) << "len=" << len;
+            }
+            if (beta[i]) {
+              EXPECT_EQ(*beta[i], outcome(3 - i)) << "len=" << len;
+            }
+          }
+        } else {
+          const auto alpha = ck.restore("alpha", 4);
+          const auto beta = ck.restore("beta", 4);
+          for (std::size_t i = 0; i < 4; ++i) {
+            if (alpha[i]) {
+              EXPECT_EQ(*alpha[i], v[i]) << "len=" << len;
+            }
+            if (beta[i]) {
+              EXPECT_EQ(*beta[i], v[3 - i]) << "len=" << len;
+            }
+          }
+        }
+        if (len + 1 < full.size()) {
+          // A real truncation (more than the trailing newline) always
+          // cuts the last group's CRC line: something is salvaged or
+          // dropped.
+          EXPECT_TRUE(ck.salvage().salvaged || ck.completed() < 8u)
+              << "len=" << len << " online=" << online;
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "truncation at byte " << len << " (online="
+                      << online << ") threw: " << e.what();
+      }
+    }
+    std::remove(path.c_str());
+    std::remove(cut_path.c_str());
+  }
+}
+
+TEST(Checkpoint, OfflineV2BytesArePinned) {
+  // The supervisor's merge and external tooling read this format: an
+  // off-line checkpoint is exactly these bytes, CRCs included.
+  const std::string path = temp_path("ckpt_golden");
+  std::remove(path.c_str());
+  {
+    CampaignCheckpoint ck(path, "golden-key");
+    ck.restore("session0", 4);
+    ck.restore("session2", 4);
+    ck.record("session0", 0, Verdict::kDetected);
+    ck.record("session0", 2, Verdict::kDetectedByTimeout);
+    ck.record("session2", 1, Verdict::kUndetected);
+    ck.record("session2", 3, Verdict::kSimError);
     ck.flush();
   }
-  const std::string full = read_file(path);
-  ASSERT_GT(full.size(), 40u);
-
-  const std::string cut_path = temp_path("ckpt_everyoffset_cut");
-  for (std::size_t len = 0; len <= full.size(); ++len) {
-    write_file(cut_path, full.substr(0, len));
-    try {
-      CampaignCheckpoint ck(cut_path, "k");
-      const auto alpha = ck.restore("alpha", 4);
-      const auto beta = ck.restore("beta", 4);
-      for (std::size_t i = 0; i < 4; ++i) {
-        if (alpha[i]) {
-          EXPECT_EQ(*alpha[i], v[i]) << "len=" << len;
-        }
-        if (beta[i]) {
-          EXPECT_EQ(*beta[i], v[3 - i]) << "len=" << len;
-        }
-      }
-      if (len + 1 < full.size()) {
-        // A real truncation (more than the trailing newline) always cuts
-        // the last group's CRC line: something is salvaged or dropped.
-        EXPECT_TRUE(ck.salvage().salvaged || ck.completed() < 8u)
-            << "len=" << len;
-      }
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "truncation at byte " << len
-                    << " threw: " << e.what();
-    }
-  }
+  EXPECT_EQ(read_file(path),
+            "xtest-checkpoint v2\n"
+            "key golden-key\n"
+            "crc e967a2e5\n"
+            "section session0 4\n"
+            "D.T.\n"
+            "crc 461ae79d\n"
+            "section session2 4\n"
+            ".U.E\n"
+            "crc d83fd880\n");
   std::remove(path.c_str());
-  std::remove(cut_path.c_str());
+}
+
+TEST(Checkpoint, OnlineSectionRoundTripsFullOutcomes) {
+  const std::string path = temp_path("ckpt_online_roundtrip");
+  std::remove(path.c_str());
+  const OnlineOutcome detected{.verdict = Verdict::kDetected,
+                               .detection_latency_cycles = 621,
+                               .rounds = 3,
+                               .heartbeats = 24,
+                               .deadlines_late = 1,
+                               .deadlines_missed = 2};
+  {
+    CampaignCheckpoint ck(path, "k");
+    ck.restore_outcomes("session0", 3);
+    ck.record("session0", 2, detected);
+    ck.flush();
+  }
+  CampaignCheckpoint ck(path, "k");
+  const auto slots = ck.restore_outcomes("session0", 3);
+  EXPECT_FALSE(slots[0].has_value());
+  EXPECT_FALSE(slots[1].has_value());
+  EXPECT_EQ(slots[2], detected);
+  // A section keeps its kind: an off-line campaign cannot resume it.
+  EXPECT_THROW(ck.restore("session0", 3), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, ConcurrentRecordsAndFlushesStaySerializable) {

@@ -196,12 +196,6 @@ TEST(ScenarioSpec, OnlineValidationRules) {
   {
     ScenarioSpec s;
     s.online.enabled = true;
-    s.shard_count = 2;
-    EXPECT_THROW(s.validate(), SpecParseError);
-  }
-  {
-    ScenarioSpec s;
-    s.online.enabled = true;
     s.compare_bist = true;
     EXPECT_THROW(s.validate(), SpecParseError);
   }
@@ -328,8 +322,8 @@ TEST(ScenarioSpec, MaterializersMatchHandBuiltConfiguration) {
       sim::run_detection_sessions(s.system, spec_sessions, s.bus, via_spec,
                                   s.campaign_options(&stats));
   const std::vector<sim::Verdict> hand = sim::run_detection_sessions(
-      soc::SystemConfig{}, hand_sessions, soc::BusKind::kData, by_hand, 16,
-      {1});
+      soc::SystemConfig{}, hand_sessions, soc::BusKind::kData, by_hand,
+      {.parallel = {1}});
   EXPECT_EQ(via, hand);
 }
 

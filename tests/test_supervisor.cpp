@@ -78,7 +78,7 @@ struct SupervisorFixture {
     job.scenario_path = base + ".job.scn";
     job.defect_count = spec.defect_count;
     job.sections = {"session0"};
-    job.checkpoint_key = default_checkpoint_key(spec.bus, spec.make_library());
+    job.checkpoint_key = spec.checkpoint_key(spec.make_library());
     job.checkpoint_base = base;
     job.fault_spec = std::move(fault_spec);
     write_file(job.scenario_path, spec::serialize_scenario(spec));
@@ -169,6 +169,8 @@ TEST(ShardMerge, ShardedRunsMergeToTheSerialResultBitwise) {
               serial_stats.detected_by_timeout);
     EXPECT_EQ(merged_stats.undetected, serial_stats.undetected);
     EXPECT_EQ(merged_stats.sim_errors, serial_stats.sim_errors);
+    // Only shard 0 books the gold runs, so cycles sum exactly too.
+    EXPECT_EQ(merged_stats.simulated_cycles, serial_stats.simulated_cycles);
   }
 }
 

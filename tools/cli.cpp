@@ -25,6 +25,7 @@
 #include "soc/system.h"
 #include "soc/waveform.h"
 #include "spec/scenario.h"
+#include "util/crc32.h"
 #include "util/fault_injector.h"
 #include "util/parallel.h"
 #include "util/retry.h"
@@ -511,39 +512,6 @@ void print_bist_compare(std::ostream& out, const spec::ScenarioSpec& s,
   out << buf;
 }
 
-/// Builds the supervisor's job description for a scenario: materialized
-/// library metadata plus the worker-facing scenario file (`<base>.job.scn`,
-/// the exact spec with supervision stripped so a worker can never recurse
-/// into spawning its own workers).  The caller owns deleting the job file.
-sim::SupervisorJob make_supervisor_job(const spec::ScenarioSpec& s,
-                                       const xtalk::DefectLibrary& lib,
-                                       std::size_t session_count,
-                                       const std::vector<bool>& session_live,
-                                       const std::string& checkpoint_base,
-                                       const std::string& fault_spec) {
-  sim::SupervisorJob job;
-  // $XTEST_WORKER_BINARY lets a process that embeds the CLI library (the
-  // tests) point workers at the real xtest binary instead of itself.
-  const char* worker_bin = std::getenv("XTEST_WORKER_BINARY");
-  job.binary = worker_bin != nullptr && *worker_bin != '\0'
-                   ? worker_bin
-                   : util::current_executable();
-  if (job.binary.empty())
-    throw IoError("cannot resolve own executable path to spawn workers");
-  job.defect_count = lib.size();
-  for (std::size_t i = 0; i < session_count; ++i)
-    if (session_live[i]) job.sections.push_back("session" + std::to_string(i));
-  job.checkpoint_key = sim::default_checkpoint_key(s.bus, lib);
-  job.checkpoint_base = checkpoint_base;
-  job.fault_spec = fault_spec;
-
-  spec::ScenarioSpec worker_spec = s;
-  worker_spec.workers = 0;
-  job.scenario_path = checkpoint_base + ".job.scn";
-  write_file(job.scenario_path, spec::serialize_scenario(worker_spec));
-  return job;
-}
-
 /// Removes a temp file on scope exit (the worker job scenario).
 struct FileCleanup {
   std::string path;
@@ -561,10 +529,6 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
   const FaultSpecGuard faults(fault_spec);
 
   const auto lib = s.make_library();
-  const auto sessions = s.make_sessions();
-  std::vector<bool> live(sessions.size());
-  for (std::size_t i = 0; i < sessions.size(); ++i)
-    live[i] = !sessions[i].program.tests.empty();
 
   std::string base;
   const bool own_checkpoints = p.options.count("checkpoint") == 0;
@@ -573,18 +537,21 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
     if (base.empty()) throw UsageError("--checkpoint: missing file name");
   } else {
     // Deterministic default so an interrupted supervised run resumes when
-    // re-invoked with the same scenario.  The key only covers the library,
-    // so a completed run removes these files (below): a later run with
-    // other system or program settings must not replay its verdicts.
+    // re-invoked with the same scenario; the key digest in the name makes
+    // an edited scenario start fresh instead of hitting a key mismatch.
+    // A completed run removes these files (below).
+    char digest[16];
+    std::snprintf(digest, sizeof digest, "%08x",
+                  util::crc32(s.checkpoint_key(lib)));
     base = (std::filesystem::temp_directory_path() /
             ("xtest_" + s.name + "_" + soc::to_string(s.bus) + "_" +
-             std::to_string(static_cast<unsigned long long>(s.seed)) +
-             ".ckpt"))
+             std::to_string(static_cast<unsigned long long>(s.seed)) + "_" +
+             digest + ".ckpt"))
                .string();
   }
 
-  const sim::SupervisorJob job =
-      make_supervisor_job(s, lib, sessions.size(), live, base, fault_spec);
+  const sim::SupervisorJob job = spec::make_supervisor_job(
+      s, lib, s.make_sessions(), base, fault_spec);
   const FileCleanup job_file{job.scenario_path};
 
   sim::SupervisorOptions sup;
@@ -653,7 +620,7 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
     opts.checkpoint_path = p.options.at("checkpoint");
     if (opts.checkpoint_path.empty())
       throw UsageError("--checkpoint: missing file name");
-    opts.checkpoint_key = sim::default_checkpoint_key(s.bus, lib);
+    opts.checkpoint_key = s.checkpoint_key(lib);
   }
   if (worker_mode) {
     // stoull would silently wrap "-1" to 2^64-1; reject the sign up front
@@ -681,12 +648,6 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
     };
   }
   if (s.online.enabled) {
-    // The on-line checkpoint identity also covers the interleaving knobs
-    // and the electrical backend, so a resume with a different schedule is
-    // rejected instead of silently mixing outcomes.
-    if (!opts.checkpoint_path.empty())
-      opts.checkpoint_key = sim::online_checkpoint_key(
-          s.bus, lib, s.online, s.system.electrical);
     const sim::OnlineResult r = sim::run_online_detection_sessions(
         s.system, s.online, sessions, s.bus, lib, opts);
     print_campaign_summary(out, s, lib.size(), r.verdicts, stats);
@@ -737,8 +698,10 @@ int cmd_scenarios(const Parsed& p, std::ostream& out) {
 // is repeatedly killed at injector-chosen points (alternating graceful
 // cancel and simulated hard crash), resumed from its checkpoint, and
 // occasionally handed a checkpoint truncated at a random byte offset,
-// must still converge to verdicts bitwise identical to an uninterrupted
-// run -- per bus, at 1 and 4 threads.
+// must still converge to outcomes bitwise identical to an uninterrupted
+// run -- per bus, at 1 and 4 threads.  On-line and off-line campaigns go
+// through the same loop; an on-line outcome adds latency and interference
+// to the verdict.
 
 struct ChaosOutcome {
   std::size_t kills = 0;
@@ -794,9 +757,6 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
     s.bus = bus;
     const auto lib = s.make_library();
     const auto sessions = s.make_sessions();
-    std::vector<bool> live(sessions.size());
-    for (std::size_t i = 0; i < sessions.size(); ++i)
-      live[i] = !sessions[i].program.tests.empty();
 
     // Uninterrupted in-process reference, injector disarmed: the merged
     // supervised result must match it bit for bit.
@@ -821,7 +781,7 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
       }
     }
     const sim::SupervisorJob job =
-        make_supervisor_job(s, lib, sessions.size(), live, base, fault_spec);
+        spec::make_supervisor_job(s, lib, sessions, base, fault_spec);
     const FileCleanup job_file{job.scenario_path};
 
     sim::SupervisorOptions sup;
@@ -1173,121 +1133,6 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   return rc;
 }
 
-/// On-line kill/resume soak (an `online.enabled` scenario): the
-/// interleaved campaign is killed at injector-chosen outcomes, resumed
-/// from its on-line checkpoint (occasionally truncated), and must converge
-/// to per-defect outcomes -- verdict, detection latency, interference
-/// counters -- bitwise identical to an uninterrupted run.
-int cmd_chaos_online(const Parsed& p, const spec::ScenarioSpec& scn,
-                     std::ostream& out, std::ostream& err) {
-  const std::size_t cycles =
-      p.options.count("cycles")
-          ? static_cast<std::size_t>(
-                parse_u64("cycles", p.options.at("cycles")))
-          : 8;
-  std::vector<unsigned> thread_counts = {1, 4};
-  if (scn.threads != 0) thread_counts = {scn.threads};
-
-  util::FaultInjector& inj = util::FaultInjector::global();
-  struct Disarm {
-    ~Disarm() { util::FaultInjector::global().disarm(); }
-  } disarm_on_exit;
-
-  const auto sessions = scn.make_sessions();
-  std::size_t live_sessions = 0;
-  for (const auto& s : sessions) live_sessions += !s.program.tests.empty();
-  const auto lib = scn.make_library();
-  const std::size_t total_slots = live_sessions * lib.size();
-
-  util::Rng rng(scn.seed ^ 0x0417EEull);
-  util::CampaignStats stats;
-
-  inj.disarm();
-  sim::CampaignOptions ref_opts = scn.campaign_options(&stats);
-  ref_opts.parallel = {1};
-  const sim::OnlineResult reference = sim::run_online_detection_sessions(
-      scn.system, scn.online, sessions, scn.bus, lib, ref_opts);
-
-  for (const unsigned threads : thread_counts) {
-    const std::string ckpt = (std::filesystem::temp_directory_path() /
-                              ("xtest_ochaos_" + soc::to_string(scn.bus) +
-                               "_t" + std::to_string(threads) + ".ckpt"))
-                                 .string();
-    std::remove(ckpt.c_str());
-
-    sim::CampaignOptions opts = scn.campaign_options(&stats);
-    opts.parallel = {threads};
-    opts.cancel = &interrupt_flag();
-    opts.checkpoint_path = ckpt;
-    opts.checkpoint_key = sim::online_checkpoint_key(
-        scn.bus, lib, scn.online, scn.system.electrical);
-    opts.checkpoint_every = 2;  // small, so a hard crash loses little
-
-    ChaosOutcome oc;
-    while (oc.kills < cycles) {
-      const std::uint64_t at = 1 + rng.below(total_slots);
-      const bool hard = rng.below(2) == 0;
-      inj.configure((hard ? "campaign.crash@" : "campaign.kill@") +
-                    std::to_string(at) + ":" +
-                    std::to_string(rng.below(1u << 30)));
-      try {
-        const sim::OnlineResult det = sim::run_online_detection_sessions(
-            scn.system, scn.online, sessions, scn.bus, lib, opts);
-        inj.disarm();
-        if (det.verdicts != reference.verdicts ||
-            det.outcomes != reference.outcomes) {
-          err << "error: chaos: completed on-line campaign diverged from "
-                 "the uninterrupted reference (threads="
-              << threads << ")\n";
-          return kExitSim;
-        }
-        ++oc.completions;
-        std::remove(ckpt.c_str());  // start a fresh kill chain
-      } catch (const sim::CampaignInterrupted&) {
-        if (interrupt_flag().load()) throw;  // the operator, not us
-        ++oc.kills;
-        oc.crashes += hard;
-        if (oc.kills % 3 == 0) {
-          std::error_code ec;
-          const auto size = std::filesystem::file_size(ckpt, ec);
-          if (!ec && size > 0) {
-            std::filesystem::resize_file(ckpt, rng.below(size), ec);
-            if (!ec) ++oc.truncations;
-          }
-        }
-      }
-    }
-
-    inj.disarm();
-    const sim::OnlineResult finished = sim::run_online_detection_sessions(
-        scn.system, scn.online, sessions, scn.bus, lib, opts);
-    if (finished.verdicts != reference.verdicts ||
-        finished.outcomes != reference.outcomes) {
-      err << "error: chaos: resumed on-line campaign diverged from the "
-             "uninterrupted reference (threads="
-          << threads << ")\n";
-      return kExitSim;
-    }
-    std::remove(ckpt.c_str());
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "chaos online bus=%s threads=%u: %zu kills (%zu hard), "
-                  "%zu truncations, %zu clean completions, outcomes "
-                  "identical\n",
-                  soc::to_string(scn.bus).c_str(), threads, oc.kills,
-                  oc.crashes, oc.truncations, oc.completions);
-    out << buf;
-  }
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "online chaos soak passed: salvaged_sections=%zu "
-                "dropped_slots=%zu restored=%zu\n",
-                stats.salvaged_sections, stats.dropped_slots,
-                stats.restored_from_checkpoint);
-  out << buf;
-  return kExitOk;
-}
-
 int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
   if (p.options.count("serve")) return cmd_chaos_serve(p, out, err);
   if (p.options.count("workers")) return cmd_chaos_workers(p, out, err);
@@ -1300,7 +1145,10 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
   if (!has_scenario) scn.defect_count = 12;  // chaos's own small default
   apply_overrides(p, scn);
   scn.validate();
-  if (scn.online.enabled) return cmd_chaos_online(p, scn, out, err);
+  // An on-line scenario soaks the interleaved campaign and compares every
+  // outcome field (latency and interference too); off-line, an outcome is
+  // just its verdict.
+  const bool online = scn.online.enabled;
 
   // A scenario pins the soak to its own bus; flag-only invocations keep
   // sweeping all three.
@@ -1311,13 +1159,11 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
     buses = {parse_bus(p.options.at("bus"))};
   else if (has_scenario)
     buses = {scn.bus};
-  const std::size_t defects = scn.defect_count;
-  const std::uint64_t seed = scn.seed;
   const std::size_t cycles =
       p.options.count("cycles")
           ? static_cast<std::size_t>(
                 parse_u64("cycles", p.options.at("cycles")))
-          : 20;
+          : online ? 8 : 20;
   std::vector<unsigned> thread_counts = {1, 4};
   if (scn.threads != 0) thread_counts = {scn.threads};
 
@@ -1326,21 +1172,35 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
     ~Disarm() { util::FaultInjector::global().disarm(); }
   } disarm_on_exit;
 
-  const soc::SystemConfig& cfg = scn.system;
   const auto sessions = scn.make_sessions();
   std::size_t live_sessions = 0;
   for (const auto& s : sessions) live_sessions += !s.program.tests.empty();
+  const auto run = [&](const spec::ScenarioSpec& s,
+                       const xtalk::DefectLibrary& lib,
+                       const sim::CampaignOptions& opts) {
+    if (online)
+      return sim::run_online_detection_sessions(s.system, s.online, sessions,
+                                                s.bus, lib, opts)
+          .outcomes;
+    std::vector<sim::OnlineOutcome> outcomes;
+    for (const sim::Verdict v :
+         sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts))
+      outcomes.emplace_back().verdict = v;
+    return outcomes;
+  };
 
-  util::Rng rng(seed ^ 0xC4A05ull);
+  util::Rng rng(scn.seed ^ 0xC4A05ull);
   util::CampaignStats stats;
 
   for (const soc::BusKind bus : buses) {
-    const auto lib =
-        sim::make_defect_library(cfg, bus, defects, seed, scn.sigma_pct);
+    spec::ScenarioSpec s = scn;
+    s.bus = bus;
+    const auto lib = s.make_library();
     const std::size_t total_slots = live_sessions * lib.size();
     inj.disarm();
-    const std::vector<sim::Verdict> reference = sim::run_detection_sessions(
-        cfg, sessions, bus, lib, scn.cycle_factor, {1});
+    sim::CampaignOptions ref_opts = s.campaign_options(nullptr);
+    ref_opts.parallel = {1};
+    const std::vector<sim::OnlineOutcome> reference = run(s, lib, ref_opts);
 
     for (const unsigned threads : thread_counts) {
       const std::string ckpt =
@@ -1350,11 +1210,11 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
               .string();
       std::remove(ckpt.c_str());
 
-      sim::CampaignOptions opts = scn.campaign_options(&stats);
+      sim::CampaignOptions opts = s.campaign_options(&stats);
       opts.parallel = {threads};
       opts.cancel = &interrupt_flag();
       opts.checkpoint_path = ckpt;
-      opts.checkpoint_key = sim::default_checkpoint_key(bus, lib);
+      opts.checkpoint_key = s.checkpoint_key(lib);
       opts.checkpoint_every = 3;  // small, so a hard crash loses little
 
       ChaosOutcome oc;
@@ -1367,8 +1227,7 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
                       std::to_string(at) + ":" +
                       std::to_string(rng.below(1u << 30)));
         try {
-          const std::vector<sim::Verdict> det =
-              sim::run_detection_sessions(cfg, sessions, bus, lib, opts);
+          const std::vector<sim::OnlineOutcome> det = run(s, lib, opts);
           inj.disarm();
           if (det != reference) {
             err << "error: chaos: completed campaign diverged from the "
@@ -1397,9 +1256,7 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
 
       // Drain: no more kills, the chain must finish and match.
       inj.disarm();
-      const std::vector<sim::Verdict> finished =
-          sim::run_detection_sessions(cfg, sessions, bus, lib, opts);
-      if (finished != reference) {
+      if (run(s, lib, opts) != reference) {
         err << "error: chaos: resumed campaign diverged from the "
                "uninterrupted reference (bus="
             << soc::to_string(bus) << " threads=" << threads << ")\n";
@@ -1408,19 +1265,21 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
       std::remove(ckpt.c_str());
       char buf[256];
       std::snprintf(buf, sizeof buf,
-                    "chaos bus=%s threads=%u: %zu kills (%zu hard), %zu "
-                    "truncations, %zu clean completions, verdicts identical\n",
-                    soc::to_string(bus).c_str(), threads, oc.kills,
-                    oc.crashes, oc.truncations, oc.completions);
+                    "chaos %sbus=%s threads=%u: %zu kills (%zu hard), %zu "
+                    "truncations, %zu clean completions, %s identical\n",
+                    online ? "online " : "", soc::to_string(bus).c_str(),
+                    threads, oc.kills, oc.crashes, oc.truncations,
+                    oc.completions, online ? "outcomes" : "verdicts");
       out << buf;
     }
   }
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "chaos soak passed: salvaged_sections=%zu dropped_slots=%zu "
+                "%schaos soak passed: salvaged_sections=%zu dropped_slots=%zu "
                 "restored=%zu flush_failures=%zu\n",
-                stats.salvaged_sections, stats.dropped_slots,
-                stats.restored_from_checkpoint, stats.flush_failures);
+                online ? "online " : "", stats.salvaged_sections,
+                stats.dropped_slots, stats.restored_from_checkpoint,
+                stats.flush_failures);
   out << buf;
   return kExitOk;
 }
