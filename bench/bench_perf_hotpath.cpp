@@ -1,9 +1,7 @@
-// Perf baseline for the simulator hot path: cached bus-transition
-// evaluation and the precomputed fast receive path.
+// Perf baseline for the simulator hot path: the precomputed fast receive
+// path.
 //
 // Emits BENCH_PERF.json (in the working directory) with:
-//   * repeated-transfer throughput, transition cache on vs off, and the
-//     resulting speedup (CI gates it at >= 2x);
 //   * single-call receive latency, fast BusEvaluator vs the reference
 //     CrosstalkErrorModel;
 //   * campaign wall time and throughput at 1 and 4 threads (five identical
@@ -27,7 +25,6 @@
 #include "sbst/generator.h"
 #include "sim/campaign.h"
 #include "sim/online.h"
-#include "soc/bus.h"
 #include "soc/system.h"
 #include "util/parallel.h"
 #include "xtalk/defect.h"
@@ -45,9 +42,6 @@ struct Timed {
   double per_call_ns() const {
     return calls > 0 ? seconds * 1e9 / static_cast<double>(calls) : 0.0;
   }
-  double per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
-  }
 };
 
 /// Repeats `body` (which performs `batch_calls` calls) until `min_seconds`
@@ -63,31 +57,6 @@ Timed measure(double min_seconds, std::uint64_t batch_calls, Body&& body) {
     t.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   } while (t.seconds < min_seconds);
   return t;
-}
-
-/// Fetch-loop style traffic: a short cyclic address sequence, exactly the
-/// shape that dominates a self-test program (the same transitions repeat
-/// thousands of times per run).
-std::vector<util::BusWord> fetch_sequence(unsigned width) {
-  std::vector<util::BusWord> seq;
-  for (unsigned i = 0; i < 16; ++i)
-    seq.emplace_back(width, (0x100u + i * 37u) & util::BusWord::mask(width));
-  return seq;
-}
-
-double transfers_per_sec(const xtalk::BusEvaluator& eval, bool use_cache) {
-  soc::TristateBus bus(soc::BusKind::kAddress, eval.width());
-  xtalk::TransitionCache cache(eval.width());
-  xtalk::TransitionCache* cache_ptr = use_cache ? &cache : nullptr;
-  const std::vector<util::BusWord> seq = fetch_sequence(eval.width());
-  std::uint64_t sink = 0;
-  const Timed t = measure(0.25, seq.size() * 64, [&] {
-    for (int rep = 0; rep < 64; ++rep)
-      for (const util::BusWord& w : seq)
-        sink ^= bus.transfer(w, &eval, cache_ptr).bits();
-  });
-  benchmark::DoNotOptimize(sink);
-  return t.per_sec();
 }
 
 double receive_ns_fast(const xtalk::BusEvaluator& eval,
@@ -116,7 +85,6 @@ double receive_ns_reference(const xtalk::RcNetwork& net,
 struct CampaignPoint {
   double wall_seconds = 0.0;
   double defects_per_second = 0.0;
-  double cache_hit_rate = 0.0;
 };
 
 /// Runs the same single-program campaign five times and reports the
@@ -133,8 +101,7 @@ CampaignPoint campaign_point(unsigned threads) {
   opts.stats = &stats;
   for (int pass = 0; pass < 5; ++pass)
     sim::run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, opts);
-  return {stats.wall_seconds, stats.defects_per_second(),
-          stats.cache_hit_rate()};
+  return {stats.wall_seconds, stats.defects_per_second()};
 }
 
 /// One serial multi-session campaign (96 slow-tester defects, every
@@ -184,10 +151,10 @@ void print_perf_baseline() {
   const xtalk::RcNetwork nominal(g);
   const xtalk::ErrorModelConfig thresholds = xtalk::ErrorModelConfig::calibrated(
       nominal, xtalk::recommended_cth(nominal));
-  // The microbenches run on a *defective* bus: the calibrated nominal bus
+  // The microbench runs on a *defective* bus: the calibrated nominal bus
   // is provably excursion-free, so its evaluator answers with an identity
-  // early-exit that touches neither the cache nor the analytic path --
-  // only a perturbed network still exercises what these points measure.
+  // early-exit that skips the analytic path -- only a perturbed network
+  // still exercises what this point measures.
   xtalk::DefectConfig dc;
   dc.cth_fF = xtalk::recommended_cth(nominal);
   dc.count = 1;
@@ -204,19 +171,10 @@ void print_perf_baseline() {
     pairs.push_back({util::BusWord(12, word(rng)),
                      util::BusWord(12, word(rng))});
 
-  const double xfer_on = transfers_per_sec(eval, true);
-  const double xfer_off = transfers_per_sec(eval, false);
-  const double xfer_speedup = xfer_off > 0.0 ? xfer_on / xfer_off : 0.0;
   const double ns_fast = receive_ns_fast(eval, pairs);
   const double ns_ref = receive_ns_reference(net, reference, pairs);
   const double recv_speedup = ns_fast > 0.0 ? ns_ref / ns_fast : 0.0;
 
-  std::printf("\nrepeated transfers (12-wire defective bus, 16-word fetch "
-              "loop):\n"
-              "  cache on : %12.0f transfers/sec\n"
-              "  cache off: %12.0f transfers/sec\n"
-              "  speedup  : %.2fx\n",
-              xfer_on, xfer_off, xfer_speedup);
   std::printf("\nsingle receive (defective bus, random 12-wire "
               "transitions):\n"
               "  fast evaluator : %8.1f ns/call\n"
@@ -227,11 +185,10 @@ void print_perf_baseline() {
   const CampaignPoint t1 = campaign_point(1);
   const CampaignPoint t4 = campaign_point(4);
   std::printf("\ncampaign (48 address defects, 5 passes):\n"
-              "  threads=1: %.3f s wall, %.0f defects/sec, hit rate %.1f%%\n"
-              "  threads=4: %.3f s wall, %.0f defects/sec, hit rate %.1f%%\n",
-              t1.wall_seconds, t1.defects_per_second,
-              100.0 * t1.cache_hit_rate, t4.wall_seconds,
-              t4.defects_per_second, 100.0 * t4.cache_hit_rate);
+              "  threads=1: %.3f s wall, %.0f defects/sec\n"
+              "  threads=4: %.3f s wall, %.0f defects/sec\n",
+              t1.wall_seconds, t1.defects_per_second, t4.wall_seconds,
+              t4.defects_per_second);
 
   const double sessions_rate = sessions_defects_per_sec();
   std::printf("\ncampaign, every session (96 slow-tester defects, serial):\n"
@@ -255,9 +212,6 @@ void print_perf_baseline() {
   std::snprintf(
       json, sizeof json,
       "{\"bench\":\"perf_hotpath\","
-      "\"transfers_per_sec_cache_on\":%.0f,"
-      "\"transfers_per_sec_cache_off\":%.0f,"
-      "\"repeated_transfer_speedup\":%.3f,"
       "\"receive_ns_fast\":%.2f,"
       "\"receive_ns_reference\":%.2f,"
       "\"receive_speedup\":%.3f,"
@@ -265,7 +219,6 @@ void print_perf_baseline() {
       "\"campaign_wall_s_threads4\":%.4f,"
       "\"campaign_defects_per_sec_threads1\":%.1f,"
       "\"campaign_defects_per_sec_threads4\":%.1f,"
-      "\"cache_hit_rate\":%.4f,"
       "\"campaign_defects_per_sec\":%.1f,"
       "\"online_defects_per_sec\":%.1f,"
       "\"online_rounds\":%llu,"
@@ -277,9 +230,8 @@ void print_perf_baseline() {
       "\"hardware_concurrency\":%u,"
       "\"cpus_detected\":%u,"
       "\"build_type\":\"%s\"}",
-      xfer_on, xfer_off, xfer_speedup, ns_fast, ns_ref, recv_speedup,
-      t1.wall_seconds, t4.wall_seconds, t1.defects_per_second,
-      t4.defects_per_second, t1.cache_hit_rate, sessions_rate,
+      ns_fast, ns_ref, recv_speedup, t1.wall_seconds, t4.wall_seconds,
+      t1.defects_per_second, t4.defects_per_second, sessions_rate,
       online.defects_per_second,
       static_cast<unsigned long long>(online.rounds),
       static_cast<unsigned long long>(online.latency_cycles),

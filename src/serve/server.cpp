@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -80,14 +81,32 @@ std::string event_payload(std::uint64_t job, std::uint32_t seq, EventKind kind,
   return p;
 }
 
+/// The live ServerStats: the poll loop and the runner thread bump them
+/// while any thread may take a snapshot.  Each counter is an independent
+/// tally that publishes no other memory, so relaxed order suffices.
+struct LiveStats {
+  std::atomic<std::size_t> connections_accepted{0};
+  std::atomic<std::size_t> connections_dropped{0};
+  std::atomic<std::size_t> frames_rejected{0};
+  std::atomic<std::size_t> idle_reaped{0};
+  std::atomic<std::size_t> jobs_completed{0};
+  std::atomic<std::size_t> jobs_failed{0};
+  std::atomic<std::size_t> jobs_degraded{0};
+  std::atomic<std::size_t> job_retries{0};
+  std::atomic<std::size_t> events_streamed{0};
+};
+
+void bump(std::atomic<std::size_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 struct Server::Impl {
-  explicit Impl(const ServerOptions& opt, ServerStats* stats)
-      : opt(opt), stats(stats), queue(opt.queue_path) {}
+  explicit Impl(const ServerOptions& opt) : opt(opt), queue(opt.queue_path) {}
 
   const ServerOptions& opt;
-  ServerStats* stats;
+  LiveStats stats;
 
   int listen_fd = -1;
   util::Pipe wake;  ///< runner -> poll loop
@@ -213,8 +232,8 @@ struct Server::Impl {
         j->exit_code = r.degraded() ? 6 : 0;
         persist_quietly();
         post_completion_events_locked(*j);
-        ++stats->jobs_completed;
-        if (j->degraded) ++stats->jobs_degraded;
+        bump(stats.jobs_completed);
+        if (j->degraded) bump(stats.jobs_degraded);
       }
       wake_poll();
       cleanup_job_files(job, /*keep_checkpoints=*/false);
@@ -235,7 +254,7 @@ struct Server::Impl {
         if (j->attempts <= opt.job_retries) {
           j->state = JobState::kQueued;
           retry = true;
-          ++stats->job_retries;
+          bump(stats.job_retries);
           logln("job " + std::to_string(job.id) + " attempt " +
                 std::to_string(j->attempts) + " failed (" + e.what() +
                 "), retrying");
@@ -244,7 +263,7 @@ struct Server::Impl {
           j->exit_code = 4;
           j->error = e.what();
           post_completion_events_locked(*j);
-          ++stats->jobs_failed;
+          bump(stats.jobs_failed);
           logln("job " + std::to_string(job.id) + " failed permanently: " +
                 e.what());
         }
@@ -317,7 +336,7 @@ struct Server::Impl {
   void drop_conn(Conn& c, const char* why) {
     if (c.dead) return;
     c.dead = true;
-    ++stats->connections_dropped;
+    bump(stats.connections_dropped);
     logln(std::string("dropping connection: ") + why);
   }
 
@@ -475,7 +494,7 @@ struct Server::Impl {
           f.payload = event_payload(id, e.seq, e.kind, e.text);
           append_frame(c, f);
           ++sub.next;
-          ++stats->events_streamed;
+          bump(stats.events_streamed);
         }
         if (sub.progress_sent != st.progress &&
             c.outbuf.size() < opt.send_buffer_cap &&
@@ -513,7 +532,7 @@ struct Server::Impl {
       c.last_activity = Clock::now();
       if (!c.dec.feed(buf, static_cast<std::size_t>(n))) {
         // Protocol violation: reject the stream, never the process.
-        ++stats->frames_rejected;
+        bump(stats.frames_rejected);
         send_error(c, 0, std::string("protocol error: ") +
                              to_string(c.dec.error()));
         flush_conn(c);  // best effort before the drop
@@ -551,10 +570,10 @@ struct Server::Impl {
     for (;;) {
       const int fd = util::accept_connection(listen_fd);
       if (fd < 0) return;
-      ++stats->connections_accepted;
+      bump(stats.connections_accepted);
       if (inj.fire("serve.accept")) {
         ::close(fd);
-        ++stats->connections_dropped;
+        bump(stats.connections_dropped);
         continue;
       }
       util::set_nonblocking(fd);
@@ -573,7 +592,7 @@ struct Server::Impl {
                             .count();
       if (idle >= 0 &&
           static_cast<std::uint64_t>(idle) > opt.idle_timeout_ms) {
-        ++stats->idle_reaped;
+        bump(stats.idle_reaped);
         drop_conn(*cp, "idle deadline");
       }
     }
@@ -608,7 +627,7 @@ struct Server::Impl {
 };
 
 Server::Server(ServerOptions opt)
-    : opt_(std::move(opt)), impl_(new Impl(opt_, &stats_)) {}
+    : opt_(std::move(opt)), impl_(new Impl(opt_)) {}
 
 Server::~Server() {
   if (impl_ != nullptr) {
@@ -627,6 +646,22 @@ Server::~Server() {
     for (auto& c : impl_->conns) util::close_fd(c->fd);
     delete impl_;
   }
+}
+
+ServerStats Server::stats() const {
+  const LiveStats& s = impl_->stats;
+  const auto get = [](const std::atomic<std::size_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  return {.connections_accepted = get(s.connections_accepted),
+          .connections_dropped = get(s.connections_dropped),
+          .frames_rejected = get(s.frames_rejected),
+          .idle_reaped = get(s.idle_reaped),
+          .jobs_completed = get(s.jobs_completed),
+          .jobs_failed = get(s.jobs_failed),
+          .jobs_degraded = get(s.jobs_degraded),
+          .job_retries = get(s.job_retries),
+          .events_streamed = get(s.events_streamed)};
 }
 
 void Server::start() {

@@ -78,7 +78,8 @@ struct ServerOptions {
   std::ostream* log = nullptr;
 };
 
-/// Daemon counters, for the shutdown report and tests.
+/// Daemon counters, for the shutdown report and tests: a snapshot taken by
+/// Server::stats().
 struct ServerStats {
   std::size_t connections_accepted = 0;
   std::size_t connections_dropped = 0;  ///< protocol errors + I/O failures
@@ -110,13 +111,14 @@ class Server {
 
   /// TCP port actually bound (after start(); 0 for Unix sockets).
   std::uint16_t bound_port() const { return bound_port_; }
-  const ServerStats& stats() const { return stats_; }
+  /// Snapshot of the daemon counters, safe to take from any thread while
+  /// run() is serving.
+  ServerStats stats() const;
 
  private:
   struct Impl;
   ServerOptions opt_;
   std::uint16_t bound_port_ = 0;
-  ServerStats stats_;
   Impl* impl_;  ///< last member: constructed against the settled options
 };
 

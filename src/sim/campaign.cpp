@@ -335,18 +335,11 @@ std::vector<typename Policy::Outcome> run_slots(
   const auto notify_progress = [&options] {
     if (options.progress) options.progress();
   };
-  soc::CacheCounters xfer_counters;
-  const auto absorb = [&xfer_counters](const soc::System& system) {
-    const soc::CacheCounters c = system.transition_cache_counters();
-    xfer_counters.hits += c.hits;
-    xfer_counters.misses += c.misses;
-  };
   std::uint64_t gold_cycles = 0;
   Outcome gold;
   {
     soc::System gold_system(config);
     gold = policy.gold(gold_system, program, gold_cycles);
-    if (books_gold) absorb(gold_system);
   }
 
   std::vector<Outcome> outcomes(n);
@@ -421,9 +414,6 @@ std::vector<typename Policy::Outcome> run_slots(
         }
       });
 
-  for (const std::unique_ptr<soc::System>& s : systems)
-    if (s) absorb(*s);
-
   // Quarantine: each failed defect is retried once serially on a fresh
   // simulator (a transient poisoned-worker state cannot recur there); a
   // second failure is recorded as kSimError and the campaign still
@@ -449,7 +439,6 @@ std::vector<typename Policy::Outcome> run_slots(
       } catch (...) {
         message = "unknown exception";
       }
-      absorb(system);
     }
     if (!recovered) {
       outcomes[e.index] = Outcome{};
@@ -488,8 +477,6 @@ std::vector<typename Policy::Outcome> run_slots(
     if (books_gold) stats.simulated_cycles += gold_cycles;
     for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
     if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
-    stats.cache_hits += xfer_counters.hits;
-    stats.cache_misses += xfer_counters.misses;
     // Outcome tallies cover the complete owned slice (restored slots
     // included) and only a completed call, so an interrupted-then-resumed
     // campaign reports exactly the uninterrupted numbers and per-shard

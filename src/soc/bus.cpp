@@ -25,8 +25,7 @@ util::BusWord TristateBus::transfer(util::BusWord word,
 }
 
 util::BusWord TristateBus::transfer(util::BusWord word,
-                                    const xtalk::BusEvaluator* eval,
-                                    xtalk::TransitionCache* cache) {
+                                    const xtalk::BusEvaluator* eval) {
   assert(word.width() == width_);
   const std::uint64_t held = held_.bits();
   const std::uint64_t driven = word.bits();
@@ -35,18 +34,9 @@ util::BusWord TristateBus::transfer(util::BusWord word,
   // Early exits: an evaluator whose worst case provably never deviates
   // (calibrated nominal networks) samples the driven word on *every*
   // transition, and a quiet bus (no wire toggles) does so whenever the
-  // glitch threshold is positive.  Neither case touches the cache.
+  // glitch threshold is positive.
   if (eval->always_identity()) return word;
   if (held == driven && eval->quiet_is_identity()) return word;
-  if (cache != nullptr && cache->enabled()) {
-    const std::uint64_t key = (held << width_) | driven;
-    std::uint64_t value = 0;
-    if (!cache->lookup(key, value)) {
-      value = eval->receive(held, driven);
-      cache->insert(key, value);
-    }
-    return {width_, value};
-  }
   return {width_, eval->receive(held, driven)};
 }
 

@@ -47,17 +47,8 @@ class TristateBus {
   /// the reference overload on the same network/thresholds).  A quiet bus
   /// (re-driving the held word) skips evaluation entirely when the
   /// evaluator proves the identity -- the most common transfer in real
-  /// programs.  `cache` (optional) memoizes (held, driven) -> received per
-  /// defect; `eval` may be null or empty for an ideal bus.
-  util::BusWord transfer(util::BusWord word, const xtalk::BusEvaluator* eval,
-                         xtalk::TransitionCache* cache);
-
-  /// Ideal bus: `transfer(word, nullptr, nullptr)` would be ambiguous
-  /// between the two evaluating overloads; both degrade to this.
-  util::BusWord transfer(util::BusWord word, std::nullptr_t, std::nullptr_t) {
-    return transfer(word, static_cast<const xtalk::RcNetwork*>(nullptr),
-                    nullptr);
-  }
+  /// programs.  `eval` may be null or empty for an ideal bus.
+  util::BusWord transfer(util::BusWord word, const xtalk::BusEvaluator* eval);
 
   /// Resets the held value (e.g. at system reset).
   void reset() { held_ = util::BusWord::zeros(width_); }

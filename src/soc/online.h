@@ -13,9 +13,8 @@
 // Both contexts are full SliceState snapshots, so each swap-in replays
 // the exact architectural state (memory, registers, bus held words) the
 // context last saw; bus transfers stay cycle-accurate through the same
-// BusEvaluator/TransitionCache machinery as any off-line run.  The
-// functional window attaches the DeadlineDevice MMIO window; the test
-// slice detaches it.
+// BusEvaluator as any off-line run.  The functional window attaches the
+// DeadlineDevice MMIO window; the test slice detaches it.
 //
 // Functional interference is measured at the MMIO seam: the workload
 // writes a heartbeat register, and the device timestamps every write on

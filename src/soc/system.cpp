@@ -16,12 +16,6 @@ xtalk::ErrorModelConfig scaled_calibration(
   return cfg;
 }
 
-xtalk::TransitionCache make_cache(bool enabled, unsigned width) {
-  if (!enabled || !xtalk::TransitionCache::cacheable(width))
-    return xtalk::TransitionCache{};
-  return xtalk::TransitionCache{width};
-}
-
 }  // namespace
 
 System::System(const SystemConfig& config)
@@ -41,19 +35,15 @@ System::System(const SystemConfig& config)
       nominal_addr_eval_(nominal_addr_net_, addr_model_.config()),
       nominal_data_eval_(nominal_data_net_, data_model_.config()),
       nominal_ctrl_eval_(nominal_ctrl_net_, ctrl_model_.config()),
-      addr_{nominal_addr_net_, nominal_addr_eval_,
-            make_cache(config.transition_cache, nominal_addr_net_.width())},
-      data_{nominal_data_net_, nominal_data_eval_,
-            make_cache(config.transition_cache, nominal_data_net_.width())},
-      ctrl_{nominal_ctrl_net_, nominal_ctrl_eval_,
-            make_cache(config.transition_cache, nominal_ctrl_net_.width())} {}
+      addr_{nominal_addr_net_, nominal_addr_eval_},
+      data_{nominal_data_net_, nominal_data_eval_},
+      ctrl_{nominal_ctrl_net_, nominal_ctrl_eval_} {}
 
 void System::set_network(BusChannel& channel,
                          const xtalk::CrosstalkErrorModel& model,
                          xtalk::RcNetwork net) {
   channel.net = std::move(net);
   channel.eval = xtalk::BusEvaluator(channel.net, model.config());
-  channel.cache.invalidate();
 }
 
 void System::set_address_network(xtalk::RcNetwork net) {
@@ -75,23 +65,6 @@ void System::clear_defects() {
   addr_.eval = nominal_addr_eval_;
   data_.eval = nominal_data_eval_;
   ctrl_.eval = nominal_ctrl_eval_;
-  addr_.cache.invalidate();
-  data_.cache.invalidate();
-  ctrl_.cache.invalidate();
-}
-
-void System::set_forced_maf(std::optional<ForcedMaf> f) {
-  forced_ = f;
-  for (BusChannel* ch : {&addr_, &data_, &ctrl_}) ch->cache.invalidate();
-}
-
-CacheCounters System::transition_cache_counters() const {
-  CacheCounters c;
-  for (const BusChannel* ch : {&addr_, &data_, &ctrl_}) {
-    c.hits += ch->cache.hits();
-    c.misses += ch->cache.misses();
-  }
-  return c;
 }
 
 void System::attach_mmio(cpu::Addr base, cpu::Addr size, MmioDevice* device) {
@@ -129,14 +102,14 @@ RunResult System::run(std::uint64_t max_cycles) {
   return {cpu_.cycles(), cpu_.halted(), cpu_.halt_reason()};
 }
 
-util::BusWord System::apply_bus(TristateBus& bus, BusChannel& channel,
+util::BusWord System::apply_bus(TristateBus& bus, const BusChannel& channel,
                                 const xtalk::CrosstalkErrorModel& model,
                                 util::BusWord driven,
                                 xtalk::BusDirection direction) {
   const xtalk::VectorPair pair{bus.held(), driven};
   util::BusWord received =
       fast_receive_
-          ? bus.transfer(driven, &channel.eval, &channel.cache)
+          ? bus.transfer(driven, &channel.eval)
           : bus.transfer(driven, &channel.net, &model);
   if (forced_ && forced_->bus == bus.kind() &&
       forced_->fault.direction == direction &&

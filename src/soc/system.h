@@ -48,11 +48,10 @@ struct SystemConfig {
   /// proportionally and marginal delay defects stop being observable --
   /// the paper's core argument for at-speed self-test (Section 1).
   double clock_period_scale = 1.0;
-  /// Hot-path controls.  Both paths produce bit-identical received words
-  /// (tests/test_fastpath.cpp); `false` selects the reference evaluation
-  /// for equivalence testing.
-  bool fast_receive = true;      ///< precomputed per-defect BusEvaluator
-  bool transition_cache = true;  ///< memoize (held, driven) per defect
+  /// Hot-path control: the precomputed per-defect BusEvaluator.  Both
+  /// paths produce bit-identical received words (tests/test_fastpath.cpp);
+  /// `false` selects the reference evaluation, the equivalence oracle.
+  bool fast_receive = true;
   /// Electrical backend of every bus receiver (xtalk/electrical.h).  The
   /// default full-swing backend reproduces the paper's calibration
   /// bit-for-bit; low-swing recalibrates the thresholds for a reduced
@@ -60,12 +59,6 @@ struct SystemConfig {
   xtalk::ElectricalConfig electrical;
 
   bool operator==(const SystemConfig&) const = default;
-};
-
-/// Transition-cache counters summed over a system's three buses.
-struct CacheCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
 };
 
 struct RunResult {
@@ -119,21 +112,15 @@ class System : public cpu::BusPort {
   }
 
   /// Defect injection: replace a bus's RC network (pass the defect-applied
-  /// network).  Rebuilds the bus's fast evaluator and invalidates its
-  /// transition cache.  `clear_defects` restores all nominals.
+  /// network).  Rebuilds the bus's fast evaluator.  `clear_defects`
+  /// restores all nominals.
   void set_address_network(xtalk::RcNetwork net);
   void set_data_network(xtalk::RcNetwork net);
   void set_control_network(xtalk::RcNetwork net);
   void clear_defects();
 
-  /// Forcing (or clearing) an ideal MAF invalidates the transition caches:
-  /// cached entries hold the *model* result, and belt-and-suspenders
-  /// invalidation keeps every cached word derivable from current state.
-  void set_forced_maf(std::optional<ForcedMaf> f);
-
-  /// Transition-cache hits/misses accumulated over all three buses since
-  /// construction (0/0 when the cache is disabled).
-  CacheCounters transition_cache_counters() const;
+  /// Forces (or clears) an ideal MAF, applied on top of the model result.
+  void set_forced_maf(std::optional<ForcedMaf> f) { forced_ = f; }
 
   /// Attach a peripheral core at [base, base+size).  The window shadows
   /// memory for CPU accesses.
@@ -152,9 +139,9 @@ class System : public cpu::BusPort {
   SliceState save_slice() const;
 
   /// Reinstates a captured state.  Execution continued with run() is
-  /// bitwise-identical to the run that never stopped: the defect channels,
-  /// caches, and counters are deliberately NOT part of the state -- they
-  /// belong to the simulator, not to the suspended program.
+  /// bitwise-identical to the run that never stopped: the defect channels
+  /// are deliberately NOT part of the state -- they belong to the
+  /// simulator, not to the suspended program.
   void restore_slice(const SliceState& state);
 
   // --- operation ----------------------------------------------------------
@@ -188,15 +175,14 @@ class System : public cpu::BusPort {
   /// Control-bus transfer (CPU drives); returns the word memory receives.
   ControlView send_control(bool write);
 
-  /// One bus's active evaluation state: the defect-applied network, its
-  /// precomputed fast evaluator, and the per-defect transition memo.
+  /// One bus's active evaluation state: the defect-applied network and
+  /// its precomputed fast evaluator.
   struct BusChannel {
     xtalk::RcNetwork net;
     xtalk::BusEvaluator eval;
-    xtalk::TransitionCache cache;
   };
 
-  util::BusWord apply_bus(TristateBus& bus, BusChannel& channel,
+  util::BusWord apply_bus(TristateBus& bus, const BusChannel& channel,
                           const xtalk::CrosstalkErrorModel& model,
                           util::BusWord driven, xtalk::BusDirection direction);
 

@@ -195,13 +195,6 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.system.fast_receive = bool_value(v);
        }},
-      {"system.transition_cache",
-       [](const ScenarioSpec& s) {
-         return bool_text(s.system.transition_cache);
-       },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.system.transition_cache = bool_value(v);
-       }},
       {"system.electrical",
        [](const ScenarioSpec& s) {
          return xtalk::to_string(s.system.electrical.backend);
@@ -434,7 +427,6 @@ std::string ScenarioSpec::checkpoint_key(
       "seed",
       "sigma_pct",
       "system.fast_receive",
-      "system.transition_cache",
       "campaign.threads",
       "campaign.retry_errors",
       "campaign.checkpoint_every",
@@ -624,12 +616,12 @@ std::vector<ScenarioSpec> make_builtins() {
   }
   {
     // A full-size Fig. 10 library in one sweep; stresses the campaign
-    // engine and the gold/transition caches rather than the method.
+    // engine rather than the method.
     ScenarioSpec s;
     s.name = "stress-1k-defects";
     s.description =
         "Stress sweep: the paper's full 1000-defect library through every "
-        "session (campaign-engine and cache stress)";
+        "session (campaign-engine stress)";
     s.defect_count = 1000;
     v.push_back(s);
   }

@@ -80,7 +80,7 @@ struct ScenarioSpec {
   double sigma_pct = 50.0;
 
   /// Electrical configuration: geometries, cth_ratio, clock_period_scale,
-  /// and the hot-path knobs (fast_receive / transition_cache).
+  /// and the hot-path knob (fast_receive).
   soc::SystemConfig system;
 
   /// SBST program selection: bus/test-kind groups, placement order,

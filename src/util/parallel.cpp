@@ -122,8 +122,7 @@ std::string CampaignStats::json(const std::string& label) const {
       "\"detected_by_timeout\":%zu,\"undetected\":%zu,\"sim_errors\":%zu,"
       "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
       "\"salvaged_sections\":%zu,\"dropped_slots\":%zu,"
-      "\"flush_failures\":%zu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-      "\"cache_hit_rate\":%.4f,"
+      "\"flush_failures\":%zu,"
       "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
       "\"online_deadlines_late\":%llu,\"online_deadlines_missed\":%llu,"
       "\"online_detection_latency_cycles\":%llu,"
@@ -134,8 +133,6 @@ std::string CampaignStats::json(const std::string& label) const {
       defects_per_second(), detected, detected_by_timeout, undetected,
       sim_errors, retries, restored_from_checkpoint, salvaged_sections,
       dropped_slots, flush_failures,
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses), cache_hit_rate(),
       static_cast<unsigned long long>(online_rounds),
       static_cast<unsigned long long>(online_mmio_heartbeats),
       static_cast<unsigned long long>(online_deadlines_late),
@@ -159,8 +156,6 @@ void CampaignStats::merge_from(const CampaignStats& other) {
   salvaged_sections += other.salvaged_sections;
   dropped_slots += other.dropped_slots;
   flush_failures += other.flush_failures;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
   online_rounds += other.online_rounds;
   online_mmio_heartbeats += other.online_mmio_heartbeats;
   online_deadlines_late += other.online_deadlines_late;
@@ -234,8 +229,6 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   any |= json_counter(obj, "salvaged_sections", out.salvaged_sections);
   any |= json_counter(obj, "dropped_slots", out.dropped_slots);
   any |= json_counter(obj, "flush_failures", out.flush_failures);
-  any |= json_counter(obj, "cache_hits", out.cache_hits);
-  any |= json_counter(obj, "cache_misses", out.cache_misses);
   any |= json_counter(obj, "online_rounds", out.online_rounds);
   any |= json_counter(obj, "online_mmio_heartbeats",
                       out.online_mmio_heartbeats);

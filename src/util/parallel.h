@@ -112,13 +112,6 @@ struct CampaignStats {
   /// Periodic checkpoint flushes that failed (ENOSPC, injected fault, ...)
   /// and were deferred to the next flush instead of aborting the campaign.
   std::size_t flush_failures = 0;
-  // Transition-cache counters (results are unaffected: cached words are
-  // bit-identical to recomputation).  Every run starts from an empty
-  // cache, so both are pure functions of the campaign inputs.
-  /// Bus transfers answered from a transition memo instead of re-evaluated.
-  std::uint64_t cache_hits = 0;
-  /// Bus transfers that missed the memo and ran the analytic fast path.
-  std::uint64_t cache_misses = 0;
   // Nothing writes these four; perfbench still reads them.
   std::size_t gold_reuses = 0;
   std::size_t run_reuses = 0;
@@ -153,13 +146,9 @@ struct CampaignStats {
                : 0.0;
   }
 
-  /// Fraction of cache-eligible transfers served from the memo, in [0, 1].
-  double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total > 0 ? static_cast<double>(cache_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
+  /// Always 0: the simulator keeps no transition memo.  perfbench still
+  /// reads it.
+  double cache_hit_rate() const { return 0.0; }
 
   /// One-line JSON record for the perf trajectory, keyed by `label`.
   /// Besides the counters it records the execution environment --
@@ -169,13 +158,13 @@ struct CampaignStats {
   std::string json(const std::string& label) const;
 
   /// Adds another campaign's RAW counters onto this one (shard merge,
-  /// supervised workers).  Every derived ratio -- cache_hit_rate,
-  /// defects_per_second -- stays a function over the merged
-  /// raw counters, so merging never averages rates: the merged hit rate
-  /// is (sum hits) / (sum hits + sum misses), not the mean of per-shard
-  /// rates.  wall_seconds accumulates (aggregate time inside campaign
-  /// calls, as for multi-session sweeps); `threads` keeps the maximum of
-  /// the two resolved worker counts; error_log entries are appended.
+  /// supervised workers).  Derived ratios such as defects_per_second stay
+  /// functions over the merged raw counters, so merging never averages
+  /// rates: the merged throughput is (sum defects) / (sum wall_seconds),
+  /// not the mean of per-shard rates.  wall_seconds accumulates (aggregate
+  /// time inside campaign calls, as for multi-session sweeps); `threads`
+  /// keeps the maximum of the two resolved worker counts; error_log
+  /// entries are appended.
   void merge_from(const CampaignStats& other);
 };
 
@@ -191,7 +180,8 @@ struct StatsJsonError : std::runtime_error {
 };
 
 /// Best-effort inverse of CampaignStats::json for the flat numeric fields
-/// (verdict breakdown, cycles, cache counters, wall_seconds, threads).
+/// (verdict breakdown, cycles, resilience and on-line counters,
+/// wall_seconds, threads).
 /// Scans `line` for the first '{'...'}' JSON object; returns false when
 /// no such object or no known key is found, and throws
 /// StatsJsonError for an object that is damaged (see above).  Environment

@@ -100,49 +100,4 @@ std::uint64_t BusEvaluator::receive(std::uint64_t v1, std::uint64_t v2) const {
   return out;
 }
 
-TransitionCache::TransitionCache(unsigned width, unsigned log2_entries) {
-  assert(cacheable(width));
-  if (log2_entries > 2 * width) log2_entries = 2 * width;
-  // At least one full set of two ways (width >= 1 keeps 2 in range).
-  if (log2_entries < 2) log2_entries = 2;
-  entries_.assign(std::size_t{1} << log2_entries, Entry{});
-  shift_ = 64 - (log2_entries - 1);  // hash selects a set, not an entry
-}
-
-bool TransitionCache::lookup(std::uint64_t key, std::uint64_t& value) {
-  if (entries_.empty()) return false;
-  const std::size_t base = index(key);
-  Entry& e0 = entries_[base];
-  if (e0.generation == generation_ && e0.key == key) {
-    value = e0.value;
-    ++hits_;
-    return true;
-  }
-  Entry& e1 = entries_[base + 1];
-  if (e1.generation == generation_ && e1.key == key) {
-    value = e1.value;
-    std::swap(e0, e1);  // keep the set in MRU order
-    ++hits_;
-    return true;
-  }
-  ++misses_;
-  return false;
-}
-
-void TransitionCache::insert(std::uint64_t key, std::uint64_t value) {
-  if (entries_.empty()) return;
-  const std::size_t base = index(key);
-  entries_[base + 1] = entries_[base];  // evict the LRU way
-  entries_[base] = Entry{key, value, generation_};
-}
-
-void TransitionCache::invalidate() {
-  if (entries_.empty()) return;
-  if (++generation_ == 0) {
-    // Generation wrapped: entries stamped 0 would read as valid again.
-    for (Entry& e : entries_) e.generation = 0;
-    generation_ = 1;
-  }
-}
-
 }  // namespace xtest::xtalk

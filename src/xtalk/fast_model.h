@@ -3,22 +3,14 @@
 // `CrosstalkErrorModel::receive` is called once per bus transfer -- millions
 // of times per defect-simulation campaign -- and the reference implementation
 // re-reads the RC network through per-bit `bit()`/`with_bit()` accessors and
-// recomputes per-wire capacitance totals on every call.  This module provides
-// the production path:
-//
-//  * `BusEvaluator` precomputes, once per (network, thresholds) pair -- i.e.
-//    once per injected defect -- the contiguous coupling rows and the per-wire
-//    glitch denominators, and evaluates a whole transfer in a single pass over
-//    packed `std::uint64_t` words.  Stable wires integrate charge only over
-//    the *toggled* aggressors (`v1 ^ v2`), and the result word is mutated
-//    locally instead of through chained `with_bit` copies.
-//
-//  * `TransitionCache` memoizes receive results per defect.  Instruction-fetch
-//    loops drive the same (held, driven) pairs thousands of times per run, so
-//    a small direct-mapped table keyed by `(held << width) | word` converts
-//    almost the whole campaign inner loop into table lookups.  Invalidation
-//    is O(1) via a generation counter; hit/miss counters feed the campaign
-//    stats JSON.
+// recomputes per-wire capacitance totals on every call.  `BusEvaluator` is
+// the production path: it precomputes, once per (network, thresholds) pair
+// -- i.e. once per injected defect -- the contiguous coupling rows and the
+// per-wire glitch denominators, and evaluates a whole transfer in a single
+// pass over packed `std::uint64_t` words.  Stable wires integrate charge
+// only over the *toggled* aggressors (`v1 ^ v2`), and the result word is
+// mutated locally instead of through chained `with_bit` copies.  Nothing is
+// memoized: every transfer is evaluated from the precomputed rows.
 //
 // Bitwise-equivalence guarantee: `BusEvaluator::receive` performs the exact
 // floating-point operations of the reference model in the same order (the
@@ -85,64 +77,6 @@ class BusEvaluator {
   std::vector<double> glitch_denom_;  // ground_cap(i) + net_coupling(i)
   std::vector<double> ground_;        // ground_cap(i)
   std::vector<unsigned> active_;      // wires whose worst case can deviate
-};
-
-/// Two-way set-associative memo of receive results for one bus under one
-/// defect.
-///
-/// Key layout is `(held << width) | driven` -- unique for width <= 16 (all
-/// system buses are 12/8/3 wires), checked by `cacheable`.  The hash picks
-/// a set of two entries kept in MRU order; a straight-line SBST program has
-/// hundreds of unique transitions that each recur once per run, so a
-/// direct-mapped table ping-pongs colliding pairs into steady-state misses
-/// (~10% of all transfers) that two ways absorb almost entirely.  Entries
-/// are validated against a generation counter so `invalidate()` is O(1);
-/// the backing table is only rebuilt on the (astronomically rare)
-/// generation wrap.  Not thread-safe: each worker's System owns its own
-/// caches, exactly like the simulator state they memoize.
-class TransitionCache {
- public:
-  /// Empty cache: lookups miss without counting, inserts are dropped.
-  TransitionCache() = default;
-
-  /// `log2_entries` is the total entry count (two ways per set), clamped
-  /// to the key space (2 * width bits).
-  explicit TransitionCache(unsigned width, unsigned log2_entries = 14);
-
-  /// Whether the packed key is collision-free for this bus width.
-  static bool cacheable(unsigned width) { return width >= 1 && width <= 16; }
-
-  bool enabled() const { return !entries_.empty(); }
-
-  bool lookup(std::uint64_t key, std::uint64_t& value);
-  void insert(std::uint64_t key, std::uint64_t value);
-
-  /// Drops every entry in O(1).  Call whenever the underlying network,
-  /// thresholds, or forced-fault state changes.
-  void invalidate();
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    std::uint64_t key = 0;
-    std::uint64_t value = 0;
-    std::uint32_t generation = 0;  // valid iff == generation_
-  };
-
-  /// Base of the two-entry set for `key` (always even).
-  std::size_t index(std::uint64_t key) const {
-    // Fibonacci hash: spreads the low-entropy packed keys over the sets.
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_)
-           << 1;
-  }
-
-  std::vector<Entry> entries_;
-  std::uint32_t generation_ = 1;  // entries default to 0 == invalid
-  unsigned shift_ = 64;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace xtest::xtalk

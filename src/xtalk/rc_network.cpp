@@ -1,7 +1,6 @@
 #include "xtalk/rc_network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -13,8 +12,7 @@ RcNetwork::RcNetwork(const BusGeometry& geometry)
       driver_resistance_ohm_(geometry.driver_resistance_ohm),
       coupling_(static_cast<std::size_t>(geometry.width) * geometry.width,
                 0.0),
-      ground_(geometry.width, 0.0),
-      revision_(next_revision()) {
+      ground_(geometry.width, 0.0) {
   assert(width_ >= 2);
   const double c1 = geometry.coupling_fF_per_um * geometry.wire_length_um;
   for (unsigned i = 0; i < width_; ++i) {
@@ -28,16 +26,10 @@ RcNetwork::RcNetwork(const BusGeometry& geometry)
   }
 }
 
-std::uint64_t RcNetwork::next_revision() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 void RcNetwork::set_coupling(unsigned i, unsigned j, double fF) {
   assert(i != j && i < width_ && j < width_);
   coupling_[index(i, j)] = fF;
   coupling_[index(j, i)] = fF;
-  revision_ = next_revision();
 }
 
 void RcNetwork::scale_coupling(unsigned i, unsigned j, double factor) {
@@ -47,7 +39,6 @@ void RcNetwork::scale_coupling(unsigned i, unsigned j, double factor) {
 void RcNetwork::add_ground_load(unsigned i, double fF) {
   assert(i < width_);
   ground_[i] += fF;
-  revision_ = next_revision();
 }
 
 double RcNetwork::net_coupling(unsigned i) const {

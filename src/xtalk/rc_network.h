@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace xtest::xtalk {
@@ -67,16 +66,7 @@ class RcNetwork {
 
   const BusGeometry& geometry() const { return geometry_; }
 
-  /// Content identity for derived-data caches (e.g. the transient step
-  /// plan): drawn from a process-wide counter at construction and bumped by
-  /// every mutator, so two networks share a revision only when one is an
-  /// unmodified copy of the other -- i.e. only when their capacitances are
-  /// identical.  Address reuse can never alias two different networks.
-  std::uint64_t revision() const { return revision_; }
-
  private:
-  static std::uint64_t next_revision();
-
   std::size_t index(unsigned i, unsigned j) const {
     return static_cast<std::size_t>(i) * width_ + j;
   }
@@ -86,7 +76,6 @@ class RcNetwork {
   double driver_resistance_ohm_;
   std::vector<double> coupling_;  // width x width, symmetric, zero diagonal
   std::vector<double> ground_;    // per wire
-  std::uint64_t revision_;
 };
 
 }  // namespace xtest::xtalk

@@ -2,8 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -81,17 +79,12 @@ std::vector<double> maxwell_matrix(const RcNetwork& net) {
   return c;
 }
 
-}  // namespace
-
 // Trapezoidal rule for C dV/dt = D (S - V), with C in fF, t in ns, R in
-// ohm: D = 1e6 / R (so that tau = R * C comes out in ns).  Factored once
-// per (network revision, time step) and shared by every simulate() /
-// waveform() call; stepping never allocates.
+// ohm: D = 1e6 / R (so that tau = R * C comes out in ns).  Factored afresh
+// by every simulate() / waveform() call -- nothing is kept between calls
+// -- and stepping never allocates.
 struct TransientPlan {
   unsigned n;
-  double dt;
-  std::uint64_t revision;
-  bool fused;
   std::vector<double> m;  // C/dt - D/2
   std::vector<double> d;  // per-wire conductance term
   LuSolver lhs;           // C/dt + D/2
@@ -103,9 +96,6 @@ struct TransientPlan {
 
   TransientPlan(const RcNetwork& net, double time_step_ns, bool fuse)
       : n(net.width()),
-        dt(time_step_ns),
-        revision(net.revision()),
-        fused(fuse),
         m(maxwell_matrix(net)),
         d(n, 0.0),
         lhs([&] {
@@ -120,7 +110,7 @@ struct TransientPlan {
             net.width()) {
     const double g = 1e6 / net.driver_resistance();
     for (unsigned i = 0; i < n; ++i) {
-      for (unsigned j = 0; j < n; ++j) m[i * n + j] /= dt;
+      for (unsigned j = 0; j < n; ++j) m[i * n + j] /= time_step_ns;
       m[i * n + i] -= g / 2.0;
       d[i] = g;
     }
@@ -178,30 +168,13 @@ struct TransientPlan {
   }
 };
 
-struct TransientSimulator::PlanCache {
-  std::mutex mutex;
-  std::shared_ptr<const TransientPlan> plan;
-};
-
-TransientSimulator::TransientSimulator(TransientConfig config)
-    : config_(config), cache_(std::make_shared<PlanCache>()) {}
-
-std::shared_ptr<const TransientPlan> TransientSimulator::plan_for(
-    const RcNetwork& net) const {
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  std::shared_ptr<const TransientPlan>& plan = cache_->plan;
-  if (!plan || plan->revision != net.revision() || plan->n != net.width() ||
-      plan->dt != config_.time_step_ns || plan->fused != config_.fused_step)
-    plan = std::make_shared<const TransientPlan>(net, config_.time_step_ns,
-                                                 config_.fused_step);
-  return plan;
-}
+}  // namespace
 
 std::vector<WireResponse> TransientSimulator::simulate(
     const RcNetwork& net, const VectorPair& pair) const {
   const unsigned n = net.width();
   assert(pair.v1.width() == n && pair.v2.width() == n);
-  const std::shared_ptr<const TransientPlan> plan = plan_for(net);
+  const TransientPlan plan(net, config_.time_step_ns, config_.fused_step);
 
   std::vector<double> v(n), s(n);
   for (unsigned i = 0; i < n; ++i) {
@@ -209,7 +182,7 @@ std::vector<WireResponse> TransientSimulator::simulate(
     s[i] = pair.v2.bit(i) ? config_.vdd_v : 0.0;
   }
   std::vector<double> bs, next(n, 0.0), scratch;
-  plan->source_term(s, bs);
+  plan.source_term(s, bs);
 
   std::vector<WireResponse> out(n);
   const double half = config_.vdd_v / 2.0;
@@ -217,7 +190,7 @@ std::vector<WireResponse> TransientSimulator::simulate(
   const auto steps =
       static_cast<std::size_t>(config_.duration_ns / config_.time_step_ns);
   for (std::size_t k = 1; k <= steps; ++k) {
-    plan->step(v, bs, next, scratch);
+    plan.step(v, bs, next, scratch);
     const double t = static_cast<double>(k) * config_.time_step_ns;
     for (unsigned i = 0; i < n; ++i) {
       const double exc = v[i] - s[i];
@@ -239,19 +212,19 @@ std::vector<double> TransientSimulator::waveform(const RcNetwork& net,
                                                  unsigned wire) const {
   const unsigned n = net.width();
   assert(wire < n);
-  const std::shared_ptr<const TransientPlan> plan = plan_for(net);
+  const TransientPlan plan(net, config_.time_step_ns, config_.fused_step);
   std::vector<double> v(n), s(n);
   for (unsigned i = 0; i < n; ++i) {
     v[i] = pair.v1.bit(i) ? config_.vdd_v : 0.0;
     s[i] = pair.v2.bit(i) ? config_.vdd_v : 0.0;
   }
   std::vector<double> bs, next(n, 0.0), scratch;
-  plan->source_term(s, bs);
+  plan.source_term(s, bs);
   std::vector<double> wf{v[wire]};
   const auto steps =
       static_cast<std::size_t>(config_.duration_ns / config_.time_step_ns);
   for (std::size_t k = 1; k <= steps; ++k) {
-    plan->step(v, bs, next, scratch);
+    plan.step(v, bs, next, scratch);
     wf.push_back(v[wire]);
   }
   return wf;

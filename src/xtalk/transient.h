@@ -19,7 +19,6 @@
 
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "xtalk/error_model.h"
@@ -52,13 +51,10 @@ struct WireResponse {
   double crossing_time_ns = 0.0;
 };
 
-/// Factored step plan for one (network revision, time step): built once,
-/// reused by every simulate()/waveform() call against the same network.
-struct TransientPlan;
-
 class TransientSimulator {
  public:
-  explicit TransientSimulator(TransientConfig config = {});
+  explicit TransientSimulator(TransientConfig config = {})
+      : config_(config) {}
 
   /// Simulates the transition pair on `net` and summarises every wire.
   std::vector<WireResponse> simulate(const RcNetwork& net,
@@ -79,15 +75,7 @@ class TransientSimulator {
   const TransientConfig& config() const { return config_; }
 
  private:
-  struct PlanCache;
-
-  /// Returns the cached step plan when the network revision still matches,
-  /// otherwise factors a fresh one (see RcNetwork::revision).  Copies of a
-  /// simulator share the cache; plans are immutable once built.
-  std::shared_ptr<const TransientPlan> plan_for(const RcNetwork& net) const;
-
   TransientConfig config_;
-  std::shared_ptr<PlanCache> cache_;
 };
 
 /// Thresholds calibrated against the *transient* MA response instead of

@@ -108,13 +108,14 @@ TEST(Cli, CampaignReportsHotPathCounters) {
   const CliRun r = run_cli({"campaign", "--bus", "data", "--defects", "10",
                             "--seed", "7031", "--stats-json"});
   ASSERT_EQ(r.code, 0) << r.err;
-  // Human-readable counters line: the memo must have seen real traffic.
-  EXPECT_NE(r.out.find("cache_hits="), std::string::npos) << r.out;
-  EXPECT_EQ(r.out.find("cache_hits=0 "), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("cache_hit_rate="), std::string::npos);
+  // Human-readable counters line: every (defect, session) slot was
+  // simulated, 10 defects x 6 sessions.
+  EXPECT_NE(r.out.find("simulations=60 cycles="), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("defects/sec="), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("cache_"), std::string::npos) << r.out;
   // --stats-json appends the machine-readable record.
   EXPECT_NE(r.out.find("{\"campaign\":\"campaign\""), std::string::npos);
-  EXPECT_NE(r.out.find("\"cache_hits\":"), std::string::npos);
+  EXPECT_NE(r.out.find("\"simulated_cycles\":"), std::string::npos);
 }
 
 TEST(Cli, CampaignThreadsFlagKeepsCoverageIdentical) {
@@ -463,7 +464,8 @@ TEST(Cli, ScenarioWithARemovedKeyIsAUsageErrorNamingIt) {
   // old scenario file still carrying one fails loudly instead of being
   // silently accepted.
   for (const char* line :
-       {"campaign.batched = true", "campaign.gold_cache_capacity = 256"}) {
+       {"campaign.batched = true", "campaign.gold_cache_capacity = 256",
+        "system.transition_cache = true"}) {
     const std::string path = temp_path("removed_key.scn");
     {
       std::ofstream f(path);

@@ -1,9 +1,13 @@
 #include "xtalk/defect.h"
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "sim/campaign.h"
+#include "soc/system.h"
 #include "xtalk/error_model.h"
 
 namespace xtest::xtalk {
@@ -154,6 +158,53 @@ TEST(DefectLibrary, DetectableExactlyWhenAboveCth) {
     for (const MafFault& f : enumerate_mafs(12, false))
       any = any || model.corrupts(net, ma_test(12, f));
     EXPECT_TRUE(any);
+  }
+}
+
+/// FNV-1a over the bit pattern of every factor of every defect, in library
+/// order: equal digests mean bit-identical libraries.
+std::uint64_t factor_digest(const DefectLibrary& lib) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Defect& d : lib.defects())
+    for (unsigned i = 0; i < d.width(); ++i)
+      for (unsigned j = i + 1; j < d.width(); ++j) {
+        const auto bits = std::bit_cast<std::uint64_t>(d.factor(i, j));
+        for (unsigned b = 0; b < 64; b += 8) {
+          h ^= (bits >> b) & 0xffu;
+          h *= 0x100000001b3ull;
+        }
+      }
+  return h;
+}
+
+TEST(DefectLibrary, GoldenLibraryIsPinned) {
+  // 200-defect libraries of the default system, pinned bit for bit (factor
+  // digest and candidates drawn): any change to the RNG stream, the
+  // acceptance test or the network arithmetic shows up here.
+  struct Golden {
+    soc::BusKind bus;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::size_t attempts;
+  };
+  constexpr Golden kGolden[] = {
+      {soc::BusKind::kAddress, 1, 0xc877981391c6d14eull, 3887},
+      {soc::BusKind::kAddress, 7, 0xe7a5628a3bde5813ull, 3926},
+      {soc::BusKind::kAddress, 20010618, 0xa3a616da160645d0ull, 4389},
+      {soc::BusKind::kData, 1, 0xc3b7a6474c6b0496ull, 5467},
+      {soc::BusKind::kData, 7, 0x8d05ae5458342900ull, 5478},
+      {soc::BusKind::kData, 20010618, 0xb04ef34f63f604bdull, 5045},
+      {soc::BusKind::kControl, 1, 0x29b6342d0b068794ull, 4125},
+      {soc::BusKind::kControl, 7, 0x7527d48ea02fa824ull, 4712},
+      {soc::BusKind::kControl, 20010618, 0x01c0581c59069e12ull, 4355},
+  };
+  for (const Golden& g : kGolden) {
+    const DefectLibrary lib =
+        sim::make_defect_library(soc::SystemConfig{}, g.bus, 200, g.seed);
+    EXPECT_EQ(factor_digest(lib), g.digest)
+        << soc::to_string(g.bus) << " seed " << g.seed;
+    EXPECT_EQ(lib.attempts(), g.attempts)
+        << soc::to_string(g.bus) << " seed " << g.seed;
   }
 }
 

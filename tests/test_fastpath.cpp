@@ -1,7 +1,6 @@
 // Equivalence and unit tests for the hot-path machinery: the precomputed
-// BusEvaluator must be bit-identical to CrosstalkErrorModel::receive, the
-// TransitionCache must never change a verdict, and every
-// invalidation edge (defect injection, clear, forced MAF) must keep the
+// BusEvaluator must be bit-identical to CrosstalkErrorModel::receive, and
+// every state change (defect injection, clear, forced MAF) must keep the
 // fast system in lockstep with the reference evaluation path.
 
 #include "xtalk/fast_model.h"
@@ -28,7 +27,6 @@ using xtalk::BusEvaluator;
 using xtalk::CrosstalkErrorModel;
 using xtalk::ErrorModelConfig;
 using xtalk::RcNetwork;
-using xtalk::TransitionCache;
 using xtalk::VectorPair;
 
 /// Nominal bus of `width` wires with every coupling and ground cap randomly
@@ -106,51 +104,26 @@ TEST(FastModel, ZeroGlitchThresholdStillMatchesReference) {
   }
 }
 
-TEST(TransitionCache, LookupInsertInvalidateAndCounters) {
-  TransitionCache cache(8);
-  ASSERT_TRUE(cache.enabled());
-  std::uint64_t v = 0;
-  EXPECT_FALSE(cache.lookup(42, v));
-  cache.insert(42, 7);
-  EXPECT_TRUE(cache.lookup(42, v));
-  EXPECT_EQ(v, 7u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.invalidate();
-  EXPECT_FALSE(cache.lookup(42, v));  // O(1) invalidate drops every entry
-  cache.insert(42, 9);
-  EXPECT_TRUE(cache.lookup(42, v));
-  EXPECT_EQ(v, 9u);
-
-  TransitionCache off;  // default = disabled
-  EXPECT_FALSE(off.enabled());
-  off.insert(1, 2);
-  EXPECT_FALSE(off.lookup(1, v));
-  EXPECT_EQ(off.hits(), 0u);
-  EXPECT_EQ(off.misses(), 0u);
-
-  EXPECT_TRUE(TransitionCache::cacheable(1));
-  EXPECT_TRUE(TransitionCache::cacheable(16));
-  EXPECT_FALSE(TransitionCache::cacheable(0));
-  EXPECT_FALSE(TransitionCache::cacheable(17));
-}
-
 TEST(FastPath, QuietBusTransferSkipsEvaluation) {
+  // A quiet transfer (re-driving the held word) samples the driven word
+  // without evaluation, even on a defect whose evaluator is active: with a
+  // positive glitch threshold nothing can move when no wire toggles.
   xtalk::BusGeometry g;
   g.width = 8;
-  const RcNetwork net(g);
+  const RcNetwork nominal(g);
   const ErrorModelConfig thresholds =
-      ErrorModelConfig::calibrated(net, xtalk::recommended_cth(net));
+      ErrorModelConfig::calibrated(nominal, xtalk::recommended_cth(nominal));
+  RcNetwork net = nominal;
+  for (unsigned j = 0; j < net.width(); ++j)
+    if (j != 4) net.scale_coupling(4, j, 4.0);
   const BusEvaluator eval(net, thresholds);
   ASSERT_TRUE(eval.quiet_is_identity());
-  TransitionCache cache(8);
+  ASSERT_FALSE(eval.always_identity());
   soc::TristateBus bus(soc::BusKind::kData, 8);
   const BusWord w(8, 0xA5);
-  bus.transfer(w, &eval, &cache);  // 0x00 -> 0xA5 is a real transition
-  const std::uint64_t misses = cache.misses();
-  EXPECT_EQ(bus.transfer(w, &eval, &cache), w);  // quiet: early-exit
-  EXPECT_EQ(cache.misses(), misses);             // ... before the cache
-  EXPECT_EQ(cache.hits(), 0u);
+  bus.transfer(w, &eval);  // 0x00 -> 0xA5 is a real transition
+  EXPECT_EQ(bus.transfer(w, &eval), w);  // quiet: early-exit
+  EXPECT_EQ(bus.held(), w);
 }
 
 TEST(FastPath, IdealBusBypassesEvaluation) {
@@ -158,21 +131,19 @@ TEST(FastPath, IdealBusBypassesEvaluation) {
   const BusWord w(8, 0x5A);
   EXPECT_EQ(bus.transfer(w, nullptr, nullptr), w);
   const BusEvaluator empty;
-  EXPECT_EQ(bus.transfer(BusWord(8, 0x81), &empty, nullptr), BusWord(8, 0x81));
+  EXPECT_EQ(bus.transfer(BusWord(8, 0x81), &empty), BusWord(8, 0x81));
+  EXPECT_EQ(bus.transfer(BusWord(8, 0x18), nullptr), BusWord(8, 0x18));
 }
 
 TEST(FastPath, CampaignVerdictsMatchReferencePath) {
   // The acceptance property: full campaign verdicts with the fast receive
-  // path and transition cache on are identical to the seed evaluation
-  // path, on all three buses, at 1 and 4 threads.
+  // path are identical to the reference evaluation path, on all three
+  // buses, at 1 and 4 threads.
   const auto prog =
       sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  soc::SystemConfig fast_cfg;  // defaults: fast_receive + transition_cache
+  soc::SystemConfig fast_cfg;  // default: fast_receive
   soc::SystemConfig ref_cfg;
   ref_cfg.fast_receive = false;
-  ref_cfg.transition_cache = false;
-  soc::SystemConfig nocache_cfg;
-  nocache_cfg.transition_cache = false;
   for (const soc::BusKind bus :
        {soc::BusKind::kAddress, soc::BusKind::kData, soc::BusKind::kControl}) {
     const auto lib = sim::make_defect_library(fast_cfg, bus, 12, 99);
@@ -186,22 +157,16 @@ TEST(FastPath, CampaignVerdictsMatchReferencePath) {
                              {.parallel = par});
       EXPECT_EQ(fast, reference)
           << soc::to_string(bus) << " threads=" << threads;
-      const auto nocache =
-          sim::run_detection(nocache_cfg, prog.program, bus, lib,
-                             {.parallel = par});
-      EXPECT_EQ(fast, nocache)
-          << soc::to_string(bus) << " threads=" << threads;
     }
   }
 }
 
 TEST(FastPath, ForcedMafKeepsFastSystemInLockstep) {
-  // Forcing / clearing an ideal MAF invalidates the transition caches; the
-  // fast system must agree with the reference system across the change,
-  // including on the exact MA transition that excites the forced fault.
+  // The fast system must agree with the reference system across forcing
+  // and clearing an ideal MAF, including on the exact MA transition that
+  // excites the forced fault.
   soc::SystemConfig ref_cfg;
   ref_cfg.fast_receive = false;
-  ref_cfg.transition_cache = false;
   soc::System fast_sys{soc::SystemConfig{}};
   soc::System ref_sys{ref_cfg};
 
@@ -216,19 +181,18 @@ TEST(FastPath, ForcedMafKeepsFastSystemInLockstep) {
     for (const cpu::Addr a : probe)
       ASSERT_EQ(fast_sys.read(a), ref_sys.read(a)) << a;
   };
-  compare_traffic();  // warm the memo with plain traffic
+  compare_traffic();  // plain traffic
   fast_sys.set_forced_maf(soc::ForcedMaf{soc::BusKind::kAddress, fault});
   ref_sys.set_forced_maf(soc::ForcedMaf{soc::BusKind::kAddress, fault});
-  compare_traffic();  // memoized words must not leak past the change
+  compare_traffic();  // the forced fault corrupts both alike
   fast_sys.set_forced_maf(std::nullopt);
   ref_sys.set_forced_maf(std::nullopt);
   compare_traffic();
 }
 
-TEST(FastPath, DefectInjectionInvalidatesTransitionCache) {
+TEST(FastPath, DefectInjectionRebuildsTheEvaluator) {
   soc::SystemConfig ref_cfg;
   ref_cfg.fast_receive = false;
-  ref_cfg.transition_cache = false;
   soc::System fast_sys{soc::SystemConfig{}};
   soc::System ref_sys{ref_cfg};
 
@@ -239,14 +203,14 @@ TEST(FastPath, DefectInjectionInvalidatesTransitionCache) {
       ASSERT_EQ(fast_sys.read(0x200), ref_sys.read(0x200)) << unsigned{d};
     }
   };
-  compare_traffic();  // populate the data-bus memo on the nominal net
+  compare_traffic();  // nominal net
 
   RcNetwork net = fast_sys.nominal_data_network();
   for (unsigned j = 0; j < net.width(); ++j)
     if (j != 4) net.scale_coupling(4, j, 4.0);
   fast_sys.set_data_network(net);
   ref_sys.set_data_network(net);
-  compare_traffic();  // defect applied: memoized nominal words must be gone
+  compare_traffic();  // defect applied: the nominal evaluator must be gone
   fast_sys.clear_defects();
   ref_sys.clear_defects();
   compare_traffic();  // restored nominal
@@ -254,44 +218,21 @@ TEST(FastPath, DefectInjectionInvalidatesTransitionCache) {
 
 TEST(CampaignStats, JsonCarriesHotPathCounters) {
   util::CampaignStats stats;
-  stats.cache_hits = 30;
-  stats.cache_misses = 10;
+  stats.defects_simulated = 30;
+  stats.simulated_cycles = 12345;
+  stats.wall_seconds = 0.5;
   const std::string j = stats.json("hotpath");
-  EXPECT_NE(j.find("\"cache_hits\":30"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"cache_misses\":10"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"cache_hit_rate\":0.7500"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"defects\":30"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"simulated_cycles\":12345"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"defects_per_second\":60.0"), std::string::npos) << j;
+  // No transition memo, so no cache keys.
+  EXPECT_EQ(j.find("cache"), std::string::npos) << j;
   // Environment provenance: worker count, the machine's concurrency, and
   // the build type all land in the record.
   EXPECT_NE(j.find("\"hardware_concurrency\":"), std::string::npos) << j;
   EXPECT_NE(j.find("\"build_type\":\""), std::string::npos) << j;
   EXPECT_NE(std::string(util::build_type()), "") << "build_type is never empty";
-  EXPECT_DOUBLE_EQ(stats.cache_hit_rate(), 0.75);
-  EXPECT_DOUBLE_EQ(util::CampaignStats{}.cache_hit_rate(), 0.0);
-}
-
-TEST(FastPath, CampaignCountsCacheTraffic) {
-  const soc::SystemConfig cfg;  // cache on by default
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  const auto lib = sim::make_defect_library(cfg, soc::BusKind::kData, 6, 5);
-  util::CampaignStats stats;
-  sim::CampaignOptions o;
-  o.stats = &stats;
-  sim::run_detection(cfg, prog.program, soc::BusKind::kData, lib, o);
-  // Instruction-fetch loops repeat transitions constantly: the memo must
-  // see real traffic and mostly hit.
-  EXPECT_GT(stats.cache_hits, 0u);
-  EXPECT_GT(stats.cache_misses, 0u);
-  EXPECT_GT(stats.cache_hit_rate(), 0.5);
-
-  soc::SystemConfig off = cfg;
-  off.transition_cache = false;
-  util::CampaignStats stats_off;
-  sim::CampaignOptions o_off;
-  o_off.stats = &stats_off;
-  sim::run_detection(off, prog.program, soc::BusKind::kData, lib, o_off);
-  EXPECT_EQ(stats_off.cache_hits, 0u);
-  EXPECT_EQ(stats_off.cache_misses, 0u);
+  EXPECT_DOUBLE_EQ(stats.cache_hit_rate(), 0.0);
 }
 
 TEST(LuSolver, ScratchOverloadMatchesAllocatingSolve) {
@@ -338,6 +279,8 @@ TEST(TransientPlan, FusedStepMatchesReferenceIntegrator) {
 }
 
 TEST(TransientPlan, PlanInvalidatesOnNetworkMutation) {
+  // Every simulate() call factors its plan from the network as it is now,
+  // so one simulator sees a mutation at once.
   xtalk::BusGeometry g;
   g.width = 4;
   RcNetwork net(g);
@@ -345,25 +288,24 @@ TEST(TransientPlan, PlanInvalidatesOnNetworkMutation) {
   const VectorPair pair = xtalk::ma_test(
       4, {1, xtalk::MafType::kPositiveGlitch, xtalk::BusDirection::kCpuToCore});
   const double before = sim.simulate(net, pair)[1].peak_excursion_v;
-  net.scale_coupling(1, 2, 5.0);  // bumps the network revision
+  net.scale_coupling(1, 2, 5.0);
   const double after = sim.simulate(net, pair)[1].peak_excursion_v;
-  EXPECT_NE(before, after);  // a stale cached plan would reproduce `before`
+  EXPECT_NE(before, after);  // a stale plan would reproduce `before`
 
   // A fresh simulator against the mutated network agrees exactly.
   const xtalk::TransientSimulator fresh;
   EXPECT_DOUBLE_EQ(fresh.simulate(net, pair)[1].peak_excursion_v, after);
 }
 
-TEST(TransientPlan, CopiedNetworkSharesPlanSafely) {
-  // A copied, unmodified network keeps its revision; the plan is reused.
-  // Modifying the copy re-keys it without touching the original.
+TEST(TransientPlan, CopiedNetworkSimulatesIndependently) {
+  // Loading a copy leaves its original alone, and one simulator
+  // alternating between the two answers each from its own capacitances.
   xtalk::BusGeometry g;
   g.width = 4;
   const RcNetwork original(g);
   RcNetwork copy = original;
-  EXPECT_EQ(copy.revision(), original.revision());
   copy.add_ground_load(0, 10.0);
-  EXPECT_NE(copy.revision(), original.revision());
+  EXPECT_EQ(original.ground_cap(0), RcNetwork(g).ground_cap(0));
 
   const xtalk::TransientSimulator sim;
   const VectorPair pair = xtalk::ma_test(

@@ -122,9 +122,8 @@ TEST(ParallelCampaign, RepeatedRunsWithSameSeedAreIdentical) {
 }
 
 TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
-  // defects_simulated, simulated_cycles and the transition-cache counters
-  // are pure functions of the campaign inputs (every run starts from an
-  // empty cache); wall_seconds and threads are the only host-dependent
+  // defects_simulated and simulated_cycles are pure functions of the
+  // campaign inputs; wall_seconds and threads are the only host-dependent
   // fields.
   const soc::SystemConfig cfg;
   const auto prog =
@@ -138,7 +137,6 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_stats.defects_simulated, lib.size());
   EXPECT_EQ(serial_stats.threads, 1u);
   EXPECT_GT(serial_stats.simulated_cycles, 0u);
-  EXPECT_GT(serial_stats.cache_misses, 0u);
   EXPECT_GE(serial_stats.wall_seconds, 0.0);
 
   for (unsigned t : kThreadCounts) {
@@ -148,8 +146,6 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(s.defects_simulated, serial_stats.defects_simulated);
     EXPECT_EQ(s.simulated_cycles, serial_stats.simulated_cycles)
         << "threads " << t;
-    EXPECT_EQ(s.cache_hits, serial_stats.cache_hits) << "threads " << t;
-    EXPECT_EQ(s.cache_misses, serial_stats.cache_misses) << "threads " << t;
     EXPECT_EQ(s.threads, t);
   }
 }
@@ -191,10 +187,6 @@ TEST(ParallelCampaign, EveryBuiltinScenarioMatchesSerialAtFourThreads) {
       EXPECT_EQ(stats.defects_simulated, ref_stats.defects_simulated)
           << name << " seed=" << seed;
       EXPECT_EQ(stats.simulated_cycles, ref_stats.simulated_cycles)
-          << name << " seed=" << seed;
-      EXPECT_EQ(stats.cache_hits, ref_stats.cache_hits)
-          << name << " seed=" << seed;
-      EXPECT_EQ(stats.cache_misses, ref_stats.cache_misses)
           << name << " seed=" << seed;
     }
   }

@@ -710,8 +710,8 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     st.restored_from_checkpoint = rng.below(100);
     st.salvaged_sections = rng.below(10);
     st.dropped_slots = rng.below(1000);
-    st.cache_hits = rng.below(1u << 20);
-    st.cache_misses = rng.below(1u << 20);
+    st.online_rounds = rng.below(1u << 20);
+    st.online_detection_latency_cycles = rng.below(1u << 30);
     util::CampaignStats back;
     ASSERT_TRUE(util::parse_stats_json(st.json("fuzz"), back));
     EXPECT_EQ(back.defects_simulated, st.defects_simulated);
@@ -720,8 +720,9 @@ TEST(StatsJson, FuzzRoundTripProperty) {
     EXPECT_EQ(back.restored_from_checkpoint, st.restored_from_checkpoint);
     EXPECT_EQ(back.salvaged_sections, st.salvaged_sections);
     EXPECT_EQ(back.dropped_slots, st.dropped_slots);
-    EXPECT_EQ(back.cache_hits, st.cache_hits);
-    EXPECT_EQ(back.cache_misses, st.cache_misses);
+    EXPECT_EQ(back.online_rounds, st.online_rounds);
+    EXPECT_EQ(back.online_detection_latency_cycles,
+              st.online_detection_latency_cycles);
   }
 }
 

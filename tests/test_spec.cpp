@@ -61,7 +61,6 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.system.cth_ratio = 0.5 + 3.0 * rng.uniform();
   s.system.clock_period_scale = 0.5 + 4.0 * rng.uniform();
   s.system.fast_receive = rng.below(2) == 0;
-  s.system.transition_cache = rng.below(2) == 0;
   for (auto* g : {&s.system.address_geometry, &s.system.data_geometry,
                   &s.system.control_geometry}) {
     g->width = static_cast<unsigned>(2 + rng.below(30));

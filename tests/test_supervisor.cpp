@@ -206,26 +206,24 @@ TEST(ShardMerge, ValidationRejectsBadPartitions) {
 
 TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   util::CampaignStats a;
-  a.cache_hits = 90;
-  a.cache_misses = 10;  // rate 0.9 over 100 transfers
-  a.wall_seconds = 1.5;
+  a.defects_simulated = 90;
+  a.wall_seconds = 1.5;  // 60 defects/s over 1.5 s
   a.threads = 2;
   a.detected = 7;
   a.error_log = {"defect 3: boom"};
 
   util::CampaignStats b;
-  b.cache_hits = 1;
-  b.cache_misses = 9;  // rate 0.1 over only 10 transfers
-  b.wall_seconds = 0.5;
+  b.defects_simulated = 10;
+  b.wall_seconds = 0.5;  // 20 defects/s over only 0.5 s
   b.threads = 4;
   b.detected = 2;
   b.error_log = {"defect 8: bang"};
 
   a.merge_from(b);
 
-  // (90 + 1) / (100 + 10), NOT the mean of 0.9 and 0.1: the big shard
+  // (90 + 10) / (1.5 + 0.5), NOT the mean of 60 and 20: the long shard
   // dominates because the merge sums raw counters.
-  EXPECT_DOUBLE_EQ(a.cache_hit_rate(), 91.0 / 110.0);
+  EXPECT_DOUBLE_EQ(a.defects_per_second(), 100.0 / 2.0);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 2.0);
   EXPECT_EQ(a.threads, 4u);
   EXPECT_EQ(a.detected, 9u);
@@ -248,8 +246,6 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   st.salvaged_sections = 1;
   st.dropped_slots = 4;
   st.flush_failures = 1;
-  st.cache_hits = 1000;
-  st.cache_misses = 50;
 
   util::CampaignStats got;
   ASSERT_TRUE(util::parse_stats_json(st.json("roundtrip"), got));
@@ -266,8 +262,6 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   EXPECT_EQ(got.salvaged_sections, st.salvaged_sections);
   EXPECT_EQ(got.dropped_slots, st.dropped_slots);
   EXPECT_EQ(got.flush_failures, st.flush_failures);
-  EXPECT_EQ(got.cache_hits, st.cache_hits);
-  EXPECT_EQ(got.cache_misses, st.cache_misses);
 }
 
 TEST(CampaignStatsMerge, ParseRejectsLinesWithoutAStatsObject) {

@@ -437,17 +437,13 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "detected=%zu timeout=%zu undetected=%zu sim_errors=%zu\n"
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
-                "defects/sec=%.0f\n"
-                "cache_hits=%llu cache_misses=%llu cache_hit_rate=%.1f%%\n",
+                "defects/sec=%.0f\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
                 stats.defects_simulated,
                 static_cast<unsigned long long>(stats.simulated_cycles),
-                stats.wall_seconds, stats.defects_per_second(),
-                static_cast<unsigned long long>(stats.cache_hits),
-                static_cast<unsigned long long>(stats.cache_misses),
-                100.0 * stats.cache_hit_rate());
+                stats.wall_seconds, stats.defects_per_second());
   out << buf;
 }
 
@@ -887,7 +883,7 @@ int cmd_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   out << "serve: ready" << std::endl;  // flushed: harnesses wait for this
 
   const std::size_t pending = server.run();
-  const serve::ServerStats& st = server.stats();
+  const serve::ServerStats st = server.stats();
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "serve: jobs completed=%zu failed=%zu degraded=%zu "
