@@ -1,20 +1,13 @@
 #include "serve/queue.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/crc32.h"
+#include "util/durable_file.h"
 #include "util/fault_injector.h"
-#include "util/retry.h"
 
 namespace xtest::serve {
 
@@ -33,28 +26,6 @@ constexpr const char* kMagic = "xtest-serve-queue v1";
 //   <scn bytes><verdict bytes><stats bytes><err bytes>\n
 //   crc <8 hex>                        (over header line + payload + '\n')
 //   ... more job records ...
-
-std::string crc_line(const std::string& covered) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "crc %08x", util::crc32(covered));
-  return buf;
-}
-
-bool parse_crc_line(const std::string& line, std::uint32_t& out) {
-  if (line.size() != 12 || line.rfind("crc ", 0) != 0) return false;
-  out = 0;
-  for (std::size_t i = 4; i < 12; ++i) {
-    const char c = line[i];
-    std::uint32_t digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint32_t>(c - 'a' + 10);
-    else
-      return false;
-    out = (out << 4) | digit;
-  }
-  return true;
-}
 
 /// Takes the next '\n'-terminated line starting at `pos` (newline consumed,
 /// not returned).  False when the text ends before a newline.
@@ -79,7 +50,7 @@ std::string render_job(const Job& j) {
   record += j.stats_json;
   record += j.error;
   record += '\n';
-  return record + crc_line(record) + '\n';
+  return record + util::crc_line(record) + '\n';
 }
 
 }  // namespace
@@ -101,16 +72,12 @@ std::size_t JobQueue::load() {
   salvage_dropped_ = 0;
   next_id_ = 1;
   if (path_.empty()) return 0;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return 0;  // fresh daemon, nothing to resume
-  std::string text;
-  char buf[4096];
-  while (in.read(buf, sizeof buf)) text.append(buf, sizeof buf);
-  text.append(buf, static_cast<std::size_t>(in.gcount()));
-  if (in.bad())
-    throw std::runtime_error("serve queue " + path_ + ": read error: " +
-                             std::strerror(errno));
-  if (text.empty()) return 0;
+  // A daemon killed mid-persist left its tmp behind; the file it was
+  // replacing is still whole.
+  util::sweep_stale_tmps(path_);
+  const std::optional<std::string> file = util::read_file(path_);
+  if (!file || file->empty()) return 0;  // fresh daemon, nothing to resume
+  const std::string& text = *file;
 
   std::size_t pos = 0;
   std::string magic, next_line, crc;
@@ -125,7 +92,7 @@ std::size_t JobQueue::load() {
     throw std::runtime_error("serve queue " + path_ +
                              ": not a queue file (bad magic line)");
   if (!take_line(text, pos, next_line) || next_line.rfind("next ", 0) != 0 ||
-      !take_line(text, pos, crc) || !parse_crc_line(crc, stored) ||
+      !take_line(text, pos, crc) || !util::parse_crc_line(crc, stored) ||
       util::crc32(magic + '\n' + next_line + '\n') != stored) {
     // Header unverifiable: treat as an empty queue rather than resume
     // from an untrustworthy id counter (ids would collide with clients'
@@ -158,17 +125,20 @@ std::size_t JobQueue::load() {
                              ver >> sta >> err) &&
            word == "job" && state <= 3 && j.priority >= 0 && j.priority <= 9;
     }
+    // Bound each length before summing: a damaged header must not wrap
+    // the sum back into an in-range offset.
+    const std::size_t left = text.size() - pos;
+    ok = ok && scn < left && ver < left && sta < left && err < left;
     const std::size_t payload = scn + ver + sta + err;
-    ok = ok && pos + payload + 1 <= text.size() &&
-         text[pos + payload] == '\n';
+    ok = ok && payload < left && text[pos + payload] == '\n';
     std::uint32_t want = 0;
     std::string crc2;
     if (ok) {
       const std::string covered =
           text.substr(record_start, pos + payload + 1 - record_start);
       std::size_t after = pos + payload + 1;
-      ok = take_line(text, after, crc2) && parse_crc_line(crc2, want) &&
-           util::crc32(covered) == want;
+      ok = take_line(text, after, crc2) &&
+           util::parse_crc_line(crc2, want) && util::crc32(covered) == want;
       if (ok) {
         j.state = static_cast<JobState>(state);
         j.degraded = degraded != 0;
@@ -239,51 +209,12 @@ std::size_t JobQueue::pending() const {
 
 void JobQueue::persist() {
   if (path_.empty()) return;
-  util::FaultInjector& inj = util::FaultInjector::global();
-  std::string data;
-  {
-    const std::string header =
-        std::string(kMagic) + '\n' + "next " + std::to_string(next_id_) + '\n';
-    data = header + crc_line(header) + '\n';
-    for (const Job& j : jobs_) data += render_job(j);
-  }
-  const std::string tmp =
-      path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  int fd = -1;
-  try {
-    inj.maybe_fail("serve.enqueue");
-    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-      throw std::runtime_error("serve queue: cannot open " + tmp + ": " +
-                               std::strerror(errno));
-    if (!util::write_full(fd, data.data(), data.size()))
-      throw std::runtime_error("serve queue: write failed for " + tmp + ": " +
-                               std::strerror(errno));
-    if (::fsync(fd) != 0)
-      throw std::runtime_error("serve queue: fsync failed for " + tmp + ": " +
-                               std::strerror(errno));
-    if (::close(fd) != 0) {
-      fd = -1;
-      throw std::runtime_error("serve queue: close failed for " + tmp + ": " +
-                               std::strerror(errno));
-    }
-    fd = -1;
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-      throw std::runtime_error("serve queue: cannot rename " + tmp + " to " +
-                               path_ + ": " + std::strerror(errno));
-  } catch (...) {
-    if (fd >= 0) ::close(fd);
-    ::unlink(tmp.c_str());
-    throw;
-  }
-  const std::filesystem::path parent =
-      std::filesystem::path(path_).parent_path();
-  const std::string dir = parent.empty() ? "." : parent.string();
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  std::string data =
+      std::string(kMagic) + '\n' + "next " + std::to_string(next_id_) + '\n';
+  data += util::crc_line(data) + '\n';
+  for (const Job& j : jobs_) data += render_job(j);
+  util::FaultInjector::global().maybe_fail("serve.enqueue");
+  util::write_durable(path_, data);
 }
 
 }  // namespace xtest::serve

@@ -3,10 +3,10 @@
 // A job is one campaign described by a spec::ScenarioSpec wire payload
 // (the same `key = value` text `xtest scenarios --dump` emits).  The queue
 // orders by (priority desc, id asc) -- FIFO within a priority band -- and
-// survives any daemon death: every mutation rewrites the queue file
-// atomically (write-tmp, fsync, rename -- the checkpoint discipline) with
-// a CRC-32 trailer per record, so a restarted daemon reloads exactly the
-// accepted jobs.  A job found `running` on load was interrupted mid-run
+// survives any daemon death: every mutation rewrites the queue file with
+// util::write_durable (tmp, fsync, rename -- the checkpoint's own writer)
+// with a CRC-32 trailer per record, so a restarted daemon reloads exactly
+// the accepted jobs.  A job found `running` on load was interrupted mid-run
 // and goes back to `queued`; its campaign resumes from its own shard
 // checkpoints, so no completed verdict is ever recomputed.  Completed
 // jobs persist WITH their verdict string and stats line: a client that
@@ -55,9 +55,10 @@ class JobQueue {
   /// `path` is the persistence file; empty = in-memory only (tests).
   explicit JobQueue(std::string path);
 
-  /// Loads the queue file if it exists (salvage-tolerant); jobs that were
-  /// `running` when the previous daemon died become `queued` again.
-  /// Returns the number of records recovered.
+  /// Sweeps the tmp of a daemon killed mid-persist, then loads the queue
+  /// file if it exists (salvage-tolerant); jobs that were `running` when
+  /// the previous daemon died become `queued` again.  Returns the number
+  /// of records recovered.
   std::size_t load();
 
   /// Accepts a job and persists.  Returns the assigned id.

@@ -41,6 +41,17 @@ using Clock = std::chrono::steady_clock;
 /// SAME sequence numbering only because this is a constant.
 constexpr std::size_t kChunkChars = 512;
 
+/// The scenario a served job runs: workers are forced before validation,
+/// so a scenario the supervisor cannot run (on-line) is refused at submit
+/// instead of completing degraded.  Every served job runs crash-isolated:
+/// the daemon must survive anything a campaign does.
+spec::ScenarioSpec served_scenario(const std::string& text) {
+  spec::ScenarioSpec s = spec::parse_scenario(text);
+  if (s.workers == 0) s.workers = 2;
+  s.validate();
+  return s;
+}
+
 struct Event {
   std::uint32_t seq = 0;
   EventKind kind = EventKind::kProgress;
@@ -287,16 +298,9 @@ struct Server::Impl {
   }
 
   sim::SupervisorResult run_supervised(const Job& job) {
-    spec::ScenarioSpec s = spec::parse_scenario(job.scenario);
-    s.validate();
-    // Every served job runs crash-isolated even when the scenario did not
-    // ask for workers: the daemon must survive anything a campaign does.
-    if (s.workers == 0) s.workers = 2;
-
-    const auto lib = s.make_library();
-    const sim::SupervisorJob sup_job =
-        spec::make_supervisor_job(s, lib, s.make_sessions(),
-                                  job_checkpoint_base(job.id), opt.fault_spec);
+    const spec::ScenarioSpec s = served_scenario(job.scenario);
+    const sim::SupervisorJob sup_job = spec::make_supervisor_job(
+        s, job_checkpoint_base(job.id), opt.fault_spec);
 
     sim::SupervisorOptions sup;
     sup.workers = s.workers;
@@ -408,7 +412,7 @@ struct Server::Impl {
     const int priority = static_cast<std::uint8_t>(f.payload[0]);
     const std::string scenario = f.payload.substr(1);
     try {
-      spec::parse_scenario(scenario).validate();
+      served_scenario(scenario);
     } catch (const std::exception& e) {
       send_error(c, f.seq, std::string("submit: ") + e.what());
       return;

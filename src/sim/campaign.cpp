@@ -542,35 +542,48 @@ OnlineResult online_result(std::vector<OnlineOutcome> outcomes,
   return r;
 }
 
+/// The nominal network exactly as soc::System derives it, without
+/// building a whole simulator.
+xtalk::RcNetwork nominal_network(const soc::SystemConfig& config,
+                                 soc::BusKind bus) {
+  const xtalk::BusGeometry& geometry =
+      bus == soc::BusKind::kAddress ? config.address_geometry
+      : bus == soc::BusKind::kData  ? config.data_geometry
+                                    : config.control_geometry;
+  return xtalk::RcNetwork(geometry);
+}
+
 }  // namespace
+
+xtalk::DefectConfig defect_config(const soc::SystemConfig& config,
+                                  soc::BusKind bus, std::size_t count,
+                                  std::uint64_t seed, double sigma_pct) {
+  xtalk::DefectConfig dc;
+  dc.sigma_pct = sigma_pct;
+  dc.cth_fF = xtalk::recommended_cth(nominal_network(config, bus),
+                                     config.cth_ratio);
+  dc.count = count;
+  dc.seed = seed;
+  return dc;
+}
 
 xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
                                          soc::BusKind bus, std::size_t count,
                                          std::uint64_t seed,
                                          double sigma_pct) {
-  // The nominal network and Cth exactly as soc::System derives them,
-  // without building a whole simulator.
-  const xtalk::BusGeometry& geometry =
-      bus == soc::BusKind::kAddress ? config.address_geometry
-      : bus == soc::BusKind::kData  ? config.data_geometry
-                                    : config.control_geometry;
-  const xtalk::RcNetwork nominal(geometry);
-  xtalk::DefectConfig dc;
-  dc.sigma_pct = sigma_pct;
-  dc.cth_fF = xtalk::recommended_cth(nominal, config.cth_ratio);
-  dc.count = count;
-  dc.seed = seed;
-  return xtalk::DefectLibrary::generate(nominal, dc);
+  return xtalk::DefectLibrary::generate(
+      nominal_network(config, bus),
+      defect_config(config, bus, count, seed, sigma_pct));
 }
 
 std::string default_checkpoint_key(soc::BusKind bus,
-                                   const xtalk::DefectLibrary& library) {
+                                   const xtalk::DefectConfig& library) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
                 "bus=%s count=%zu seed=%llu sigma=%.17g cth=%.17g",
-                soc::to_string(bus).c_str(), library.size(),
-                static_cast<unsigned long long>(library.config().seed),
-                library.config().sigma_pct, library.config().cth_fF);
+                soc::to_string(bus).c_str(), library.count,
+                static_cast<unsigned long long>(library.seed),
+                library.sigma_pct, library.cth_fF);
   return buf;
 }
 

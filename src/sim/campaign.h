@@ -37,9 +37,14 @@
 
 namespace xtest::sim {
 
-/// Builds the paper's defect library for one of the system's buses:
-/// Gaussian perturbation with `sigma_pct`, acceptance at the system's
-/// calibrated Cth for that bus.
+/// The parameters of the paper's defect library for one of the system's
+/// buses: `count` defects from `seed`, Gaussian perturbation with
+/// `sigma_pct`, acceptance at the system's calibrated Cth for that bus.
+xtalk::DefectConfig defect_config(const soc::SystemConfig& config,
+                                  soc::BusKind bus, std::size_t count,
+                                  std::uint64_t seed, double sigma_pct = 50.0);
+
+/// Generates the library defect_config describes.
 xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
                                          soc::BusKind bus, std::size_t count,
                                          std::uint64_t seed,
@@ -147,8 +152,13 @@ std::vector<Verdict> run_detection_sessions(
 
 /// Default checkpoint identity for a (bus, library) pair; a campaign
 /// resumed against a different bus, size, seed, sigma, or Cth is rejected.
+/// The DefectConfig form names a library without generating it.
 std::string default_checkpoint_key(soc::BusKind bus,
-                                   const xtalk::DefectLibrary& library);
+                                   const xtalk::DefectConfig& library);
+inline std::string default_checkpoint_key(
+    soc::BusKind bus, const xtalk::DefectLibrary& library) {
+  return default_checkpoint_key(bus, library.config());
+}
 
 /// One shard's slice of a campaign: the spec it ran under, its full-size
 /// verdict vector (non-owned slots are placeholders and ignored by the

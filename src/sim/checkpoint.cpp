@@ -1,25 +1,15 @@
 #include "sim/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/crc32.h"
-#include "util/fault_injector.h"
-#include "util/retry.h"
+#include "util/durable_file.h"
 
 namespace xtest::sim {
 
 namespace {
 
-constexpr const char* kMagicV1 = "xtest-checkpoint v1";
 constexpr const char* kMagicV2 = "xtest-checkpoint v2";
 
 [[noreturn]] void malformed(const std::string& path, const std::string& why) {
@@ -32,28 +22,6 @@ std::vector<std::string> split_lines(const std::string& text) {
   std::string line;
   while (std::getline(is, line)) lines.push_back(line);
   return lines;
-}
-
-bool parse_crc_line(const std::string& line, std::uint32_t& out) {
-  if (line.size() != 12 || line.rfind("crc ", 0) != 0) return false;
-  out = 0;
-  for (std::size_t i = 4; i < 12; ++i) {
-    const char c = line[i];
-    std::uint32_t digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint32_t>(c - 'a' + 10);
-    else
-      return false;
-    out = (out << 4) | digit;
-  }
-  return true;
-}
-
-std::string crc_line(const std::string& covered) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "crc %08x", util::crc32(covered));
-  return buf;
 }
 
 /// "section <name> <count>", plus " outcomes" for an on-line section.
@@ -98,48 +66,29 @@ CampaignCheckpoint::CampaignCheckpoint(std::string path, std::string key,
       key_(std::move(key)),
       tag_(std::move(tag)),
       flush_every_(flush_every == 0 ? 1 : flush_every) {
-  cleanup_stale_tmps();
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;  // fresh campaign, nothing to resume
-  std::string text;
-  char buf[4096];
-  while (in.read(buf, sizeof buf)) text.append(buf, sizeof buf);
-  text.append(buf, static_cast<std::size_t>(in.gcount()));
-  // A half-read file must not be mistaken for a short checkpoint: a
-  // stream-level read error is I/O trouble, not campaign state.
-  if (in.bad())
-    malformed(path_, "read error: " + std::string(std::strerror(errno)));
-  if (text.empty()) return;  // e.g. crashed during the very first create
-  load(text);
+  util::sweep_stale_tmps(path_, tag_);
+  // Absent: a fresh campaign.  Empty: crashed during the very first
+  // create.  Neither has anything to resume.
+  const std::optional<std::string> text = util::read_file(path_);
+  if (text && !text->empty()) load(*text);
 }
 
 void CampaignCheckpoint::load(const std::string& text) {
   const std::vector<std::string> lines = split_lines(text);
-  if (lines.empty()) return;
-  if (lines[0] == kMagicV2) {
-    load_v2(lines);
-    return;
+  if (lines[0] != kMagicV2) {
+    // A truncation can cut the file anywhere, including inside the magic
+    // line; a strict prefix of the magic is corruption to recover from,
+    // anything else (a retired v1 file included) is some other file we
+    // must refuse to overwrite.
+    if (lines.size() == 1 && std::string(kMagicV2).rfind(lines[0], 0) == 0) {
+      salvage_.salvaged = true;
+      return;
+    }
+    malformed(path_, "not a checkpoint file (bad magic line)");
   }
-  if (lines[0] == kMagicV1) {
-    load_v1(lines);
-    return;
-  }
-  // A truncation can cut the file anywhere, including inside the magic
-  // line; a strict prefix of either magic is corruption to recover from,
-  // anything else is some other file we must refuse to overwrite.
-  if (lines.size() == 1 &&
-      (std::string(kMagicV2).rfind(lines[0], 0) == 0 ||
-       std::string(kMagicV1).rfind(lines[0], 0) == 0)) {
-    salvage_.salvaged = true;
-    return;
-  }
-  malformed(path_, "not a checkpoint file (bad magic line)");
-}
-
-void CampaignCheckpoint::load_v2(const std::vector<std::string>& lines) {
   std::uint32_t stored = 0;
   if (lines.size() < 3 || lines[1].rfind("key ", 0) != 0 ||
-      !parse_crc_line(lines[2], stored) ||
+      !util::parse_crc_line(lines[2], stored) ||
       util::crc32(lines[0] + '\n' + lines[1] + '\n') != stored) {
     // Header unverifiable: the whole file is untrustworthy.  Restart
     // cleanly rather than resume from (or mis-reject on) a corrupt key.
@@ -153,15 +102,15 @@ void CampaignCheckpoint::load_v2(const std::vector<std::string>& lines) {
                          "' (delete the file to start over)");
   std::size_t i = 3;
   while (i < lines.size()) {
-    if (!load_v2_section(lines, i)) {
+    if (!load_section(lines, i)) {
       drop_tail(lines, i);
       return;
     }
   }
 }
 
-bool CampaignCheckpoint::load_v2_section(const std::vector<std::string>& lines,
-                                         std::size_t& i) {
+bool CampaignCheckpoint::load_section(const std::vector<std::string>& lines,
+                                      std::size_t& i) {
   Section section;
   std::size_t count = 0;
   if (!parse_section_header(lines[i], section.name, count, section.online) ||
@@ -183,45 +132,13 @@ bool CampaignCheckpoint::load_v2_section(const std::vector<std::string>& lines,
     }
   }
   std::uint32_t crc = 0;
-  if (j >= lines.size() || !parse_crc_line(lines[j], crc) ||
+  if (j >= lines.size() || !util::parse_crc_line(lines[j], crc) ||
       util::crc32(group) != crc)
     return false;
   sections_.push_back(std::move(section));
   ++salvage_.sections_kept;
   i = j + 1;
   return true;
-}
-
-void CampaignCheckpoint::load_v1(const std::vector<std::string>& lines) {
-  if (lines.size() < 2 || lines[1].rfind("key ", 0) != 0) {
-    drop_tail(lines, 1);
-    return;
-  }
-  const std::string stored_key = lines[1].substr(4);
-  if (stored_key != key_)
-    malformed(path_, "key mismatch: file was written for '" + stored_key +
-                         "' but this campaign is '" + key_ +
-                         "' (delete the file to start over)");
-  std::size_t i = 2;
-  while (i < lines.size()) {
-    if (lines[i].empty()) {
-      ++i;
-      continue;
-    }
-    Section section;
-    std::size_t count = 0;
-    if (!parse_section_header(lines[i], section.name, count,
-                              section.online) ||
-        section.online || i + 1 >= lines.size() ||
-        lines[i + 1].size() != count || !valid_slots(lines[i + 1])) {
-      drop_tail(lines, i);
-      return;
-    }
-    section.slots.assign(lines[i + 1].begin(), lines[i + 1].end());
-    sections_.push_back(std::move(section));
-    ++salvage_.sections_kept;
-    i += 2;
-  }
 }
 
 void CampaignCheckpoint::drop_tail(const std::vector<std::string>& lines,
@@ -233,31 +150,6 @@ void CampaignCheckpoint::drop_tail(const std::vector<std::string>& lines,
     } else if (slot_like(lines[j])) {
       for (const char c : lines[j]) salvage_.dropped_slots += c != '.';
     }
-  }
-}
-
-void CampaignCheckpoint::cleanup_stale_tmps() const {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path p(path_);
-  const fs::path dir = p.parent_path().empty() ? fs::path(".")
-                                               : p.parent_path();
-  // Only THIS checkpoint's stale tmps are fair game: the name must be
-  // "<file>.tmp.<our tag>.<pid>" (or "<file>.tmp.<pid>" for an untagged
-  // instance -- a digits-only suffix, so an untagged cleanup can never
-  // swallow a tagged shard's in-flight tmp sharing the same path).
-  const std::string prefix =
-      p.filename().string() + ".tmp." + (tag_.empty() ? "" : tag_ + ".");
-  fs::directory_iterator it(dir, ec);
-  if (ec) return;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) != 0) continue;
-    const std::string pid_part = name.substr(prefix.size());
-    if (pid_part.empty() ||
-        pid_part.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    fs::remove(entry.path(), ec);
   }
 }
 
@@ -370,7 +262,7 @@ std::string CampaignCheckpoint::render_locked() const {
   std::ostringstream os;
   const std::string header =
       std::string(kMagicV2) + '\n' + "key " + key_ + '\n';
-  os << header << crc_line(header) << '\n';
+  os << header << util::crc_line(header) << '\n';
   for (const Section& s : sections_) {
     std::string group = "section " + s.name + ' ' +
                         std::to_string(s.slots.size()) +
@@ -386,58 +278,13 @@ std::string CampaignCheckpoint::render_locked() const {
                ' ' + std::to_string(o.deadlines_late) + ' ' +
                std::to_string(o.deadlines_missed) + '\n';
     }
-    os << group << crc_line(group) << '\n';
+    os << group << util::crc_line(group) << '\n';
   }
   return os.str();
 }
 
 void CampaignCheckpoint::flush_locked() {
-  util::FaultInjector& inj = util::FaultInjector::global();
-  const std::string data = render_locked();
-  const std::string tmp = path_ + ".tmp." +
-                          (tag_.empty() ? "" : tag_ + ".") +
-                          std::to_string(static_cast<long>(::getpid()));
-  int fd = -1;
-  try {
-    inj.maybe_fail("checkpoint.open");
-    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-      throw std::runtime_error("checkpoint: cannot open " + tmp + ": " +
-                               std::strerror(errno));
-    inj.maybe_fail("checkpoint.write");
-    if (!util::write_full(fd, data.data(), data.size()))
-      throw std::runtime_error("checkpoint: write failed for " + tmp + ": " +
-                               std::strerror(errno));
-    // The rename below publishes the file; without this fsync a crash
-    // could publish a name whose *contents* never reached the disk.
-    inj.maybe_fail("checkpoint.fsync");
-    if (::fsync(fd) != 0)
-      throw std::runtime_error("checkpoint: fsync failed for " + tmp + ": " +
-                               std::strerror(errno));
-    if (::close(fd) != 0) {
-      fd = -1;
-      throw std::runtime_error("checkpoint: close failed for " + tmp + ": " +
-                               std::strerror(errno));
-    }
-    fd = -1;
-    inj.maybe_fail("checkpoint.rename");
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-      throw std::runtime_error("checkpoint: cannot rename " + tmp + " to " +
-                               path_ + ": " + std::strerror(errno));
-  } catch (...) {
-    if (fd >= 0) ::close(fd);
-    ::unlink(tmp.c_str());
-    throw;
-  }
-  // Make the rename itself durable (best effort -- some filesystems
-  // refuse to open a directory for fsync).
-  const std::filesystem::path parent = std::filesystem::path(path_).parent_path();
-  const std::string dir = parent.empty() ? "." : parent.string();
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  util::write_durable(path_, render_locked(), tag_, "checkpoint");
   dirty_ = 0;
 }
 

@@ -6,15 +6,10 @@
 // function of (system config, program, bus, defect) -- the resumed run is
 // bitwise identical to an uninterrupted one at any thread count.
 //
-// The file is plain text, diffable, and crash-durable: the full state is
-// written to a pid-unique "<path>.tmp.<pid>" ("<path>.tmp.<tag>.<pid>"
-// when the checkpoint carries a tag, e.g. a campaign shard index),
-// fsync'd, renamed over <path>, and the directory entry is fsync'd, so a
-// crash at any point leaves either the previous or the new complete
-// checkpoint -- never a torn one.  Stale tmp files from a previous crash
-// are removed on open; cleanup is tag-aware, so per-shard checkpoints of
-// one campaign sharing a directory (or even a path) can never delete each
-// other's in-flight tmp files.
+// The file is plain text, diffable, and crash-durable: every flush is one
+// util::write_durable of the full state (util/durable_file.h), so a crash
+// at any point leaves either the previous or the new complete checkpoint
+// -- never a torn one -- and open sweeps the tmps of a crashed flush.
 //
 //   xtest-checkpoint v2
 //   key <free-form campaign identity line>
@@ -35,8 +30,8 @@
 // Every line group carries a CRC-32 trailer, which makes the file
 // *salvageable*: a load that finds a truncated or corrupted tail keeps the
 // longest valid prefix of sections (dropping only the damaged suffix,
-// reported via salvage()) instead of throwing the whole run away.  A
-// legacy v1 file (no CRCs) still loads; the next flush rewrites it as v2.
+// reported via salvage()) instead of throwing the whole run away.  The
+// retired v1 format (no CRCs) is refused like any other foreign file.
 //
 // Sections let one file cover a multi-session campaign (one section per
 // session program).  The key line guards against resuming with the wrong
@@ -77,11 +72,9 @@ class CampaignCheckpoint {
   /// file that is not a checkpoint at all, an unreadable file, or a
   /// CRC-valid key mismatch.  `flush_every` is the number of record()
   /// calls between automatic atomic flushes.  `tag` (e.g. "s3" for shard
-  /// 3) namespaces the tmp files: this instance writes
-  /// "<path>.tmp.<tag>.<pid>" and its stale-tmp cleanup removes only tmps
-  /// carrying the same tag, so concurrent worker processes with their own
-  /// tags cannot delete each other's in-flight writes.  An untagged
-  /// checkpoint writes "<path>.tmp.<pid>" and cleans only untagged tmps.
+  /// 3) is the util::write_durable tag of this instance's tmp files, so
+  /// worker processes sharing a path, each with its own tag, never sweep
+  /// each other's in-flight writes.
   CampaignCheckpoint(std::string path, std::string key,
                      std::size_t flush_every = 32, std::string tag = "");
 
@@ -128,9 +121,8 @@ class CampaignCheckpoint {
   std::size_t completed() const;
 
  private:
+  /// Parses a non-empty file.
   void load(const std::string& text);
-  void load_v2(const std::vector<std::string>& lines);
-  void load_v1(const std::vector<std::string>& lines);
   void drop_tail(const std::vector<std::string>& lines, std::size_t from);
   struct Section {
     std::string name;
@@ -142,9 +134,7 @@ class CampaignCheckpoint {
     bool online = false;
   };
 
-  bool load_v2_section(const std::vector<std::string>& lines,
-                       std::size_t& i);
-  void cleanup_stale_tmps() const;
+  bool load_section(const std::vector<std::string>& lines, std::size_t& i);
   /// Both record()s: `outcome` is null for an off-line section.
   void record_slot(const std::string& section, std::size_t index, Verdict v,
                    const OnlineOutcome* outcome);

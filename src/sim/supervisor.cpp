@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <fstream>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -16,6 +15,7 @@
 
 #include "sim/campaign.h"
 #include "sim/checkpoint.h"
+#include "util/durable_file.h"
 #include "util/fault_injector.h"
 #include "util/retry.h"
 #include "util/rng.h"
@@ -31,14 +31,6 @@ constexpr std::uint64_t kBackoffCapMs = 5000;
 /// Keep only this much tail of a worker's captured output (enough for the
 /// stats JSON line and the last error messages).
 constexpr std::size_t kOutputTailCap = 64 * 1024;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 /// One worker slot: the shard it owns plus the lifecycle of its current
 /// (or next) process incarnation.
@@ -152,7 +144,7 @@ SupervisorResult Supervisor::run() {
     w.next_spawn = start;
     // A shard that crashed in a previous supervised run resumes from its
     // surviving checkpoint; its bytes are the progress baseline.
-    w.last_snapshot = read_file(w.checkpoint_path);
+    w.last_snapshot = util::read_file(w.checkpoint_path).value_or("");
     result.shards[k].shard = k;
   }
 
@@ -193,7 +185,7 @@ SupervisorResult Supervisor::run() {
     w.running = false;
     close_worker_fds(w);
     ++result.respawns;
-    std::string snap = read_file(w.checkpoint_path);
+    std::string snap = util::read_file(w.checkpoint_path).value_or("");
     const bool progressed = snap != w.last_snapshot;
     w.last_snapshot = std::move(snap);
     const bool chaos = w.chaos_victim;

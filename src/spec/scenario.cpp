@@ -11,6 +11,7 @@
 
 #include "cpu/isa.h"
 #include "soc/control.h"
+#include "util/durable_file.h"
 #include "util/subprocess.h"
 
 namespace xtest::spec {
@@ -111,6 +112,10 @@ struct KeyDef {
   const char* key;
   std::string (*get)(const ScenarioSpec&);
   void (*set)(ScenarioSpec&, const std::string&);
+  /// Part of ScenarioSpec::checkpoint_key.  False for keys that cannot
+  /// change a verdict and for the library keys the key's first part
+  /// already states.
+  bool keyed = true;
 };
 
 // Geometry keys share their six-field shape across the three buses.
@@ -161,23 +166,25 @@ struct KeyDef {
 const std::vector<KeyDef>& key_table() {
   static const std::vector<KeyDef> table = {
       {"name", [](const ScenarioSpec& s) { return s.name; },
-       [](ScenarioSpec& s, const std::string& v) { s.name = v; }},
+       [](ScenarioSpec& s, const std::string& v) { s.name = v; }, false},
       {"description", [](const ScenarioSpec& s) { return s.description; },
-       [](ScenarioSpec& s, const std::string& v) { s.description = v; }},
+       [](ScenarioSpec& s, const std::string& v) { s.description = v; }, false},
       {"bus", [](const ScenarioSpec& s) { return bus_text(s.bus); },
-       [](ScenarioSpec& s, const std::string& v) { s.bus = bus_value(v); }},
+       [](ScenarioSpec& s, const std::string& v) { s.bus = bus_value(v); },
+       false},
       {"defects",
        [](const ScenarioSpec& s) { return u64_text(s.defect_count); },
        [](ScenarioSpec& s, const std::string& v) {
          s.defect_count = static_cast<std::size_t>(u64_value(v));
-       }},
+       }, false},
       {"seed", [](const ScenarioSpec& s) { return u64_text(s.seed); },
-       [](ScenarioSpec& s, const std::string& v) { s.seed = u64_value(v); }},
+       [](ScenarioSpec& s, const std::string& v) { s.seed = u64_value(v); },
+       false},
       {"sigma_pct",
        [](const ScenarioSpec& s) { return double_text(s.sigma_pct); },
        [](ScenarioSpec& s, const std::string& v) {
          s.sigma_pct = double_value(v);
-       }},
+       }, false},
       {"system.cth_ratio",
        [](const ScenarioSpec& s) { return double_text(s.system.cth_ratio); },
        [](ScenarioSpec& s, const std::string& v) {
@@ -194,7 +201,7 @@ const std::vector<KeyDef>& key_table() {
        [](const ScenarioSpec& s) { return bool_text(s.system.fast_receive); },
        [](ScenarioSpec& s, const std::string& v) {
          s.system.fast_receive = bool_value(v);
-       }},
+       }, false},
       {"system.electrical",
        [](const ScenarioSpec& s) {
          return xtalk::to_string(s.system.electrical.backend);
@@ -276,32 +283,32 @@ const std::vector<KeyDef>& key_table() {
        [](const ScenarioSpec& s) { return u64_text(s.threads); },
        [](ScenarioSpec& s, const std::string& v) {
          s.threads = static_cast<unsigned>(u64_value(v));
-       }},
+       }, false},
       {"campaign.retry_errors",
        [](const ScenarioSpec& s) { return bool_text(s.retry_errors); },
        [](ScenarioSpec& s, const std::string& v) {
          s.retry_errors = bool_value(v);
-       }},
+       }, false},
       {"campaign.checkpoint_every",
        [](const ScenarioSpec& s) { return u64_text(s.checkpoint_every); },
        [](ScenarioSpec& s, const std::string& v) {
          s.checkpoint_every = static_cast<std::size_t>(u64_value(v));
-       }},
+       }, false},
       {"campaign.defect_deadline_ms",
        [](const ScenarioSpec& s) { return u64_text(s.defect_deadline_ms); },
        [](ScenarioSpec& s, const std::string& v) {
          s.defect_deadline_ms = u64_value(v);
-       }},
+       }, false},
       {"campaign.compare_bist",
        [](const ScenarioSpec& s) { return bool_text(s.compare_bist); },
        [](ScenarioSpec& s, const std::string& v) {
          s.compare_bist = bool_value(v);
-       }},
+       }, false},
       {"campaign.workers",
        [](const ScenarioSpec& s) { return u64_text(s.workers); },
        [](ScenarioSpec& s, const std::string& v) {
          s.workers = static_cast<std::size_t>(u64_value(v));
-       }},
+       }, false},
       {"campaign.shard",
        [](const ScenarioSpec& s) {
          return u64_text(s.shard_index) + "/" + u64_text(s.shard_count);
@@ -314,7 +321,7 @@ const std::vector<KeyDef>& key_table() {
              static_cast<std::size_t>(u64_value(v.substr(0, slash)));
          s.shard_count =
              static_cast<std::size_t>(u64_value(v.substr(slash + 1)));
-       }},
+       }, false},
       {"online.enabled",
        [](const ScenarioSpec& s) { return bool_text(s.online.enabled); },
        [](ScenarioSpec& s, const std::string& v) {
@@ -417,27 +424,12 @@ sim::CampaignOptions ScenarioSpec::campaign_options(
   return opts;
 }
 
-std::string ScenarioSpec::checkpoint_key(
-    const xtalk::DefectLibrary& library) const {
-  static const std::set<std::string> kLeftOut = {
-      "name",
-      "description",
-      "bus",
-      "defects",
-      "seed",
-      "sigma_pct",
-      "system.fast_receive",
-      "campaign.threads",
-      "campaign.retry_errors",
-      "campaign.checkpoint_every",
-      "campaign.defect_deadline_ms",
-      "campaign.compare_bist",
-      "campaign.workers",
-      "campaign.shard"};
+std::string ScenarioSpec::checkpoint_key() const {
   static const ScenarioSpec kDefaults;
-  std::string key = sim::default_checkpoint_key(bus, library);
+  std::string key = sim::default_checkpoint_key(
+      bus, sim::defect_config(system, bus, defect_count, seed, sigma_pct));
   for (const KeyDef& k : key_table()) {
-    if (kLeftOut.count(k.key) != 0) continue;
+    if (!k.keyed) continue;
     const std::string value = k.get(*this);
     if (value != k.get(kDefaults))
       key += " " + std::string(k.key) + "=" + value;
@@ -445,10 +437,9 @@ std::string ScenarioSpec::checkpoint_key(
   return key;
 }
 
-sim::SupervisorJob make_supervisor_job(
-    const ScenarioSpec& spec, const xtalk::DefectLibrary& library,
-    const std::vector<sbst::GenerationResult>& sessions,
-    const std::string& checkpoint_base, const std::string& fault_spec) {
+sim::SupervisorJob make_supervisor_job(const ScenarioSpec& spec,
+                                       const std::string& checkpoint_base,
+                                       const std::string& fault_spec) {
   sim::SupervisorJob job;
   // $XTEST_WORKER_BINARY lets a process that embeds the CLI library (the
   // tests) point workers at the real xtest binary instead of itself.
@@ -458,11 +449,12 @@ sim::SupervisorJob make_supervisor_job(
                    : util::current_executable();
   if (job.binary.empty())
     throw SpecIoError("cannot resolve own executable path to spawn workers");
-  job.defect_count = library.size();
+  job.defect_count = spec.defect_count;
+  const std::vector<sbst::GenerationResult> sessions = spec.make_sessions();
   for (std::size_t i = 0; i < sessions.size(); ++i)
     if (!sessions[i].program.tests.empty())
       job.sections.push_back("session" + std::to_string(i));
-  job.checkpoint_key = spec.checkpoint_key(library);
+  job.checkpoint_key = spec.checkpoint_key();
   job.checkpoint_base = checkpoint_base;
   job.fault_spec = fault_spec;
 
@@ -529,7 +521,9 @@ void ScenarioSpec::validate() const {
     // equivalent.
     if (workers > 0)
       throw SpecParseError(
-          0, "online.enabled and campaign.workers are mutually exclusive");
+          0, "online.enabled and campaign.workers are mutually exclusive "
+             "(the supervisor carries verdicts only; the serve daemon runs "
+             "every job supervised)");
     if (compare_bist)
       throw SpecParseError(
           0, "online.enabled and campaign.compare_bist are mutually "
@@ -685,13 +679,16 @@ ScenarioSpec builtin_scenario(const std::string& name) {
 
 ScenarioSpec load_scenario(const std::string& name_or_file) {
   if (std::optional<ScenarioSpec> s = find_builtin(name_or_file)) return *s;
-  std::ifstream in(name_or_file);
-  if (!in)
+  std::optional<std::string> text;
+  try {
+    text = util::read_file(name_or_file);
+  } catch (const std::runtime_error& e) {
+    throw SpecIoError(e.what());
+  }
+  if (!text)
     throw SpecIoError("cannot open scenario '" + name_or_file +
                       "' (not a built-in name: see `xtest scenarios`)");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_scenario(ss.str());
+  return parse_scenario(*text);
 }
 
 }  // namespace xtest::spec

@@ -136,15 +136,16 @@ struct ScenarioSpec {
   /// fields.  Checkpointing stays per-run (CLI flag), not per-scenario.
   sim::CampaignOptions campaign_options(util::CampaignStats* stats) const;
 
-  /// Checkpoint identity of this scenario's campaign over `library`:
-  /// sim::default_checkpoint_key, then " key=value" for every scenario key
-  /// whose value differs from ScenarioSpec{}.  Keys that cannot change a
-  /// verdict (name, description, the hot-path switches, threads, retry,
-  /// checkpoint cadence, deadline, compare_bist, workers, shard) and the
-  /// library keys the first part already states (bus, defects, seed,
-  /// sigma_pct) are left out, so a paper-baseline scenario keeps the plain
-  /// library key and a resume across any other edit is refused.
-  std::string checkpoint_key(const xtalk::DefectLibrary& library) const;
+  /// Checkpoint identity of this scenario's campaign, without generating
+  /// its library: sim::default_checkpoint_key of sim::defect_config, then
+  /// " key=value" for every scenario key whose value differs from
+  /// ScenarioSpec{} and that can change a verdict (the key table's
+  /// `keyed` column: not name, description, the hot-path switches,
+  /// threads, retry, checkpoint cadence, deadline, compare_bist, workers,
+  /// shard, nor the library keys bus, defects, seed and sigma_pct), so a
+  /// paper-baseline scenario keeps the plain library key and a resume
+  /// across any other edit is refused.
+  std::string checkpoint_key() const;
 
   /// Sanity checks a spec must pass before a campaign can run on the
   /// embedded CPU: bus widths must match the architecture (the CPU drives
@@ -155,15 +156,15 @@ struct ScenarioSpec {
 
 /// The supervisor job for `spec` (whose `workers` it runs as shards): the
 /// worker binary ($XTEST_WORKER_BINARY, else this executable), the
-/// checkpoint sections of the live `sessions`, spec.checkpoint_key, and
-/// the worker-facing scenario file `<checkpoint_base>.job.scn` -- the spec
-/// with `workers = 0`, so a worker never spawns workers of its own.  The
-/// caller owns deleting that file.  Throws SpecIoError when the binary
-/// cannot be resolved or the file cannot be written.
-sim::SupervisorJob make_supervisor_job(
-    const ScenarioSpec& spec, const xtalk::DefectLibrary& library,
-    const std::vector<sbst::GenerationResult>& sessions,
-    const std::string& checkpoint_base, const std::string& fault_spec);
+/// checkpoint sections of the spec's live sessions, spec.checkpoint_key,
+/// and the worker-facing scenario file `<checkpoint_base>.job.scn` -- the
+/// spec with `workers = 0`, so a worker never spawns workers of its own.
+/// The defect library is left to the workers.  The caller owns deleting
+/// that file.  Throws SpecIoError when the binary cannot be resolved or
+/// the file cannot be written.
+sim::SupervisorJob make_supervisor_job(const ScenarioSpec& spec,
+                                       const std::string& checkpoint_base,
+                                       const std::string& fault_spec);
 
 /// Scenario -> text.  Emits every key in a fixed order, full precision
 /// (%.17g for doubles), so parse_scenario round-trips exactly.

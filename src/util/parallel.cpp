@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <exception>
 #include <iterator>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "util/fault_injector.h"
 
@@ -111,62 +113,40 @@ const char* build_type() {
 #endif
 }
 
-std::string CampaignStats::json(const std::string& label) const {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"campaign\":\"%s\",\"threads\":%u,"
-      "\"hardware_concurrency\":%u,\"build_type\":\"%s\",\"defects\":%zu,"
-      "\"simulated_cycles\":%llu,\"wall_seconds\":%.6f,"
-      "\"defects_per_second\":%.1f,\"detected\":%zu,"
-      "\"detected_by_timeout\":%zu,\"undetected\":%zu,\"sim_errors\":%zu,"
-      "\"retries\":%zu,\"restored_from_checkpoint\":%zu,"
-      "\"salvaged_sections\":%zu,\"dropped_slots\":%zu,"
-      "\"flush_failures\":%zu,"
-      "\"online_rounds\":%llu,\"online_mmio_heartbeats\":%llu,"
-      "\"online_deadlines_late\":%llu,\"online_deadlines_missed\":%llu,"
-      "\"online_detection_latency_cycles\":%llu,"
-      "\"online_latency_samples\":%zu}",
-      label.c_str(), threads, std::thread::hardware_concurrency(),
-      build_type(), defects_simulated,
-      static_cast<unsigned long long>(simulated_cycles), wall_seconds,
-      defects_per_second(), detected, detected_by_timeout, undetected,
-      sim_errors, retries, restored_from_checkpoint, salvaged_sections,
-      dropped_slots, flush_failures,
-      static_cast<unsigned long long>(online_rounds),
-      static_cast<unsigned long long>(online_mmio_heartbeats),
-      static_cast<unsigned long long>(online_deadlines_late),
-      static_cast<unsigned long long>(online_deadlines_missed),
-      static_cast<unsigned long long>(online_detection_latency_cycles),
-      online_latency_samples);
+namespace {
+
+/// The one list of the counters json(), merge_from() and
+/// parse_stats_json() carry, in JSON order: f(key, member).  json() adds
+/// the environment after "threads" and the rate after "wall_seconds".
+template <typename F>
+void for_each_counter(F&& f) {
+  f("threads", &CampaignStats::threads);
+  f("defects", &CampaignStats::defects_simulated);
+  f("simulated_cycles", &CampaignStats::simulated_cycles);
+  f("wall_seconds", &CampaignStats::wall_seconds);
+  f("detected", &CampaignStats::detected);
+  f("detected_by_timeout", &CampaignStats::detected_by_timeout);
+  f("undetected", &CampaignStats::undetected);
+  f("sim_errors", &CampaignStats::sim_errors);
+  f("retries", &CampaignStats::retries);
+  f("restored_from_checkpoint", &CampaignStats::restored_from_checkpoint);
+  f("salvaged_sections", &CampaignStats::salvaged_sections);
+  f("dropped_slots", &CampaignStats::dropped_slots);
+  f("flush_failures", &CampaignStats::flush_failures);
+  f("online_rounds", &CampaignStats::online_rounds);
+  f("online_mmio_heartbeats", &CampaignStats::online_mmio_heartbeats);
+  f("online_deadlines_late", &CampaignStats::online_deadlines_late);
+  f("online_deadlines_missed", &CampaignStats::online_deadlines_missed);
+  f("online_detection_latency_cycles",
+    &CampaignStats::online_detection_latency_cycles);
+  f("online_latency_samples", &CampaignStats::online_latency_samples);
+}
+
+std::string fixed(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
   return buf;
 }
-
-void CampaignStats::merge_from(const CampaignStats& other) {
-  defects_simulated += other.defects_simulated;
-  simulated_cycles += other.simulated_cycles;
-  wall_seconds += other.wall_seconds;
-  threads = std::max(threads, other.threads);
-  detected += other.detected;
-  detected_by_timeout += other.detected_by_timeout;
-  undetected += other.undetected;
-  sim_errors += other.sim_errors;
-  retries += other.retries;
-  restored_from_checkpoint += other.restored_from_checkpoint;
-  salvaged_sections += other.salvaged_sections;
-  dropped_slots += other.dropped_slots;
-  flush_failures += other.flush_failures;
-  online_rounds += other.online_rounds;
-  online_mmio_heartbeats += other.online_mmio_heartbeats;
-  online_deadlines_late += other.online_deadlines_late;
-  online_deadlines_missed += other.online_deadlines_missed;
-  online_detection_latency_cycles += other.online_detection_latency_cycles;
-  online_latency_samples += other.online_latency_samples;
-  error_log.insert(error_log.end(), other.error_log.begin(),
-                   other.error_log.end());
-}
-
-namespace {
 
 /// Extracts `"key":<number>` from a flat JSON object; false if absent.
 /// A key that is present but undecodable -- no digits after the colon, a
@@ -197,15 +177,36 @@ bool json_number(const std::string& obj, const char* key, double& out) {
   return true;
 }
 
-template <typename T>
-bool json_counter(const std::string& obj, const char* key, T& field) {
-  double v = 0.0;
-  if (!json_number(obj, key, v)) return false;
-  field = static_cast<T>(v);
-  return true;
+}  // namespace
+
+std::string CampaignStats::json(const std::string& label) const {
+  std::string out = "{\"campaign\":\"" + label + "\"";
+  for_each_counter([&](const char* key, auto member) {
+    const auto v = this->*member;
+    out += ",\"" + std::string(key) + "\":";
+    if constexpr (std::is_floating_point_v<decltype(v)>)
+      out += fixed(v, 6);
+    else
+      out += std::to_string(v);
+    if (std::string_view(key) == "threads")
+      out += ",\"hardware_concurrency\":" +
+             std::to_string(std::thread::hardware_concurrency()) +
+             ",\"build_type\":\"" + build_type() + "\"";
+    else if (std::string_view(key) == "wall_seconds")
+      out += ",\"defects_per_second\":" + fixed(defects_per_second(), 1);
+  });
+  return out + "}";
 }
 
-}  // namespace
+void CampaignStats::merge_from(const CampaignStats& other) {
+  for_each_counter([&](const char* key, auto member) {
+    this->*member = std::string_view(key) == "threads"
+                        ? std::max(this->*member, other.*member)
+                        : this->*member + other.*member;
+  });
+  error_log.insert(error_log.end(), other.error_log.begin(),
+                   other.error_log.end());
+}
 
 bool parse_stats_json(const std::string& line, CampaignStats& out) {
   const std::size_t open = line.find('{');
@@ -215,30 +216,12 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
     throw StatsJsonError("stats json: truncated object (no closing '}')");
   const std::string obj = line.substr(open, close - open + 1);
   bool any = false;
-  any |= json_counter(obj, "defects", out.defects_simulated);
-  any |= json_counter(obj, "simulated_cycles", out.simulated_cycles);
-  any |= json_counter(obj, "wall_seconds", out.wall_seconds);
-  any |= json_counter(obj, "threads", out.threads);
-  any |= json_counter(obj, "detected", out.detected);
-  any |= json_counter(obj, "detected_by_timeout", out.detected_by_timeout);
-  any |= json_counter(obj, "undetected", out.undetected);
-  any |= json_counter(obj, "sim_errors", out.sim_errors);
-  any |= json_counter(obj, "retries", out.retries);
-  any |= json_counter(obj, "restored_from_checkpoint",
-                      out.restored_from_checkpoint);
-  any |= json_counter(obj, "salvaged_sections", out.salvaged_sections);
-  any |= json_counter(obj, "dropped_slots", out.dropped_slots);
-  any |= json_counter(obj, "flush_failures", out.flush_failures);
-  any |= json_counter(obj, "online_rounds", out.online_rounds);
-  any |= json_counter(obj, "online_mmio_heartbeats",
-                      out.online_mmio_heartbeats);
-  any |= json_counter(obj, "online_deadlines_late", out.online_deadlines_late);
-  any |= json_counter(obj, "online_deadlines_missed",
-                      out.online_deadlines_missed);
-  any |= json_counter(obj, "online_detection_latency_cycles",
-                      out.online_detection_latency_cycles);
-  any |= json_counter(obj, "online_latency_samples",
-                      out.online_latency_samples);
+  for_each_counter([&](const char* key, auto member) {
+    double v = 0.0;
+    if (!json_number(obj, key, v)) return;
+    out.*member = static_cast<std::decay_t<decltype(out.*member)>>(v);
+    any = true;
+  });
   return any;
 }
 

@@ -80,7 +80,9 @@ std::vector<ItemError> parallel_for_items(
 
 /// Aggregate statistics of one campaign, or a sum over sessions: the
 /// campaign functions *add* onto an existing object so multi-session and
-/// per-line sweeps accumulate naturally.
+/// per-line sweeps accumulate naturally.  json(), merge_from() and
+/// parse_stats_json() walk one counter list (parallel.cpp), so a new
+/// counter is one line there.
 struct CampaignStats {
   /// Whole-program (or whole-pattern-set) defect simulations executed.
   std::size_t defects_simulated = 0;

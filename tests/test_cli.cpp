@@ -575,6 +575,11 @@ TEST(Cli, UnknownScenarioNameIsAnIoError) {
   const CliRun r = run_cli({"campaign", "--scenario", "no-such-scenario"});
   EXPECT_EQ(r.code, kExitIo);
   EXPECT_NE(r.err.find("cannot open scenario"), std::string::npos) << r.err;
+  // A path that opens but cannot be read (a directory) is an I/O error
+  // too, never an empty scenario that runs the defaults.
+  const CliRun dir = run_cli({"campaign", "--scenario", ::testing::TempDir()});
+  EXPECT_EQ(dir.code, kExitIo);
+  EXPECT_NE(dir.err.find("cannot read"), std::string::npos) << dir.err;
 }
 
 TEST(Cli, MalformedScenarioFileIsAUsageErrorNamingTheLine) {

@@ -424,36 +424,29 @@ TEST(Checkpoint, EmptyFileStartsFresh) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, LegacyV1FileLoadsAndTheNextFlushUpgradesToV2) {
+TEST(Checkpoint, LegacyV1FileIsRefusedAndLeftUntouched) {
+  // The pre-CRC v1 format is retired: like any foreign file it is refused
+  // with an error naming the path, whatever its key, and never rewritten.
   const std::string path = temp_path("ckpt_v1");
-  write_file(path,
-             "xtest-checkpoint v1\n"
-             "key k\n"
-             "section campaign 4\n"
-             "UD..\n");
-  {
-    CampaignCheckpoint ck(path, "k");
-    EXPECT_FALSE(ck.salvage().salvaged);
-    const auto slots = ck.restore("campaign", 4);
-    EXPECT_EQ(slots[0], Verdict::kUndetected);
-    EXPECT_EQ(slots[1], Verdict::kDetected);
-    EXPECT_FALSE(slots[2].has_value());
-    ck.flush();
+  const std::string v1 =
+      "xtest-checkpoint v1\n"
+      "key k\n"
+      "section campaign 4\n"
+      "UD..\n";
+  write_file(path, v1);
+  for (const char* key : {"k", "other"}) {
+    try {
+      CampaignCheckpoint ck(path, key);
+      ADD_FAILURE() << "a v1 checkpoint loaded under key " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not a checkpoint file"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(read_file(path), v1);
   }
-  const std::string text = read_file(path);
-  EXPECT_EQ(text.rfind("xtest-checkpoint v2\n", 0), 0u) << text;
-  {
-    CampaignCheckpoint ck(path, "k");
-    const auto slots = ck.restore("campaign", 4);
-    EXPECT_EQ(slots[1], Verdict::kDetected);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, V1KeyMismatchStillThrows) {
-  const std::string path = temp_path("ckpt_v1_mismatch");
-  write_file(path, "xtest-checkpoint v1\nkey k\n");
-  EXPECT_THROW(CampaignCheckpoint(path, "other"), std::runtime_error);
   std::remove(path.c_str());
 }
 

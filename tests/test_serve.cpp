@@ -26,6 +26,7 @@
 #include "serve/server.h"
 #include "sim/campaign.h"
 #include "spec/scenario.h"
+#include "util/durable_file.h"
 #include "util/fault_injector.h"
 #include "util/net.h"
 #include "util/parallel.h"
@@ -374,6 +375,93 @@ TEST(JobQueue, ForeignFileRefusedLoudly) {
   std::remove(path.c_str());
 }
 
+TEST(JobQueue, WrappingRecordLengthsAreDamageNotAnOffset) {
+  // Two payload lengths whose sum wraps to one byte before the record:
+  // the loader must drop the record, never index outside the file.
+  const std::string path = temp_file("queue_wrap");
+  std::remove(path.c_str());
+  { JobQueue(path).persist(); }
+  const std::string header = util::read_file(path).value();
+  const std::string head = "job 1 5 0 0 0 0 9223372036854775808 ";
+  const std::string tail = " 0 0\n";
+  const std::size_t pos = header.size() + head.size() + 19 + tail.size();
+  const std::string wrap = std::to_string((std::size_t{1} << 63) - 1 - pos);
+  ASSERT_EQ(wrap.size(), 19u);
+  {
+    std::ofstream out(path);
+    out << header << head << wrap << tail << "payload\n";
+  }
+  JobQueue q(path);
+  EXPECT_EQ(q.load(), 0u);
+  EXPECT_EQ(q.salvage_dropped(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(JobQueue, LoadSweepsAStaleTmpFromAKilledPersist) {
+  const std::string path = temp_file("queue_stale_tmp");
+  std::remove(path.c_str());
+  {
+    JobQueue q(path);
+    q.enqueue("survivor", 5);
+  }
+  // A daemon SIGKILLed mid-persist leaves its tmp; a tagged writer's tmp
+  // on the same path is not the queue's to sweep.
+  const std::string stale = path + ".tmp.4242";
+  const std::string tagged = path + ".tmp.s0.4242";
+  for (const std::string& tmp : {stale, tagged}) {
+    std::ofstream out(tmp);
+    out << "torn write\n";
+  }
+  JobQueue q(path);
+  EXPECT_EQ(q.load(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(stale));
+  EXPECT_TRUE(std::filesystem::exists(tagged));
+  std::remove(tagged.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(JobQueue, FileBytesArePinned) {
+  // A restarted daemon must reload any queue an older one wrote: a queue
+  // with a queued, a done and a failed job is exactly these bytes.
+  const std::string path = temp_file("queue_golden");
+  std::remove(path.c_str());
+  {
+    JobQueue q(path);
+    q.enqueue("name = queued\nbus = data\n", 7);
+    Job* done = q.find(q.enqueue("name = done\n", 5));
+    done->state = JobState::kDone;
+    done->verdicts = "DUTE";
+    done->stats_json = "{\"defects\":4}";
+    done->degraded = true;
+    done->exit_code = 6;
+    done->attempts = 1;
+    Job* failed = q.find(q.enqueue("name = failed\n", 0));
+    failed->state = JobState::kFailed;
+    failed->exit_code = 4;
+    failed->error = "boom";
+    failed->attempts = 2;
+    q.persist();
+  }
+  EXPECT_EQ(util::read_file(path).value_or(""),
+            "xtest-serve-queue v1\n"
+            "next 4\n"
+            "crc fb0f7b66\n"
+            "job 1 7 0 0 0 0 25 0 0 0\n"
+            "name = queued\n"
+            "bus = data\n"
+            "\n"
+            "crc 0b3c4b12\n"
+            "job 2 5 2 1 6 1 12 4 13 0\n"
+            "name = done\n"
+            "DUTE{\"defects\":4}\n"
+            "crc 68a893bb\n"
+            "job 3 0 3 2 4 0 14 0 0 4\n"
+            "name = failed\n"
+            "boom\n"
+            "crc 7727c8ad\n");
+  std::remove(path.c_str());
+}
+
 TEST(JobQueue, EnqueueRollsBackWhenPersistFails) {
   const std::string path = temp_file("queue_rollback");
   std::remove(path.c_str());
@@ -602,6 +690,27 @@ TEST_F(ServeFixture, InvalidScenarioIsRejectedInBand) {
                std::runtime_error);
   // The daemon survives the rejection.
   EXPECT_NO_THROW(c.status());
+}
+
+TEST_F(ServeFixture, OnlineScenarioIsRefusedInBand) {
+  // The daemon runs every job supervised, and the supervisor cannot carry
+  // on-line outcomes: the submit is refused instead of completing with
+  // every verdict a sim error.
+  spec::ScenarioSpec s = spec::builtin_scenario("online-baseline");
+  s.defect_count = 4;
+  s.threads = 1;
+  start();
+  Client c(client_options());
+  try {
+    c.submit(spec::serialize_scenario(s), 5);
+    ADD_FAILURE() << "an on-line scenario was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("online.enabled"), std::string::npos) << what;
+    EXPECT_NE(what.find("supervised"), std::string::npos) << what;
+  }
+  // Nothing was queued.
+  EXPECT_EQ(c.status(), "");
 }
 
 TEST_F(ServeFixture, EnqueueFaultRejectsSubmitAndRollsBack) {

@@ -326,6 +326,31 @@ TEST(ScenarioSpec, MaterializersMatchHandBuiltConfiguration) {
   EXPECT_EQ(via, hand);
 }
 
+TEST(ScenarioSpec, CheckpointKeyNeedsNoLibrary) {
+  // The key is built from the spec alone, yet names the library exactly
+  // as the generated one would: supervised parents never generate it.
+  for (const std::string& name : builtin_scenario_names()) {
+    ScenarioSpec s = builtin_scenario(name);
+    s.defect_count = 30;
+    s.seed = 5;
+    for (const soc::BusKind bus : {soc::BusKind::kAddress,
+                                   soc::BusKind::kData,
+                                   soc::BusKind::kControl}) {
+      s.bus = bus;
+      const std::string library_key =
+          sim::default_checkpoint_key(bus, s.make_library());
+      EXPECT_EQ(s.checkpoint_key().rfind(library_key, 0), 0u)
+          << name << ": " << s.checkpoint_key();
+    }
+  }
+  ScenarioSpec low_swing = builtin_scenario("low-swing-bus");
+  low_swing.defect_count = 30;
+  low_swing.seed = 5;
+  EXPECT_EQ(low_swing.checkpoint_key(),
+            "bus=addr count=30 seed=5 sigma=50 cth=756.48000000000002 "
+            "system.electrical=low-swing");
+}
+
 TEST(ScenarioSpec, SingleSessionScenarioGeneratesOneProgram) {
   ScenarioSpec s;
   s.multi_session = false;

@@ -78,7 +78,7 @@ struct SupervisorFixture {
     job.scenario_path = base + ".job.scn";
     job.defect_count = spec.defect_count;
     job.sections = {"session0"};
-    job.checkpoint_key = spec.checkpoint_key(spec.make_library());
+    job.checkpoint_key = spec.checkpoint_key();
     job.checkpoint_base = base;
     job.fault_spec = std::move(fault_spec);
     write_file(job.scenario_path, spec::serialize_scenario(spec));

@@ -9,8 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "cpu/assembler.h"
 #include "hwbist/bist.h"
@@ -26,6 +26,7 @@
 #include "soc/waveform.h"
 #include "spec/scenario.h"
 #include "util/crc32.h"
+#include "util/durable_file.h"
 #include "util/fault_injector.h"
 #include "util/parallel.h"
 #include "util/retry.h"
@@ -169,11 +170,12 @@ Parsed parse(const CommandDef& cmd, const std::vector<std::string>& args) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  try {
+    if (std::optional<std::string> text = util::read_file(path)) return *text;
+  } catch (const std::runtime_error& e) {
+    throw IoError(e.what());
+  }
+  throw IoError("cannot open " + path);
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -524,8 +526,6 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
   // to every worker on its command line for the worker-side sites.
   const FaultSpecGuard faults(fault_spec);
 
-  const auto lib = s.make_library();
-
   std::string base;
   const bool own_checkpoints = p.options.count("checkpoint") == 0;
   if (!own_checkpoints) {
@@ -538,7 +538,7 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
     // A completed run removes these files (below).
     char digest[16];
     std::snprintf(digest, sizeof digest, "%08x",
-                  util::crc32(s.checkpoint_key(lib)));
+                  util::crc32(s.checkpoint_key()));
     base = (std::filesystem::temp_directory_path() /
             ("xtest_" + s.name + "_" + soc::to_string(s.bus) + "_" +
              std::to_string(static_cast<unsigned long long>(s.seed)) + "_" +
@@ -546,8 +546,8 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
                .string();
   }
 
-  const sim::SupervisorJob job = spec::make_supervisor_job(
-      s, lib, s.make_sessions(), base, fault_spec);
+  const sim::SupervisorJob job =
+      spec::make_supervisor_job(s, base, fault_spec);
   const FileCleanup job_file{job.scenario_path};
 
   sim::SupervisorOptions sup;
@@ -569,7 +569,7 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
     for (std::size_t k = 0; k < s.workers; ++k)
       std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
 
-  print_campaign_summary(out, s, lib.size(), r.verdicts, r.stats);
+  print_campaign_summary(out, s, s.defect_count, r.verdicts, r.stats);
   std::size_t spawns = 0;
   for (const sim::ShardOutcome& o : r.shards) spawns += o.spawns;
   char buf[192];
@@ -580,7 +580,7 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
                 r.quarantined().size());
   out << buf;
   if (s.compare_bist)
-    print_bist_compare(out, s, lib, r.verdicts, {s.threads});
+    print_bist_compare(out, s, s.make_library(), r.verdicts, {s.threads});
   if (p.options.count("stats-json")) out << r.stats.json("campaign") << '\n';
   for (const std::string& e : r.stats.error_log)
     err << "warning: " << e << '\n';
@@ -616,7 +616,7 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
     opts.checkpoint_path = p.options.at("checkpoint");
     if (opts.checkpoint_path.empty())
       throw UsageError("--checkpoint: missing file name");
-    opts.checkpoint_key = s.checkpoint_key(lib);
+    opts.checkpoint_key = s.checkpoint_key();
   }
   if (worker_mode) {
     // stoull would silently wrap "-1" to 2^64-1; reject the sign up front
@@ -777,7 +777,7 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
       }
     }
     const sim::SupervisorJob job =
-        spec::make_supervisor_job(s, lib, sessions, base, fault_spec);
+        spec::make_supervisor_job(s, base, fault_spec);
     const FileCleanup job_file{job.scenario_path};
 
     sim::SupervisorOptions sup;
@@ -1210,7 +1210,7 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
       opts.parallel = {threads};
       opts.cancel = &interrupt_flag();
       opts.checkpoint_path = ckpt;
-      opts.checkpoint_key = s.checkpoint_key(lib);
+      opts.checkpoint_key = s.checkpoint_key();
       opts.checkpoint_every = 3;  // small, so a hard crash loses little
 
       ChaosOutcome oc;
