@@ -42,8 +42,8 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kChunkChars = 512;
 
 /// The scenario a served job runs: workers are forced before validation,
-/// so a scenario the supervisor cannot run (on-line) is refused at submit
-/// instead of completing degraded.  Every served job runs crash-isolated:
+/// so a scenario the supervisor cannot run (a sharded one) is refused at
+/// submit instead of failing later.  Every served job runs crash-isolated:
 /// the daemon must survive anything a campaign does.
 spec::ScenarioSpec served_scenario(const std::string& text) {
   spec::ScenarioSpec s = spec::parse_scenario(text);
@@ -324,11 +324,14 @@ struct Server::Impl {
     const std::string base = job_checkpoint_base(job.id);
     std::remove((base + ".job.scn").c_str());
     if (keep_checkpoints) return;
-    // Shard count is bounded by what any scenario could have asked for;
-    // sweep a generous range so a retried-with-different-workers job
-    // leaves nothing behind.
-    for (std::size_t k = 0; k < 64; ++k)
-      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
+    // The shard count is a pure function of the queued scenario text; a
+    // scenario that does not parse never got as far as a shard.
+    std::size_t workers = 0;
+    try {
+      workers = served_scenario(job.scenario).workers;
+    } catch (const std::exception&) {
+    }
+    sim::Supervisor::remove_shard_checkpoints(base, workers);
   }
 
   // --- poll loop -----------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "sbst/slice.h"
 #include "sim/checkpoint.h"
@@ -39,22 +38,6 @@ void apply_defect(soc::System& system, soc::BusKind bus,
   }
 }
 
-// --- slot bookkeeping per outcome type -------------------------------------
-// An off-line outcome is just its verdict.
-
-Verdict& verdict_of(Verdict& v) { return v; }
-Verdict& verdict_of(OnlineOutcome& o) { return o.verdict; }
-
-template <typename Outcome>
-std::vector<std::optional<Outcome>> restore_slots(CampaignCheckpoint& c,
-                                                  const std::string& section,
-                                                  std::size_t n) {
-  if constexpr (std::is_same_v<Outcome, Verdict>)
-    return c.restore(section, n);
-  else
-    return c.restore_outcomes(section, n);
-}
-
 /// Adds one outcome's on-line counters (the gold schedule's included).
 void book(util::CampaignStats&, Verdict) {}
 void book(util::CampaignStats& stats, const OnlineOutcome& o) {
@@ -66,22 +49,6 @@ void book(util::CampaignStats& stats, const OnlineOutcome& o) {
     stats.online_detection_latency_cycles += o.detection_latency_cycles;
     ++stats.online_latency_samples;
   }
-}
-
-/// Folds one session's outcome into the defect's merged outcome.
-void fold_session(Verdict& merged, Verdict v) {
-  merged = merge_verdicts(merged, v);
-}
-void fold_session(OnlineOutcome& merged, const OnlineOutcome& o) {
-  // First detecting session wins the latency (the field notices the
-  // defect on its first diverging slice boundary).
-  if (!is_detected(merged.verdict) && is_detected(o.verdict))
-    merged.detection_latency_cycles = o.detection_latency_cycles;
-  merged.verdict = merge_verdicts(merged.verdict, o.verdict);
-  merged.rounds += o.rounds;
-  merged.heartbeats += o.heartbeats;
-  merged.deadlines_late += o.deadlines_late;
-  merged.deadlines_missed += o.deadlines_missed;
 }
 
 // --- per-defect policies ---------------------------------------------------
@@ -96,10 +63,6 @@ void fold_session(OnlineOutcome& merged, const OnlineOutcome& o) {
 //     runs one defect on a worker's simulator, concurrently with other
 //     workers; throws on a simulation failure and leaves the simulator
 //     defect-free either way.
-//
-// plus the checkpoint key a caller that names none gets:
-//
-//   std::string checkpoint_key(const xtalk::DefectLibrary&) const
 
 /// The off-line policy (Fig. 9): the whole program runs under the defect
 /// and its tester-visible responses are classified against the gold run.
@@ -111,10 +74,6 @@ class WholeProgramRun {
       : bus_(bus),
         cycle_factor_(options.cycle_factor),
         deadline_ms_(options.defect_deadline_ms) {}
-
-  std::string checkpoint_key(const xtalk::DefectLibrary& library) const {
-    return default_checkpoint_key(bus_, library);
-  }
 
   Verdict gold(soc::System& system, const sbst::TestProgram& program,
                std::uint64_t& cycles) {
@@ -160,21 +119,15 @@ class InterleavedSchedule {
  public:
   using Outcome = OnlineOutcome;
 
-  InterleavedSchedule(const soc::SystemConfig& config,
-                      const soc::OnlineConfig& online, soc::BusKind bus,
+  InterleavedSchedule(const soc::OnlineConfig& online, soc::BusKind bus,
                       std::uint64_t deadline_ms)
-      : electrical_(config.electrical),
-        online_(online),
+      : online_(online),
         workload_(soc::make_default_workload()),
         bus_(bus),
         deadline_ms_(deadline_ms) {
     if (online.slice_cycles == 0 || online.workload_cycles == 0)
       throw std::invalid_argument(
           "on-line campaign: slice_cycles and workload_cycles must be > 0");
-  }
-
-  std::string checkpoint_key(const xtalk::DefectLibrary& library) const {
-    return online_checkpoint_key(bus_, library, online_, electrical_);
   }
 
   /// Runs rounds until the program halts, recording every slice-boundary
@@ -295,7 +248,6 @@ class InterleavedSchedule {
     cycles = sched.global_cycles();
   }
 
-  xtalk::ElectricalConfig electrical_;
   soc::OnlineConfig online_;
   soc::OnlineWorkload workload_;
   soc::BusKind bus_;
@@ -311,8 +263,8 @@ class InterleavedSchedule {
 /// `options.parallel.resolve(library.size())` workers, each owning its own
 /// soc::System; outcomes are written by defect index, so the result is
 /// bitwise identical for every thread count (threads = 1 is the exact
-/// serial path), for any interrupt/resume schedule, and -- merged with
-/// merge_shard_results -- for any sharding.
+/// serial path), for any interrupt/resume schedule, and for any sharding
+/// once each slot is taken from the shard that owns it.
 template <typename Policy>
 std::vector<typename Policy::Outcome> run_slots(
     const soc::SystemConfig& config, const sbst::TestProgram& program,
@@ -326,6 +278,10 @@ std::vector<typename Policy::Outcome> run_slots(
     throw std::invalid_argument(
         "campaign shard " + std::to_string(shard.index) + "/" +
         std::to_string(shard.count) + ": index must be < count");
+  if (!options.checkpoint_path.empty() && options.checkpoint_key.empty())
+    throw std::invalid_argument("campaign checkpoint " +
+                                options.checkpoint_path +
+                                ": no checkpoint key given");
   // Every shard runs the gold step, shard 0 alone books it: merged shard
   // stats then equal the unsharded run's.
   const bool books_gold = shard.index == 0;
@@ -351,9 +307,7 @@ std::vector<typename Policy::Outcome> run_slots(
   std::unique_ptr<CampaignCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     checkpoint = std::make_unique<CampaignCheckpoint>(
-        options.checkpoint_path,
-        options.checkpoint_key.empty() ? policy.checkpoint_key(library)
-                                       : options.checkpoint_key,
+        options.checkpoint_path, options.checkpoint_key,
         options.checkpoint_every,
         shard.count > 1 ? "s" + std::to_string(shard.index) : "");
     const SalvageReport& sr = checkpoint->salvage();
@@ -480,7 +434,7 @@ std::vector<typename Policy::Outcome> run_slots(
     // Outcome tallies cover the complete owned slice (restored slots
     // included) and only a completed call, so an interrupted-then-resumed
     // campaign reports exactly the uninterrupted numbers and per-shard
-    // tallies sum to the unsharded ones under merge_shard_results.
+    // tallies sum to the unsharded ones under CampaignStats::merge_from.
     if (!interrupted) {
       if (books_gold) book(stats, gold);
       std::vector<Verdict> owned;
@@ -587,27 +541,6 @@ std::string default_checkpoint_key(soc::BusKind bus,
   return buf;
 }
 
-std::string online_checkpoint_key(soc::BusKind bus,
-                                  const xtalk::DefectLibrary& library,
-                                  const soc::OnlineConfig& online,
-                                  const xtalk::ElectricalConfig& electrical) {
-  std::string key = default_checkpoint_key(bus, library);
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                " online slice=%llu workload=%llu deadline=%llu",
-                static_cast<unsigned long long>(online.slice_cycles),
-                static_cast<unsigned long long>(online.workload_cycles),
-                static_cast<unsigned long long>(online.deadline_cycles));
-  key += buf;
-  if (electrical.backend != xtalk::ElectricalBackend::kFullSwing) {
-    std::snprintf(buf, sizeof buf, " electrical=%s swing=%.17g restorer=%.17g",
-                  xtalk::to_string(electrical.backend).c_str(),
-                  electrical.swing_ratio, electrical.restorer_ratio);
-    key += buf;
-  }
-  return key;
-}
-
 std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const sbst::TestProgram& program,
                                    soc::BusKind bus,
@@ -631,7 +564,7 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
                                   soc::BusKind bus,
                                   const xtalk::DefectLibrary& library,
                                   const CampaignOptions& options) {
-  InterleavedSchedule policy(config, online, bus, options.defect_deadline_ms);
+  InterleavedSchedule policy(online, bus, options.defect_deadline_ms);
   return online_result(run_slots(config, program, library, options, policy),
                        policy.gold_total);
 }
@@ -640,7 +573,7 @@ OnlineResult run_online_detection_sessions(
     const soc::SystemConfig& config, const soc::OnlineConfig& online,
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
     const xtalk::DefectLibrary& library, const CampaignOptions& options) {
-  InterleavedSchedule policy(config, online, bus, options.defect_deadline_ms);
+  InterleavedSchedule policy(online, bus, options.defect_deadline_ms);
   bool any = false;
   for (const sbst::GenerationResult& s : sessions)
     any |= !s.program.tests.empty();
@@ -649,44 +582,6 @@ OnlineResult run_online_detection_sessions(
   return online_result(
       run_sessions(config, sessions, library, options, policy),
       policy.gold_total);
-}
-
-std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,
-                                         util::CampaignStats* stats) {
-  if (shards.empty())
-    throw std::invalid_argument("merge_shard_results: no shards");
-  const std::size_t count = shards.front().shard.count;
-  const std::size_t n = shards.front().verdicts.size();
-  if (shards.size() != count)
-    throw std::invalid_argument(
-        "merge_shard_results: got " + std::to_string(shards.size()) +
-        " shard result(s) for a " + std::to_string(count) + "-way split");
-  std::vector<std::uint8_t> seen(count, 0);
-  for (const ShardResult& s : shards) {
-    if (s.shard.count != count)
-      throw std::invalid_argument(
-          "merge_shard_results: shard " + std::to_string(s.shard.index) +
-          " was run as 1 of " + std::to_string(s.shard.count) +
-          ", not 1 of " + std::to_string(count));
-    if (s.shard.index >= count || seen[s.shard.index])
-      throw std::invalid_argument(
-          "merge_shard_results: shard index " +
-          std::to_string(s.shard.index) +
-          (s.shard.index >= count ? " out of range" : " appears twice"));
-    if (s.verdicts.size() != n)
-      throw std::invalid_argument(
-          "merge_shard_results: shard " + std::to_string(s.shard.index) +
-          " carries " + std::to_string(s.verdicts.size()) +
-          " verdict(s), expected " + std::to_string(n));
-    seen[s.shard.index] = 1;
-  }
-  std::vector<Verdict> merged(n, Verdict::kUndetected);
-  for (const ShardResult& s : shards) {
-    for (std::size_t i = s.shard.index; i < n; i += count)
-      merged[i] = s.verdicts[i];
-    if (stats != nullptr) stats->merge_from(s.stats);
-  }
-  return merged;
 }
 
 PerLineCoverage per_line_coverage(const soc::SystemConfig& config,

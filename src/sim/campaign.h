@@ -64,9 +64,9 @@ struct CampaignInterrupted : std::runtime_error {
 /// defect whose library index is congruent to it modulo `count`.  The
 /// assignment is a pure function of (defect index, count) -- independent
 /// of thread count and checkpoint schedule -- so any process
-/// can compute which slots any shard owns, and merge_shard_results can
-/// recombine per-shard verdict vectors into exactly the single-process
-/// result.  The default {0, 1} owns everything (an unsharded campaign).
+/// can compute which slots any shard owns, and taking every slot from its
+/// owner recombines the shards into exactly the single-process result.
+/// The default {0, 1} owns everything (an unsharded campaign).
 struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
@@ -101,8 +101,10 @@ struct CampaignOptions {
   /// Completed verdicts between automatic checkpoint flushes.
   std::size_t checkpoint_every = 32;
   /// Campaign identity guard stored in the checkpoint; resuming with a
-  /// different key throws.  Empty = default_checkpoint_key off-line,
-  /// online_checkpoint_key on-line.
+  /// different key throws.  Required with checkpoint_path (the campaign
+  /// throws std::invalid_argument without one): ScenarioSpec::checkpoint_key
+  /// names every verdict-relevant input, default_checkpoint_key only the
+  /// bus and library.
   std::string checkpoint_key;
   /// Section name inside the checkpoint file (multi-session campaigns use
   /// one section per session).
@@ -118,8 +120,7 @@ struct CampaignOptions {
   std::uint64_t defect_deadline_ms = 0;
   /// Shard of the library this call simulates (default: all of it).
   /// Non-owned slots are never simulated, checkpointed, or tallied into
-  /// stats; they stay kUndetected placeholders in the returned vector, and
-  /// merge_shard_results recombines the slices.
+  /// stats; they stay default-outcome placeholders in the returned vector.
   ShardSpec shard;
   /// When non-null, called after every newly completed verdict (simulated
   /// or retried) -- the worker-process heartbeat hook.  May be invoked
@@ -159,26 +160,6 @@ inline std::string default_checkpoint_key(
     soc::BusKind bus, const xtalk::DefectLibrary& library) {
   return default_checkpoint_key(bus, library.config());
 }
-
-/// One shard's slice of a campaign: the spec it ran under, its full-size
-/// verdict vector (non-owned slots are placeholders and ignored by the
-/// merge), and its stats.
-struct ShardResult {
-  ShardSpec shard;
-  std::vector<Verdict> verdicts;
-  util::CampaignStats stats;
-};
-
-/// Recombines per-shard campaign results into the single-process result:
-/// verdict i is taken from the shard that owns i, so the merged vector is
-/// bitwise identical to an unsharded run of the same campaign; the merged
-/// stats are the raw-counter sums (CampaignStats::merge_from), from which
-/// every derived ratio recomputes correctly.  Requires a complete,
-/// consistent partition -- all shards agreeing on `count` and vector
-/// size, with every shard index 0..count-1 present exactly once -- and
-/// throws std::invalid_argument naming the violation otherwise.
-std::vector<Verdict> merge_shard_results(const std::vector<ShardResult>& shards,
-                                         util::CampaignStats* stats = nullptr);
 
 /// Fig. 11: individual and cumulative defect coverage of the MA tests for
 /// each interconnect of a bus.  "The MA test for interconnect i" is the

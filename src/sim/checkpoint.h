@@ -44,6 +44,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/verdict.h"
@@ -155,5 +156,17 @@ class CampaignCheckpoint {
   /// Insertion-ordered, as in the file.
   std::vector<Section> sections_;
 };
+
+/// restore() or restore_outcomes(), by outcome type: how the campaign
+/// engine resumes a section and how the supervisor reads a shard's result.
+template <typename Outcome>
+std::vector<std::optional<Outcome>> restore_slots(CampaignCheckpoint& c,
+                                                  const std::string& section,
+                                                  std::size_t n) {
+  if constexpr (std::is_same_v<Outcome, Verdict>)
+    return c.restore(section, n);
+  else
+    return c.restore_outcomes(section, n);
+}
 
 }  // namespace xtest::sim

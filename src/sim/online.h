@@ -70,13 +70,4 @@ OnlineResult run_online_detection_sessions(
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
     const xtalk::DefectLibrary& library, const CampaignOptions& options);
 
-/// Checkpoint identity for an on-line campaign: the off-line key plus the
-/// interleaving knobs and (when not the default full-swing backend) the
-/// electrical calibration, so a resumed campaign with a different schedule
-/// or backend is rejected instead of silently mixing outcomes.
-std::string online_checkpoint_key(soc::BusKind bus,
-                                  const xtalk::DefectLibrary& library,
-                                  const soc::OnlineConfig& online,
-                                  const xtalk::ElectricalConfig& electrical);
-
 }  // namespace xtest::sim

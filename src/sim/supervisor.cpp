@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -107,6 +108,68 @@ bool wait_until_cancellable(Clock::time_point until,
   }
 }
 
+/// Per-shard checkpoints are the result transport: restores every shard's
+/// sections with the engine's restore_slots and folds them per defect with
+/// its fold_session, exactly like an in-process multi-session campaign.  A
+/// slot its shard never recorded reads kSimError.  A quarantined shard's
+/// salvaged outcomes still count; it adds its session verdict tally and
+/// one error_log entry to the result's stats.
+template <typename Outcome>
+std::vector<Outcome> fold_shards(const SupervisorJob& job,
+                                 const std::vector<Worker>& workers,
+                                 SupervisorResult& result) {
+  const std::size_t n = job.defect_count;
+  const std::size_t count = workers.size();
+  std::vector<Outcome> merged(n);
+  for (const Worker& w : workers) {
+    std::vector<std::vector<std::optional<Outcome>>> sections;
+    std::string read_error;
+    try {
+      CampaignCheckpoint cp(w.checkpoint_path, job.checkpoint_key);
+      for (const std::string& s : job.sections)
+        sections.push_back(restore_slots<Outcome>(cp, s, n));
+    } catch (const std::exception& e) {
+      sections.clear();
+      read_error = e.what();
+    }
+    const ShardSpec spec{w.shard, count};
+    std::size_t missing = 0;
+    // A quarantined shard's unrecovered session slots are sim errors,
+    // mirroring a serial run's tally.
+    std::vector<Verdict> quarantined_slots;
+    for (std::size_t i = spec.index; i < n; i += count) {
+      for (std::size_t s = 0; s < job.sections.size(); ++s) {
+        const bool have = s < sections.size() && sections[s][i];
+        Outcome o = have ? *sections[s][i] : Outcome{};
+        if (!have) verdict_of(o) = Verdict::kSimError;
+        missing += !have;
+        fold_session(merged[i], o);
+        if (w.quarantined) quarantined_slots.push_back(verdict_of(o));
+      }
+    }
+    const std::string name =
+        "shard " + std::to_string(w.shard) + "/" + std::to_string(count);
+    if (w.quarantined) {
+      tally_verdicts(quarantined_slots, result.stats);
+      std::string entry =
+          name + " quarantined after " + std::to_string(w.spawns) +
+          " spawn(s) (" + w.last_status + "): " + std::to_string(missing) +
+          " of " + std::to_string(spec.owned_of(n) * job.sections.size()) +
+          " owned session verdict(s) unrecovered";
+      if (!read_error.empty()) entry += "; checkpoint: " + read_error;
+      result.stats.error_log.push_back(std::move(entry));
+    } else if (!read_error.empty()) {
+      // A completed worker whose checkpoint cannot be read back is a
+      // supervisor-side failure; report it rather than inventing outcomes.
+      result.stats.error_log.push_back(
+          name + " completed but its checkpoint was unreadable: " +
+          read_error);
+      result.shards[w.shard].quarantined = true;
+    }
+  }
+  return merged;
+}
+
 }  // namespace
 
 Supervisor::Supervisor(SupervisorJob job, SupervisorOptions options)
@@ -115,6 +178,12 @@ Supervisor::Supervisor(SupervisorJob job, SupervisorOptions options)
 std::string Supervisor::shard_checkpoint_path(const std::string& base,
                                               std::size_t shard) {
   return base + ".shard" + std::to_string(shard);
+}
+
+void Supervisor::remove_shard_checkpoints(const std::string& base,
+                                          std::size_t workers) {
+  for (std::size_t k = 0; k < workers; ++k)
+    std::remove(shard_checkpoint_path(base, k).c_str());
 }
 
 SupervisorResult Supervisor::run() {
@@ -438,57 +507,12 @@ SupervisorResult Supervisor::run() {
   }
 
   // ---- merge ------------------------------------------------------------
-  // Per-shard checkpoints are the result transport: restore every section
-  // and fold sessions exactly like run_detection_sessions does.
-  const std::size_t n = job_.defect_count;
-  result.verdicts.assign(n, Verdict::kUndetected);
-  for (Worker& w : workers) {
-    std::vector<std::vector<std::optional<Verdict>>> sections;
-    std::string read_error;
-    try {
-      CampaignCheckpoint cp(w.checkpoint_path, job_.checkpoint_key);
-      for (const std::string& s : job_.sections)
-        sections.push_back(cp.restore(s, n));
-    } catch (const std::exception& e) {
-      sections.clear();
-      read_error = e.what();
-    }
-    const ShardSpec spec{w.shard, opt_.workers};
-    std::size_t missing = 0;
-    // A quarantined shard's salvaged verdicts still count; its unrecovered
-    // session slots are sim errors, mirroring a serial run's tally.
-    std::vector<Verdict> quarantined_slots;
-    for (std::size_t i = spec.index; i < n; i += opt_.workers) {
-      Verdict merged = Verdict::kUndetected;
-      for (std::size_t s = 0; s < job_.sections.size(); ++s) {
-        const bool have = s < sections.size() && sections[s][i].has_value();
-        const Verdict v = have ? *sections[s][i] : Verdict::kSimError;
-        missing += !have;
-        merged = merge_verdicts(merged, v);
-        if (w.quarantined) quarantined_slots.push_back(v);
-      }
-      result.verdicts[i] = merged;
-    }
-    if (w.quarantined) {
-      tally_verdicts(quarantined_slots, result.stats);
-      std::string entry =
-          "shard " + std::to_string(w.shard) + "/" +
-          std::to_string(opt_.workers) + " quarantined after " +
-          std::to_string(w.spawns) + " spawn(s) (" + w.last_status + "): " +
-          std::to_string(missing) + " of " +
-          std::to_string(spec.owned_of(n) * job_.sections.size()) +
-          " owned session verdict(s) unrecovered";
-      if (!read_error.empty()) entry += "; checkpoint: " + read_error;
-      result.stats.error_log.push_back(std::move(entry));
-    } else if (!read_error.empty()) {
-      // A completed worker whose checkpoint cannot be read back is a
-      // supervisor-side failure; report it rather than inventing verdicts.
-      result.stats.error_log.push_back(
-          "shard " + std::to_string(w.shard) + "/" +
-          std::to_string(opt_.workers) +
-          " completed but its checkpoint was unreadable: " + read_error);
-      result.shards[w.shard].quarantined = true;
-    }
+  if (job_.online) {
+    result.outcomes = fold_shards<OnlineOutcome>(job_, workers, result);
+    for (const OnlineOutcome& o : result.outcomes)
+      result.verdicts.push_back(o.verdict);
+  } else {
+    result.verdicts = fold_shards<Verdict>(job_, workers, result);
   }
   return result;
 }

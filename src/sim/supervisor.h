@@ -62,9 +62,12 @@ struct SupervisorJob {
   /// ("session0", "session2", ...): exactly the non-empty sessions the
   /// scenario materializes.
   std::vector<std::string> sections;
-  /// Campaign identity (sim::default_checkpoint_key) shared by all
-  /// shards; guards every per-shard file against the wrong library.
+  /// Campaign identity (ScenarioSpec::checkpoint_key) shared by all
+  /// shards; guards every per-shard file against the wrong campaign.
   std::string checkpoint_key;
+  /// The scenario is an on-line one: its checkpoint sections carry full
+  /// OnlineOutcomes, and the result carries them too.
+  bool online = false;
   /// Per-shard checkpoint files are "<checkpoint_base>.shard<k>".
   std::string checkpoint_base;
   /// Fault-injection spec forwarded verbatim to every worker's --faults
@@ -124,6 +127,9 @@ struct SupervisorResult {
   /// Merged verdicts, bitwise identical to a single-process run when no
   /// shard was quarantined.
   std::vector<Verdict> verdicts;
+  /// On-line jobs only: the merged per-defect outcomes, folded over
+  /// sessions like the in-process campaign (`verdicts` are theirs).
+  std::vector<OnlineOutcome> outcomes;
   /// Raw-counter merge of the final attempt of every completed shard
   /// (killed attempts die with their counters); quarantined shards
   /// contribute their salvaged verdict breakdown plus one error_log
@@ -160,6 +166,10 @@ class Supervisor {
   /// shared with tests and docs.
   static std::string shard_checkpoint_path(const std::string& base,
                                            std::size_t shard);
+
+  /// Removes the per-shard checkpoints of a `workers`-shard run at `base`.
+  static void remove_shard_checkpoints(const std::string& base,
+                                       std::size_t workers);
 
  private:
   SupervisorJob job_;

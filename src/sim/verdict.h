@@ -106,6 +106,27 @@ struct OnlineOutcome {
   bool operator==(const OnlineOutcome&) const = default;
 };
 
+/// A campaign slot's verdict; an off-line outcome is just its verdict.
+inline Verdict& verdict_of(Verdict& v) { return v; }
+inline Verdict& verdict_of(OnlineOutcome& o) { return o.verdict; }
+
+/// Folds one session's outcome into the defect's merged outcome: the one
+/// session fold of the campaign engine and of the supervisor's shard merge.
+inline void fold_session(Verdict& merged, Verdict v) {
+  merged = merge_verdicts(merged, v);
+}
+inline void fold_session(OnlineOutcome& merged, const OnlineOutcome& o) {
+  // First detecting session wins the latency (the field notices the
+  // defect on its first diverging slice boundary).
+  if (!is_detected(merged.verdict) && is_detected(o.verdict))
+    merged.detection_latency_cycles = o.detection_latency_cycles;
+  merged.verdict = merge_verdicts(merged.verdict, o.verdict);
+  merged.rounds += o.rounds;
+  merged.heartbeats += o.heartbeats;
+  merged.deadlines_late += o.deadlines_late;
+  merged.deadlines_missed += o.deadlines_missed;
+}
+
 struct VerdictCounts {
   std::size_t detected = 0;
   std::size_t detected_by_timeout = 0;

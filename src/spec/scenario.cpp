@@ -455,6 +455,7 @@ sim::SupervisorJob make_supervisor_job(const ScenarioSpec& spec,
     if (!sessions[i].program.tests.empty())
       job.sections.push_back("session" + std::to_string(i));
   job.checkpoint_key = spec.checkpoint_key();
+  job.online = spec.online.enabled;
   job.checkpoint_base = checkpoint_base;
   job.fault_spec = fault_spec;
 
@@ -516,14 +517,8 @@ void ScenarioSpec::validate() const {
       system.electrical.restorer_ratio >= 1.0)
     throw SpecParseError(0, "system.restorer_ratio must be in (0, 1)");
   if (online.enabled) {
-    // The worker supervisor carries verdicts only, not on-line outcomes,
-    // and the BIST baseline (a test-mode comparison) has no interleaved
+    // The BIST baseline (a test-mode comparison) has no interleaved
     // equivalent.
-    if (workers > 0)
-      throw SpecParseError(
-          0, "online.enabled and campaign.workers are mutually exclusive "
-             "(the supervisor carries verdicts only; the serve daemon runs "
-             "every job supervised)");
     if (compare_bist)
       throw SpecParseError(
           0, "online.enabled and campaign.compare_bist are mutually "

@@ -117,8 +117,7 @@ struct ScenarioSpec {
   /// enabled the campaign interleaves self-test slices with a functional
   /// workload and reports detection latency and MMIO interference
   /// (sim/online.h).  Off by default -- the paper baseline is off-line.
-  /// Shards like an off-line campaign; mutually exclusive with `workers`
-  /// (the supervisor carries verdicts only, not on-line outcomes).
+  /// Shards and runs under `workers` like an off-line campaign.
   soc::OnlineConfig online;
 
   bool operator==(const ScenarioSpec&) const = default;
@@ -157,11 +156,11 @@ struct ScenarioSpec {
 /// The supervisor job for `spec` (whose `workers` it runs as shards): the
 /// worker binary ($XTEST_WORKER_BINARY, else this executable), the
 /// checkpoint sections of the spec's live sessions, spec.checkpoint_key,
-/// and the worker-facing scenario file `<checkpoint_base>.job.scn` -- the
-/// spec with `workers = 0`, so a worker never spawns workers of its own.
-/// The defect library is left to the workers.  The caller owns deleting
-/// that file.  Throws SpecIoError when the binary cannot be resolved or
-/// the file cannot be written.
+/// whether it is an on-line campaign, and the worker-facing scenario file
+/// `<checkpoint_base>.job.scn` -- the spec with `workers = 0`, so a worker
+/// never spawns workers of its own.  The defect library is left to the
+/// workers.  The caller owns deleting that file.  Throws SpecIoError when
+/// the binary cannot be resolved or the file cannot be written.
 sim::SupervisorJob make_supervisor_job(const ScenarioSpec& spec,
                                        const std::string& checkpoint_base,
                                        const std::string& fault_spec);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iterator>
+#include <limits>
 #include <string_view>
 #include <thread>
 #include <type_traits>
@@ -217,9 +218,19 @@ bool parse_stats_json(const std::string& line, CampaignStats& out) {
   const std::string obj = line.substr(open, close - open + 1);
   bool any = false;
   for_each_counter([&](const char* key, auto member) {
+    using T = std::decay_t<decltype(out.*member)>;
     double v = 0.0;
     if (!json_number(obj, key, v)) return;
-    out.*member = static_cast<std::decay_t<decltype(out.*member)>>(v);
+    // An integer counter takes a whole number its type can hold; casting
+    // anything else would be undefined behaviour, not a value.
+    if constexpr (std::is_integral_v<T>) {
+      if (v < 0.0 || v != std::floor(v) ||
+          v >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+        throw StatsJsonError(
+            std::string("stats json: value out of range for \"") + key +
+            "\"");
+    }
+    out.*member = static_cast<T>(v);
     any = true;
   });
   return any;

@@ -172,10 +172,11 @@ struct CampaignStats {
 
 /// A stats line that LOOKS like a stats object but cannot be decoded:
 /// truncated (an opening '{' with no closing '}'), a known key whose value
-/// is not a finite number, or a known key appearing twice with conflicting
-/// values.  The supervisor and the serve daemon read these lines from
-/// worker process output -- i.e. from a process that may have been
-/// SIGKILLed mid-printf -- so damage must surface as this typed error
+/// is not a finite number, an integer counter whose value is negative,
+/// fractional or beyond its type, or a known key appearing twice with
+/// conflicting values.  The supervisor and the serve daemon read these
+/// lines from worker process output -- i.e. from a process that may have
+/// been SIGKILLed mid-printf -- so damage must surface as this typed error
 /// (callers skip the line), never as silently-wrong counters or UB.
 struct StatsJsonError : std::runtime_error {
   using std::runtime_error::runtime_error;

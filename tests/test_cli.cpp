@@ -335,6 +335,53 @@ TEST(Cli, SupervisedWorkersMatchTheSerialVerdictLines) {
       << supervised.out;
 }
 
+TEST(Cli, SupervisedOnlineMatchesInProcess) {
+  // An on-line campaign runs under --workers like an off-line one: the
+  // coverage, verdict-breakdown and both on-line lines equal the
+  // in-process run's.
+  ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
+  const std::vector<std::string> serial_args = {
+      "campaign", "--scenario", "online-baseline", "--defects", "12",
+      "--threads", "1"};
+  std::vector<std::string> supervised_args = serial_args;
+  supervised_args.insert(supervised_args.end(), {"--workers", "2"});
+  const CliRun serial = run_cli(serial_args);
+  const CliRun supervised = run_cli(supervised_args);
+  unsetenv("XTEST_WORKER_BINARY");
+
+  ASSERT_EQ(serial.code, 0) << serial.err;
+  ASSERT_EQ(supervised.code, 0) << supervised.err << supervised.out;
+  for (const char* prefix :
+       {"bus=", "detected=", "online gold:", "online latency:"}) {
+    EXPECT_FALSE(line_starting_with(serial.out, prefix).empty()) << prefix;
+    EXPECT_EQ(line_starting_with(supervised.out, prefix),
+              line_starting_with(serial.out, prefix))
+        << prefix;
+  }
+}
+
+TEST(Cli, DegradedSupervisedOnlineRunPrintsNoGoldLine) {
+  // Every worker dies on its first outcome with nothing durable, so both
+  // shards are quarantined: the stats miss them, and a gold line derived
+  // from those stats would be a wrapped counter.
+  ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
+  const std::string base = temp_path("degraded_online.ckpt");
+  const CliRun r = run_cli(
+      {"campaign", "--scenario", "online-baseline", "--defects", "6",
+       "--threads", "1", "--workers", "2", "--worker-retries", "1",
+       "--worker-backoff-ms", "1", "--faults", "worker.exit@1",
+       "--checkpoint", base});
+  unsetenv("XTEST_WORKER_BINARY");
+  for (const char* shard : {".shard0", ".shard1"})
+    std::remove((base + shard).c_str());
+
+  EXPECT_EQ(r.code, kExitDegraded) << r.err << r.out;
+  EXPECT_NE(r.out.find("quarantined=2"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("online gold:"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("online latency: samples=0 "), std::string::npos)
+      << r.out;
+}
+
 TEST(Cli, SupervisedRunRemovesItsDefaultCheckpointsSoAnEditIsNotReplayed) {
   // Without --checkpoint a supervised run keeps its shard checkpoints at
   // a temp path named by scenario name, bus, seed and key digest.  A

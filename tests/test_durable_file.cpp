@@ -2,7 +2,8 @@
 // built on it: the shared reader, writer, tmp sweep and CRC line codec,
 // then a seeded mutation fuzz over a campaign checkpoint and a serve job
 // queue.  A damaged file may be refused or partly forgotten; a load must
-// never hand back a slot or a job that was not written.
+// never hand back a slot or a job that was not written.  The same fuzz
+// covers the stats JSON line a supervisor reads from each worker.
 
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include "util/crc32.h"
 #include "util/durable_file.h"
 #include "util/fault_injector.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace xtest {
@@ -179,6 +181,35 @@ TEST(DurableFormats, MutatedCheckpointNeverRestoresAWrongSlot) {
   // Both outcomes occur: the fuzz reaches past the magic line.
   EXPECT_GT(refused, 0);
   EXPECT_GT(restored_some, kFuzzCases / 10);
+}
+
+TEST(DurableFormats, MutatedStatsJsonParsesOrThrowsTyped) {
+  // A worker's --stats-json line reaches the supervisor through a pipe
+  // from a process that may die mid-printf: a damaged line parses, is not
+  // a stats line, or throws the typed error -- never anything else (an
+  // out-of-range cast would be undefined behaviour).
+  util::Rng rng(0x57A75);
+  int parsed = 0, refused = 0;
+  for (int n = 0; n < kFuzzCases; ++n) {
+    util::CampaignStats st;
+    st.defects_simulated = rng.below(1u << 20);
+    st.simulated_cycles = rng.below(std::uint64_t{1} << 40);
+    st.wall_seconds = static_cast<double>(rng.below(100000)) / 1000.0;
+    st.threads = static_cast<unsigned>(1 + rng.below(64));
+    st.detected = rng.below(5000);
+    st.undetected = rng.below(5000);
+    st.retries = rng.below(10);
+    st.online_rounds = rng.below(1u << 20);
+    st.online_detection_latency_cycles = rng.below(std::uint64_t{1} << 32);
+    util::CampaignStats out;
+    try {
+      parsed += util::parse_stats_json(mutate(st.json("fuzz"), rng), out);
+    } catch (const util::StatsJsonError&) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(DurableFormats, MutatedQueueNeverReloadsAWrongJob) {

@@ -1,7 +1,7 @@
 // On-line campaign contract (src/sim/online.h): bitwise determinism
 // across thread counts and shards, kill/resume through the on-line
 // checkpoint sections, electrical-backend self-consistency, interference
-// accounting, and the schedule/backend-keyed checkpoint identity.
+// accounting, and the schedule-keyed checkpoint refusal.
 
 #include <gtest/gtest.h>
 
@@ -27,16 +27,17 @@ struct Fixture {
   soc::OnlineConfig online;
   sbst::TestProgram program;
   xtalk::DefectLibrary library;
+  /// The campaign's checkpoint identity (ScenarioSpec::checkpoint_key).
+  std::string key;
 };
 
 Fixture make_fixture(std::size_t defects = 24) {
   spec::ScenarioSpec scn;
   scn.multi_session = false;
   scn.defect_count = defects;
-  Fixture f{scn.system, {}, scn.make_sessions()[0].program,
-            scn.make_library()};
-  f.online.enabled = true;
-  return f;
+  scn.online.enabled = true;
+  return {scn.system, scn.online, scn.make_sessions()[0].program,
+          scn.make_library(), scn.checkpoint_key()};
 }
 
 std::string temp_checkpoint(const char* tag) {
@@ -105,6 +106,7 @@ TEST(OnlineCampaign, KillResumeMatchesUninterrupted) {
   opts.parallel = {2};
   opts.stats = &stats;
   opts.checkpoint_path = ckpt;
+  opts.checkpoint_key = s.key;
   opts.checkpoint_every = 2;
 
   InjectorGuard guard;
@@ -143,12 +145,18 @@ TEST(OnlineCampaign, ScheduleChangeRejectsStaleCheckpoint) {
   sim::CampaignOptions opts;
   opts.parallel = {1};
   opts.checkpoint_path = ckpt;
+  opts.checkpoint_key = s.key;
   sim::run_online_detection(s.config, s.online, s.program,
                             soc::BusKind::kAddress, s.library, opts);
-  soc::OnlineConfig other = s.online;
-  other.slice_cycles += 128;  // a different interleaving schedule
+  // A different interleaving schedule, keyed like the CLI keys it.
+  spec::ScenarioSpec scn;
+  scn.multi_session = false;
+  scn.defect_count = 6;
+  scn.online.enabled = true;
+  scn.online.slice_cycles += 128;
+  opts.checkpoint_key = scn.checkpoint_key();
   try {
-    sim::run_online_detection(s.config, other, s.program,
+    sim::run_online_detection(s.config, scn.online, s.program,
                               soc::BusKind::kAddress, s.library, opts);
     FAIL() << "stale checkpoint accepted across a schedule change";
   } catch (const std::runtime_error& e) {
@@ -176,6 +184,7 @@ TEST(OnlineCampaign, RetiredCheckpointFormatIsRefusedUntouched) {
   sim::CampaignOptions opts;
   opts.parallel = {1};
   opts.checkpoint_path = ckpt;
+  opts.checkpoint_key = s.key;
   try {
     sim::run_online_detection(s.config, s.online, s.program,
                               soc::BusKind::kAddress, s.library, opts);
@@ -192,21 +201,6 @@ TEST(OnlineCampaign, RetiredCheckpointFormatIsRefusedUntouched) {
   back << in.rdbuf();
   EXPECT_EQ(back.str(), text);
   std::remove(ckpt.c_str());
-}
-
-TEST(OnlineCampaign, CheckpointKeyCoversScheduleAndBackend) {
-  const Fixture s = make_fixture(4);
-  xtalk::ElectricalConfig full;  // default full-swing
-  xtalk::ElectricalConfig low;
-  low.backend = xtalk::ElectricalBackend::kLowSwing;
-  const std::string base = sim::online_checkpoint_key(
-      soc::BusKind::kAddress, s.library, s.online, full);
-  soc::OnlineConfig other = s.online;
-  other.workload_cycles += 1;
-  EXPECT_NE(base, sim::online_checkpoint_key(soc::BusKind::kAddress,
-                                             s.library, other, full));
-  EXPECT_NE(base, sim::online_checkpoint_key(soc::BusKind::kAddress,
-                                             s.library, s.online, low));
 }
 
 TEST(OnlineCampaign, ElectricalBackendsSelfConsistent) {
@@ -250,10 +244,11 @@ TEST(OnlineCampaign, TightDeadlineShowsInterference) {
 }
 
 TEST(OnlineCampaign, ShardsMergeToTheUnshardedRun) {
-  // The engine shards an on-line campaign like an off-line one: the two
-  // halves of a 2-way split merge to the unsharded verdicts, per-defect
-  // outcomes and every on-line counter (the gold schedule is booked on
-  // shard 0 only), at any thread count.
+  // The engine shards an on-line campaign like an off-line one: taking
+  // slot i from shard i mod 2 gives the unsharded per-defect outcomes,
+  // and the shards' stats summed with merge_from give every on-line
+  // counter (the gold schedule is booked on shard 0 only), at any thread
+  // count.
   spec::ScenarioSpec scn = spec::builtin_scenario("online-baseline");
   scn.defect_count = 13;  // odd: the shards own 7 and 6 defects
   const auto sessions = scn.make_sessions();
@@ -265,24 +260,19 @@ TEST(OnlineCampaign, ShardsMergeToTheUnshardedRun) {
     const sim::OnlineResult whole = sim::run_online_detection_sessions(
         scn.system, scn.online, sessions, scn.bus, lib, opts);
 
-    std::vector<sim::ShardResult> shards;
     std::vector<sim::OnlineOutcome> outcomes(lib.size());
+    util::CampaignStats merged;
     for (std::size_t k = 0; k < 2; ++k) {
-      sim::ShardResult r;
-      r.shard = {k, 2};
-      opts.stats = &r.stats;
-      opts.shard = r.shard;
+      util::CampaignStats shard_stats;
+      opts.stats = &shard_stats;
+      opts.shard = {k, 2};
       const sim::OnlineResult part = sim::run_online_detection_sessions(
           scn.system, scn.online, sessions, scn.bus, lib, opts);
       EXPECT_EQ(part.gold, whole.gold);
       for (std::size_t i = k; i < lib.size(); i += 2)
         outcomes[i] = part.outcomes[i];
-      r.verdicts = part.verdicts;
-      shards.push_back(std::move(r));
+      merged.merge_from(shard_stats);
     }
-    util::CampaignStats merged;
-    EXPECT_EQ(sim::merge_shard_results(shards, &merged), whole.verdicts)
-        << "threads=" << threads;
     EXPECT_EQ(outcomes, whole.outcomes) << "threads=" << threads;
     EXPECT_EQ(merged.online_rounds, whole_stats.online_rounds);
     EXPECT_EQ(merged.online_mmio_heartbeats,
@@ -300,6 +290,32 @@ TEST(OnlineCampaign, ShardsMergeToTheUnshardedRun) {
     EXPECT_EQ(merged.defects_simulated, whole_stats.defects_simulated);
     EXPECT_EQ(merged.simulated_cycles, whole_stats.simulated_cycles);
   }
+}
+
+TEST(OnlineCampaign, StatsMinusOutcomesIsTheGoldSchedule) {
+  // The engine books exactly the gold schedules plus every owned outcome
+  // into the on-line counters; the CLI's gold line (and a supervised
+  // run's, whose outcomes come from the shard checkpoints) rests on it.
+  const spec::ScenarioSpec scn = spec::builtin_scenario("online-baseline");
+  util::CampaignStats stats;
+  const sim::OnlineResult r = sim::run_online_detection_sessions(
+      scn.system, scn.online, scn.make_sessions(), scn.bus,
+      scn.make_library(), scn.campaign_options(&stats));
+  sim::OnlineOutcome sum;
+  for (const sim::OnlineOutcome& o : r.outcomes) {
+    sum.rounds += o.rounds;
+    sum.heartbeats += o.heartbeats;
+    sum.deadlines_late += o.deadlines_late;
+    sum.deadlines_missed += o.deadlines_missed;
+  }
+  EXPECT_GT(r.gold.rounds, 0u);
+  EXPECT_EQ(stats.online_rounds - sum.rounds, r.gold.rounds);
+  EXPECT_EQ(stats.online_mmio_heartbeats - sum.heartbeats,
+            r.gold.heartbeats);
+  EXPECT_EQ(stats.online_deadlines_late - sum.deadlines_late,
+            r.gold.deadlines_late);
+  EXPECT_EQ(stats.online_deadlines_missed - sum.deadlines_missed,
+            r.gold.deadlines_missed);
 }
 
 TEST(OnlineCampaign, SessionsMergeFirstDetectionWins) {

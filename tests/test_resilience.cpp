@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -268,6 +270,7 @@ TEST(Resilience, ResumedCampaignIsBitwiseIdenticalToUninterrupted) {
       options.parallel = {threads};
       options.stats = &stats;
       options.checkpoint_path = path;
+      options.checkpoint_key = default_checkpoint_key(bus, lib);
       const std::vector<Verdict> resumed =
           run_detection(cfg, prog.program, bus, lib, options);
 
@@ -302,12 +305,34 @@ TEST(Resilience, SessionCampaignResumesWithPerSessionSections) {
     options.parallel = {threads};
     options.stats = &stats;
     options.checkpoint_path = path;
+    options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
     const std::vector<Verdict> det = run_detection_sessions(
         cfg, sessions, soc::BusKind::kData, lib, options);
     EXPECT_EQ(det, uninterrupted) << "threads=" << threads;
   }
   // The second loop iteration restored every session section of the first.
   std::remove(path.c_str());
+}
+
+TEST(Resilience, CheckpointPathWithoutAKeyIsRefused) {
+  // The campaign has no identity of its own to guess: a checkpoint with no
+  // key is refused before any file is touched.
+  const soc::SystemConfig cfg;
+  const auto lib = make_defect_library(cfg, soc::BusKind::kData, 2, kSeed);
+  const auto prog =
+      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
+  const std::string path = temp_path("ckpt_no_key");
+  std::remove(path.c_str());
+  CampaignOptions options;
+  options.checkpoint_path = path;
+  try {
+    run_detection(cfg, prog.program, soc::BusKind::kData, lib, options);
+    ADD_FAILURE() << "a checkpoint without a key was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------------
@@ -696,6 +721,7 @@ TEST(Resilience, GracefulKillFlushesACheckpointAndResumeMatches) {
   CampaignOptions options;
   options.parallel = {1u};
   options.checkpoint_path = path;
+  options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
 
   util::FaultInjector::global().configure("campaign.kill@3");
   try {
@@ -731,6 +757,7 @@ TEST(Resilience, HardCrashKeepsOnlyPeriodicallyFlushedVerdicts) {
   CampaignOptions options;
   options.parallel = {1u};
   options.checkpoint_path = path;
+  options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
   options.checkpoint_every = 2;
 
   // Crash after the 5th new verdict: records 1-4 were flushed in pairs,
@@ -784,6 +811,7 @@ TEST(Resilience, SalvagedCheckpointResumeIsBitwiseIdentical) {
   std::remove(path.c_str());
   CampaignOptions options;
   options.checkpoint_path = path;
+  options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
   run_detection(cfg, prog.program, soc::BusKind::kData, lib, options);
 
   // Chop the tail off the finished checkpoint: the resumed campaign must
@@ -879,6 +907,7 @@ TEST(FaultEnv, CampaignCompletesUnderAmbientInjection) {
   CampaignOptions options;
   options.stats = &stats;
   options.checkpoint_path = path;
+  options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
   options.checkpoint_every = 4;
 
   std::vector<Verdict> det;

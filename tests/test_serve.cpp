@@ -25,6 +25,8 @@
 #include "serve/queue.h"
 #include "serve/server.h"
 #include "sim/campaign.h"
+#include "sim/online.h"
+#include "sim/supervisor.h"
 #include "spec/scenario.h"
 #include "util/durable_file.h"
 #include "util/fault_injector.h"
@@ -489,15 +491,16 @@ spec::ScenarioSpec serve_spec(std::size_t defects = 6) {
   return s;
 }
 
-std::string reference_chars(const spec::ScenarioSpec& in) {
-  spec::ScenarioSpec s = in;
-  s.workers = 0;
+std::string reference_chars(const spec::ScenarioSpec& s) {
   const auto lib = s.make_library();
   const auto sessions = s.make_sessions();
-  util::CampaignStats stats;
-  const sim::CampaignOptions opts = s.campaign_options(&stats);
+  const sim::CampaignOptions opts = s.campaign_options(nullptr);
   const std::vector<sim::Verdict> v =
-      sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
+      s.online.enabled
+          ? sim::run_online_detection_sessions(s.system, s.online, sessions,
+                                               s.bus, lib, opts)
+                .verdicts
+          : sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
   std::string chars;
   for (const sim::Verdict verdict : v) chars.push_back(sim::to_char(verdict));
   return chars;
@@ -522,11 +525,9 @@ class ServeFixture : public ::testing::Test {
     std::remove(queue_path_.c_str());
     // Per-job scratch (checkpoints, job scenario files).
     for (std::uint64_t id = 1; id <= 8; ++id) {
-      const std::string base = queue_path_ + ".job" + std::to_string(id) +
-                               ".ckpt";
+      const std::string base = job_base(id);
       std::remove((base + ".job.scn").c_str());
-      for (std::size_t k = 0; k < 8; ++k)
-        std::remove((base + ".shard" + std::to_string(k)).c_str());
+      sim::Supervisor::remove_shard_checkpoints(base, 80);
     }
   }
 
@@ -547,6 +548,11 @@ class ServeFixture : public ::testing::Test {
     cancel_.store(true);
     if (thread_.joinable()) thread_.join();
     server_.reset();
+  }
+
+  /// The per-job checkpoint base the daemon derives from the queue path.
+  std::string job_base(std::uint64_t id) const {
+    return queue_path_ + ".job" + std::to_string(id) + ".ckpt";
   }
 
   ClientOptions client_options() const {
@@ -692,25 +698,40 @@ TEST_F(ServeFixture, InvalidScenarioIsRejectedInBand) {
   EXPECT_NO_THROW(c.status());
 }
 
-TEST_F(ServeFixture, OnlineScenarioIsRefusedInBand) {
-  // The daemon runs every job supervised, and the supervisor cannot carry
-  // on-line outcomes: the submit is refused instead of completing with
-  // every verdict a sim error.
+TEST_F(ServeFixture, OnlineJobStreamsBitwiseEqualVerdicts) {
+  // The daemon runs every job supervised; an on-line job's shards carry
+  // full outcomes through their checkpoints and stream the in-process
+  // verdicts.
   spec::ScenarioSpec s = spec::builtin_scenario("online-baseline");
-  s.defect_count = 4;
+  s.defect_count = 6;
+  s.multi_session = false;
   s.threads = 1;
+  const std::string reference = reference_chars(s);
   start();
   Client c(client_options());
-  try {
-    c.submit(spec::serialize_scenario(s), 5);
-    ADD_FAILURE() << "an on-line scenario was accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("online.enabled"), std::string::npos) << what;
-    EXPECT_NE(what.find("supervised"), std::string::npos) << what;
+  const JobResult r = c.wait(c.submit(spec::serialize_scenario(s), 5));
+  EXPECT_FALSE(r.failed) << r.error;
+  EXPECT_FALSE(r.degraded);
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.verdicts, reference);
+}
+
+TEST_F(ServeFixture, FinishedJobRemovesEveryShardCheckpoint) {
+  // The worker count has no upper bound; a finished job must leave none
+  // of its shard checkpoints behind, however many it had.
+  spec::ScenarioSpec s = serve_spec(1);
+  s.workers = 65;
+  start();
+  Client c(client_options());
+  const std::uint64_t job = c.submit(spec::serialize_scenario(s), 5);
+  const JobResult r = c.wait(job);
+  EXPECT_FALSE(r.failed) << r.error;
+  stop();
+  for (std::size_t k = 0; k < s.workers; ++k) {
+    const std::string shard =
+        sim::Supervisor::shard_checkpoint_path(job_base(job), k);
+    EXPECT_FALSE(std::filesystem::exists(shard)) << shard;
   }
-  // Nothing was queued.
-  EXPECT_EQ(c.status(), "");
 }
 
 TEST_F(ServeFixture, EnqueueFaultRejectsSubmitAndRollsBack) {
@@ -793,6 +814,27 @@ TEST(StatsJson, MalformedKnownValueThrowsTyped) {
                util::StatsJsonError);
   EXPECT_THROW(util::parse_stats_json("{\"wall_seconds\": nan}", out),
                util::StatsJsonError);
+}
+
+TEST(StatsJson, OutOfRangeCounterThrowsTyped) {
+  // An integer counter holds only what its type holds; anything else is
+  // damage, never a cast.
+  for (const char* line :
+       {"{\"defects\":-1}", "{\"detected\":1e300}", "{\"retries\":2.5}",
+        "{\"threads\":4294967296}",
+        "{\"simulated_cycles\":18446744073709551616}"}) {
+    util::CampaignStats out;
+    EXPECT_THROW(util::parse_stats_json(line, out), util::StatsJsonError)
+        << line;
+  }
+  // The edges still parse: the largest `unsigned`, a negative zero, and a
+  // fractional double where the field is one.
+  util::CampaignStats ok;
+  EXPECT_TRUE(util::parse_stats_json(
+      "{\"threads\":4294967295,\"defects\":-0,\"wall_seconds\":0.5}", ok));
+  EXPECT_EQ(ok.threads, 4294967295u);
+  EXPECT_EQ(ok.defects_simulated, 0u);
+  EXPECT_DOUBLE_EQ(ok.wall_seconds, 0.5);
 }
 
 TEST(StatsJson, ConflictingDuplicateKeyThrowsTyped) {

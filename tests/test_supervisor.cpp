@@ -1,7 +1,8 @@
 // Crash-isolated sharded campaigns: shard assignment and merge, stats
 // raw-counter merging, tag-aware checkpoint tmp cleanup, and the
 // Supervisor's worker-process lifecycle (spawn retry, heartbeat-timeout
-// kills, crash/respawn/resume, quarantine after exhausted retries).
+// kills, crash/respawn/resume, quarantine after exhausted retries), off-line
+// and on-line.
 //
 // The Supervisor.* tests spawn the real xtest binary (XTEST_BINARY_PATH,
 // injected by CMake) as worker processes against a scenario file written
@@ -19,6 +20,7 @@
 
 #include "sim/campaign.h"
 #include "sim/checkpoint.h"
+#include "sim/online.h"
 #include "sim/supervisor.h"
 #include "sim/verdict.h"
 #include "spec/scenario.h"
@@ -61,6 +63,21 @@ std::vector<Verdict> serial_verdicts(const spec::ScenarioSpec& s,
                                 s.make_library(), opts);
 }
 
+// The on-line twin of worker_spec: the default interleaved schedule over
+// the same small single-session campaign.
+spec::ScenarioSpec online_worker_spec(std::size_t defects) {
+  spec::ScenarioSpec s = worker_spec(defects);
+  s.online.enabled = true;
+  return s;
+}
+
+OnlineResult serial_outcomes(const spec::ScenarioSpec& s,
+                             util::CampaignStats& stats) {
+  return run_online_detection_sessions(s.system, s.online, s.make_sessions(),
+                                       s.bus, s.make_library(),
+                                       s.campaign_options(&stats));
+}
+
 // Builds the SupervisorJob for `spec` exactly like the CLI does: scenario
 // file as the job wire format, per-shard checkpoints under a unique base.
 // Cleans its files up on destruction (and stale shard checkpoints from a
@@ -79,6 +96,7 @@ struct SupervisorFixture {
     job.defect_count = spec.defect_count;
     job.sections = {"session0"};
     job.checkpoint_key = spec.checkpoint_key();
+    job.online = spec.online.enabled;
     job.checkpoint_base = base;
     job.fault_spec = std::move(fault_spec);
     write_file(job.scenario_path, spec::serialize_scenario(spec));
@@ -148,19 +166,18 @@ TEST(ShardMerge, ShardedRunsMergeToTheSerialResultBitwise) {
   const std::vector<Verdict> serial = serial_verdicts(s, &serial_stats);
 
   for (const std::size_t count : {2u, 4u}) {
-    std::vector<ShardResult> shards;
-    for (std::size_t k = 0; k < count; ++k) {
-      ShardResult r;
-      r.shard = {k, count};
-      CampaignOptions opts = s.campaign_options(&r.stats);
-      opts.shard = r.shard;
-      r.verdicts = run_detection_sessions(s.system, s.make_sessions(), s.bus,
-                                          s.make_library(), opts);
-      shards.push_back(std::move(r));
-    }
+    // Slot i comes from shard i mod count; stats sum with merge_from.
+    std::vector<Verdict> merged(serial.size());
     util::CampaignStats merged_stats;
-    const std::vector<Verdict> merged =
-        merge_shard_results(shards, &merged_stats);
+    for (std::size_t k = 0; k < count; ++k) {
+      util::CampaignStats shard_stats;
+      CampaignOptions opts = s.campaign_options(&shard_stats);
+      opts.shard = {k, count};
+      const std::vector<Verdict> part = run_detection_sessions(
+          s.system, s.make_sessions(), s.bus, s.make_library(), opts);
+      for (std::size_t i = k; i < part.size(); i += count) merged[i] = part[i];
+      merged_stats.merge_from(shard_stats);
+    }
     EXPECT_EQ(merged, serial) << count << " shards";
     // The verdict breakdown is a raw-counter sum over shards and must
     // reproduce the serial breakdown exactly.
@@ -172,33 +189,6 @@ TEST(ShardMerge, ShardedRunsMergeToTheSerialResultBitwise) {
     // Only shard 0 books the gold runs, so cycles sum exactly too.
     EXPECT_EQ(merged_stats.simulated_cycles, serial_stats.simulated_cycles);
   }
-}
-
-TEST(ShardMerge, ValidationRejectsBadPartitions) {
-  const auto make = [](std::size_t index, std::size_t count,
-                       std::size_t slots) {
-    ShardResult r;
-    r.shard = {index, count};
-    r.verdicts.assign(slots, Verdict::kUndetected);
-    return r;
-  };
-
-  // No shards at all.
-  EXPECT_THROW(merge_shard_results({}), std::invalid_argument);
-  // Missing shard: 2 results claiming a 3-way partition.
-  EXPECT_THROW(merge_shard_results({make(0, 3, 6), make(1, 3, 6)}),
-               std::invalid_argument);
-  // Duplicate shard index.
-  EXPECT_THROW(merge_shard_results({make(0, 2, 6), make(0, 2, 6)}),
-               std::invalid_argument);
-  // Shards disagreeing on the shard count.
-  EXPECT_THROW(merge_shard_results({make(0, 2, 6), make(1, 3, 6)}),
-               std::invalid_argument);
-  // Shards disagreeing on the library size.
-  EXPECT_THROW(merge_shard_results({make(0, 2, 6), make(1, 2, 7)}),
-               std::invalid_argument);
-  // A complete consistent partition is accepted.
-  EXPECT_EQ(merge_shard_results({make(1, 2, 6), make(0, 2, 6)}).size(), 6u);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,6 +351,34 @@ TEST(Supervisor, SupervisedRunMatchesSerialBitwise) {
   EXPECT_EQ(r.stats.sim_errors, serial_stats.sim_errors);
 }
 
+TEST(Supervisor, OnlineRunMatchesInProcessOutcomes) {
+  const spec::ScenarioSpec s = online_worker_spec(10);
+  util::CampaignStats serial_stats;
+  const OnlineResult serial = serial_outcomes(s, serial_stats);
+
+  for (const std::size_t workers : {1u, 3u}) {
+    SupervisorFixture fx(s, "online_match_w" + std::to_string(workers));
+    SupervisorOptions opt;
+    opt.workers = workers;
+    const SupervisorResult r = Supervisor(fx.job, opt).run();
+
+    EXPECT_FALSE(r.degraded()) << workers << " workers";
+    EXPECT_EQ(r.outcomes, serial.outcomes) << workers << " workers";
+    EXPECT_EQ(r.verdicts, serial.verdicts) << workers << " workers";
+    EXPECT_EQ(r.stats.online_rounds, serial_stats.online_rounds);
+    EXPECT_EQ(r.stats.online_mmio_heartbeats,
+              serial_stats.online_mmio_heartbeats);
+    EXPECT_EQ(r.stats.online_deadlines_late,
+              serial_stats.online_deadlines_late);
+    EXPECT_EQ(r.stats.online_deadlines_missed,
+              serial_stats.online_deadlines_missed);
+    EXPECT_EQ(r.stats.online_detection_latency_cycles,
+              serial_stats.online_detection_latency_cycles);
+    EXPECT_EQ(r.stats.online_latency_samples,
+              serial_stats.online_latency_samples);
+  }
+}
+
 TEST(Supervisor, MoreWorkersThanDefectsLeavesEmptyShardsHealthy) {
   const spec::ScenarioSpec s = worker_spec(3);
   const std::vector<Verdict> serial = serial_verdicts(s);
@@ -421,6 +439,30 @@ TEST(Supervisor, RetriesExhaustedQuarantinesTheShard) {
   // worker_retries = 1 means exactly 2 spawns per shard: the first
   // attempt plus one progress-less retry.
   for (const ShardOutcome& sh : r.shards) EXPECT_EQ(sh.spawns, 2u);
+}
+
+TEST(Supervisor, OnlineRetriesExhaustedQuarantinesTheShard) {
+  spec::ScenarioSpec s = online_worker_spec(6);
+  s.checkpoint_every = 100000;
+
+  SupervisorFixture fx(s, "online_quarantine", "worker.exit@1");
+  SupervisorOptions opt;
+  opt.workers = 2;
+  opt.worker_retries = 1;
+  opt.worker_backoff_ms = 1;
+  SupervisorResult r = Supervisor(fx.job, opt).run();
+
+  // The on-line result degrades like the off-line one: every unrecovered
+  // outcome is a bare kSimError, with the same tally and error_log.
+  EXPECT_TRUE(r.degraded());
+  EXPECT_EQ(r.quarantined().size(), 2u);
+  ASSERT_EQ(r.outcomes.size(), 6u);
+  OnlineOutcome sim_error;
+  sim_error.verdict = Verdict::kSimError;
+  for (const OnlineOutcome& o : r.outcomes) EXPECT_EQ(o, sim_error);
+  EXPECT_EQ(r.verdicts, std::vector<Verdict>(6, Verdict::kSimError));
+  EXPECT_EQ(r.stats.sim_errors, 6u);
+  EXPECT_EQ(r.stats.error_log.size(), 2u);
 }
 
 TEST(Supervisor, SpawnFailureIsRetriedWithBackoff) {

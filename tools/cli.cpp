@@ -410,7 +410,6 @@ int cmd_run(const Parsed& p, std::ostream& out) {
 /// serial and supervised runs), the second describes how this particular
 /// run got there.  A sharded run counts only its owned slots.
 void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
-                            std::size_t lib_size,
                             const std::vector<sim::Verdict>& det,
                             const util::CampaignStats& stats) {
   const sim::ShardSpec shard{s.shard_index, s.shard_count};
@@ -426,7 +425,7 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
   char buf[768];
   std::snprintf(buf, sizeof buf,
                 "bus=%s defects=%zu coverage=%.1f%% (seed %llu)\n",
-                soc::to_string(s.bus).c_str(), lib_size,
+                soc::to_string(s.bus).c_str(), det.size(),
                 100.0 * sim::coverage(*counted),
                 static_cast<unsigned long long>(s.seed));
   out << buf;
@@ -450,12 +449,20 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
 }
 
 /// On-line campaign lines: the scheduling cost of the self-test itself
-/// (the gold schedule's interference) and the detection-latency
-/// distribution over the detected defects.
-void print_online_summary(std::ostream& out, const sim::OnlineResult& r) {
+/// (the gold schedules' interference) and the detection-latency
+/// distribution over the detected defects.  The engine books exactly the
+/// gold schedules plus every owned outcome into the on-line counters, so
+/// the gold line is `stats` minus the outcomes' own sums.  It is omitted
+/// when `stats` is null (a degraded supervised run's stats miss a shard)
+/// or short of those sums, rather than print a wrapped counter.
+void print_online_summary(std::ostream& out,
+                          const std::vector<sim::OnlineOutcome>& outcomes,
+                          const util::CampaignStats* stats) {
+  sim::OnlineOutcome sum;  // fold_session sums the interference counters
   std::size_t detected = 0;
   std::uint64_t latency_sum = 0, latency_max = 0;
-  for (const sim::OnlineOutcome& o : r.outcomes) {
+  for (const sim::OnlineOutcome& o : outcomes) {
+    sim::fold_session(sum, o);
     if (o.detection_latency_cycles == 0) continue;
     ++detected;
     latency_sum += o.detection_latency_cycles;
@@ -463,14 +470,23 @@ void print_online_summary(std::ostream& out, const sim::OnlineResult& r) {
       latency_max = o.detection_latency_cycles;
   }
   char buf[384];
-  std::snprintf(buf, sizeof buf,
-                "online gold: rounds=%llu heartbeats=%llu "
-                "deadlines_late=%llu deadlines_missed=%llu\n",
-                static_cast<unsigned long long>(r.gold.rounds),
-                static_cast<unsigned long long>(r.gold.heartbeats),
-                static_cast<unsigned long long>(r.gold.deadlines_late),
-                static_cast<unsigned long long>(r.gold.deadlines_missed));
-  out << buf;
+  if (stats != nullptr && stats->online_rounds >= sum.rounds &&
+      stats->online_mmio_heartbeats >= sum.heartbeats &&
+      stats->online_deadlines_late >= sum.deadlines_late &&
+      stats->online_deadlines_missed >= sum.deadlines_missed) {
+    std::snprintf(
+        buf, sizeof buf,
+        "online gold: rounds=%llu heartbeats=%llu deadlines_late=%llu "
+        "deadlines_missed=%llu\n",
+        static_cast<unsigned long long>(stats->online_rounds - sum.rounds),
+        static_cast<unsigned long long>(stats->online_mmio_heartbeats -
+                                        sum.heartbeats),
+        static_cast<unsigned long long>(stats->online_deadlines_late -
+                                        sum.deadlines_late),
+        static_cast<unsigned long long>(stats->online_deadlines_missed -
+                                        sum.deadlines_missed));
+    out << buf;
+  }
   std::snprintf(
       buf, sizeof buf,
       "online latency: samples=%zu mean=%.0f max=%llu cycles\n", detected,
@@ -483,8 +499,7 @@ void print_online_summary(std::ostream& out, const sim::OnlineResult& r) {
 /// directly on the same nominal network / error model / library.
 void print_bist_compare(std::ostream& out, const spec::ScenarioSpec& s,
                         const xtalk::DefectLibrary& lib,
-                        const std::vector<sim::Verdict>& det,
-                        const util::ParallelConfig& parallel) {
+                        const std::vector<sim::Verdict>& det) {
   const soc::System sys(s.system);
   const xtalk::RcNetwork* net = &sys.nominal_address_network();
   const xtalk::CrosstalkErrorModel* model = &sys.address_model();
@@ -499,7 +514,7 @@ void print_bist_compare(std::ostream& out, const spec::ScenarioSpec& s,
   }
   const hwbist::HardwareBist bist(net->width(), bidirectional);
   const std::vector<sim::Verdict> bv =
-      bist.run_library(*net, *model, lib, parallel);
+      bist.run_library(*net, *model, lib, {s.threads});
   char buf[192];
   std::snprintf(buf, sizeof buf,
                 "bist coverage=%.1f%% (%zu MA patterns) sbst=%.1f%% "
@@ -566,10 +581,11 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
   // An interrupted run has thrown by now; a degraded one keeps its shards
   // so re-running the same command resumes them.
   if (own_checkpoints && !r.degraded())
-    for (std::size_t k = 0; k < s.workers; ++k)
-      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
+    sim::Supervisor::remove_shard_checkpoints(base, s.workers);
 
-  print_campaign_summary(out, s, s.defect_count, r.verdicts, r.stats);
+  print_campaign_summary(out, s, r.verdicts, r.stats);
+  if (s.online.enabled)
+    print_online_summary(out, r.outcomes, r.degraded() ? nullptr : &r.stats);
   std::size_t spawns = 0;
   for (const sim::ShardOutcome& o : r.shards) spawns += o.spawns;
   char buf[192];
@@ -579,8 +595,7 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
                 s.workers, spawns, r.respawns, r.heartbeats,
                 r.quarantined().size());
   out << buf;
-  if (s.compare_bist)
-    print_bist_compare(out, s, s.make_library(), r.verdicts, {s.threads});
+  if (s.compare_bist) print_bist_compare(out, s, s.make_library(), r.verdicts);
   if (p.options.count("stats-json")) out << r.stats.json("campaign") << '\n';
   for (const std::string& e : r.stats.error_log)
     err << "warning: " << e << '\n';
@@ -643,22 +658,17 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
       (void)util::write_full(hb_fd, &beat, 1);
     };
   }
-  if (s.online.enabled) {
-    const sim::OnlineResult r = sim::run_online_detection_sessions(
-        s.system, s.online, sessions, s.bus, lib, opts);
-    print_campaign_summary(out, s, lib.size(), r.verdicts, stats);
-    print_online_summary(out, r);
-    if (p.options.count("stats-json")) out << stats.json("campaign") << '\n';
-    for (const std::string& e : stats.error_log)
-      err << "warning: " << e << '\n';
-    return kExitOk;
-  }
+  sim::OnlineResult r;  // off-line, only its verdicts are filled
+  if (s.online.enabled)
+    r = sim::run_online_detection_sessions(s.system, s.online, sessions,
+                                           s.bus, lib, opts);
+  else
+    r.verdicts =
+        sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
 
-  const std::vector<sim::Verdict> det =
-      sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
-
-  print_campaign_summary(out, s, lib.size(), det, stats);
-  if (s.compare_bist) print_bist_compare(out, s, lib, det, opts.parallel);
+  print_campaign_summary(out, s, r.verdicts, stats);
+  if (s.online.enabled) print_online_summary(out, r.outcomes, &stats);
+  if (s.compare_bist) print_bist_compare(out, s, lib, r.verdicts);
   if (p.options.count("stats-json")) out << stats.json("campaign") << '\n';
   for (const std::string& e : stats.error_log)
     err << "warning: " << e << '\n';
@@ -706,9 +716,33 @@ struct ChaosOutcome {
   std::size_t completions = 0;
 };
 
+/// Off-line verdicts as outcomes: an off-line outcome is just its verdict.
+std::vector<sim::OnlineOutcome> as_outcomes(
+    const std::vector<sim::Verdict>& verdicts) {
+  std::vector<sim::OnlineOutcome> outcomes;
+  for (const sim::Verdict v : verdicts) outcomes.emplace_back().verdict = v;
+  return outcomes;
+}
+
+/// The campaign `s` describes, run in process with `opts`, as full
+/// outcomes (latency and interference too, on-line).  Every chaos soak
+/// compares against this run uninterrupted, and the in-process soak also
+/// kills and resumes it.
+std::vector<sim::OnlineOutcome> campaign_outcomes(
+    const spec::ScenarioSpec& s,
+    const std::vector<sbst::GenerationResult>& sessions,
+    const xtalk::DefectLibrary& lib, const sim::CampaignOptions& opts) {
+  if (s.online.enabled)
+    return sim::run_online_detection_sessions(s.system, s.online, sessions,
+                                              s.bus, lib, opts)
+        .outcomes;
+  return as_outcomes(
+      sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts));
+}
+
 /// Worker-kill soak (`chaos --workers N`): runs the campaign supervised,
 /// SIGKILLing random worker processes on a steady cadence, and requires
-/// the merged verdicts to be bitwise equal to the uninterrupted
+/// the merged outcomes to be bitwise equal to the uninterrupted
 /// in-process run -- the multi-process half of the resilience contract.
 /// --faults forwards a spec to the supervisor (supervisor.spawn,
 /// supervisor.heartbeat) and every worker (worker.exit, checkpoint.*).
@@ -751,23 +785,19 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
   for (const soc::BusKind bus : buses) {
     spec::ScenarioSpec s = scn;
     s.bus = bus;
-    const auto lib = s.make_library();
-    const auto sessions = s.make_sessions();
 
     // Uninterrupted in-process reference, injector disarmed: the merged
     // supervised result must match it bit for bit.
     inj.disarm();
-    util::CampaignStats ref_stats;
-    const sim::CampaignOptions ref_opts = s.campaign_options(&ref_stats);
-    const std::vector<sim::Verdict> reference =
-        sim::run_detection_sessions(s.system, sessions, s.bus, lib, ref_opts);
+    const std::vector<sim::OnlineOutcome> reference =
+        campaign_outcomes(s, s.make_sessions(), s.make_library(),
+                          s.campaign_options(nullptr));
 
     const std::string base =
         (std::filesystem::temp_directory_path() /
          ("xtest_wchaos_" + soc::to_string(bus) + ".ckpt"))
             .string();
-    for (std::size_t k = 0; k < s.workers; ++k)
-      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
+    sim::Supervisor::remove_shard_checkpoints(base, s.workers);
 
     if (!fault_spec.empty()) {
       try {
@@ -796,8 +826,9 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
         err << "  " << e << '\n';
       return kExitSim;
     }
-    if (r.verdicts != reference) {
-      err << "error: chaos: merged supervised verdicts diverged from the "
+    if ((s.online.enabled ? r.outcomes : as_outcomes(r.verdicts)) !=
+        reference) {
+      err << "error: chaos: merged supervised outcomes diverged from the "
              "uninterrupted in-process reference (bus="
           << soc::to_string(bus) << " workers=" << s.workers << ")\n";
       return kExitSim;
@@ -808,13 +839,14 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
     for (const sim::ShardOutcome& o : r.shards) spawns += o.spawns;
     char buf[192];
     std::snprintf(buf, sizeof buf,
-                  "chaos bus=%s workers=%zu: %zu worker kills, %zu "
-                  "respawns, %zu spawns, verdicts identical\n",
+                  "chaos %sbus=%s workers=%zu: %zu worker kills, %zu "
+                  "respawns, %zu spawns, %s identical\n",
+                  s.online.enabled ? "online " : "",
                   soc::to_string(bus).c_str(), s.workers, r.chaos_kills,
-                  r.respawns, spawns);
+                  r.respawns, spawns,
+                  s.online.enabled ? "outcomes" : "verdicts");
     out << buf;
-    for (std::size_t k = 0; k < s.workers; ++k)
-      std::remove(sim::Supervisor::shard_checkpoint_path(base, k).c_str());
+    sim::Supervisor::remove_shard_checkpoints(base, s.workers);
   }
   char buf[128];
   std::snprintf(buf, sizeof buf,
@@ -995,25 +1027,20 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   else if (has_scenario)
     buses = {scn.bus};
 
-  // One scenario (and one in-process reference, injector disarmed) per
-  // bus; three by default -- the daemon must retire all of them.
+  // One scenario (and one in-process reference) per bus; three by
+  // default -- the daemon must retire all of them.  A served job streams
+  // verdict chars, so that is what the references hold.
   std::vector<std::string> scenario_texts;
   std::vector<std::string> references;
   for (const soc::BusKind bus : buses) {
     spec::ScenarioSpec s = scn;
     s.bus = bus;
     s.name = "chaos-serve-" + soc::to_string(bus);
-    const auto lib = s.make_library();
-    const auto sessions = s.make_sessions();
-    util::CampaignStats stats;
-    spec::ScenarioSpec ref = s;
-    ref.workers = 0;  // the reference is the plain in-process campaign
-    const sim::CampaignOptions opts = ref.campaign_options(&stats);
-    const std::vector<sim::Verdict> verdicts =
-        sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts);
     std::string chars;
-    chars.reserve(verdicts.size());
-    for (const sim::Verdict v : verdicts) chars.push_back(sim::to_char(v));
+    for (const sim::OnlineOutcome& o :
+         campaign_outcomes(s, s.make_sessions(), s.make_library(),
+                           s.campaign_options(nullptr)))
+      chars.push_back(sim::to_char(o.verdict));
     scenario_texts.push_back(spec::serialize_scenario(s));
     references.push_back(std::move(chars));
   }
@@ -1171,19 +1198,6 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
   const auto sessions = scn.make_sessions();
   std::size_t live_sessions = 0;
   for (const auto& s : sessions) live_sessions += !s.program.tests.empty();
-  const auto run = [&](const spec::ScenarioSpec& s,
-                       const xtalk::DefectLibrary& lib,
-                       const sim::CampaignOptions& opts) {
-    if (online)
-      return sim::run_online_detection_sessions(s.system, s.online, sessions,
-                                                s.bus, lib, opts)
-          .outcomes;
-    std::vector<sim::OnlineOutcome> outcomes;
-    for (const sim::Verdict v :
-         sim::run_detection_sessions(s.system, sessions, s.bus, lib, opts))
-      outcomes.emplace_back().verdict = v;
-    return outcomes;
-  };
 
   util::Rng rng(scn.seed ^ 0xC4A05ull);
   util::CampaignStats stats;
@@ -1196,7 +1210,8 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
     inj.disarm();
     sim::CampaignOptions ref_opts = s.campaign_options(nullptr);
     ref_opts.parallel = {1};
-    const std::vector<sim::OnlineOutcome> reference = run(s, lib, ref_opts);
+    const std::vector<sim::OnlineOutcome> reference =
+        campaign_outcomes(s, sessions, lib, ref_opts);
 
     for (const unsigned threads : thread_counts) {
       const std::string ckpt =
@@ -1223,7 +1238,8 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
                       std::to_string(at) + ":" +
                       std::to_string(rng.below(1u << 30)));
         try {
-          const std::vector<sim::OnlineOutcome> det = run(s, lib, opts);
+          const std::vector<sim::OnlineOutcome> det =
+              campaign_outcomes(s, sessions, lib, opts);
           inj.disarm();
           if (det != reference) {
             err << "error: chaos: completed campaign diverged from the "
@@ -1252,7 +1268,7 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
 
       // Drain: no more kills, the chain must finish and match.
       inj.disarm();
-      if (run(s, lib, opts) != reference) {
+      if (campaign_outcomes(s, sessions, lib, opts) != reference) {
         err << "error: chaos: resumed campaign diverged from the "
                "uninterrupted reference (bus="
             << soc::to_string(bus) << " threads=" << threads << ")\n";
