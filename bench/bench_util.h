@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "spec/scenario.h"
-#include "util/fault_injector.h"
 #include "util/parallel.h"
 
 namespace xtest::bench {
@@ -41,16 +40,6 @@ inline std::string bar(double fraction, int width = 40) {
 /// count; results are bitwise identical at any setting).
 inline void print_campaign_stats(const std::string& name,
                                  const util::CampaignStats& s) {
-  // A failed stats emit (fault-injection site "bench.emit" stands in for
-  // a broken pipe / full disk on the scrape path) must not take down the
-  // bench: the reproduction tables already printed.
-  try {
-    util::FaultInjector::global().maybe_fail("bench.emit");
-  } catch (const util::InjectedFault& e) {
-    std::fprintf(stderr, "warning: campaign stats emit skipped: %s\n",
-                 e.what());
-    return;
-  }
   std::printf("\ncampaign stats: %zu defect simulations, %llu simulated "
               "cycles, %.3f s wall, %.0f defects/sec, %u threads\n",
               s.defects_simulated,

@@ -1,13 +1,13 @@
 // Resumable execution slices of a self-test program.
 //
 // Off-line campaigns run a TestProgram to completion in one call; the
-// on-line testing mode (and the PR 3 watchdog before it) needs to stop the
-// program at an instruction boundary, give the core back to functional
-// work, and later continue as if nothing happened.  A ProgramSlice owns
-// exactly that lifecycle: the first run() loads the program into the
-// system, every subsequent run() reinstates the saved architectural state
-// (soc::SliceState -- CPU registers, memory, bus held words) and continues
-// for another cycle budget.
+// on-line testing mode needs to stop the program at an instruction
+// boundary, give the core back to functional work, and later continue as
+// if nothing happened.  A ProgramSlice owns exactly that lifecycle: the
+// first run() loads the program into the system, every subsequent run()
+// reinstates the saved architectural state (soc::SliceState -- CPU
+// registers, memory, bus held words) and continues for another cycle
+// budget.
 //
 // The invariant the slice property tests pin down: for ANY sequence of
 // budgets, the concatenated slices produce the same memory contents, the

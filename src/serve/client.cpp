@@ -21,6 +21,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Submit retransmit interval and the retransmits after the first send.
+constexpr std::uint64_t kAckTimeoutMs = 1000;
+constexpr std::size_t kSubmitRetries = 10;
+/// Reconnect attempts before a call gives up on the daemon.
+constexpr std::size_t kReconnectRetries = 50;
+
 std::uint64_t ms_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - t0)
@@ -55,7 +61,7 @@ bool Client::ensure_connected() {
 
 bool Client::reconnect_with_backoff() {
   std::uint64_t backoff = opt_.reconnect_backoff_ms;
-  for (std::size_t attempt = 0; attempt < opt_.reconnect_retries; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kReconnectRetries; ++attempt) {
     if (ensure_connected()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     backoff = std::min<std::uint64_t>(backoff * 2, 2000);
@@ -113,15 +119,15 @@ std::uint64_t Client::submit(const std::string& scenario_text, int priority) {
   f.payload += scenario_text;
 
   std::string last_error = "daemon unreachable";
-  for (std::size_t attempt = 0; attempt <= opt_.submit_retries; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kSubmitRetries; ++attempt) {
     if (fd_ < 0 && !reconnect_with_backoff())
       throw std::runtime_error("submit: cannot connect to the daemon");
     // Retransmit with the SAME seq: the daemon replays its cached ack if
     // it already accepted this submit and only the ack was lost.
     if (!send_frame(f)) continue;
     const Clock::time_point t0 = Clock::now();
-    while (ms_since(t0) < opt_.ack_timeout_ms) {
-      auto r = read_frame(opt_.ack_timeout_ms - ms_since(t0));
+    while (ms_since(t0) < kAckTimeoutMs) {
+      auto r = read_frame(kAckTimeoutMs - ms_since(t0));
       if (!r) break;
       if (r->type == FrameType::kSubmitAck) {
         std::size_t pos = 0;
@@ -143,7 +149,7 @@ std::uint64_t Client::submit(const std::string& scenario_text, int priority) {
                 << " unacked, retransmitting\n";
   }
   throw std::runtime_error("submit: no ack after " +
-                           std::to_string(opt_.submit_retries + 1) +
+                           std::to_string(kSubmitRetries + 1) +
                            " attempts (" + last_error + ")");
 }
 

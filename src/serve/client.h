@@ -3,10 +3,10 @@
 // A Client owns one connection (re-established on demand) and implements
 // the delivery discipline the daemon expects:
 //   * submit() retransmits the kSubmit frame -- same sequence number --
-//     until the kSubmitAck arrives, so a lost ack never double-enqueues
-//     (the daemon dedupes per-connection by submit seq) and a lost submit
-//     never silently vanishes.  The ack implies the job is DURABLE: the
-//     daemon persists before acking.
+//     every second, up to 11 sends, until the kSubmitAck arrives, so a
+//     lost ack never double-enqueues (the daemon dedupes per-connection
+//     by submit seq) and a lost submit never silently vanishes.  The ack
+//     implies the job is DURABLE: the daemon persists before acking.
 //   * wait() streams kEvent frames, acking durable ones, and survives any
 //     connection loss -- client-side kill, daemon restart, injected
 //     socket fault -- by reconnecting with backoff and sending kResume
@@ -33,13 +33,9 @@ struct ClientOptions {
   /// Unix-domain socket path; when empty, connect to 127.0.0.1:tcp_port.
   std::string socket_path;
   std::uint16_t tcp_port = 0;
-  /// Submit retransmit interval and attempt budget.
-  std::uint64_t ack_timeout_ms = 1000;
-  std::size_t submit_retries = 10;
-  /// Reconnect backoff (doubles, capped at 2 s) and attempt budget; sized
-  /// to ride out a daemon SIGKILL + restart.
+  /// Initial reconnect backoff; doubles, capped at 2 s, over 50 attempts
+  /// sized to ride out a daemon SIGKILL + restart.
   std::uint64_t reconnect_backoff_ms = 100;
-  std::size_t reconnect_retries = 50;
   std::ostream* log = nullptr;
 };
 

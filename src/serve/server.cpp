@@ -41,6 +41,16 @@ using Clock = std::chrono::steady_clock;
 /// SAME sequence numbering only because this is a constant.
 constexpr std::size_t kChunkChars = 512;
 
+/// Job-level retry: attempts granted after the first to a job whose
+/// supervisor run throws.  Quarantine is NOT a failure -- it completes
+/// the job degraded.
+constexpr std::size_t kJobRetries = 2;
+/// Initial job retry backoff; doubles per failure, capped at 5 s, and
+/// interrupted promptly by cancellation.
+constexpr std::uint64_t kJobBackoffMs = 100;
+/// Send-buffer cap per connection (the backpressure threshold).
+constexpr std::size_t kSendBufferCap = 256 * 1024;
+
 /// The scenario a served job runs: workers are forced before validation,
 /// so a scenario the supervisor cannot run (a sharded one) is refused at
 /// submit instead of failing later.  Every served job runs crash-isolated:
@@ -262,7 +272,7 @@ struct Server::Impl {
         std::lock_guard<std::mutex> lk(mu);
         Job* j = queue.find(job.id);
         if (j == nullptr) return;
-        if (j->attempts <= opt.job_retries) {
+        if (j->attempts <= kJobRetries) {
           j->state = JobState::kQueued;
           retry = true;
           bump(stats.job_retries);
@@ -288,7 +298,7 @@ struct Server::Impl {
 
   /// Exponential job-level backoff, interrupted promptly by cancellation.
   void backoff_wait(std::size_t attempt) {
-    std::uint64_t ms = opt.job_backoff_ms;
+    std::uint64_t ms = kJobBackoffMs;
     for (std::size_t i = 1; i < attempt; ++i) ms = std::min<std::uint64_t>(ms * 2, 5000);
     const Clock::time_point until = Clock::now() + std::chrono::milliseconds(ms);
     while (Clock::now() < until) {
@@ -304,9 +314,6 @@ struct Server::Impl {
 
     sim::SupervisorOptions sup;
     sup.workers = s.workers;
-    sup.worker_retries = opt.worker_retries;
-    sup.worker_backoff_ms = opt.worker_backoff_ms;
-    sup.heartbeat_timeout_ms = opt.heartbeat_timeout_ms;
     sup.cancel = &run_cancel;
     sup.log = opt.log;
     const std::uint64_t id = job.id;
@@ -494,7 +501,7 @@ struct Server::Impl {
         if (it == streams.end()) continue;
         JobStream& st = it->second;
         while (sub.next <= st.events.size() &&
-               c.outbuf.size() < opt.send_buffer_cap) {
+               c.outbuf.size() < kSendBufferCap) {
           const Event& e = st.events[sub.next - 1];
           Frame f;
           f.type = FrameType::kEvent;
@@ -504,7 +511,7 @@ struct Server::Impl {
           bump(stats.events_streamed);
         }
         if (sub.progress_sent != st.progress &&
-            c.outbuf.size() < opt.send_buffer_cap &&
+            c.outbuf.size() < kSendBufferCap &&
             sub.next > st.events.size()) {
           Frame f;
           f.type = FrameType::kEvent;

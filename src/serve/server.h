@@ -14,19 +14,21 @@
 //     client bytes.
 //   * Idle and half-open connections (no complete frame, no ping) are
 //     reaped after `idle_timeout_ms`.
-//   * Slow readers get a bounded send buffer: durable events are pulled
-//     from the per-job history only while the buffer has room, so a
-//     stalled client costs O(cap) memory, not O(campaign).  Transient
+//   * Slow readers get a bounded (256 KiB) send buffer: durable events are
+//     pulled from the per-job history only while the buffer has room, so
+//     a stalled client costs O(cap) memory, not O(campaign).  Transient
 //     progress events are simply dropped for laggards.
 //   * Everything a client must not lose is durable: Submit is persisted
 //     to the queue file BEFORE the SubmitAck goes out, and durable events
 //     (verdict chunks, completion) carry per-job sequence numbers a
 //     reconnecting client replays from with kResume.
-//   * A job attempt that fails is retried with exponential backoff (the
-//     supervisor's own quarantine path reports graceful degradation
-//     in-band as exit-6 semantics instead); a job interrupted by daemon
-//     death resumes from its shard checkpoints on restart because the
-//     queue file and the checkpoint base names survive.
+//   * A job attempt that fails (spawn storms, an unwritable job scenario
+//     file, ...) is retried twice, after 100 ms and 200 ms, then fails
+//     in band with exit 4 (the supervisor's own quarantine path reports
+//     graceful degradation in-band as exit-6 semantics instead); a job
+//     interrupted by daemon death resumes from its shard checkpoints on
+//     restart because the queue file and the checkpoint base names
+//     survive.
 //   * Cancellation (SIGTERM) drains: stop accepting, notify clients with
 //     kShutdown, cancel the running supervisor (workers checkpoint), mark
 //     the job queued again, persist the queue, exit.
@@ -54,21 +56,8 @@ struct ServerOptions {
   /// ("<queue>.job<id>.ckpt").  Empty = in-memory queue (tests only; no
   /// restart-resume).
   std::string queue_path;
-  /// Job-level retry: attempts granted to a job whose supervisor run
-  /// throws (spawn storms, unreadable scenario file, ...).  Quarantine is
-  /// NOT a failure -- it completes the job degraded.
-  std::size_t job_retries = 2;
-  /// Initial job retry backoff; doubles per failure, capped at 5 s, and
-  /// interrupted promptly by cancellation.
-  std::uint64_t job_backoff_ms = 100;
   /// Connections silent for longer are reaped (half-open peers included).
   std::uint64_t idle_timeout_ms = 30000;
-  /// Send-buffer cap per connection (backpressure threshold).
-  std::size_t send_buffer_cap = 256 * 1024;
-  // Supervisor knobs forwarded to every job run.
-  std::size_t worker_retries = 3;
-  std::uint64_t worker_backoff_ms = 50;
-  std::uint64_t heartbeat_timeout_ms = 30000;
   /// Fault spec forwarded verbatim to job workers (serve.* sites fire in
   /// the daemon itself via the process-global injector).
   std::string fault_spec;

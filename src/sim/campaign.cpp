@@ -71,9 +71,7 @@ class WholeProgramRun {
   using Outcome = Verdict;
 
   WholeProgramRun(soc::BusKind bus, const CampaignOptions& options)
-      : bus_(bus),
-        cycle_factor_(options.cycle_factor),
-        deadline_ms_(options.defect_deadline_ms) {}
+      : bus_(bus), cycle_factor_(options.cycle_factor) {}
 
   Verdict gold(soc::System& system, const sbst::TestProgram& program,
                std::uint64_t& cycles) {
@@ -91,7 +89,7 @@ class WholeProgramRun {
     apply_defect(system, bus_, defect);
     ResponseSnapshot snap;
     try {
-      snap = run_and_capture(system, *program_, budget_, deadline_ms_);
+      snap = run_and_capture(system, *program_, budget_);
     } catch (...) {
       system.clear_defects();  // keep the worker's simulator reusable
       throw;
@@ -104,7 +102,6 @@ class WholeProgramRun {
  private:
   soc::BusKind bus_;
   std::uint64_t cycle_factor_;
-  std::uint64_t deadline_ms_;
   const sbst::TestProgram* program_ = nullptr;
   ResponseSnapshot gold_;
   std::uint64_t budget_ = 0;
@@ -119,12 +116,8 @@ class InterleavedSchedule {
  public:
   using Outcome = OnlineOutcome;
 
-  InterleavedSchedule(const soc::OnlineConfig& online, soc::BusKind bus,
-                      std::uint64_t deadline_ms)
-      : online_(online),
-        workload_(soc::make_default_workload()),
-        bus_(bus),
-        deadline_ms_(deadline_ms) {
+  InterleavedSchedule(const soc::OnlineConfig& online, soc::BusKind bus)
+      : online_(online), workload_(soc::make_default_workload()), bus_(bus) {
     if (online.slice_cycles == 0 || online.workload_cycles == 0)
       throw std::invalid_argument(
           "on-line campaign: slice_cycles and workload_cycles must be > 0");
@@ -163,7 +156,6 @@ class InterleavedSchedule {
       soc::InterleavedScheduler sched(system, online_, workload_);
       sbst::ProgramSlice slice(*program_);
       OnlineOutcome out;
-      const auto start = Clock::now();
       for (const RoundSnap& g : gold_) {
         const RoundSnap snap = round(sched, slice, system);
         const bool value_div = snap.values != g.values;
@@ -182,18 +174,6 @@ class InterleavedSchedule {
           break;
         }
         if (snap.halted) break;  // matched gold to completion: undetected
-        if (deadline_ms_ > 0) {
-          const auto elapsed =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  Clock::now() - start)
-                  .count();
-          if (static_cast<std::uint64_t>(elapsed) >= deadline_ms_ ||
-              util::FaultInjector::global().fire("campaign.deadline"))
-            throw DeadlineExceeded(
-                "defect deadline: on-line schedule still running after " +
-                std::to_string(sched.global_cycles()) + " cycles (deadline " +
-                std::to_string(deadline_ms_) + " ms)");
-        }
       }
       finish(sched, out, cycles);
       system.clear_defects();
@@ -251,7 +231,6 @@ class InterleavedSchedule {
   soc::OnlineConfig online_;
   soc::OnlineWorkload workload_;
   soc::BusKind bus_;
-  std::uint64_t deadline_ms_;
   const sbst::TestProgram* program_ = nullptr;
   std::vector<RoundSnap> gold_;
 };
@@ -259,7 +238,8 @@ class InterleavedSchedule {
 // --- the engine ------------------------------------------------------------
 
 /// Runs `program` under every defect of `library` through `policy`: the
-/// gold step once, then one outcome per defect.  Defects fan out across
+/// gold step once, then one outcome per defect, checkpointed (when
+/// options.checkpoint_path is set) in `section`.  Defects fan out across
 /// `options.parallel.resolve(library.size())` workers, each owning its own
 /// soc::System; outcomes are written by defect index, so the result is
 /// bitwise identical for every thread count (threads = 1 is the exact
@@ -269,7 +249,7 @@ template <typename Policy>
 std::vector<typename Policy::Outcome> run_slots(
     const soc::SystemConfig& config, const sbst::TestProgram& program,
     const xtalk::DefectLibrary& library, const CampaignOptions& options,
-    Policy& policy) {
+    const std::string& section, Policy& policy) {
   using Outcome = typename Policy::Outcome;
   const auto start = Clock::now();
   const std::size_t n = library.size();
@@ -320,8 +300,7 @@ std::vector<typename Policy::Outcome> run_slots(
           std::to_string(sr.dropped_slots) +
           " completed slot(s) from a corrupt tail");
     }
-    const auto slots =
-        restore_slots<Outcome>(*checkpoint, options.checkpoint_section, n);
+    const auto slots = restore_slots<Outcome>(*checkpoint, section, n);
     for (std::size_t i = 0; i < n; ++i) {
       if (!slots[i]) continue;
       outcomes[i] = *slots[i];
@@ -357,8 +336,7 @@ std::vector<typename Policy::Outcome> run_slots(
         if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
         outcomes[i] = policy.simulate(*systems[w], library[i], run_cycles[i]);
         simulated.fetch_add(1, std::memory_order_relaxed);
-        if (checkpoint)
-          checkpoint->record(options.checkpoint_section, i, outcomes[i]);
+        if (checkpoint) checkpoint->record(section, i, outcomes[i]);
         notify_progress();
         util::FaultInjector& inj = util::FaultInjector::global();
         if (inj.fire("campaign.kill")) killed.store(true);
@@ -379,20 +357,18 @@ std::vector<typename Policy::Outcome> run_slots(
     // range, including slots this shard never simulates; those are not
     // this shard's work and must not leak into its outcomes or stats.
     if (!shard.owns(e.index) || restored[e.index]) continue;
-    std::string message = e.message;
+    ++retries;
+    std::string message;
     bool recovered = false;
-    if (options.retry_errors) {
-      ++retries;
-      soc::System system(config);
-      try {
-        outcomes[e.index] =
-            policy.simulate(system, library[e.index], run_cycles[e.index]);
-        recovered = true;
-      } catch (const std::exception& retry_error) {
-        message = retry_error.what();
-      } catch (...) {
-        message = "unknown exception";
-      }
+    soc::System system(config);
+    try {
+      outcomes[e.index] =
+          policy.simulate(system, library[e.index], run_cycles[e.index]);
+      recovered = true;
+    } catch (const std::exception& retry_error) {
+      message = retry_error.what();
+    } catch (...) {
+      message = "unknown exception";
     }
     if (!recovered) {
       outcomes[e.index] = Outcome{};
@@ -402,9 +378,7 @@ std::vector<typename Policy::Outcome> run_slots(
         options.stats->error_log.push_back(
             "defect " + std::to_string(e.index) + ": " + message);
     }
-    if (checkpoint)
-      checkpoint->record(options.checkpoint_section, e.index,
-                         outcomes[e.index]);
+    if (checkpoint) checkpoint->record(section, e.index, outcomes[e.index]);
     simulated.fetch_add(1, std::memory_order_relaxed);
     notify_progress();
   }
@@ -475,11 +449,8 @@ std::vector<typename Policy::Outcome> run_sessions(
   std::vector<typename Policy::Outcome> merged(library.size());
   for (std::size_t s = 0; s < sessions.size(); ++s) {
     if (sessions[s].program.tests.empty()) continue;
-    CampaignOptions session_options = options;
-    if (!options.checkpoint_path.empty())
-      session_options.checkpoint_section = "session" + std::to_string(s);
-    const auto one = run_slots(config, sessions[s].program, library,
-                               session_options, policy);
+    const auto one = run_slots(config, sessions[s].program, library, options,
+                               "session" + std::to_string(s), policy);
     for (std::size_t i = 0; i < merged.size(); ++i)
       fold_session(merged[i], one[i]);
   }
@@ -547,7 +518,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
   WholeProgramRun policy(bus, options);
-  return run_slots(config, program, library, options, policy);
+  return run_slots(config, program, library, options, "campaign", policy);
 }
 
 std::vector<Verdict> run_detection_sessions(
@@ -564,16 +535,17 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
                                   soc::BusKind bus,
                                   const xtalk::DefectLibrary& library,
                                   const CampaignOptions& options) {
-  InterleavedSchedule policy(online, bus, options.defect_deadline_ms);
-  return online_result(run_slots(config, program, library, options, policy),
-                       policy.gold_total);
+  InterleavedSchedule policy(online, bus);
+  return online_result(
+      run_slots(config, program, library, options, "campaign", policy),
+      policy.gold_total);
 }
 
 OnlineResult run_online_detection_sessions(
     const soc::SystemConfig& config, const soc::OnlineConfig& online,
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
     const xtalk::DefectLibrary& library, const CampaignOptions& options) {
-  InterleavedSchedule policy(online, bus, options.defect_deadline_ms);
+  InterleavedSchedule policy(online, bus);
   bool any = false;
   for (const sbst::GenerationResult& s : sessions)
     any |= !s.program.tests.empty();

@@ -7,10 +7,10 @@
 // activations are accounted for, exactly as the paper argues.
 //
 // Campaigns are resilient: per-defect verdicts carry the full taxonomy of
-// sim/verdict.h, a defect whose simulation throws is quarantined as
-// kSimError (optionally retried once serially) instead of aborting the
-// sweep, and a checkpoint file lets an interrupted campaign resume with
-// bitwise-identical results at any thread count.
+// sim/verdict.h, a defect whose simulation throws is retried once serially
+// and, should that throw too, quarantined as kSimError instead of aborting
+// the sweep, and a checkpoint file lets an interrupted campaign resume
+// with bitwise-identical results at any thread count.
 //
 // One engine (campaign.cpp) runs every campaign, off-line and on-line
 // (sim/online.h).  It owns the slot bookkeeping -- checkpoint restore and
@@ -85,18 +85,17 @@ struct ShardSpec {
 /// Resilience and scheduling knobs for one campaign call.
 struct CampaignOptions {
   /// Faulty-run cycle budget = gold cycles * cycle_factor + 1000; a run
-  /// exhausting it is a tester timeout (kDetectedByTimeout).
+  /// exhausting it is a tester timeout (kDetectedByTimeout).  This budget
+  /// is the campaign's only timeout.
   std::uint64_t cycle_factor = 16;
   util::ParallelConfig parallel;
   /// When non-null the campaign's counters are *added* onto it (sessions
   /// and sweeps accumulate).
   util::CampaignStats* stats = nullptr;
-  /// Retry a quarantined defect once, serially on the calling thread,
-  /// before recording kSimError.
-  bool retry_errors = true;
   /// Non-empty enables checkpointing: completed verdicts are periodically
   /// flushed to this file (atomic write-tmp-then-rename) and restored on
-  /// the next run with the same file.
+  /// the next run with the same file.  run_detection writes section
+  /// "campaign", the session entry points one "session<i>" per session.
   std::string checkpoint_path;
   /// Completed verdicts between automatic checkpoint flushes.
   std::size_t checkpoint_every = 32;
@@ -106,18 +105,11 @@ struct CampaignOptions {
   /// names every verdict-relevant input, default_checkpoint_key only the
   /// bus and library.
   std::string checkpoint_key;
-  /// Section name inside the checkpoint file (multi-session campaigns use
-  /// one section per session).
-  std::string checkpoint_section = "campaign";
   /// Cooperative cancellation: when non-null and set, workers stop picking
   /// up new defects, the checkpoint is flushed, and the campaign throws
   /// CampaignInterrupted.  Wire a signal handler's flag here for graceful
   /// SIGINT/SIGTERM shutdown.
   const std::atomic<bool>* cancel = nullptr;
-  /// Per-defect wall-clock watchdog in milliseconds (0 = off): a single
-  /// defect simulation exceeding this is quarantined as kSimError instead
-  /// of wedging its worker for the whole cycle budget.
-  std::uint64_t defect_deadline_ms = 0;
   /// Shard of the library this call simulates (default: all of it).
   /// Non-owned slots are never simulated, checkpointed, or tallied into
   /// stats; they stay default-outcome placeholders in the returned vector.

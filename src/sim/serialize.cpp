@@ -1,9 +1,6 @@
 #include "sim/serialize.h"
 
-#include <cmath>
 #include <cstdio>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -54,102 +51,6 @@ cpu::MemoryImage image_from_text(const std::string& text) {
               static_cast<std::uint8_t>(byte));
   }
   return image;
-}
-
-std::string library_to_csv(const xtalk::DefectLibrary& library,
-                           unsigned width) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << width << ',' << library.config().sigma_pct << ','
-     << library.config().cth_fF << ',' << library.size() << ','
-     << library.config().seed << '\n';
-  for (const xtalk::Defect& d : library.defects()) {
-    bool first = true;
-    for (unsigned i = 0; i < width; ++i)
-      for (unsigned j = i + 1; j < width; ++j) {
-        if (!first) os << ',';
-        os << d.factor(i, j);
-        first = false;
-      }
-    os << '\n';
-  }
-  return os.str();
-}
-
-LoadedLibrary library_from_csv(const std::string& csv) {
-  util::FaultInjector::global().maybe_fail("serialize.library");
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line))
-    throw std::runtime_error("library_from_csv: empty input");
-
-  LoadedLibrary out;
-  unsigned width = 0;
-  std::size_t count = 0;
-  {
-    std::istringstream hs(line);
-    char comma;
-    if (!(hs >> width >> comma >> out.config.sigma_pct >> comma >>
-          out.config.cth_fF >> comma >> count >> comma >> out.config.seed))
-      throw std::runtime_error("library_from_csv: bad header");
-    out.config.count = count;
-  }
-  // An archived library that fails these is corrupt, not merely odd: a
-  // zero/one-wire bus has no coupling pairs, and non-finite calibration
-  // values poison every downstream comparison.
-  if (width < 2 || width > 64)
-    throw std::runtime_error("library_from_csv: header width " +
-                             std::to_string(width) +
-                             " outside the supported 2..64 line range");
-  if (!std::isfinite(out.config.sigma_pct) || out.config.sigma_pct < 0.0)
-    throw std::runtime_error(
-        "library_from_csv: header sigma_pct is negative or non-finite");
-  if (!std::isfinite(out.config.cth_fF) || out.config.cth_fF <= 0.0)
-    throw std::runtime_error(
-        "library_from_csv: header cth_fF must be finite and positive");
-
-  const std::size_t npairs =
-      static_cast<std::size_t>(width) * (width - 1) / 2;
-  std::size_t row = 1;  // header is row 1; defect rows start at 2
-  while (std::getline(is, line)) {
-    ++row;
-    if (line.empty()) continue;
-    std::vector<double> factors;
-    factors.reserve(npairs);
-    std::istringstream ls(line);
-    std::string cell;
-    while (std::getline(ls, cell, ',')) {
-      double f = 0.0;
-      try {
-        std::size_t used = 0;
-        f = std::stod(cell, &used);
-        if (used != cell.size())
-          throw std::invalid_argument("trailing garbage");
-      } catch (const std::exception&) {
-        throw std::runtime_error("library_from_csv: row " +
-                                 std::to_string(row) + ": bad value '" +
-                                 cell + "'");
-      }
-      if (!std::isfinite(f) || f < 0.0)
-        throw std::runtime_error(
-            "library_from_csv: row " + std::to_string(row) + ": column " +
-            std::to_string(factors.size() + 1) +
-            ": coupling factor is NaN/inf/negative ('" + cell + "')");
-      factors.push_back(f);
-    }
-    if (factors.size() != npairs)
-      throw std::runtime_error(
-          "library_from_csv: row " + std::to_string(row) + ": " +
-          std::to_string(factors.size()) + " factors, expected " +
-          std::to_string(npairs) + " for width " + std::to_string(width));
-    out.defects.emplace_back(width, std::move(factors));
-  }
-  if (out.defects.size() != count)
-    throw std::runtime_error(
-        "library_from_csv: header promises " + std::to_string(count) +
-        " defects but " + std::to_string(out.defects.size()) +
-        " rows were read");
-  return out;
 }
 
 }  // namespace xtest::sim

@@ -1,18 +1,15 @@
-// Text serialisation for reproducibility artefacts.
+// Text serialisation of program images.
 //
 // Campaigns are deterministic given a seed, but real tester flows archive
-// the exact program image and defect library that produced a result.
-// These formats are plain text, diffable, and round-trip exactly:
-//
-//   memory image:   "<addr-hex>: <byte-hex>" per defined byte
-//   defect library: header line, then one CSV row of factors per defect
+// the exact program image that produced a result.  The format is plain
+// text, diffable, and round-trips exactly: "<addr-hex>: <byte-hex>" per
+// defined byte.
 
 #pragma once
 
 #include <string>
 
 #include "cpu/memory_image.h"
-#include "xtalk/defect.h"
 
 namespace xtest::sim {
 
@@ -22,19 +19,5 @@ std::string image_to_text(const cpu::MemoryImage& image);
 /// Text -> image.  Throws std::runtime_error on malformed input, naming
 /// the offending line (out-of-range addresses and wide bytes included).
 cpu::MemoryImage image_from_text(const std::string& text);
-
-/// Library -> CSV ("width,sigma_pct,cth_fF,count,seed" header then one
-/// factor row per defect).
-std::string library_to_csv(const xtalk::DefectLibrary& library,
-                           unsigned width);
-
-/// CSV -> defects (the config line is restored into the returned pair).
-/// Throws std::runtime_error naming the offending row for NaN/inf/negative
-/// coupling factors, wrong row widths, and corrupt headers.
-struct LoadedLibrary {
-  xtalk::DefectConfig config;
-  std::vector<xtalk::Defect> defects;
-};
-LoadedLibrary library_from_csv(const std::string& csv);
 
 }  // namespace xtest::sim

@@ -1,17 +1,14 @@
 #include "sim/signature.h"
 
-#include <chrono>
-
-#include "sbst/slice.h"
 #include "util/fault_injector.h"
 
 namespace xtest::sim {
 
-namespace {
-
-ResponseSnapshot capture(soc::System& system,
-                         const sbst::TestProgram& program,
-                         const soc::RunResult& rr) {
+ResponseSnapshot run_and_capture(soc::System& system,
+                                 const sbst::TestProgram& program,
+                                 std::uint64_t max_cycles) {
+  system.load_and_reset(program.image, program.entry);
+  const soc::RunResult rr = system.run(max_cycles);
   util::FaultInjector::global().maybe_fail("signature.capture");
   ResponseSnapshot snap;
   snap.completed =
@@ -22,50 +19,6 @@ ResponseSnapshot capture(soc::System& system,
   for (cpu::Addr a : program.response_cells)
     snap.values.push_back(system.memory().read(a));
   return snap;
-}
-
-}  // namespace
-
-ResponseSnapshot run_and_capture(soc::System& system,
-                                 const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles) {
-  system.load_and_reset(program.image, program.entry);
-  const soc::RunResult rr = system.run(max_cycles);
-  return capture(system, program, rr);
-}
-
-ResponseSnapshot run_and_capture(soc::System& system,
-                                 const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles,
-                                 std::uint64_t deadline_ms) {
-  if (deadline_ms == 0) return run_and_capture(system, program, max_cycles);
-  using Clock = std::chrono::steady_clock;
-  // The watchdog is a ProgramSlice consumer: run one budget-bounded slice
-  // at a time and check the wall clock between slices.  Slicing is
-  // bitwise-exact (sbst/slice.h), so the captured snapshot is identical
-  // to the unwatched run's.  Budgets are coarse enough that the time
-  // check is noise, fine enough that a wedged simulation is caught within
-  // a few slices.
-  constexpr std::uint64_t kSliceCycles = 4096;
-  const auto start = Clock::now();
-  sbst::ProgramSlice slice(program);
-  soc::RunResult rr;
-  for (;;) {
-    const std::uint64_t budget =
-        std::min<std::uint64_t>(kSliceCycles, max_cycles - slice.cycles());
-    rr = slice.run(system, budget);
-    if (rr.halted || rr.cycles >= max_cycles) break;
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             Clock::now() - start)
-                             .count();
-    if (static_cast<std::uint64_t>(elapsed) >= deadline_ms ||
-        util::FaultInjector::global().fire("campaign.deadline"))
-      throw DeadlineExceeded(
-          "defect deadline: simulation still running after " +
-          std::to_string(rr.cycles) + " cycles (deadline " +
-          std::to_string(deadline_ms) + " ms)");
-  }
-  return capture(system, program, rr);
 }
 
 }  // namespace xtest::sim

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "cpu/cpu.h"
@@ -17,14 +16,6 @@
 #include "soc/system.h"
 
 namespace xtest::sim {
-
-/// Thrown by the deadline-guarded run_and_capture overload when one
-/// defect simulation exceeds its wall-clock budget.  Derives from
-/// runtime_error so the campaign quarantine path treats a wedged
-/// simulation exactly like any other SimError.
-struct DeadlineExceeded : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 struct ResponseSnapshot {
   /// Response bytes, parallel to TestProgram::response_cells.
@@ -48,18 +39,6 @@ struct ResponseSnapshot {
 ResponseSnapshot run_and_capture(soc::System& system,
                                  const sbst::TestProgram& program,
                                  std::uint64_t max_cycles);
-
-/// Watchdog variant: the run is sliced so the wall clock is checked every
-/// few thousand simulated cycles, and a simulation still going after
-/// `deadline_ms` milliseconds throws DeadlineExceeded instead of hanging
-/// its worker until the cycle budget drains.  `deadline_ms` = 0 disables
-/// the watchdog (identical to the plain overload).  The deadline check
-/// also consults fault-injection site "campaign.deadline" so tests can
-/// trip the timeout path deterministically.
-ResponseSnapshot run_and_capture(soc::System& system,
-                                 const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles,
-                                 std::uint64_t deadline_ms);
 
 /// Tester-visible verdict for one faulty run against the gold run: a run
 /// that never signals completion is a timeout detection (the paper's

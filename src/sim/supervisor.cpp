@@ -29,6 +29,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kBackoffCapMs = 5000;
+/// A worker silent (no heartbeat byte) for longer is declared wedged and
+/// SIGKILLed.  A single simulation is bounded by its cycle budget; this
+/// bounds everything else.
+constexpr std::chrono::milliseconds kHeartbeatTimeout{30000};
 /// Keep only this much tail of a worker's captured output (enough for the
 /// stats JSON line and the last error messages).
 constexpr std::size_t kOutputTailCap = 64 * 1024;
@@ -340,8 +344,7 @@ SupervisorResult Supervisor::run() {
     w.chaos_victim = false;
     ++w.spawns;
     result.shards[w.shard].spawns = w.spawns;
-    w.hb_deadline =
-        Clock::now() + std::chrono::milliseconds(opt_.heartbeat_timeout_ms);
+    w.hb_deadline = Clock::now() + kHeartbeatTimeout;
     log(shard_name(w) + ": spawned pid " + std::to_string(w.child.pid()) +
         " (attempt " + std::to_string(w.spawns) + ")");
   };
@@ -422,8 +425,7 @@ SupervisorResult Supervisor::run() {
           w.hb_deadline = Clock::now() - std::chrono::milliseconds(1);
           log(shard_name(w) + ": injected heartbeat loss");
         } else {
-          w.hb_deadline = Clock::now() + std::chrono::milliseconds(
-                                             opt_.heartbeat_timeout_ms);
+          w.hb_deadline = Clock::now() + kHeartbeatTimeout;
         }
       }
     }

@@ -9,9 +9,9 @@
 // -- the same wire format `xtest scenarios --dump` emits.
 //
 // The parent monitors a pipe-based heartbeat per worker (one byte per
-// completed verdict, plus one on startup) on top of the worker's own
-// per-defect wall-clock deadline.  A worker that exits nonzero, dies on a
-// signal, or goes silent past the heartbeat timeout is SIGKILLed (if
+// completed verdict, plus one on startup); inside the worker, every
+// simulation is bounded by the tester's cycle budget.  A worker that exits
+// nonzero, dies on a signal, or goes silent for 30 s is SIGKILLed (if
 // needed) and respawned with exponential backoff; durable progress --
 // the shard checkpoint's content changing between failures -- resets the
 // retry budget, so a worker that keeps moving is never quarantined no
@@ -85,11 +85,6 @@ struct SupervisorOptions {
   /// Initial respawn backoff; doubles per progress-less failure, capped
   /// at 5 s.
   std::uint64_t worker_backoff_ms = 50;
-  /// A worker silent (no heartbeat byte) for longer is declared wedged
-  /// and SIGKILLed.  The in-worker per-defect deadline
-  /// (campaign.defect_deadline_ms) bounds a single stuck simulation;
-  /// this bounds everything else.
-  std::uint64_t heartbeat_timeout_ms = 30000;
   /// Chaos mode: when > 0, SIGKILL a random live worker roughly every
   /// this many milliseconds (seeded by chaos_seed, capped at
   /// chaos_max_kills).  Chaos kills are supervisor-inflicted and never

@@ -284,20 +284,10 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.threads = static_cast<unsigned>(u64_value(v));
        }, false},
-      {"campaign.retry_errors",
-       [](const ScenarioSpec& s) { return bool_text(s.retry_errors); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.retry_errors = bool_value(v);
-       }, false},
       {"campaign.checkpoint_every",
        [](const ScenarioSpec& s) { return u64_text(s.checkpoint_every); },
        [](ScenarioSpec& s, const std::string& v) {
          s.checkpoint_every = static_cast<std::size_t>(u64_value(v));
-       }, false},
-      {"campaign.defect_deadline_ms",
-       [](const ScenarioSpec& s) { return u64_text(s.defect_deadline_ms); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.defect_deadline_ms = u64_value(v);
        }, false},
       {"campaign.compare_bist",
        [](const ScenarioSpec& s) { return bool_text(s.compare_bist); },
@@ -417,9 +407,7 @@ sim::CampaignOptions ScenarioSpec::campaign_options(
   opts.cycle_factor = cycle_factor;
   opts.parallel = {threads};
   opts.stats = stats;
-  opts.retry_errors = retry_errors;
   opts.checkpoint_every = checkpoint_every;
-  opts.defect_deadline_ms = defect_deadline_ms;
   opts.shard = {shard_index, shard_count};
   return opts;
 }

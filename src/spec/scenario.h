@@ -95,9 +95,7 @@ struct ScenarioSpec {
   // Campaign scheduling and resilience (sim::CampaignOptions).
   std::uint64_t cycle_factor = 16;
   unsigned threads = 0;  ///< 0 = auto ($XTEST_THREADS / hardware)
-  bool retry_errors = true;
   std::size_t checkpoint_every = 32;
-  std::uint64_t defect_deadline_ms = 0;
   /// Also run the hardware-BIST baseline over the same library and report
   /// the coverage comparison (the paper's Section 1 argument).
   bool compare_bist = false;
@@ -140,8 +138,8 @@ struct ScenarioSpec {
   /// " key=value" for every scenario key whose value differs from
   /// ScenarioSpec{} and that can change a verdict (the key table's
   /// `keyed` column: not name, description, the hot-path switches,
-  /// threads, retry, checkpoint cadence, deadline, compare_bist, workers,
-  /// shard, nor the library keys bus, defects, seed and sigma_pct), so a
+  /// threads, checkpoint cadence, compare_bist, workers, shard, nor the
+  /// library keys bus, defects, seed and sigma_pct), so a
   /// paper-baseline scenario keeps the plain library key and a resume
   /// across any other edit is refused.
   std::string checkpoint_key() const;

@@ -28,8 +28,6 @@ unsigned env_threads() {
 
 }  // namespace
 
-ParallelConfig ParallelConfig::from_env() { return {env_threads()}; }
-
 unsigned ParallelConfig::resolve(std::size_t items) const {
   if (items == 0) return 1;  // nothing to fan out, stay on the caller
   unsigned t = threads;

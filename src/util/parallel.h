@@ -28,12 +28,6 @@ struct ParallelConfig {
   /// concurrency.  1 = serial (body runs inline on the caller).
   unsigned threads = 0;
 
-  /// Explicit env snapshot: `threads` filled from $XTEST_THREADS (0 when
-  /// unset/invalid, i.e. still auto).  `resolve` consults the env for
-  /// auto configs anyway; this exists for callers that want to log the
-  /// choice up front.
-  static ParallelConfig from_env();
-
   /// Effective worker count for `items` work items: never 0, never more
   /// than `items` (except that 0 items resolve to 1 so a pool can still
   /// be formed and the serial path stays trivial).

@@ -43,8 +43,8 @@ double recommended_cth(const RcNetwork& nominal, double ratio = 1.6);
 class Defect {
  public:
   /// Throws std::invalid_argument when the factor count does not match the
-  /// width or any factor is negative or non-finite (defects loaded from
-  /// archived CSVs must fail loudly, not poison a campaign).
+  /// width or any factor is negative or non-finite (a bad defect must fail
+  /// loudly, not poison a campaign).
   Defect(unsigned width, std::vector<double> factors);
 
   unsigned width() const { return width_; }
@@ -74,7 +74,7 @@ class DefectLibrary {
   static DefectLibrary generate(const RcNetwork& nominal,
                                 const DefectConfig& config);
 
-  /// Wraps an explicit defect list (e.g. reloaded from CSV) as a library.
+  /// Wraps an explicit defect list (e.g. a hand-built one) as a library.
   /// The defects are taken as-is; a width that does not match the target
   /// bus surfaces at apply() time, where the campaign quarantines it.
   static DefectLibrary from_defects(const DefectConfig& config,

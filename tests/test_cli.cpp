@@ -507,12 +507,13 @@ TEST(Cli, ScenariosDumpRoundTripsThroughAFile) {
 }
 
 TEST(Cli, ScenarioWithARemovedKeyIsAUsageErrorNamingIt) {
-  // Keys of deleted acceleration layers are plain unknown keys now: an
-  // old scenario file still carrying one fails loudly instead of being
-  // silently accepted.
+  // Keys of deleted acceleration layers and knobs are plain unknown keys
+  // now: an old scenario file still carrying one fails loudly instead of
+  // being silently accepted.
   for (const char* line :
        {"campaign.batched = true", "campaign.gold_cache_capacity = 256",
-        "system.transition_cache = true"}) {
+        "system.transition_cache = true", "campaign.retry_errors = true",
+        "campaign.defect_deadline_ms = 0"}) {
     const std::string path = temp_path("removed_key.scn");
     {
       std::ofstream f(path);
@@ -657,11 +658,32 @@ TEST(Cli, UsageIsGeneratedFromTheFlagTable) {
   const CliRun r = run_cli({"frobnicate"});
   for (const char* flag :
        {"--scenario", "--bus", "--defects", "--seed", "--threads",
-        "--checkpoint", "--no-retry", "--faults", "--defect-deadline-ms",
-        "--stats-json", "--entry", "--trace",
+        "--checkpoint", "--faults", "--stats-json", "--entry", "--trace",
         "--max-cycles", "--cycles", "--dump", "--out"})
     EXPECT_NE(r.err.find(flag), std::string::npos) << flag;
   EXPECT_NE(r.err.find("paper-baseline"), std::string::npos);
+}
+
+TEST(Cli, RemovedFlagsAreUsageErrors) {
+  // The wall-clock defect deadline, the retry switch and the daemon's
+  // retry knobs are gone; a script still passing one fails loudly.
+  const std::vector<std::vector<std::string>> calls = {
+      {"campaign", "--no-retry"},
+      {"campaign", "--defect-deadline-ms", "5"},
+      {"serve", "--job-retries", "1"}};
+  for (const std::vector<std::string>& args : calls) {
+    const CliRun r = run_cli(args);
+    EXPECT_EQ(r.code, kExitUsage) << args[1];
+    EXPECT_NE(r.err.find("unknown flag '" + args[1] + "'"),
+              std::string::npos)
+        << r.err;
+  }
+  const CliRun usage = run_cli({"frobnicate"});
+  EXPECT_NE(usage.err.find("  xtest serve [--socket PATH] [--port N] "
+                           "[--queue FILE] [--idle-timeout-ms MS]\n"
+                           "              [--faults SPEC]\n"),
+            std::string::npos)
+      << usage.err;
 }
 
 TEST(Cli, NegativeHeartbeatFdIsAUsageErrorNamingTheFlag) {

@@ -207,15 +207,15 @@ TEST(ParallelConfigTest, AutoReadsEnvironment) {
   const std::string saved_value = saved ? saved : "";
 
   ::setenv("XTEST_THREADS", "3", 1);
-  EXPECT_EQ(ParallelConfig::from_env().threads, 3u);
   EXPECT_EQ(ParallelConfig{}.resolve(100), 3u);
+  EXPECT_EQ(ParallelConfig{5}.resolve(100), 5u);  // explicit wins
 
-  ::setenv("XTEST_THREADS", "garbage", 1);
-  EXPECT_EQ(ParallelConfig::from_env().threads, 0u);  // invalid -> auto
-
+  // Unset, or set to garbage: the hardware concurrency.
   ::unsetenv("XTEST_THREADS");
-  EXPECT_EQ(ParallelConfig::from_env().threads, 0u);
-  EXPECT_GE(ParallelConfig{}.resolve(100), 1u);  // hardware fallback
+  const unsigned hardware = ParallelConfig{}.resolve(100);
+  EXPECT_GE(hardware, 1u);
+  ::setenv("XTEST_THREADS", "garbage", 1);
+  EXPECT_EQ(ParallelConfig{}.resolve(100), hardware);
 
   if (saved)
     ::setenv("XTEST_THREADS", saved_value.c_str(), 1);

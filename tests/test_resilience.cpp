@@ -172,25 +172,6 @@ TEST(Resilience, ThrowingDefectIsQuarantinedAsSimError) {
   }
 }
 
-TEST(Resilience, NoRetrySkipsTheSecondAttempt) {
-  const soc::SystemConfig cfg;
-  const auto clean_lib =
-      make_defect_library(cfg, soc::BusKind::kAddress, 8, kSeed);
-  const auto lib = poisoned_library(clean_lib, 2);
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-
-  util::CampaignStats stats;
-  CampaignOptions options;
-  options.stats = &stats;
-  options.retry_errors = false;
-  const std::vector<Verdict> det =
-      run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, options);
-  EXPECT_EQ(det[2], Verdict::kSimError);
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.error_log.size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint/resume.
 
@@ -685,28 +666,6 @@ TEST(Resilience, InjectedWorkerFaultIsRetriedAndRecovers) {
   EXPECT_TRUE(stats.error_log.empty());
 }
 
-TEST(Resilience, InjectedFaultWithoutRetryQuarantinesAsSimError) {
-  GlobalInjectorGuard guard;
-  const soc::SystemConfig cfg;
-  const auto lib = make_defect_library(cfg, soc::BusKind::kData, 6, kSeed);
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-
-  util::FaultInjector::global().configure("parallel.item@2");
-  util::CampaignStats stats;
-  CampaignOptions options;
-  options.parallel = {1u};
-  options.stats = &stats;
-  options.retry_errors = false;
-  const std::vector<Verdict> det =
-      run_detection(cfg, prog.program, soc::BusKind::kData, lib, options);
-  EXPECT_EQ(det[1], Verdict::kSimError);
-  ASSERT_EQ(stats.error_log.size(), 1u);
-  EXPECT_NE(stats.error_log[0].find("injected fault at parallel.item"),
-            std::string::npos)
-      << stats.error_log[0];
-}
-
 TEST(Resilience, GracefulKillFlushesACheckpointAndResumeMatches) {
   GlobalInjectorGuard guard;
   const soc::SystemConfig cfg;
@@ -830,62 +789,6 @@ TEST(Resilience, SalvagedCheckpointResumeIsBitwiseIdentical) {
   EXPECT_NE(stats.error_log[0].find("salvaged"), std::string::npos)
       << stats.error_log[0];
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Per-defect watchdog.
-
-sbst::TestProgram endless_program() {
-  // JMP to self: never reaches HLT no matter the cycle budget.
-  sbst::TestProgram prog;
-  prog.entry = 0x010;
-  const auto jmp = cpu::encode_memref(cpu::Opcode::kJmp, prog.entry);
-  prog.image.set(prog.entry, jmp[0]);
-  prog.image.set(static_cast<cpu::Addr>(prog.entry + 1), jmp[1]);
-  prog.image.set(0x080, 0x42);
-  prog.response_cells = {0x080};
-  return prog;
-}
-
-TEST(Resilience, WatchdogDeadlineSiteFiresDeterministically) {
-  GlobalInjectorGuard guard;
-  util::FaultInjector::global().configure("campaign.deadline@1");
-  soc::System sys;
-  // Huge wall-clock budget: only the injection site can trip the check,
-  // at the first slice boundary.
-  EXPECT_THROW(run_and_capture(sys, endless_program(), 1'000'000, 10'000),
-               DeadlineExceeded);
-}
-
-TEST(Resilience, WatchdogConvertsAWedgedSimulationIntoAnException) {
-  soc::System sys;
-  EXPECT_THROW(run_and_capture(sys, endless_program(), 200'000'000, 1),
-               DeadlineExceeded);
-}
-
-TEST(Resilience, ZeroDeadlineDisablesTheWatchdog) {
-  soc::System sys;
-  const ResponseSnapshot snap =
-      run_and_capture(sys, endless_program(), 10'000, 0);
-  EXPECT_FALSE(snap.completed);
-  EXPECT_GE(snap.cycles, 10'000u);
-}
-
-TEST(Resilience, CampaignDeadlineOptionPreservesVerdicts) {
-  // The sliced runner must be cycle-for-cycle identical to the plain one
-  // when nothing times out.
-  const soc::SystemConfig cfg;
-  const auto lib = make_defect_library(cfg, soc::BusKind::kAddress, 8, kSeed);
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  const std::vector<Verdict> plain =
-      run_detection(cfg, prog.program, soc::BusKind::kAddress, lib);
-
-  CampaignOptions options;
-  options.defect_deadline_ms = 100'000;
-  const std::vector<Verdict> guarded =
-      run_detection(cfg, prog.program, soc::BusKind::kAddress, lib, options);
-  EXPECT_EQ(guarded, plain);
 }
 
 // ---------------------------------------------------------------------------

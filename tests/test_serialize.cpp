@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/campaign.h"
+#include "sbst/generator.h"
 
 namespace xtest::sim {
 namespace {
@@ -40,83 +40,6 @@ TEST(Serialize, GeneratedProgramRoundTrips) {
       image_from_text(image_to_text(gen.program.image));
   EXPECT_EQ(back.raw(), gen.program.image.raw());
   EXPECT_EQ(back.defined_count(), gen.program.image.defined_count());
-}
-
-TEST(Serialize, LibraryRoundTrip) {
-  const soc::SystemConfig cfg;
-  const auto lib = make_defect_library(cfg, soc::BusKind::kAddress, 15, 3);
-  const std::string csv = library_to_csv(lib, 12);
-  const LoadedLibrary back = library_from_csv(csv);
-  ASSERT_EQ(back.defects.size(), lib.size());
-  EXPECT_DOUBLE_EQ(back.config.cth_fF, lib.config().cth_fF);
-  EXPECT_EQ(back.config.seed, lib.config().seed);
-  for (std::size_t k = 0; k < lib.size(); ++k)
-    for (unsigned i = 0; i < 12; ++i)
-      for (unsigned j = i + 1; j < 12; ++j)
-        EXPECT_NEAR(back.defects[k].factor(i, j), lib[k].factor(i, j), 1e-9);
-}
-
-TEST(Serialize, LoadedLibraryBehavesIdentically) {
-  // Detection verdicts computed from a reloaded library match the
-  // original -- the archival property a tester flow needs.
-  const soc::SystemConfig cfg;
-  const soc::System sys(cfg);
-  const auto lib = make_defect_library(cfg, soc::BusKind::kAddress, 10, 5);
-  const LoadedLibrary back = library_from_csv(library_to_csv(lib, 12));
-  for (std::size_t k = 0; k < lib.size(); ++k) {
-    const auto a = lib[k].apply(sys.nominal_address_network());
-    const auto b = back.defects[k].apply(sys.nominal_address_network());
-    for (unsigned i = 0; i < 12; ++i)
-      EXPECT_NEAR(a.net_coupling(i), b.net_coupling(i), 1e-6);
-  }
-}
-
-TEST(Serialize, LibraryRejectsMalformedCsv) {
-  EXPECT_THROW(library_from_csv(""), std::runtime_error);
-  EXPECT_THROW(library_from_csv("12,50,700,2,1\n1.0,2.0\n"),
-               std::runtime_error);
-}
-
-std::string tiny_csv(const std::string& cell) {
-  // width 2 -> exactly one coupling pair per row.
-  return "2,50,700,2,1\n1.0\n" + cell + "\n";
-}
-
-TEST(Serialize, LibraryRejectsNonFiniteAndNegativeFactors) {
-  for (const char* bad : {"nan", "inf", "-inf", "-1.0"}) {
-    try {
-      library_from_csv(tiny_csv(bad));
-      FAIL() << "accepted factor '" << bad << "'";
-    } catch (const std::runtime_error& e) {
-      // The message must name the offending row (row 3: second defect).
-      EXPECT_NE(std::string(e.what()).find("row 3"), std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(Serialize, LibraryRejectsUnparsableCellNamingRow) {
-  try {
-    library_from_csv(tiny_csv("0.5x"));
-    FAIL() << "accepted trailing garbage";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("row 3"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("0.5x"), std::string::npos);
-  }
-}
-
-TEST(Serialize, LibraryRejectsRowCountMismatch) {
-  EXPECT_THROW(library_from_csv("2,50,700,3\n1.0\n1.0\n"),
-               std::runtime_error);  // corrupt header (missing seed)
-  EXPECT_THROW(library_from_csv("2,50,700,3,1\n1.0\n1.0\n"),
-               std::runtime_error);  // promises 3 rows, has 2
-}
-
-TEST(Serialize, LibraryRejectsCorruptHeaderCalibration) {
-  EXPECT_THROW(library_from_csv("1,50,700,0,1\n"), std::runtime_error);
-  EXPECT_THROW(library_from_csv("2,nan,700,0,1\n"), std::runtime_error);
-  EXPECT_THROW(library_from_csv("2,50,-700,0,1\n"), std::runtime_error);
-  EXPECT_THROW(library_from_csv("2,50,0,0,1\n"), std::runtime_error);
 }
 
 TEST(Serialize, ImageErrorsNameTheLine) {

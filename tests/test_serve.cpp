@@ -1,9 +1,10 @@
 // Campaign service tests: frame codec (hostile-input-proof), persistent
 // job queue (salvage), and the live daemon end to end -- submit/stream,
 // malformed-byte rejection, submit dedupe, reconnect replay, idle reap,
-// and restart-resume from the queue file.  Server tests run the daemon
-// in-process on an ephemeral loopback port but spawn REAL worker
-// processes (XTEST_BINARY_PATH), exactly like test_supervisor.
+// job retry and in-band job failure, and restart-resume from the queue
+// file.  Server tests run the daemon in-process on an ephemeral loopback
+// port but spawn REAL worker processes (XTEST_BINARY_PATH), exactly like
+// test_supervisor.
 
 #include <unistd.h>
 
@@ -537,7 +538,6 @@ class ServeFixture : public ::testing::Test {
     o.tcp_port = 0;
     o.queue_path = queue_path_;
     o.cancel = &cancel_;
-    if (o.job_backoff_ms == 100) o.job_backoff_ms = 20;
     server_ = std::make_unique<Server>(std::move(o));
     server_->start();
     port_ = server_->bound_port();
@@ -732,6 +732,45 @@ TEST_F(ServeFixture, FinishedJobRemovesEveryShardCheckpoint) {
         sim::Supervisor::shard_checkpoint_path(job_base(job), k);
     EXPECT_FALSE(std::filesystem::exists(shard)) << shard;
   }
+}
+
+TEST_F(ServeFixture, JobWhoseRunThrowsIsRetriedThenRecovers) {
+  // An empty directory where the job's worker scenario file goes makes
+  // the first attempt's write throw; that attempt's cleanup removes the
+  // directory, so the retry runs the job to the in-process verdicts.
+  const spec::ScenarioSpec s = serve_spec(4);
+  const std::string reference = reference_chars(s);
+  const std::string blocker = job_base(1) + ".job.scn";
+  std::filesystem::remove_all(blocker);
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  start();
+  Client c(client_options());
+  const JobResult r = c.wait(c.submit(spec::serialize_scenario(s), 5));
+  EXPECT_FALSE(r.failed) << r.error;
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.verdicts, reference);
+  EXPECT_EQ(server_->stats().job_retries, 1u);
+}
+
+TEST_F(ServeFixture, JobWhoseRunKeepsThrowingFailsInBand) {
+  // A directory cleanup cannot remove fails every attempt: after its
+  // retries the job fails in band, exit 4, naming the path.
+  const std::string blocker = job_base(1) + ".job.scn";
+  std::filesystem::remove_all(blocker);
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  std::ofstream(blocker + "/pin") << "x";
+  start();
+  Client c(client_options());
+  const JobResult r =
+      c.wait(c.submit(spec::serialize_scenario(serve_spec(4)), 5));
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.exit_code, 4);
+  EXPECT_NE(r.error.find(blocker), std::string::npos) << r.error;
+  const ServerStats st = server_->stats();
+  EXPECT_EQ(st.job_retries, 2u);
+  EXPECT_EQ(st.jobs_failed, 1u);
+  stop();
+  std::filesystem::remove_all(blocker);
 }
 
 TEST_F(ServeFixture, EnqueueFaultRejectsSubmitAndRollsBack) {

@@ -81,9 +81,7 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.max_sessions = static_cast<int>(1 + rng.below(8));
   s.cycle_factor = 1 + rng.below(64);
   s.threads = static_cast<unsigned>(rng.below(16));
-  s.retry_errors = rng.below(2) == 0;
   s.checkpoint_every = 1 + rng.below(256);
-  s.defect_deadline_ms = rng.below(100000);
   s.compare_bist = rng.below(2) == 0;
   s.workers = rng.below(5);
   s.system.electrical.backend =
@@ -149,7 +147,7 @@ TEST(ScenarioSpec, BadValueNamesKeyAndLine) {
   EXPECT_EQ(parse_error_line("defects = lots\n"), 1);
   EXPECT_EQ(parse_error_line("bus = addr\nseed = 12x\n"), 2);
   EXPECT_EQ(parse_error_line("sigma_pct = NaN%\n"), 1);
-  EXPECT_EQ(parse_error_line("campaign.retry_errors = yes\n"), 1);
+  EXPECT_EQ(parse_error_line("campaign.compare_bist = yes\n"), 1);
   EXPECT_EQ(parse_error_line("bus = pci\n"), 1);
   EXPECT_EQ(parse_error_line("program.order = alphabetical\n"), 1);
   EXPECT_EQ(parse_error_line("system.electrical = half-swing\n"), 1);
@@ -375,16 +373,12 @@ TEST(ScenarioSpec, CampaignOptionsCarryTheSpecFields) {
   ScenarioSpec s;
   s.cycle_factor = 9;
   s.threads = 3;
-  s.retry_errors = false;
   s.checkpoint_every = 5;
-  s.defect_deadline_ms = 1234;
   util::CampaignStats stats;
   const sim::CampaignOptions o = s.campaign_options(&stats);
   EXPECT_EQ(o.cycle_factor, 9ull);
   EXPECT_EQ(o.parallel.threads, 3u);
-  EXPECT_FALSE(o.retry_errors);
   EXPECT_EQ(o.checkpoint_every, 5u);
-  EXPECT_EQ(o.defect_deadline_ms, 1234ull);
   EXPECT_EQ(o.stats, &stats);
 }
 

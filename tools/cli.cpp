@@ -73,9 +73,7 @@ const std::vector<CommandDef>& command_table() {
         {"seed", "S"},
         {"threads", "T"},
         {"checkpoint", "FILE"},
-        {"no-retry", nullptr},
         {"faults", "SPEC"},
-        {"defect-deadline-ms", "N"},
         {"stats-json", nullptr},
         {"workers", "N"},
         {"shard", "K/N"},
@@ -99,10 +97,6 @@ const std::vector<CommandDef>& command_table() {
         {"port", "N"},
         {"queue", "FILE"},
         {"idle-timeout-ms", "MS"},
-        {"job-retries", "N"},
-        {"job-backoff-ms", "MS"},
-        {"worker-retries", "N"},
-        {"worker-backoff-ms", "MS"},
         {"faults", "SPEC"}}},
       {"submit",
        nullptr,
@@ -210,7 +204,7 @@ int usage(std::ostream& err) {
   err << "\n"
          "notes: --threads 0 = auto ($XTEST_THREADS); --faults or "
          "$XTEST_FAULTS:\n"
-         "       site[@N|%P],...[:seed]; --defect-deadline-ms 0 = off\n"
+         "       site[@N|%P],...[:seed]\n"
          "       --workers N runs the campaign as N crash-isolated shard\n"
          "       processes under a retrying supervisor; --shard K/N runs\n"
          "       one shard in-process; --heartbeat-fd is the internal\n"
@@ -605,10 +599,6 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
 int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
   spec::ScenarioSpec s = base_scenario(p);
   apply_overrides(p, s);
-  if (p.options.count("no-retry")) s.retry_errors = false;
-  if (p.options.count("defect-deadline-ms"))
-    s.defect_deadline_ms =
-        parse_u64("defect-deadline-ms", p.options.at("defect-deadline-ms"));
   s.validate();
 
   // --heartbeat-fd marks a supervisor-spawned worker; workers never spawn
@@ -887,18 +877,6 @@ int cmd_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   if (p.options.count("idle-timeout-ms"))
     o.idle_timeout_ms =
         parse_u64("idle-timeout-ms", p.options.at("idle-timeout-ms"));
-  if (p.options.count("job-retries"))
-    o.job_retries = static_cast<std::size_t>(
-        parse_u64("job-retries", p.options.at("job-retries")));
-  if (p.options.count("job-backoff-ms"))
-    o.job_backoff_ms =
-        parse_u64("job-backoff-ms", p.options.at("job-backoff-ms"));
-  if (p.options.count("worker-retries"))
-    o.worker_retries = static_cast<std::size_t>(
-        parse_u64("worker-retries", p.options.at("worker-retries")));
-  if (p.options.count("worker-backoff-ms"))
-    o.worker_backoff_ms =
-        parse_u64("worker-backoff-ms", p.options.at("worker-backoff-ms"));
   o.fault_spec = p.options.count("faults") ? p.options.at("faults") : "";
   // Arms the daemon-side serve.* sites; the same spec travels to every
   // job's workers via SupervisorJob::fault_spec.
@@ -1071,7 +1049,6 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
                  "--socket",      sock,
                  "--queue",       queue,
                  "--idle-timeout-ms", "20000",
-                 "--job-backoff-ms",  "50",
                  "--faults",      fault_spec};
     return util::ChildProcess::spawn(spec);
   };

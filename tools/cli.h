@@ -7,13 +7,17 @@
 //   xtest disasm FILE.img                         list an image
 //   xtest run FILE.img --entry ADDR [--trace]     execute on the system
 //   xtest campaign [--bus addr|data|ctrl] [--defects N] [--seed S]
-//                  [--threads T] [--checkpoint FILE] [--no-retry]
-//                  [--faults SPEC] [--defect-deadline-ms N]
+//                  [--threads T] [--checkpoint FILE] [--faults SPEC]
 //                  [--workers N] [--shard K/N]    defect-coverage campaign
 //   xtest chaos [--bus B] [--defects N] [--seed S] [--cycles K]
 //               [--threads T] [--workers N]       kill/resume soak test
+//   xtest serve --socket PATH|--port N --queue FILE
+//               [--idle-timeout-ms MS] [--faults SPEC]   campaign daemon
+//   xtest submit [--socket PATH|--port N] ...     queue a job on a daemon
+//   xtest scenarios [--dump NAME|FILE]            list / dump scenarios
 //
-// Images use the text format of sim/serialize.h.
+// usage() prints every flag, rendered from the same table the parser
+// reads.  Images use the text format of sim/serialize.h.
 
 #pragma once
 
