@@ -492,13 +492,14 @@ xtalk::DefectConfig defect_config(const soc::SystemConfig& config,
   return dc;
 }
 
-xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
-                                         soc::BusKind bus, std::size_t count,
-                                         std::uint64_t seed,
-                                         double sigma_pct) {
+xtalk::DefectLibrary make_defect_library(
+    const soc::SystemConfig& config, soc::BusKind bus, std::size_t count,
+    std::uint64_t seed, double sigma_pct,
+    const util::ParallelConfig& parallel,
+    const std::function<void()>& progress) {
   return xtalk::DefectLibrary::generate(
       nominal_network(config, bus),
-      defect_config(config, bus, count, seed, sigma_pct));
+      defect_config(config, bus, count, seed, sigma_pct), parallel, progress);
 }
 
 std::string default_checkpoint_key(soc::BusKind bus,

@@ -44,11 +44,14 @@ xtalk::DefectConfig defect_config(const soc::SystemConfig& config,
                                   soc::BusKind bus, std::size_t count,
                                   std::uint64_t seed, double sigma_pct = 50.0);
 
-/// Generates the library defect_config describes.
-xtalk::DefectLibrary make_defect_library(const soc::SystemConfig& config,
-                                         soc::BusKind bus, std::size_t count,
-                                         std::uint64_t seed,
-                                         double sigma_pct = 50.0);
+/// Generates the library defect_config describes, on `parallel`'s threads
+/// (the same library at every thread count); `progress` as for
+/// xtalk::DefectLibrary::generate.
+xtalk::DefectLibrary make_defect_library(
+    const soc::SystemConfig& config, soc::BusKind bus, std::size_t count,
+    std::uint64_t seed, double sigma_pct = 50.0,
+    const util::ParallelConfig& parallel = {},
+    const std::function<void()>& progress = {});
 
 /// Thrown when a campaign is cancelled cooperatively (operator SIGINT /
 /// SIGTERM via CampaignOptions::cancel, or fault-injection site

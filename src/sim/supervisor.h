@@ -100,9 +100,10 @@ struct SupervisorOptions {
   /// wait aborts promptly instead of sleeping the window out.
   const std::atomic<bool>* cancel = nullptr;
   /// When non-null, called from the monitor loop with the number of new
-  /// worker heartbeats just drained (i.e. verdicts completed since the
-  /// last call).  This is how the serve daemon streams live progress for
-  /// a supervised job; must not throw.
+  /// worker heartbeats just drained (a worker beats once at startup, once
+  /// per round of library generation and once per completed verdict).
+  /// This is how the serve daemon streams live progress for a supervised
+  /// job; must not throw.
   std::function<void(std::size_t)> on_progress;
   /// Supervisor event log (spawns, kills, backoff, quarantine); null =
   /// silent.

@@ -391,8 +391,10 @@ ScenarioSpec parse_scenario(const std::string& text) {
   return spec;
 }
 
-xtalk::DefectLibrary ScenarioSpec::make_library() const {
-  return sim::make_defect_library(system, bus, defect_count, seed, sigma_pct);
+xtalk::DefectLibrary ScenarioSpec::make_library(
+    const std::function<void()>& progress) const {
+  return sim::make_defect_library(system, bus, defect_count, seed, sigma_pct,
+                                  {threads}, progress);
 }
 
 std::vector<sbst::GenerationResult> ScenarioSpec::make_sessions() const {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -122,8 +123,11 @@ struct ScenarioSpec {
 
   // --- materializers -----------------------------------------------------
 
-  /// Defect library for `bus` at the system's calibrated Cth.
-  xtalk::DefectLibrary make_library() const;
+  /// Defect library for `bus` at the system's calibrated Cth, generated
+  /// on `threads` threads; `progress` is called once per round of engine
+  /// words (xtalk::DefectLibrary::generate).
+  xtalk::DefectLibrary make_library(
+      const std::function<void()>& progress = {}) const;
 
   /// The self-test program sessions this scenario selects (one session
   /// when `multi_session` is off).

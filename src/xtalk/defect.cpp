@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
+
+#include "util/rng.h"
 
 namespace xtest::xtalk {
 
@@ -62,30 +66,141 @@ std::vector<unsigned> Defect::defective_wires(const RcNetwork& nominal,
   return out;
 }
 
+namespace {
+
+/// Engine words per round: the first round is small so a library of a few
+/// defects costs little more than its own words; rounds then double up to
+/// 1 MiB of words.  Both are even, so every round starts on a word pair.
+constexpr std::size_t kFirstRoundWords = std::size_t{4} << 10;
+constexpr std::size_t kMaxRoundWords = std::size_t{128} << 10;
+
+/// Thrown by ReplayEngine when a Gaussian call reads past the round's last
+/// word.
+struct RoundExhausted {};
+
+/// Replays a round's engine words, from a given word on, as the uniform
+/// random bit generator of a std::normal_distribution call.
+class ReplayEngine {
+ public:
+  using result_type = util::Mt19937_64::result_type;
+  static constexpr result_type min() { return util::Mt19937_64::min(); }
+  static constexpr result_type max() { return util::Mt19937_64::max(); }
+
+  ReplayEngine(const result_type* next, const result_type* end)
+      : next_(next), end_(end) {}
+
+  result_type operator()() {
+    if (next_ == end_) throw RoundExhausted{};
+    return *next_++;
+  }
+
+  const result_type* position() const { return next_; }
+
+ private:
+  const result_type* next_;
+  const result_type* end_;
+};
+
+}  // namespace
+
+// The library is the serial flow's, bit for bit, at every thread count.
+// The serial flow draws one fresh std::normal_distribution<double>(0,
+// sigma) per factor from one MT19937-64 stream.  libstdc++ implements it
+// with Marsaglia's polar method: each try reads two engine words (one
+// generate_canonical<double, 53> word each), a rejected try leaves no
+// state behind, and the call returns right after its first accepted pair
+// -- the saved second value dies with the object.  So the serial factor
+// sequence is one value per accepted word pair, in stream order, and a
+// chain of calls started at any even word offset returns the first
+// accepted pair at or after that offset and stays in step with the
+// serial chain from then on.  Only the words themselves must be produced
+// in order.  Each round therefore:
+//  - fills its word buffer from the engine, serially;
+//  - splits its word pairs into contiguous chunks, one per thread, and
+//    chains calls on a ReplayEngine from each chunk's first pair, keeping
+//    a value only when its accepted pair ends inside the chunk (the next
+//    chunk's first call returns any other one).  A call that runs past
+//    the round's last word has read only rejected pairs; the serial call
+//    would carry on at the next round's first word, which is where the
+//    next round starts, so it is dropped;
+//  - appends the chunks' values, in order, after the partial candidate
+//    the previous round carried, and runs the Cth acceptance test on
+//    every whole candidate in parallel;
+//  - walks the candidates in order, counting attempts and keeping
+//    accepted defects until `count` is reached.
+// At most one round of candidates past the last defect is thrown away.
 DefectLibrary DefectLibrary::generate(const RcNetwork& nominal,
-                                      const DefectConfig& config) {
+                                      const DefectConfig& config,
+                                      const util::ParallelConfig& parallel,
+                                      const std::function<void()>& progress) {
   if (config.cth_fF <= 0.0)
     throw std::invalid_argument("DefectConfig::cth_fF must be positive");
   const unsigned width = nominal.width();
+  if (width < 2)
+    throw std::invalid_argument(
+        "DefectLibrary::generate: a bus needs at least two wires");
   const std::size_t npairs =
       static_cast<std::size_t>(width) * (width - 1) / 2;
-  util::Rng rng(config.seed);
+  const double sigma = config.sigma_pct / 100.0;
+  util::Mt19937_64 engine(config.seed);
 
   std::vector<Defect> defects;
   defects.reserve(config.count);
   std::size_t attempts = 0;
-  std::vector<double> factors(npairs);
+  std::vector<std::uint64_t> words;
+  std::size_t round_words = kFirstRoundWords;
+  std::vector<double> factors;  // the carried partial candidate, then more
   while (defects.size() < config.count) {
-    if (++attempts > config.max_attempts)
-      throw std::runtime_error(
-          "DefectLibrary::generate: defect yield too low; raise sigma or "
-          "lower cth_fF");
-    for (double& f : factors)
-      f = std::max(0.0, 1.0 + rng.gaussian(config.sigma_pct / 100.0));
-    Defect candidate(width, factors);
-    const RcNetwork net = candidate.apply(nominal);
-    if (net.max_net_coupling() > config.cth_fF)
-      defects.push_back(std::move(candidate));
+    words.resize(round_words);
+    engine.fill(words.data(), words.size());
+    round_words = std::min(2 * round_words, kMaxRoundWords);
+
+    const std::size_t pairs = words.size() / 2;
+    std::vector<std::vector<double>> chunk_factors(parallel.resolve(pairs));
+    util::parallel_for_chunks(
+        pairs, parallel, [&](std::size_t begin, std::size_t end, unsigned w) {
+          ReplayEngine replay(words.data() + 2 * begin,
+                              words.data() + words.size());
+          const std::uint64_t* chunk_end = words.data() + 2 * end;
+          std::vector<double> out;  // local: no false sharing of its size
+          try {
+            while (replay.position() < chunk_end) {
+              const double g =
+                  std::normal_distribution<double>(0.0, sigma)(replay);
+              if (replay.position() > chunk_end) break;
+              out.push_back(std::max(0.0, 1.0 + g));
+            }
+          } catch (const RoundExhausted&) {
+          }
+          chunk_factors[w] = std::move(out);
+        });
+    for (const std::vector<double>& v : chunk_factors)
+      factors.insert(factors.end(), v.begin(), v.end());
+
+    const std::size_t candidates = factors.size() / npairs;
+    std::vector<std::optional<Defect>> accepted(candidates);
+    util::parallel_for_chunks(
+        candidates, parallel,
+        [&](std::size_t begin, std::size_t end, unsigned) {
+          for (std::size_t c = begin; c < end; ++c) {
+            const auto first = factors.begin() + c * npairs;
+            Defect candidate(width, std::vector<double>(first, first + npairs));
+            const RcNetwork net = candidate.apply(nominal);
+            if (net.max_net_coupling() > config.cth_fF)
+              accepted[c] = std::move(candidate);
+          }
+        });
+
+    for (std::size_t c = 0; c < candidates && defects.size() < config.count;
+         ++c) {
+      if (++attempts > config.max_attempts)
+        throw std::runtime_error(
+            "DefectLibrary::generate: defect yield too low; raise sigma or "
+            "lower cth_fF");
+      if (accepted[c]) defects.push_back(std::move(*accepted[c]));
+    }
+    factors.erase(factors.begin(), factors.begin() + candidates * npairs);
+    if (progress) progress();
   }
   return DefectLibrary(config, std::move(defects), attempts);
 }

@@ -11,9 +11,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/parallel.h"
 #include "xtalk/rc_network.h"
 
 namespace xtest::xtalk {
@@ -69,10 +70,15 @@ class Defect {
 /// A generated library plus generation statistics.
 class DefectLibrary {
  public:
-  /// Rejection-samples `config.count` defects.  Throws std::runtime_error
-  /// if `max_attempts` candidates do not yield enough defects.
+  /// Rejection-samples `config.count` defects on `parallel`'s threads;
+  /// the library is the same bit for bit at every thread count.
+  /// `progress`, when set, is called once per round of engine words
+  /// (at most 128 Ki words apart).  Throws std::runtime_error if
+  /// `max_attempts` candidates do not yield enough defects.
   static DefectLibrary generate(const RcNetwork& nominal,
-                                const DefectConfig& config);
+                                const DefectConfig& config,
+                                const util::ParallelConfig& parallel = {},
+                                const std::function<void()>& progress = {});
 
   /// Wraps an explicit defect list (e.g. a hand-built one) as a library.
   /// The defects are taken as-is; a width that does not match the target

@@ -1,5 +1,8 @@
 #include "tools/cli.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -703,6 +706,26 @@ TEST(Cli, ClosedHeartbeatFdIsAUsageErrorNamingTheFlag) {
   EXPECT_NE(r.err.find("--heartbeat-fd: descriptor 973 is not open"),
             std::string::npos)
       << r.err;
+}
+
+TEST(Cli, WorkerBeatsWhileGeneratingItsLibrary) {
+  // A large library takes longer to generate than the supervisor's
+  // heartbeat timeout, so a worker also beats once per round of library
+  // generation: more bytes than the startup beat plus one per simulation.
+  const std::string path = temp_path("worker_beats");
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  const CliRun r =
+      run_cli({"campaign", "--bus", "addr", "--defects", "400", "--threads",
+               "2", "--heartbeat-fd", std::to_string(fd)});
+  ::close(fd);
+  ASSERT_EQ(r.code, 0) << r.err;
+  const std::size_t at = r.out.find("simulations=");
+  ASSERT_NE(at, std::string::npos) << r.out;
+  const std::size_t simulations = std::stoul(r.out.substr(at + 12));
+  EXPECT_EQ(simulations, 2400u);
+  EXPECT_GT(std::filesystem::file_size(path), 1 + simulations);
+  std::filesystem::remove(path);
 }
 
 TEST(Cli, ServeRequiresExactlyOneEndpointAndAQueue) {

@@ -178,34 +178,82 @@ std::uint64_t factor_digest(const DefectLibrary& lib) {
 }
 
 TEST(DefectLibrary, GoldenLibraryIsPinned) {
-  // 200-defect libraries of the default system, pinned bit for bit (factor
-  // digest and candidates drawn): any change to the RNG stream, the
-  // acceptance test or the network arithmetic shows up here.
+  // Libraries of the default system, pinned bit for bit (factor digest and
+  // candidates drawn): any change to the RNG stream, the acceptance test or
+  // the network arithmetic shows up here.  The large rows span many rounds
+  // of engine words, and every row is generated at 1 to 4 threads: the
+  // library must not depend on the thread count.
   struct Golden {
     soc::BusKind bus;
+    std::size_t count;
     std::uint64_t seed;
     std::uint64_t digest;
     std::size_t attempts;
   };
   constexpr Golden kGolden[] = {
-      {soc::BusKind::kAddress, 1, 0xc877981391c6d14eull, 3887},
-      {soc::BusKind::kAddress, 7, 0xe7a5628a3bde5813ull, 3926},
-      {soc::BusKind::kAddress, 20010618, 0xa3a616da160645d0ull, 4389},
-      {soc::BusKind::kData, 1, 0xc3b7a6474c6b0496ull, 5467},
-      {soc::BusKind::kData, 7, 0x8d05ae5458342900ull, 5478},
-      {soc::BusKind::kData, 20010618, 0xb04ef34f63f604bdull, 5045},
-      {soc::BusKind::kControl, 1, 0x29b6342d0b068794ull, 4125},
-      {soc::BusKind::kControl, 7, 0x7527d48ea02fa824ull, 4712},
-      {soc::BusKind::kControl, 20010618, 0x01c0581c59069e12ull, 4355},
+      {soc::BusKind::kAddress, 200, 1, 0xc877981391c6d14eull, 3887},
+      {soc::BusKind::kAddress, 200, 7, 0xe7a5628a3bde5813ull, 3926},
+      {soc::BusKind::kAddress, 200, 20010618, 0xa3a616da160645d0ull, 4389},
+      {soc::BusKind::kData, 200, 1, 0xc3b7a6474c6b0496ull, 5467},
+      {soc::BusKind::kData, 200, 7, 0x8d05ae5458342900ull, 5478},
+      {soc::BusKind::kData, 200, 20010618, 0xb04ef34f63f604bdull, 5045},
+      {soc::BusKind::kControl, 200, 1, 0x29b6342d0b068794ull, 4125},
+      {soc::BusKind::kControl, 200, 7, 0x7527d48ea02fa824ull, 4712},
+      {soc::BusKind::kControl, 200, 20010618, 0x01c0581c59069e12ull, 4355},
+      {soc::BusKind::kAddress, 5000, 20010618, 0x4d1d8f9949d44961ull, 104912},
+      {soc::BusKind::kData, 3000, 20010618, 0xea784a53eb9475fbull, 73152},
+      {soc::BusKind::kControl, 15000, 20010618, 0x70c4d8c75ca1f1b9ull, 332401},
   };
-  for (const Golden& g : kGolden) {
-    const DefectLibrary lib =
-        sim::make_defect_library(soc::SystemConfig{}, g.bus, 200, g.seed);
-    EXPECT_EQ(factor_digest(lib), g.digest)
-        << soc::to_string(g.bus) << " seed " << g.seed;
-    EXPECT_EQ(lib.attempts(), g.attempts)
-        << soc::to_string(g.bus) << " seed " << g.seed;
+  for (const Golden& g : kGolden)
+    for (unsigned threads = 1; threads <= 4; ++threads) {
+      const DefectLibrary lib = sim::make_defect_library(
+          soc::SystemConfig{}, g.bus, g.count, g.seed, 50.0, {threads});
+      EXPECT_EQ(factor_digest(lib), g.digest)
+          << soc::to_string(g.bus) << " x" << g.count << " seed " << g.seed
+          << " threads " << threads;
+      EXPECT_EQ(lib.attempts(), g.attempts)
+          << soc::to_string(g.bus) << " x" << g.count << " seed " << g.seed
+          << " threads " << threads;
+    }
+}
+
+TEST(DefectLibrary, MaxAttemptsBoundaryIsExact) {
+  // The 200-defect address-bus library at seed 1 needs exactly 3887
+  // candidates (a golden row above): that many attempts suffice and one
+  // fewer fails, serially and on 4 threads.
+  const soc::SystemConfig system;
+  const RcNetwork nom(system.address_geometry);
+  DefectConfig dc =
+      sim::defect_config(system, soc::BusKind::kAddress, 200, 1);
+  for (unsigned threads : {1u, 4u}) {
+    dc.max_attempts = 3887;
+    EXPECT_EQ(DefectLibrary::generate(nom, dc, {threads}).attempts(), 3887u)
+        << "threads " << threads;
+    dc.max_attempts = 3886;
+    EXPECT_THROW(DefectLibrary::generate(nom, dc, {threads}),
+                 std::runtime_error)
+        << "threads " << threads;
   }
+}
+
+TEST(DefectLibrary, ProgressIsCalledOncePerRound) {
+  // Every candidate draws at least two engine words per factor, and a
+  // round holds at most 128 Ki words, so a library that needed W words
+  // made at least W / 128 Ki progress calls.  The hook must not change
+  // the library.
+  const soc::SystemConfig system;
+  const DefectLibrary quiet =
+      sim::make_defect_library(system, soc::BusKind::kAddress, 200, 1);
+  std::size_t calls = 0;
+  const DefectLibrary counted = sim::make_defect_library(
+      system, soc::BusKind::kAddress, 200, 1, 50.0, {},
+      [&calls] { ++calls; });
+  const std::size_t width = system.address_geometry.width;
+  const std::size_t min_words = counted.attempts() * width * (width - 1);
+  EXPECT_GE(calls, 2u);
+  EXPECT_GE(calls * (std::size_t{128} << 10), min_words);
+  EXPECT_EQ(factor_digest(counted), factor_digest(quiet));
+  EXPECT_EQ(counted.attempts(), quiet.attempts());
 }
 
 }  // namespace

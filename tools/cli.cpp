@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -611,10 +612,7 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
   const FaultSpecGuard faults(
       p.options.count("faults") ? p.options.at("faults") : "");
 
-  const auto lib = s.make_library();
-  const auto sessions = s.make_sessions();
   util::CampaignStats stats;
-
   sim::CampaignOptions opts = s.campaign_options(&stats);
   opts.cancel = &interrupt_flag();
   if (p.options.count("checkpoint")) {
@@ -623,6 +621,10 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
       throw UsageError("--checkpoint: missing file name");
     opts.checkpoint_key = s.checkpoint_key();
   }
+  // A worker beats once per round of library generation too: a large
+  // library takes longer to generate than the supervisor's heartbeat
+  // timeout.
+  std::function<void()> beat;
   if (worker_mode) {
     // stoull would silently wrap "-1" to 2^64-1; reject the sign up front
     // so a bad fd is a usage error naming the flag, not an EBADF later.
@@ -635,19 +637,24 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
     if (::fcntl(hb_fd, F_GETFD) == -1)
       throw UsageError("--heartbeat-fd: descriptor " + hb + " is not open");
     // Startup heartbeat: tells the supervisor the exec succeeded before
-    // the (potentially long) gold run begins.
+    // the (potentially long) library generation and gold run begin.
     const char hello = '+';
     if (!util::write_full(hb_fd, &hello, 1)) {
       // The supervisor is gone; keep running, the checkpoint still counts.
     }
-    opts.progress = [hb_fd] {
+    beat = [hb_fd] {
+      const char b = '+';
+      (void)util::write_full(hb_fd, &b, 1);
+    };
+    opts.progress = [beat] {
       // The worker.exit site models a worker dying abruptly mid-campaign
       // (std::_Exit: no flush, no destructors -- exactly a crash).
       if (util::FaultInjector::global().fire("worker.exit")) std::_Exit(70);
-      const char beat = '+';
-      (void)util::write_full(hb_fd, &beat, 1);
+      beat();
     };
   }
+  const auto lib = s.make_library(beat);
+  const auto sessions = s.make_sessions();
   sim::OnlineResult r;  // off-line, only its verdicts are filled
   if (s.online.enabled)
     r = sim::run_online_detection_sessions(s.system, s.online, sessions,
