@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <ostream>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -35,7 +36,10 @@ std::uint64_t ms_since(Clock::time_point t0) {
 
 }  // namespace
 
-Client::Client(ClientOptions opt) : opt_(std::move(opt)) {}
+Client::Client(ClientOptions opt) : opt_(std::move(opt)) {
+  std::random_device rd;
+  id_ = (std::uint64_t{rd()} << 32) ^ rd();
+}
 
 Client::~Client() { disconnect(); }
 
@@ -56,7 +60,11 @@ bool Client::ensure_connected() {
                                  : util::connect_unix(opt_.socket_path);
   if (fd_ < 0) return false;
   dec_ = FrameDecoder();
-  return true;
+  // Unsequenced: the kHelloAck banner needs no reply.
+  Frame hello;
+  hello.type = FrameType::kHello;
+  put_u64(hello.payload, id_);
+  return send_frame(hello);
 }
 
 bool Client::reconnect_with_backoff() {

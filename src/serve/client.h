@@ -2,11 +2,14 @@
 //
 // A Client owns one connection (re-established on demand) and implements
 // the delivery discipline the daemon expects:
+//   * every connection opens with kHello carrying this client's random
+//     64-bit id, so the daemon knows a reconnected client as the same one.
 //   * submit() retransmits the kSubmit frame -- same sequence number --
 //     every second, up to 11 sends, until the kSubmitAck arrives, so a
-//     lost ack never double-enqueues (the daemon dedupes per-connection
-//     by submit seq) and a lost submit never silently vanishes.  The ack
-//     implies the job is DURABLE: the daemon persists before acking.
+//     lost ack never double-enqueues (the daemon dedupes by client id and
+//     submit seq, across connections) and a lost submit never silently
+//     vanishes.  The ack implies the job is DURABLE: the daemon persists
+//     before acking.
 //   * wait() streams kEvent frames, acking durable ones, and survives any
 //     connection loss -- client-side kill, daemon restart, injected
 //     socket fault -- by reconnecting with backoff and sending kResume
@@ -95,6 +98,8 @@ class Client {
   bool reconnect_with_backoff();
 
   ClientOptions opt_;
+  /// Random per Client: the daemon's key for this client's submits.
+  std::uint64_t id_;
   int fd_ = -1;
   FrameDecoder dec_;
   std::uint32_t next_seq_ = 1;

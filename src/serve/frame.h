@@ -48,7 +48,7 @@ inline constexpr std::size_t kTrailerSize = 4;
 inline constexpr std::uint32_t kMaxPayload = 1u << 20;
 
 enum class FrameType : std::uint8_t {
-  kHello = 1,       ///< client -> server: optional greeting (payload: name)
+  kHello = 1,       ///< client -> server: first frame, u64 client id
   kHelloAck = 2,    ///< server -> client: banner text
   kSubmit = 3,      ///< u8 priority + scenario text; acked by kSubmitAck
   kSubmitAck = 4,   ///< u32 echoed submit seq + u64 job id

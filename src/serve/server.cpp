@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -85,9 +86,11 @@ struct Conn {
   FrameDecoder dec;
   std::string outbuf;
   std::map<std::uint64_t, Subscription> subs;
-  /// Submit-seq -> cached encoded kSubmitAck, so a retransmitted Submit
-  /// (ack lost, client resent) is answered without enqueueing twice.
-  std::map<std::uint32_t, std::string> submit_acks;
+  /// The id from the peer's kHello; without one the connection is its
+  /// own client.
+  std::optional<std::uint64_t> client_id;
+  /// Submit seq -> job id of a client without an id.
+  std::map<std::uint32_t, std::uint64_t> submit_acks;
   Clock::time_point last_activity = Clock::now();
   bool dead = false;
 };
@@ -138,6 +141,11 @@ struct Server::Impl {
   std::condition_variable cv;
   JobQueue queue;
   std::map<std::uint64_t, JobStream> streams;
+  /// Client id -> submit seq -> job id: accepted submits of every client
+  /// that said kHello, so a Submit resent on a new connection (its ack
+  /// was lost with the old one) is acked again instead of enqueued twice.
+  /// Poll-loop only.
+  std::map<std::uint64_t, std::map<std::uint32_t, std::uint64_t>> client_acks;
   bool runner_stop = false;  ///< under mu
   std::atomic<bool> run_cancel{false};  ///< cancels the in-flight supervisor
   std::atomic<bool> runner_done{false};
@@ -357,6 +365,9 @@ struct Server::Impl {
   void handle_frame(Conn& c, Frame&& f) {
     switch (f.type) {
       case FrameType::kHello: {
+        std::size_t pos = 0;
+        std::uint64_t id = 0;
+        if (get_u64(f.payload, pos, id)) c.client_id = id;
         Frame r;
         r.type = FrameType::kHelloAck;
         r.seq = f.seq;
@@ -406,12 +417,25 @@ struct Server::Impl {
     append_frame(c, e);
   }
 
+  /// Acks submit `seq` as job `id`; the submitter implicitly follows
+  /// its own job.
+  void send_submit_ack(Conn& c, std::uint32_t seq, std::uint64_t id) {
+    Frame ack;
+    ack.type = FrameType::kSubmitAck;
+    put_u32(ack.payload, seq);
+    put_u64(ack.payload, id);
+    append_frame(c, ack);
+    c.subs.emplace(id, Subscription{});
+  }
+
   void handle_submit(Conn& c, const Frame& f) {
+    std::map<std::uint32_t, std::uint64_t>& acks =
+        c.client_id ? client_acks[*c.client_id] : c.submit_acks;
     if (f.seq != 0) {
-      const auto it = c.submit_acks.find(f.seq);
-      if (it != c.submit_acks.end()) {
-        // Retransmit of a submit we already accepted: replay the ack.
-        c.outbuf += it->second;
+      const auto it = acks.find(f.seq);
+      if (it != acks.end()) {
+        // Retransmit of a submit we already accepted: ack it again.
+        send_submit_ack(c, f.seq, it->second);
         return;
       }
     }
@@ -438,15 +462,8 @@ struct Server::Impl {
       return;
     }
     cv.notify_all();
-    Frame ack;
-    ack.type = FrameType::kSubmitAck;
-    put_u32(ack.payload, f.seq);
-    put_u64(ack.payload, id);
-    const std::string encoded = encode_frame(ack);
-    if (f.seq != 0) c.submit_acks[f.seq] = encoded;
-    c.outbuf += encoded;
-    // The submitter implicitly follows its own job.
-    c.subs.emplace(id, Subscription{});
+    if (f.seq != 0) acks[f.seq] = id;
+    send_submit_ack(c, f.seq, id);
     logln("job " + std::to_string(id) + " queued (priority " +
           std::to_string(priority) + ")");
   }

@@ -287,8 +287,7 @@ std::vector<typename Policy::Outcome> run_slots(
   std::unique_ptr<CampaignCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     checkpoint = std::make_unique<CampaignCheckpoint>(
-        options.checkpoint_path, options.checkpoint_key,
-        options.checkpoint_every,
+        options.checkpoint_path, options.checkpoint_key, /*flush_every=*/1,
         shard.count > 1 ? "s" + std::to_string(shard.index) : "");
     const SalvageReport& sr = checkpoint->salvage();
     if (sr.salvaged && options.stats != nullptr) {

@@ -100,8 +100,6 @@ struct CampaignOptions {
   /// the next run with the same file.  run_detection writes section
   /// "campaign", the session entry points one "session<i>" per session.
   std::string checkpoint_path;
-  /// Completed verdicts between automatic checkpoint flushes.
-  std::size_t checkpoint_every = 32;
   /// Campaign identity guard stored in the checkpoint; resuming with a
   /// different key throws.  Required with checkpoint_path (the campaign
   /// throws std::invalid_argument without one): ScenarioSpec::checkpoint_key

@@ -1,5 +1,6 @@
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -135,6 +136,7 @@ bool CampaignCheckpoint::load_section(const std::vector<std::string>& lines,
   if (j >= lines.size() || !util::parse_crc_line(lines[j], crc) ||
       util::crc32(group) != crc)
     return false;
+  held_ += count;
   sections_.push_back(std::move(section));
   ++salvage_.sections_kept;
   i = j + 1;
@@ -144,13 +146,9 @@ bool CampaignCheckpoint::load_section(const std::vector<std::string>& lines,
 void CampaignCheckpoint::drop_tail(const std::vector<std::string>& lines,
                                    std::size_t from) {
   salvage_.salvaged = true;
-  for (std::size_t j = from; j < lines.size(); ++j) {
-    if (lines[j].rfind("section ", 0) == 0) {
-      ++salvage_.sections_dropped;
-    } else if (slot_like(lines[j])) {
+  for (std::size_t j = from; j < lines.size(); ++j)
+    if (slot_like(lines[j]))
       for (const char c : lines[j]) salvage_.dropped_slots += c != '.';
-    }
-  }
 }
 
 CampaignCheckpoint::Section* CampaignCheckpoint::find_locked(
@@ -164,6 +162,7 @@ CampaignCheckpoint::Section& CampaignCheckpoint::registered_locked(
     const std::string& section, std::size_t count, bool online) {
   Section* s = find_locked(section);
   if (s == nullptr) {
+    held_ += count;
     sections_.push_back(
         {section, std::vector<char>(count, '.'),
          online ? std::vector<OnlineOutcome>(count)
@@ -228,12 +227,21 @@ void CampaignCheckpoint::record_slot(const std::string& section,
                            section + "[" + std::to_string(index) + "]");
   s->slots[index] = to_char(v);
   if (outcome != nullptr) s->outcomes[index] = *outcome;
-  if (++dirty_ >= flush_every_) {
+  // Cadence: every flush rewrites the whole file, so it waits for a
+  // sixteenth of the slots the file holds (never fewer than flush_every_
+  // records).  A hard crash loses fewer than max(flush_every_, held_ / 16)
+  // records, and never more than the current session: run_slots flushes
+  // when each session ends.  Cost: session k of an unsharded campaign
+  // over n defects holds k * n slots and records n, so it flushes about
+  // 16 / k times; six sessions make 16 * (1 + 1/2 + ... + 1/6) ~ 39
+  // periodic flushes at any library size, so the bytes written grow
+  // linearly with the library.
+  if (++dirty_ >= std::max(flush_every_, held_ / 16)) {
     try {
       flush_locked();
     } catch (const std::exception&) {
       // A failed periodic flush costs durability, not correctness: keep
-      // the in-memory verdicts, retry after another flush_every_ records.
+      // the in-memory verdicts, retry at the next cadence point.
       ++flush_failures_;
       dirty_ = 0;
     }

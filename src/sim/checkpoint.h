@@ -58,8 +58,6 @@ struct SalvageReport {
   bool salvaged = false;
   /// Sections recovered intact (the valid prefix).
   std::size_t sections_kept = 0;
-  /// Section headers seen in the dropped tail (damaged or unverifiable).
-  std::size_t sections_dropped = 0;
   /// Completed verdict chars visible in the dropped tail: work lost to
   /// the corruption that the resumed campaign re-simulates.
   std::size_t dropped_slots = 0;
@@ -71,17 +69,13 @@ class CampaignCheckpoint {
   /// loads the existing checkpoint when the file exists.  A damaged file
   /// is salvaged (see salvage()); std::runtime_error is thrown only for a
   /// file that is not a checkpoint at all, an unreadable file, or a
-  /// CRC-valid key mismatch.  `flush_every` is the number of record()
-  /// calls between automatic atomic flushes.  `tag` (e.g. "s3" for shard
-  /// 3) is the util::write_durable tag of this instance's tmp files, so
-  /// worker processes sharing a path, each with its own tag, never sweep
-  /// each other's in-flight writes.
+  /// CRC-valid key mismatch.  `flush_every` is the floor of record()'s
+  /// flush cadence (SIZE_MAX: never flush periodically).  `tag` (e.g. "s3"
+  /// for shard 3) is the util::write_durable tag of this instance's tmp
+  /// files, so worker processes sharing a path, each with its own tag,
+  /// never sweep each other's in-flight writes.
   CampaignCheckpoint(std::string path, std::string key,
-                     std::size_t flush_every = 32, std::string tag = "");
-
-  const std::string& path() const { return path_; }
-  const std::string& key() const { return key_; }
-  const std::string& tag() const { return tag_; }
+                     std::size_t flush_every = 1, std::string tag = "");
 
   /// Result of the constructor's load: clean, fresh, or salvaged.
   const SalvageReport& salvage() const { return salvage_; }
@@ -100,11 +94,13 @@ class CampaignCheckpoint {
       const std::string& section, std::size_t count);
 
   /// Records one completed verdict.  Thread-safe; flushes the whole state
-  /// atomically every `flush_every` records.  A *periodic* flush that
-  /// fails (ENOSPC, injected fault) is swallowed and counted in
-  /// flush_failures() -- the campaign's in-memory verdicts outrank one
-  /// missed flush, and the next flush retries.  The section must have
-  /// been registered via restore().
+  /// atomically once the records since the last flush reach
+  /// max(flush_every, held / 16), where held is the slot count of every
+  /// section in the file.  A *periodic* flush that fails (ENOSPC,
+  /// injected fault) is swallowed and counted in flush_failures() -- the
+  /// campaign's in-memory verdicts outrank one missed flush, and the next
+  /// cadence point retries.  The section must have been registered via
+  /// restore().
   void record(const std::string& section, std::size_t index, Verdict v);
 
   /// record() for an on-line section registered via restore_outcomes().
@@ -149,6 +145,8 @@ class CampaignCheckpoint {
   std::string key_;
   std::string tag_;
   std::size_t flush_every_;
+  /// Slots of every section, loaded or registered: the cadence's scale.
+  std::size_t held_ = 0;
   std::size_t dirty_ = 0;
   std::size_t flush_failures_ = 0;
   SalvageReport salvage_;

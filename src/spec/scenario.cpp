@@ -12,6 +12,7 @@
 #include "cpu/isa.h"
 #include "soc/control.h"
 #include "util/durable_file.h"
+#include "util/number.h"
 #include "util/subprocess.h"
 
 namespace xtest::spec {
@@ -20,26 +21,7 @@ namespace {
 
 // --- value codecs ----------------------------------------------------------
 // Every codec either parses the whole value or throws std::invalid_argument
-// with a human message; parse_scenario attaches the line number.
-
-std::uint64_t u64_value(const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long n = std::stoull(v, &used, 0);
-    if (used != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("not a number: '" + v + "'");
-  }
-}
-
-double double_value(const std::string& v) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("not a number: '" + v + "'");
-  return d;
-}
+// with a human message; parse_scenario attaches the key and line number.
 
 bool bool_value(const std::string& v) {
   if (v == "true") return true;
@@ -125,42 +107,43 @@ struct KeyDef {
            return u64_text(s.system.member.width);                             \
          },                                                                    \
          [](ScenarioSpec& s, const std::string& v) {                           \
-           s.system.member.width = static_cast<unsigned>(u64_value(v));        \
+           s.system.member.width = util::parse_unsigned<unsigned>(v);          \
          }},                                                                   \
       KeyDef{prefix ".wire_length_um",                                         \
              [](const ScenarioSpec& s) {                                       \
                return double_text(s.system.member.wire_length_um);             \
              },                                                                \
              [](ScenarioSpec& s, const std::string& v) {                       \
-               s.system.member.wire_length_um = double_value(v);               \
+               s.system.member.wire_length_um = util::parse_finite(v);         \
              }},                                                               \
       KeyDef{prefix ".coupling_fF_per_um",                                     \
              [](const ScenarioSpec& s) {                                       \
                return double_text(s.system.member.coupling_fF_per_um);         \
              },                                                                \
              [](ScenarioSpec& s, const std::string& v) {                       \
-               s.system.member.coupling_fF_per_um = double_value(v);           \
+               s.system.member.coupling_fF_per_um = util::parse_finite(v);     \
              }},                                                               \
       KeyDef{prefix ".ground_fF_per_um",                                       \
              [](const ScenarioSpec& s) {                                       \
                return double_text(s.system.member.ground_fF_per_um);           \
              },                                                                \
              [](ScenarioSpec& s, const std::string& v) {                       \
-               s.system.member.ground_fF_per_um = double_value(v);             \
+               s.system.member.ground_fF_per_um = util::parse_finite(v);       \
              }},                                                               \
       KeyDef{prefix ".distance_decay_exponent",                                \
              [](const ScenarioSpec& s) {                                       \
                return double_text(s.system.member.distance_decay_exponent);    \
              },                                                                \
              [](ScenarioSpec& s, const std::string& v) {                       \
-               s.system.member.distance_decay_exponent = double_value(v);      \
+               s.system.member.distance_decay_exponent =                       \
+                   util::parse_finite(v);                                      \
              }},                                                               \
       KeyDef{prefix ".driver_resistance_ohm",                                  \
              [](const ScenarioSpec& s) {                                       \
                return double_text(s.system.member.driver_resistance_ohm);      \
              },                                                                \
              [](ScenarioSpec& s, const std::string& v) {                       \
-               s.system.member.driver_resistance_ohm = double_value(v);        \
+               s.system.member.driver_resistance_ohm = util::parse_finite(v);  \
              }}
 
 const std::vector<KeyDef>& key_table() {
@@ -175,27 +158,28 @@ const std::vector<KeyDef>& key_table() {
       {"defects",
        [](const ScenarioSpec& s) { return u64_text(s.defect_count); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.defect_count = static_cast<std::size_t>(u64_value(v));
+         s.defect_count = util::parse_unsigned<std::size_t>(v);
        }, false},
       {"seed", [](const ScenarioSpec& s) { return u64_text(s.seed); },
-       [](ScenarioSpec& s, const std::string& v) { s.seed = u64_value(v); },
-       false},
+       [](ScenarioSpec& s, const std::string& v) {
+         s.seed = util::parse_unsigned<std::uint64_t>(v);
+       }, false},
       {"sigma_pct",
        [](const ScenarioSpec& s) { return double_text(s.sigma_pct); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.sigma_pct = double_value(v);
+         s.sigma_pct = util::parse_finite(v);
        }, false},
       {"system.cth_ratio",
        [](const ScenarioSpec& s) { return double_text(s.system.cth_ratio); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.system.cth_ratio = double_value(v);
+         s.system.cth_ratio = util::parse_finite(v);
        }},
       {"system.clock_period_scale",
        [](const ScenarioSpec& s) {
          return double_text(s.system.clock_period_scale);
        },
        [](ScenarioSpec& s, const std::string& v) {
-         s.system.clock_period_scale = double_value(v);
+         s.system.clock_period_scale = util::parse_finite(v);
        }},
       {"system.fast_receive",
        [](const ScenarioSpec& s) { return bool_text(s.system.fast_receive); },
@@ -214,14 +198,14 @@ const std::vector<KeyDef>& key_table() {
          return double_text(s.system.electrical.swing_ratio);
        },
        [](ScenarioSpec& s, const std::string& v) {
-         s.system.electrical.swing_ratio = double_value(v);
+         s.system.electrical.swing_ratio = util::parse_finite(v);
        }},
       {"system.restorer_ratio",
        [](const ScenarioSpec& s) {
          return double_text(s.system.electrical.restorer_ratio);
        },
        [](ScenarioSpec& s, const std::string& v) {
-         s.system.electrical.restorer_ratio = double_value(v);
+         s.system.electrical.restorer_ratio = util::parse_finite(v);
        }},
       XTEST_GEOMETRY_KEYS("address", address_geometry),
       XTEST_GEOMETRY_KEYS("data", data_geometry),
@@ -255,12 +239,12 @@ const std::vector<KeyDef>& key_table() {
       {"program.group_size",
        [](const ScenarioSpec& s) { return u64_text(s.program.group_size); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.program.group_size = static_cast<unsigned>(u64_value(v));
+         s.program.group_size = util::parse_unsigned<unsigned>(v);
        }},
       {"program.usable_limit",
        [](const ScenarioSpec& s) { return u64_text(s.program.usable_limit); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.program.usable_limit = static_cast<cpu::Addr>(u64_value(v));
+         s.program.usable_limit = util::parse_unsigned<cpu::Addr>(v);
        }},
       {"sessions.multi",
        [](const ScenarioSpec& s) { return bool_text(s.multi_session); },
@@ -272,22 +256,17 @@ const std::vector<KeyDef>& key_table() {
          return u64_text(static_cast<std::uint64_t>(s.max_sessions));
        },
        [](ScenarioSpec& s, const std::string& v) {
-         s.max_sessions = static_cast<int>(u64_value(v));
+         s.max_sessions = util::parse_unsigned<int>(v);
        }},
       {"campaign.cycle_factor",
        [](const ScenarioSpec& s) { return u64_text(s.cycle_factor); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.cycle_factor = u64_value(v);
+         s.cycle_factor = util::parse_unsigned<std::uint64_t>(v);
        }},
       {"campaign.threads",
        [](const ScenarioSpec& s) { return u64_text(s.threads); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.threads = static_cast<unsigned>(u64_value(v));
-       }, false},
-      {"campaign.checkpoint_every",
-       [](const ScenarioSpec& s) { return u64_text(s.checkpoint_every); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.checkpoint_every = static_cast<std::size_t>(u64_value(v));
+         s.threads = util::parse_unsigned<unsigned>(v);
        }, false},
       {"campaign.compare_bist",
        [](const ScenarioSpec& s) { return bool_text(s.compare_bist); },
@@ -297,7 +276,7 @@ const std::vector<KeyDef>& key_table() {
       {"campaign.workers",
        [](const ScenarioSpec& s) { return u64_text(s.workers); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.workers = static_cast<std::size_t>(u64_value(v));
+         s.workers = util::parse_unsigned<std::size_t>(v);
        }, false},
       {"campaign.shard",
        [](const ScenarioSpec& s) {
@@ -307,10 +286,8 @@ const std::vector<KeyDef>& key_table() {
          const std::size_t slash = v.find('/');
          if (slash == std::string::npos)
            throw std::invalid_argument("expected K/N, got '" + v + "'");
-         s.shard_index =
-             static_cast<std::size_t>(u64_value(v.substr(0, slash)));
-         s.shard_count =
-             static_cast<std::size_t>(u64_value(v.substr(slash + 1)));
+         s.shard_index = util::parse_unsigned<std::size_t>(v.substr(0, slash));
+         s.shard_count = util::parse_unsigned<std::size_t>(v.substr(slash + 1));
        }, false},
       {"online.enabled",
        [](const ScenarioSpec& s) { return bool_text(s.online.enabled); },
@@ -320,17 +297,17 @@ const std::vector<KeyDef>& key_table() {
       {"online.slice_cycles",
        [](const ScenarioSpec& s) { return u64_text(s.online.slice_cycles); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.online.slice_cycles = u64_value(v);
+         s.online.slice_cycles = util::parse_unsigned<std::uint64_t>(v);
        }},
       {"online.workload_cycles",
        [](const ScenarioSpec& s) { return u64_text(s.online.workload_cycles); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.online.workload_cycles = u64_value(v);
+         s.online.workload_cycles = util::parse_unsigned<std::uint64_t>(v);
        }},
       {"online.deadline_cycles",
        [](const ScenarioSpec& s) { return u64_text(s.online.deadline_cycles); },
        [](ScenarioSpec& s, const std::string& v) {
-         s.online.deadline_cycles = u64_value(v);
+         s.online.deadline_cycles = util::parse_unsigned<std::uint64_t>(v);
        }},
   };
   return table;
@@ -409,7 +386,6 @@ sim::CampaignOptions ScenarioSpec::campaign_options(
   opts.cycle_factor = cycle_factor;
   opts.parallel = {threads};
   opts.stats = stats;
-  opts.checkpoint_every = checkpoint_every;
   opts.shard = {shard_index, shard_count};
   return opts;
 }

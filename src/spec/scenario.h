@@ -96,7 +96,6 @@ struct ScenarioSpec {
   // Campaign scheduling and resilience (sim::CampaignOptions).
   std::uint64_t cycle_factor = 16;
   unsigned threads = 0;  ///< 0 = auto ($XTEST_THREADS / hardware)
-  std::size_t checkpoint_every = 32;
   /// Also run the hardware-BIST baseline over the same library and report
   /// the coverage comparison (the paper's Section 1 argument).
   bool compare_bist = false;

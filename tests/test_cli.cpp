@@ -364,16 +364,17 @@ TEST(Cli, SupervisedOnlineMatchesInProcess) {
 }
 
 TEST(Cli, DegradedSupervisedOnlineRunPrintsNoGoldLine) {
-  // Every worker dies on its first outcome with nothing durable, so both
-  // shards are quarantined: the stats miss them, and a gold line derived
-  // from those stats would be a wrapped counter.
+  // Every worker dies on its first outcome with nothing durable (every
+  // checkpoint flush fails), so both shards are quarantined: the stats
+  // miss them, and a gold line derived from those stats would be a
+  // wrapped counter.
   ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
   const std::string base = temp_path("degraded_online.ckpt");
   const CliRun r = run_cli(
       {"campaign", "--scenario", "online-baseline", "--defects", "6",
        "--threads", "1", "--workers", "2", "--worker-retries", "1",
-       "--worker-backoff-ms", "1", "--faults", "worker.exit@1",
-       "--checkpoint", base});
+       "--worker-backoff-ms", "1", "--faults",
+       "worker.exit@1,checkpoint.rename", "--checkpoint", base});
   unsetenv("XTEST_WORKER_BINARY");
   for (const char* shard : {".shard0", ".shard1"})
     std::remove((base + shard).c_str());
@@ -433,8 +434,7 @@ TEST(Cli, SupervisedDefaultCheckpointsOfAnEditedScenarioStartFresh) {
     std::filesystem::remove(f);
   const std::string text =
       "name = key-digest\nbus = data\ndefects = 40\nseed = 7\n"
-      "campaign.threads = 1\ncampaign.workers = 2\n"
-      "campaign.checkpoint_every = 1\n";
+      "campaign.threads = 1\ncampaign.workers = 2\n";
   const std::string at_speed = temp_path("key_digest_at_speed.scn");
   const std::string slow = temp_path("key_digest_slow.scn");
   std::ofstream(at_speed) << text;
@@ -516,7 +516,8 @@ TEST(Cli, ScenarioWithARemovedKeyIsAUsageErrorNamingIt) {
   for (const char* line :
        {"campaign.batched = true", "campaign.gold_cache_capacity = 256",
         "system.transition_cache = true", "campaign.retry_errors = true",
-        "campaign.defect_deadline_ms = 0"}) {
+        "campaign.defect_deadline_ms = 0",
+        "campaign.checkpoint_every = 32"}) {
     const std::string path = temp_path("removed_key.scn");
     {
       std::ofstream f(path);
@@ -696,6 +697,69 @@ TEST(Cli, NegativeHeartbeatFdIsAUsageErrorNamingTheFlag) {
                             "-1"});
   EXPECT_EQ(r.code, kExitUsage);
   EXPECT_NE(r.err.find("--heartbeat-fd"), std::string::npos) << r.err;
+}
+
+TEST(Cli, NumericFlagsThatWouldWrapAreUsageErrorsNamingTheFlag) {
+  // A sign or a value too wide for its field was once read as a different
+  // number: --defects -3 became 2^64-3 and failed much later, exit 4.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"--defects", {"campaign", "--defects", "-3"}},
+       {"--defects", {"campaign", "--defects", "+3"}},
+       {"--threads", {"campaign", "--threads", "4294967297"}},
+       {"--seed", {"campaign", "--seed", "-1"}},
+       {"--workers", {"campaign", "--workers", "-2"}},
+       {"--shard", {"campaign", "--shard", "-1/2"}},
+       {"--worker-retries", {"campaign", "--workers", "2",
+                             "--worker-retries", "-1"}},
+       {"--port", {"serve", "--port", "65537", "--queue", "q"}},
+       {"--port", {"submit", "--port", "-1"}},
+       {"--priority", {"submit", "--port", "1", "--priority", "4294967296"}},
+       {"--cycles", {"chaos", "--cycles", "-1"}}};
+  // Should a supervised case get past its flags, its workers must be the
+  // real xtest, not this test binary.
+  ASSERT_EQ(setenv("XTEST_WORKER_BINARY", XTEST_BINARY_PATH, 1), 0);
+  for (const auto& [flag, args] : cases) {
+    const CliRun r = run_cli(args);
+    EXPECT_EQ(r.code, kExitUsage) << flag << ": " << r.err;
+    EXPECT_NE(r.err.find(flag + ": "), std::string::npos) << r.err;
+  }
+  unsetenv("XTEST_WORKER_BINARY");
+}
+
+TEST(Cli, ScenarioNumbersThatWouldWrapAreUsageErrorsNamingKeyAndLine) {
+  for (const char* line :
+       {"defects = -1", "campaign.threads = 4294967297",
+        "address.width = 4294967308", "sessions.max = 4294967297",
+        "program.usable_limit = 65537", "sigma_pct = nan",
+        "system.swing_ratio = nan", "system.clock_period_scale = inf"}) {
+    const std::string path = temp_path("wrapping_number.scn");
+    std::ofstream(path) << "name = wraps\n" << line << "\n";
+    const CliRun r = run_cli({"campaign", "--scenario", path});
+    std::remove(path.c_str());
+    const std::string key(line, std::string(line).find(' '));
+    EXPECT_EQ(r.code, kExitUsage) << line << ": " << r.err;
+    EXPECT_NE(r.err.find("scenario line 2: " + key + ": "), std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, InterruptStopsLibraryGenerationAtItsFirstRound) {
+  // With the flag already set, a worker writes its startup beat and stops
+  // at the first round of library generation instead of generating all
+  // 20,000 defects (hundreds of rounds, one beat each) first.
+  const std::string path = temp_path("interrupted_beats");
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  interrupt_flag().store(true);
+  const CliRun r =
+      run_cli({"campaign", "--bus", "addr", "--defects", "20000",
+               "--threads", "2", "--heartbeat-fd", std::to_string(fd)});
+  interrupt_flag().store(false);
+  ::close(fd);
+  EXPECT_EQ(r.code, kExitInterrupted) << r.err;
+  EXPECT_NE(r.err.find("resume"), std::string::npos) << r.err;
+  EXPECT_LE(std::filesystem::file_size(path), 2u);
+  std::filesystem::remove(path);
 }
 
 TEST(Cli, ClosedHeartbeatFdIsAUsageErrorNamingTheFlag) {

@@ -107,7 +107,6 @@ TEST(OnlineCampaign, KillResumeMatchesUninterrupted) {
   opts.stats = &stats;
   opts.checkpoint_path = ckpt;
   opts.checkpoint_key = s.key;
-  opts.checkpoint_every = 2;
 
   InjectorGuard guard;
   util::FaultInjector::global().configure("campaign.kill@5");

@@ -705,7 +705,8 @@ TEST(Resilience, GracefulKillFlushesACheckpointAndResumeMatches) {
 TEST(Resilience, HardCrashKeepsOnlyPeriodicallyFlushedVerdicts) {
   GlobalInjectorGuard guard;
   const soc::SystemConfig cfg;
-  const auto lib = make_defect_library(cfg, soc::BusKind::kData, 10, kSeed);
+  // 32 slots: the checkpoint flushes every 32 / 16 = 2 records.
+  const auto lib = make_defect_library(cfg, soc::BusKind::kData, 32, kSeed);
   const auto prog =
       sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
   const std::vector<Verdict> reference =
@@ -717,7 +718,6 @@ TEST(Resilience, HardCrashKeepsOnlyPeriodicallyFlushedVerdicts) {
   options.parallel = {1u};
   options.checkpoint_path = path;
   options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
-  options.checkpoint_every = 2;
 
   // Crash after the 5th new verdict: records 1-4 were flushed in pairs,
   // record 5 lived only in memory and dies with the "process".
@@ -738,6 +738,36 @@ TEST(Resilience, HardCrashKeepsOnlyPeriodicallyFlushedVerdicts) {
       run_detection(cfg, prog.program, soc::BusKind::kData, lib, options);
   EXPECT_EQ(resumed, reference);
   EXPECT_EQ(stats.restored_from_checkpoint, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FlushCountDoesNotGrowWithTheLibrary) {
+  GlobalInjectorGuard guard;
+  // Every flush ends in one checkpoint.rename hit; an unrelated rule arms
+  // the injector so it counts them without failing any.
+  const std::string path = temp_path("ckpt_flush_count");
+  // Six sessions flush about 16 * (1 + 1/2 + ... + 1/6) times, give or
+  // take one per session.
+  const double bound = 16.0 * (1.0 + 1.0 / 2 + 1.0 / 3 + 1.0 / 4 + 1.0 / 5 +
+                               1.0 / 6) + 6.0;
+  for (const std::size_t n : {std::size_t{64}, std::size_t{4096}}) {
+    std::remove(path.c_str());
+    util::FaultInjector::global().configure("unrelated.site");
+    {
+      CampaignCheckpoint ck(path, "k");
+      for (int session = 0; session < 6; ++session) {
+        const std::string section = "session" + std::to_string(session);
+        ck.restore(section, n);
+        for (std::size_t i = 0; i < n; ++i)
+          ck.record(section, i, Verdict::kDetected);
+      }
+    }
+    const std::size_t flushes =
+        util::FaultInjector::global().hits("checkpoint.rename");
+    util::FaultInjector::global().disarm();
+    EXPECT_GT(flushes, 0u) << n;
+    EXPECT_LE(static_cast<double>(flushes), bound) << n;
+  }
   std::remove(path.c_str());
 }
 
@@ -811,7 +841,6 @@ TEST(FaultEnv, CampaignCompletesUnderAmbientInjection) {
   options.stats = &stats;
   options.checkpoint_path = path;
   options.checkpoint_key = default_checkpoint_key(soc::BusKind::kData, lib);
-  options.checkpoint_every = 4;
 
   std::vector<Verdict> det;
   bool completed = false;

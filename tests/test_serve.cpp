@@ -1,10 +1,10 @@
 // Campaign service tests: frame codec (hostile-input-proof), persistent
 // job queue (salvage), and the live daemon end to end -- submit/stream,
-// malformed-byte rejection, submit dedupe, reconnect replay, idle reap,
-// job retry and in-band job failure, and restart-resume from the queue
-// file.  Server tests run the daemon in-process on an ephemeral loopback
-// port but spawn REAL worker processes (XTEST_BINARY_PATH), exactly like
-// test_supervisor.
+// malformed-byte rejection, submit dedupe (per connection, and by client
+// id across connections), reconnect replay, idle reap, job retry and
+// in-band job failure, and restart-resume from the queue file.  Server
+// tests run the daemon in-process on an ephemeral loopback port but spawn
+// REAL worker processes (XTEST_BINARY_PATH), exactly like test_supervisor.
 
 #include <unistd.h>
 
@@ -488,7 +488,6 @@ spec::ScenarioSpec serve_spec(std::size_t defects = 6) {
   s.multi_session = false;
   s.threads = 1;
   s.workers = 2;
-  s.checkpoint_every = 2;
   return s;
 }
 
@@ -687,6 +686,90 @@ TEST_F(ServeFixture, SubmitRetransmitIsDedupedPerConnection) {
   Client c(client_options());
   const std::string status = c.status();
   EXPECT_EQ(status.find("job 2"), std::string::npos) << status;
+}
+
+/// Sends `frames` on a fresh connection and returns the job id of the
+/// first kSubmitAck it reads back (0 when none arrives).
+std::uint64_t submit_on_new_connection(std::uint16_t port,
+                                       const std::vector<Frame>& frames) {
+  int fd = util::connect_tcp(port);
+  if (fd < 0) return 0;
+  for (const Frame& f : frames) {
+    const std::string bytes = encode_frame(f);
+    if (!util::write_full(fd, bytes.data(), bytes.size())) {
+      util::close_fd(fd);
+      return 0;
+    }
+  }
+  FrameDecoder dec;
+  std::uint64_t job = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (job == 0 && std::chrono::steady_clock::now() < deadline) {
+    char buf[4096];
+    const ssize_t n =
+        util::retry_eintr([&] { return ::read(fd, buf, sizeof buf); });
+    if (n <= 0 || !dec.feed(buf, static_cast<std::size_t>(n))) break;
+    while (auto f = dec.next()) {
+      std::size_t pos = 0;
+      std::uint32_t echo = 0;
+      if (f->type == FrameType::kSubmitAck &&
+          get_u32(f->payload, pos, echo) && get_u64(f->payload, pos, job))
+        break;
+    }
+  }
+  util::close_fd(fd);
+  return job;
+}
+
+TEST_F(ServeFixture, SubmitResentOnANewConnectionIsDedupedByClientId) {
+  // The ack is lost with its connection; the client reconnects, says the
+  // same Hello and resends the same seq.  The daemon must ack the job it
+  // already has instead of enqueueing a second one.
+  const spec::ScenarioSpec s = serve_spec(4);
+  start();
+  std::string id;
+  put_u64(id, 0x5eedf00dcafe0001ull);
+  std::string submit(1, char(5));
+  submit += spec::serialize_scenario(s);
+  const std::vector<Frame> frames = {make_frame(FrameType::kHello, 0, id),
+                                     make_frame(FrameType::kSubmit, 7, submit)};
+  const std::uint64_t first = submit_on_new_connection(port_, frames);
+  const std::uint64_t second = submit_on_new_connection(port_, frames);
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(second, first);
+  Client c(client_options());
+  const std::string status = c.status();
+  EXPECT_NE(status.find("job 1 "), std::string::npos) << status;
+  EXPECT_EQ(status.find("job 2"), std::string::npos) << status;
+}
+
+TEST_F(ServeFixture, LostSubmitAckDoesNotEnqueueTwice) {
+  // The daemon's first socket write -- the one carrying the ack -- fails
+  // and drops the connection after the job is queued; Client::submit
+  // reconnects and resends.
+  const spec::ScenarioSpec s = serve_spec(4);
+  start();
+  util::FaultInjector::global().configure("serve.write@1");
+  Client c(client_options());
+  const std::uint64_t job = c.submit(spec::serialize_scenario(s), 5);
+  util::FaultInjector::global().disarm();
+  EXPECT_EQ(job, 1u);
+  const std::string status = c.status();
+  EXPECT_EQ(status.find("job 2"), std::string::npos) << status;
+}
+
+TEST_F(ServeFixture, SubmitOfANegativeDefectCountIsRejected) {
+  start();
+  Client c(client_options());
+  try {
+    c.submit("name = negative\ndefects = -1\n", 5);
+    FAIL() << "a wrapped defect count was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("defects"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(c.status(), "");  // nothing was queued
 }
 
 TEST_F(ServeFixture, InvalidScenarioIsRejectedInBand) {

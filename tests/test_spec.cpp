@@ -81,7 +81,6 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.max_sessions = static_cast<int>(1 + rng.below(8));
   s.cycle_factor = 1 + rng.below(64);
   s.threads = static_cast<unsigned>(rng.below(16));
-  s.checkpoint_every = 1 + rng.below(256);
   s.compare_bist = rng.below(2) == 0;
   s.workers = rng.below(5);
   s.system.electrical.backend =
@@ -161,6 +160,40 @@ TEST(ScenarioSpec, BadValueNamesKeyAndLine) {
               std::string::npos);
     EXPECT_NE(std::string(e.what()).find("full-swing"), std::string::npos);
   }
+}
+
+TEST(ScenarioSpec, NumbersThatWouldWrapOrAreNotFiniteNameKeyAndLine) {
+  // Each of these once parsed to a different value than written: a sign
+  // wrapped to 2^64-1, a wide value was cast down to its field, or a
+  // double was not finite.
+  for (const char* line :
+       {"defects = -1", "defects = +5", "defects =  7x",
+        "campaign.threads = 4294967297", "address.width = 4294967308",
+        "sessions.max = 4294967297", "program.usable_limit = 65537",
+        "seed = 18446744073709551616", "campaign.shard = -1/2",
+        "sigma_pct = nan", "system.swing_ratio = nan",
+        "system.clock_period_scale = inf", "system.cth_ratio = 1e999",
+        "data.wire_length_um = -inf"}) {
+    const std::string key(line, std::string(line).find(' '));
+    try {
+      parse_scenario(std::string("name = n\n") + line + "\n");
+      FAIL() << "accepted: " << line;
+    } catch (const SpecParseError& e) {
+      EXPECT_EQ(e.line, 2) << line;
+      EXPECT_NE(std::string(e.what()).find(key + ": "), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value each field holds still parses, in any C base.
+  const ScenarioSpec s = parse_scenario(
+      "program.usable_limit = 65535\nsessions.max = 2147483647\n"
+      "seed = 0xffffffffffffffff\ncampaign.threads = 4294967295\n"
+      "defects = 010\n");
+  EXPECT_EQ(s.program.usable_limit, 65535u);
+  EXPECT_EQ(s.max_sessions, 2147483647);
+  EXPECT_EQ(s.seed, ~0ull);
+  EXPECT_EQ(s.threads, 4294967295u);
+  EXPECT_EQ(s.defect_count, 8u);
 }
 
 TEST(ScenarioSpec, OnlineAndElectricalKeysRoundTrip) {
@@ -369,16 +402,71 @@ TEST(ScenarioSpec, SingleSessionScenarioGeneratesOneProgram) {
   EXPECT_EQ(s.make_sessions().size(), 1u);
 }
 
+// --- seeded mutation fuzz -----------------------------------------------
+
+/// 1-3 random edits: a bit flip, a byte insert, a byte delete, a
+/// truncation or a duplicated line.
+std::string mutate(std::string s, util::Rng& rng) {
+  const std::uint64_t edits = 1 + rng.below(3);
+  for (std::uint64_t k = 0; k < edits && !s.empty(); ++k) {
+    const std::size_t at = rng.below(s.size());
+    switch (rng.below(5)) {
+      case 0: s[at] = static_cast<char>(s[at] ^ (1 << rng.below(8))); break;
+      case 1: s.insert(at, 1, static_cast<char>(rng.below(256))); break;
+      case 2: s.erase(at, 1); break;
+      case 3: s.resize(at); break;
+      default: {
+        // Duplicate the line holding byte `at`.
+        std::size_t from = at;
+        while (from > 0 && s[from - 1] != '\n') --from;
+        const std::size_t nl = s.find('\n', at);
+        const std::size_t to = nl == std::string::npos ? s.size() : nl + 1;
+        std::string line = s.substr(from, to - from);
+        if (line.back() != '\n') line += '\n';
+        s.insert(from, line);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(ScenarioSpec, MutatedBuiltinsParseOrFailTyped) {
+  // Whatever a damaged .scn holds, the parser either accepts it -- and
+  // then validate() accepts it too or refuses it typed -- or refuses it
+  // with a SpecParseError.  No other exception, no crash.
+  util::Rng rng(20010618);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  for (const std::string& name : builtin_scenario_names()) {
+    const std::string text = serialize_scenario(builtin_scenario(name));
+    for (int i = 0; i < 500; ++i) {
+      const std::string damaged = mutate(text, rng);
+      try {
+        const ScenarioSpec s = parse_scenario(damaged);
+        ++parsed;
+        try {
+          s.validate();
+        } catch (const SpecParseError&) {
+        }
+      } catch (const SpecParseError&) {
+        ++refused;
+      }
+    }
+  }
+  // Both outcomes are exercised, so the fuzz reaches past the first line.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 TEST(ScenarioSpec, CampaignOptionsCarryTheSpecFields) {
   ScenarioSpec s;
   s.cycle_factor = 9;
   s.threads = 3;
-  s.checkpoint_every = 5;
   util::CampaignStats stats;
   const sim::CampaignOptions o = s.campaign_options(&stats);
   EXPECT_EQ(o.cycle_factor, 9ull);
   EXPECT_EQ(o.parallel.threads, 3u);
-  EXPECT_EQ(o.checkpoint_every, 5u);
   EXPECT_EQ(o.stats, &stats);
 }
 

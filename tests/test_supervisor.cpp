@@ -394,12 +394,11 @@ TEST(Supervisor, MoreWorkersThanDefectsLeavesEmptyShardsHealthy) {
 }
 
 TEST(Supervisor, CrashingWorkersResumeFromCheckpointProgress) {
-  spec::ScenarioSpec s = worker_spec(8);
-  // Flush after every verdict so each doomed attempt still publishes
-  // durable progress before worker.exit kills it on its 3rd verdict --
-  // progress refills the retry budget, so the shards converge no matter
-  // how many attempts it takes.
-  s.checkpoint_every = 1;
+  const spec::ScenarioSpec s = worker_spec(8);
+  // At 8 slots the checkpoint flushes after every verdict, so each doomed
+  // attempt still publishes durable progress before worker.exit kills it
+  // on its 3rd verdict -- progress refills the retry budget, so the
+  // shards converge no matter how many attempts it takes.
   const std::vector<Verdict> serial = serial_verdicts(s);
 
   SupervisorFixture fx(s, "crash_resume", "worker.exit@3");
@@ -415,12 +414,10 @@ TEST(Supervisor, CrashingWorkersResumeFromCheckpointProgress) {
 }
 
 TEST(Supervisor, RetriesExhaustedQuarantinesTheShard) {
-  spec::ScenarioSpec s = worker_spec(6);
-  // No periodic flush: every attempt dies on its first verdict with
+  const spec::ScenarioSpec s = worker_spec(6);
+  // Every flush fails: every attempt dies on its first verdict with
   // nothing durable, so there is never progress to refill the budget.
-  s.checkpoint_every = 100000;
-
-  SupervisorFixture fx(s, "quarantine", "worker.exit@1");
+  SupervisorFixture fx(s, "quarantine", "worker.exit@1,checkpoint.rename");
   SupervisorOptions opt;
   opt.workers = 2;
   opt.worker_retries = 1;
@@ -442,10 +439,10 @@ TEST(Supervisor, RetriesExhaustedQuarantinesTheShard) {
 }
 
 TEST(Supervisor, OnlineRetriesExhaustedQuarantinesTheShard) {
-  spec::ScenarioSpec s = online_worker_spec(6);
-  s.checkpoint_every = 100000;
+  const spec::ScenarioSpec s = online_worker_spec(6);
 
-  SupervisorFixture fx(s, "online_quarantine", "worker.exit@1");
+  SupervisorFixture fx(s, "online_quarantine",
+                       "worker.exit@1,checkpoint.rename");
   SupervisorOptions opt;
   opt.workers = 2;
   opt.worker_retries = 1;
@@ -485,8 +482,7 @@ TEST(Supervisor, SpawnFailureIsRetriedWithBackoff) {
 }
 
 TEST(Supervisor, HeartbeatLossRacesNormalExitAndStaysClean) {
-  spec::ScenarioSpec s = worker_spec(8);
-  s.checkpoint_every = 1;
+  const spec::ScenarioSpec s = worker_spec(8);
   const std::vector<Verdict> serial = serial_verdicts(s);
 
   SupervisorFixture fx(s, "hb_race");

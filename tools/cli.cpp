@@ -29,6 +29,7 @@
 #include "util/crc32.h"
 #include "util/durable_file.h"
 #include "util/fault_injector.h"
+#include "util/number.h"
 #include "util/parallel.h"
 #include "util/retry.h"
 #include "util/rng.h"
@@ -251,14 +252,14 @@ soc::BusKind parse_bus(const std::string& name) {
   throw UsageError("unknown bus '" + name + "'");
 }
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
+/// A numeric flag's value: unsigned and fitting T (util/number.h), or a
+/// usage error naming the flag.
+template <typename T>
+T flag_number(const std::string& flag, const std::string& value) {
   try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used, 0);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError("--" + flag + ": not a number: '" + value + "'");
+    return util::parse_unsigned<T>(value);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError("--" + flag + ": " + e.what());
   }
 }
 
@@ -277,24 +278,20 @@ void apply_overrides(const Parsed& p, spec::ScenarioSpec& s) {
   if (p.options.count("bus")) s.bus = parse_bus(p.options.at("bus"));
   if (p.options.count("defects"))
     s.defect_count =
-        static_cast<std::size_t>(parse_u64("defects", p.options.at("defects")));
+        flag_number<std::size_t>("defects", p.options.at("defects"));
   if (p.options.count("seed"))
-    s.seed = parse_u64("seed", p.options.at("seed"));
+    s.seed = flag_number<std::uint64_t>("seed", p.options.at("seed"));
   if (p.options.count("threads"))
-    s.threads =
-        static_cast<unsigned>(parse_u64("threads", p.options.at("threads")));
+    s.threads = flag_number<unsigned>("threads", p.options.at("threads"));
   if (p.options.count("workers"))
-    s.workers =
-        static_cast<std::size_t>(parse_u64("workers", p.options.at("workers")));
+    s.workers = flag_number<std::size_t>("workers", p.options.at("workers"));
   if (p.options.count("shard")) {
     const std::string& v = p.options.at("shard");
     const std::size_t slash = v.find('/');
     if (slash == std::string::npos)
       throw UsageError("--shard: expected K/N (e.g. 0/4), got '" + v + "'");
-    s.shard_index = static_cast<std::size_t>(
-        parse_u64("shard", v.substr(0, slash)));
-    s.shard_count = static_cast<std::size_t>(
-        parse_u64("shard", v.substr(slash + 1)));
+    s.shard_index = flag_number<std::size_t>("shard", v.substr(0, slash));
+    s.shard_count = flag_number<std::size_t>("shard", v.substr(slash + 1));
   }
 }
 
@@ -362,11 +359,11 @@ int cmd_run(const Parsed& p, std::ostream& out) {
     throw UsageError("run: --entry required");
   const cpu::MemoryImage img =
       sim::image_from_text(read_file(p.positional[0]));
-  const auto entry =
-      static_cast<cpu::Addr>(parse_u64("entry", p.options.at("entry")));
+  const auto entry = flag_number<cpu::Addr>("entry", p.options.at("entry"));
   const std::uint64_t max_cycles =
       p.options.count("max-cycles")
-          ? parse_u64("max-cycles", p.options.at("max-cycles"))
+          ? flag_number<std::uint64_t>("max-cycles",
+                                       p.options.at("max-cycles"))
           : 1'000'000;
   // --scenario selects the electrical environment the image runs in
   // (geometries, Cth ratio, clock scaling); the default spec is the
@@ -563,11 +560,11 @@ int cmd_campaign_supervised(const Parsed& p, const spec::ScenarioSpec& s,
   sim::SupervisorOptions sup;
   sup.workers = s.workers;
   if (p.options.count("worker-retries"))
-    sup.worker_retries = static_cast<std::size_t>(
-        parse_u64("worker-retries", p.options.at("worker-retries")));
+    sup.worker_retries = flag_number<std::size_t>(
+        "worker-retries", p.options.at("worker-retries"));
   if (p.options.count("worker-backoff-ms"))
-    sup.worker_backoff_ms =
-        parse_u64("worker-backoff-ms", p.options.at("worker-backoff-ms"));
+    sup.worker_backoff_ms = flag_number<std::uint64_t>(
+        "worker-backoff-ms", p.options.at("worker-backoff-ms"));
   sup.cancel = &interrupt_flag();
   sup.log = &err;
 
@@ -621,19 +618,13 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
       throw UsageError("--checkpoint: missing file name");
     opts.checkpoint_key = s.checkpoint_key();
   }
-  // A worker beats once per round of library generation too: a large
-  // library takes longer to generate than the supervisor's heartbeat
-  // timeout.
+  // Library generation calls back once per round.  A large library takes
+  // seconds, so that is where an interrupt stops it, and where a worker
+  // beats too: generation can outlast the supervisor's heartbeat timeout.
   std::function<void()> beat;
   if (worker_mode) {
-    // stoull would silently wrap "-1" to 2^64-1; reject the sign up front
-    // so a bad fd is a usage error naming the flag, not an EBADF later.
     const std::string& hb = p.options.at("heartbeat-fd");
-    if (hb.empty() || hb[0] == '-')
-      throw UsageError(
-          "--heartbeat-fd: must be a non-negative open descriptor, got '" +
-          hb + "'");
-    const int hb_fd = static_cast<int>(parse_u64("heartbeat-fd", hb));
+    const int hb_fd = flag_number<int>("heartbeat-fd", hb);
     if (::fcntl(hb_fd, F_GETFD) == -1)
       throw UsageError("--heartbeat-fd: descriptor " + hb + " is not open");
     // Startup heartbeat: tells the supervisor the exec succeeded before
@@ -653,7 +644,13 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
       beat();
     };
   }
-  const auto lib = s.make_library(beat);
+  const auto lib = s.make_library([&beat] {
+    if (interrupt_flag().load())
+      throw sim::CampaignInterrupted(
+          "campaign interrupted while generating the defect library -- "
+          "rerun the same command to resume");
+    if (beat) beat();
+  });
   const auto sessions = s.make_sessions();
   sim::OnlineResult r;  // off-line, only its verdicts are filled
   if (s.online.enabled)
@@ -750,16 +747,13 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
   apply_overrides(p, scn);
   if (scn.workers == 0)
     throw UsageError("chaos: --workers must be at least 1");
-  // Small flushes so every kill exercises checkpoint resume; bounded
-  // worker threads so N processes do not oversubscribe the host.
-  scn.checkpoint_every = 3;
+  // Bounded worker threads so N processes do not oversubscribe the host.
   if (scn.threads == 0) scn.threads = 2;
   scn.validate();
 
   const std::size_t kill_budget =
       p.options.count("cycles")
-          ? static_cast<std::size_t>(
-                parse_u64("cycles", p.options.at("cycles")))
+          ? flag_number<std::size_t>("cycles", p.options.at("cycles"))
           : 12;
   const std::string fault_spec =
       p.options.count("faults") ? p.options.at("faults") : "";
@@ -862,8 +856,7 @@ serve::ClientOptions client_endpoint(const Parsed& p) {
   serve::ClientOptions o;
   if (p.options.count("socket")) o.socket_path = p.options.at("socket");
   if (p.options.count("port"))
-    o.tcp_port =
-        static_cast<std::uint16_t>(parse_u64("port", p.options.at("port")));
+    o.tcp_port = flag_number<std::uint16_t>("port", p.options.at("port"));
   if (o.socket_path.empty() && o.tcp_port == 0)
     throw UsageError(p.command + ": --socket PATH or --port N required");
   return o;
@@ -873,8 +866,7 @@ int cmd_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   serve::ServerOptions o;
   if (p.options.count("socket")) o.socket_path = p.options.at("socket");
   if (p.options.count("port"))
-    o.tcp_port =
-        static_cast<std::uint16_t>(parse_u64("port", p.options.at("port")));
+    o.tcp_port = flag_number<std::uint16_t>("port", p.options.at("port"));
   if (p.options.count("socket") == p.options.count("port"))
     throw UsageError("serve: exactly one of --socket PATH / --port N");
   if (!p.options.count("queue"))
@@ -882,8 +874,8 @@ int cmd_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
         "serve: --queue FILE required (job persistence and restart-resume)");
   o.queue_path = p.options.at("queue");
   if (p.options.count("idle-timeout-ms"))
-    o.idle_timeout_ms =
-        parse_u64("idle-timeout-ms", p.options.at("idle-timeout-ms"));
+    o.idle_timeout_ms = flag_number<std::uint64_t>(
+        "idle-timeout-ms", p.options.at("idle-timeout-ms"));
   o.fault_spec = p.options.count("faults") ? p.options.at("faults") : "";
   // Arms the daemon-side serve.* sites; the same spec travels to every
   // job's workers via SupervisorJob::fault_spec.
@@ -934,9 +926,9 @@ int cmd_submit(const Parsed& p, std::ostream& out, std::ostream& err) {
   int priority = 5;
   if (p.options.count("priority")) {
     const std::string& v = p.options.at("priority");
-    if (v.empty() || v[0] == '-' || parse_u64("priority", v) > 9)
+    priority = flag_number<int>("priority", v);
+    if (priority > 9)
       throw UsageError("--priority: must be 0..9, got '" + v + "'");
-    priority = static_cast<int>(parse_u64("priority", v));
   }
 
   const std::uint64_t job =
@@ -1168,8 +1160,7 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
     buses = {scn.bus};
   const std::size_t cycles =
       p.options.count("cycles")
-          ? static_cast<std::size_t>(
-                parse_u64("cycles", p.options.at("cycles")))
+          ? flag_number<std::size_t>("cycles", p.options.at("cycles"))
           : online ? 8 : 20;
   std::vector<unsigned> thread_counts = {1, 4};
   if (scn.threads != 0) thread_counts = {scn.threads};
@@ -1210,7 +1201,6 @@ int cmd_chaos(const Parsed& p, std::ostream& out, std::ostream& err) {
       opts.cancel = &interrupt_flag();
       opts.checkpoint_path = ckpt;
       opts.checkpoint_key = s.checkpoint_key();
-      opts.checkpoint_every = 3;  // small, so a hard crash loses little
 
       ChaosOutcome oc;
       while (oc.kills < cycles) {
