@@ -1,5 +1,6 @@
 #include "sim/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -51,6 +52,13 @@ void book(util::CampaignStats& stats, const OnlineOutcome& o) {
   }
 }
 
+/// What one slot's run cost in simulated clock cycles: all of them, and
+/// the head of them taken from the gold run instead of being stepped.
+struct SlotCycles {
+  std::uint64_t total = 0;
+  std::uint64_t from_gold = 0;
+};
+
 // --- per-defect policies ---------------------------------------------------
 // A policy is what one slot of a campaign is.  It names the slot's
 // `Outcome` and supplies two steps; the engine (run_slots) owns the rest:
@@ -59,13 +67,23 @@ void book(util::CampaignStats& stats, const OnlineOutcome& o) {
 //     runs the program defect-free on a fresh simulator, once per program
 //     before any defect, and returns the gold run's own outcome;
 //   Outcome simulate(soc::System&, const xtalk::Defect&,
-//                    std::uint64_t& cycles) const
+//                    SlotCycles& cycles) const
 //     runs one defect on a worker's simulator, concurrently with other
 //     workers; throws on a simulation failure and leaves the simulator
 //     defect-free either way.
 
 /// The off-line policy (Fig. 9): the whole program runs under the defect
 /// and its tester-visible responses are classified against the gold run.
+///
+/// Divergence first: until the first transfer on the bus under test whose
+/// received word the defect changes, a defect run *is* the gold run,
+/// transfer for transfer.  So the gold step records that bus's transfers
+/// and a snapshot every kSnapshotCycles, and each slot scans the transfers
+/// with its defect's evaluator -- every gold transition is still evaluated
+/// under the defect (DESIGN D1).  A slot that never deviates takes gold's
+/// outcome without stepping the CPU; one that does resumes from the
+/// snapshot before its first deviating transfer.  With fast_receive off
+/// (the oracle) nothing is recorded and every slot runs from reset.
 class WholeProgramRun {
  public:
   using Outcome = Verdict;
@@ -75,36 +93,116 @@ class WholeProgramRun {
 
   Verdict gold(soc::System& system, const sbst::TestProgram& program,
                std::uint64_t& cycles) {
-    gold_ = run_and_capture(system, program, 1'000'000);
+    program_ = &program;
+    transfers_.clear();
+    snapshots_.clear();
+    scan_ = system.fast_receive();
+    gold_ = scan_ ? record_gold(system, program)
+                  : run_and_capture(system, program, kGoldCap);
     if (!gold_.completed)
       throw std::runtime_error("gold run did not complete; bad program");
-    program_ = &program;
     budget_ = gold_.cycles * cycle_factor_ + 1000;
     cycles = gold_.cycles;
     return Verdict::kUndetected;
   }
 
   Verdict simulate(soc::System& system, const xtalk::Defect& defect,
-                   std::uint64_t& cycles) const {
+                   SlotCycles& cycles) const {
     apply_defect(system, bus_, defect);
-    ResponseSnapshot snap;
     try {
-      snap = run_and_capture(system, *program_, budget_);
+      const soc::SliceState* from = nullptr;
+      if (scan_) {
+        const std::size_t k = first_deviation(system.evaluator(bus_));
+        if (k == transfers_.size()) {
+          // The defect changes no received word: this run is the gold
+          // run.  The tester still unloads it, so the fault injector
+          // sees every slot.
+          util::FaultInjector::global().maybe_fail("signature.capture");
+          system.clear_defects();
+          cycles = {gold_.cycles, gold_.cycles};
+          return Verdict::kUndetected;
+        }
+        // Snapshot 0 is the reset: a first deviation in the first budget
+        // runs from reset.
+        if (transfers_[k].snapshot > 0)
+          from = &snapshots_[transfers_[k].snapshot - 1];
+      }
+      const ResponseSnapshot snap =
+          run_and_capture(system, *program_, budget_, from);
+      system.clear_defects();
+      cycles = {snap.cycles, from != nullptr ? from->cpu.cycles : 0};
+      return classify(gold_, snap);
     } catch (...) {
       system.clear_defects();  // keep the worker's simulator reusable
       throw;
     }
-    cycles = snap.cycles;
-    system.clear_defects();
-    return classify(gold_, snap);
   }
 
  private:
+  /// Cycle cap of the gold run.
+  static constexpr std::uint64_t kGoldCap = 1'000'000;
+  /// Gold cycles between two snapshots.  A resumed slot re-simulates at
+  /// most this much of gold (plus the instruction in flight); a snapshot
+  /// is about 4 KB.
+  static constexpr std::uint64_t kSnapshotCycles = 64;
+
+  /// One gold transfer on the bus under test: the word the bus held, the
+  /// word driven, the word received, and the snapshot taken before it
+  /// (0 = the reset, k = snapshots_[k - 1]).
+  struct Transfer {
+    std::uint64_t held;
+    std::uint64_t driven;
+    std::uint64_t received;
+    std::size_t snapshot;
+  };
+
+  /// The gold run, sliced into kSnapshotCycles budgets through
+  /// sbst::ProgramSlice: records every transfer of the bus under test and
+  /// the state after every budget, then unloads the responses once.
+  ResponseSnapshot record_gold(soc::System& system,
+                               const sbst::TestProgram& program) {
+    soc::BusTrace trace;
+    system.set_trace(&trace);
+    sbst::ProgramSlice slice(program);
+    std::uint64_t held = 0;  // a bus holds zeros after reset
+    soc::RunResult rr;
+    for (;;) {
+      rr = slice.run(system,
+                     std::min(kSnapshotCycles, kGoldCap - slice.cycles()));
+      for (const soc::BusEvent& e : trace.events()) {
+        if (e.bus != bus_) continue;
+        transfers_.push_back(
+            {held, e.driven.bits(), e.received.bits(), snapshots_.size()});
+        held = e.driven.bits();
+      }
+      trace.clear();
+      if (slice.halted() || slice.cycles() >= kGoldCap) break;
+      snapshots_.push_back(slice.state());
+    }
+    system.set_trace(nullptr);
+    return capture(system, program, rr);
+  }
+
+  /// Index of the first recorded transfer whose received word `eval`
+  /// changes from gold's, or transfers_.size() when none does.  Compared
+  /// with gold's received word, not the driven one, so the skip does not
+  /// rest on nominal buses receiving what they are driven.
+  std::size_t first_deviation(const xtalk::BusEvaluator& eval) const {
+    for (std::size_t k = 0; k < transfers_.size(); ++k) {
+      const Transfer& t = transfers_[k];
+      if (eval.receive(t.held, t.driven) != t.received) return k;
+    }
+    return transfers_.size();
+  }
+
   soc::BusKind bus_;
   std::uint64_t cycle_factor_;
   const sbst::TestProgram* program_ = nullptr;
   ResponseSnapshot gold_;
   std::uint64_t budget_ = 0;
+  bool scan_ = false;
+  std::vector<Transfer> transfers_;
+  std::vector<soc::SliceState> snapshots_;
 };
 
 /// The on-line policy (sim/online.h): the gold step is the defect-free
@@ -150,7 +248,7 @@ class InterleavedSchedule {
   }
 
   OnlineOutcome simulate(soc::System& system, const xtalk::Defect& defect,
-                         std::uint64_t& cycles) const {
+                         SlotCycles& cycles) const {
     apply_defect(system, bus_, defect);
     try {
       soc::InterleavedScheduler sched(system, online_, workload_);
@@ -175,7 +273,7 @@ class InterleavedSchedule {
         }
         if (snap.halted) break;  // matched gold to completion: undetected
       }
-      finish(sched, out, cycles);
+      finish(sched, out, cycles.total);
       system.clear_defects();
       return out;
     } catch (...) {
@@ -252,6 +350,9 @@ std::vector<typename Policy::Outcome> run_slots(
     const std::string& section, Policy& policy) {
   using Outcome = typename Policy::Outcome;
   const auto start = Clock::now();
+  const auto seconds_since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
   const std::size_t n = library.size();
   const ShardSpec shard = options.shard;
   if (shard.count == 0 || (shard.count > 1 && shard.index >= shard.count))
@@ -273,19 +374,23 @@ std::vector<typename Policy::Outcome> run_slots(
   };
   std::uint64_t gold_cycles = 0;
   Outcome gold;
+  const auto gold_start = Clock::now();
   {
     soc::System gold_system(config);
     gold = policy.gold(gold_system, program, gold_cycles);
   }
+  const double gold_seconds = seconds_since(gold_start);
 
   std::vector<Outcome> outcomes(n);
-  std::vector<std::uint64_t> run_cycles(n, 0);
+  std::vector<SlotCycles> run_cycles(n);
   // Slots already carrying an outcome from a previous (interrupted) run.
   std::vector<std::uint8_t> restored(n, 0);
   std::size_t restored_count = 0;
 
   std::unique_ptr<CampaignCheckpoint> checkpoint;
+  double checkpoint_seconds = 0.0;
   if (!options.checkpoint_path.empty()) {
+    const auto open_start = Clock::now();
     checkpoint = std::make_unique<CampaignCheckpoint>(
         options.checkpoint_path, options.checkpoint_key, /*flush_every=*/1,
         shard.count > 1 ? "s" + std::to_string(shard.index) : "");
@@ -306,6 +411,7 @@ std::vector<typename Policy::Outcome> run_slots(
       restored[i] = 1;
       ++restored_count;
     }
+    checkpoint_seconds += seconds_since(open_start);
   }
 
   // Cooperative cancellation: set by the operator (options.cancel, wired
@@ -328,6 +434,7 @@ std::vector<typename Policy::Outcome> run_slots(
   // written by defect index, so the result is independent of the worker
   // count and of any interleaving.
   const unsigned workers = options.parallel.resolve(n);
+  const auto simulate_start = Clock::now();
   std::vector<std::unique_ptr<soc::System>> systems(workers);
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, options.parallel, [&](std::size_t i, unsigned w) {
@@ -372,7 +479,7 @@ std::vector<typename Policy::Outcome> run_slots(
     if (!recovered) {
       outcomes[e.index] = Outcome{};
       verdict_of(outcomes[e.index]) = Verdict::kSimError;
-      run_cycles[e.index] = 0;
+      run_cycles[e.index] = {};
       if (options.stats != nullptr)
         options.stats->error_log.push_back(
             "defect " + std::to_string(e.index) + ": " + message);
@@ -381,11 +488,13 @@ std::vector<typename Policy::Outcome> run_slots(
     simulated.fetch_add(1, std::memory_order_relaxed);
     notify_progress();
   }
+  const double simulate_seconds = seconds_since(simulate_start);
 
   const bool interrupted = cancelled();
   if (checkpoint && !crashed.load()) {
     // The final flush is best-effort: the in-memory outcomes are the
     // campaign result, a full disk must not turn them into a failure.
+    const auto flush_start = Clock::now();
     try {
       checkpoint->flush();
     } catch (const std::exception& e) {
@@ -393,6 +502,7 @@ std::vector<typename Policy::Outcome> run_slots(
         options.stats->error_log.push_back(
             std::string("checkpoint final flush failed: ") + e.what());
     }
+    checkpoint_seconds += seconds_since(flush_start);
   }
 
   if (options.stats != nullptr) {
@@ -402,7 +512,10 @@ std::vector<typename Policy::Outcome> run_slots(
     stats.restored_from_checkpoint += restored_count;
     stats.retries += retries;
     if (books_gold) stats.simulated_cycles += gold_cycles;
-    for (std::uint64_t c : run_cycles) stats.simulated_cycles += c;
+    for (const SlotCycles& c : run_cycles) {
+      stats.simulated_cycles += c.total;
+      stats.gold_prefix_cycles += c.from_gold;
+    }
     if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
     // Outcome tallies cover the complete owned slice (restored slots
     // included) and only a completed call, so an interrupted-then-resumed
@@ -419,8 +532,10 @@ std::vector<typename Policy::Outcome> run_slots(
       }
       tally_verdicts(owned, stats);
     }
-    stats.wall_seconds +=
-        std::chrono::duration<double>(Clock::now() - start).count();
+    stats.gold_seconds += gold_seconds;
+    stats.simulate_seconds += simulate_seconds;
+    stats.checkpoint_seconds += checkpoint_seconds;
+    stats.wall_seconds += seconds_since(start);
   }
   if (interrupted)
     throw CampaignInterrupted(

@@ -4,11 +4,9 @@
 
 namespace xtest::sim {
 
-ResponseSnapshot run_and_capture(soc::System& system,
-                                 const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles) {
-  system.load_and_reset(program.image, program.entry);
-  const soc::RunResult rr = system.run(max_cycles);
+ResponseSnapshot capture(const soc::System& system,
+                         const sbst::TestProgram& program,
+                         const soc::RunResult& rr) {
   util::FaultInjector::global().maybe_fail("signature.capture");
   ResponseSnapshot snap;
   snap.completed =
@@ -19,6 +17,17 @@ ResponseSnapshot run_and_capture(soc::System& system,
   for (cpu::Addr a : program.response_cells)
     snap.values.push_back(system.memory().read(a));
   return snap;
+}
+
+ResponseSnapshot run_and_capture(soc::System& system,
+                                 const sbst::TestProgram& program,
+                                 std::uint64_t max_cycles,
+                                 const soc::SliceState* from) {
+  if (from != nullptr)
+    system.restore_slice(*from);
+  else
+    system.load_and_reset(program.image, program.entry);
+  return capture(system, program, system.run(max_cycles));
 }
 
 }  // namespace xtest::sim

@@ -33,12 +33,21 @@ struct ResponseSnapshot {
   }
 };
 
-/// Loads the program, runs it (at most `max_cycles`), and captures the
-/// responses from memory.  The response unload consults fault-injection
-/// site "signature.capture".
+/// The tester's unload after a run that ended with `rr`: the response
+/// cells read from `system`'s memory.  Consults fault-injection site
+/// "signature.capture".
+ResponseSnapshot capture(const soc::System& system,
+                         const sbst::TestProgram& program,
+                         const soc::RunResult& rr);
+
+/// Loads the program, runs it (at most `max_cycles`, a cumulative cap),
+/// and captures the responses from memory.  With `from` the run resumes
+/// from that suspended state (sbst::ProgramSlice) instead of the reset;
+/// `from` must be a state of this program.
 ResponseSnapshot run_and_capture(soc::System& system,
                                  const sbst::TestProgram& program,
-                                 std::uint64_t max_cycles);
+                                 std::uint64_t max_cycles,
+                                 const soc::SliceState* from = nullptr);
 
 /// Tester-visible verdict for one faulty run against the gold run: a run
 /// that never signals completion is a timeout detection (the paper's

@@ -110,6 +110,15 @@ class System : public cpu::BusPort {
   const xtalk::CrosstalkErrorModel& control_model() const {
     return ctrl_model_;
   }
+  /// Whether transfers run through the BusEvaluator (SystemConfig).
+  bool fast_receive() const { return fast_receive_; }
+  /// The evaluator `bus` currently receives through: the nominal one, or
+  /// the one the last set_*_network built for an injected defect.
+  const xtalk::BusEvaluator& evaluator(BusKind bus) const {
+    return bus == BusKind::kAddress ? addr_.eval
+           : bus == BusKind::kData  ? data_.eval
+                                    : ctrl_.eval;
+  }
 
   /// Defect injection: replace a bus's RC network (pass the defect-applied
   /// network).  Rebuilds the bus's fast evaluator.  `clear_defects`

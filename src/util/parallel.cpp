@@ -122,7 +122,13 @@ void for_each_counter(F&& f) {
   f("threads", &CampaignStats::threads);
   f("defects", &CampaignStats::defects_simulated);
   f("simulated_cycles", &CampaignStats::simulated_cycles);
+  f("gold_prefix_cycles", &CampaignStats::gold_prefix_cycles);
   f("wall_seconds", &CampaignStats::wall_seconds);
+  f("library_seconds", &CampaignStats::library_seconds);
+  f("program_seconds", &CampaignStats::program_seconds);
+  f("gold_seconds", &CampaignStats::gold_seconds);
+  f("simulate_seconds", &CampaignStats::simulate_seconds);
+  f("checkpoint_seconds", &CampaignStats::checkpoint_seconds);
   f("detected", &CampaignStats::detected);
   f("detected_by_timeout", &CampaignStats::detected_by_timeout);
   f("undetected", &CampaignStats::undetected);

@@ -83,8 +83,25 @@ struct CampaignStats {
   /// Simulated clock cycles across all runs, gold runs included.  A pure
   /// function of the campaign inputs -- identical for every thread count.
   std::uint64_t simulated_cycles = 0;
+  /// Of simulated_cycles, the head cycles of newly simulated defect runs
+  /// taken from the gold run instead of being stepped: the whole gold run
+  /// for a defect that never changes a received word, otherwise the cycle
+  /// count of the snapshot the run resumed from.  Thread-invariant, and
+  /// shards sum to the unsharded value; 0 with fast_receive off.
+  std::uint64_t gold_prefix_cycles = 0;
   /// Host wall-clock time spent inside campaign calls.
   double wall_seconds = 0.0;
+  // Where the host time went, in seconds (environment, like wall_seconds;
+  // supervised runs sum their workers').  The CLI times library and
+  // program generation; the campaign engine the rest: the gold steps, the
+  // slot loop with its serial retries (periodic checkpoint flushes
+  // included), and opening, restoring and finally flushing the
+  // checkpoint.  The last three lie inside wall_seconds.
+  double library_seconds = 0.0;
+  double program_seconds = 0.0;
+  double gold_seconds = 0.0;
+  double simulate_seconds = 0.0;
+  double checkpoint_seconds = 0.0;
   /// Resolved worker count of the most recent campaign call.
   unsigned threads = 0;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/verify.h"
+#include "util/fault_injector.h"
 
 namespace xtest::sim {
 namespace {
@@ -129,6 +130,34 @@ TEST(Campaign, MaskingAwareWholeProgramStillDetects) {
   const auto det =
       run_detection_sessions(cfg, sessions, soc::BusKind::kAddress, lib);
   for (const Verdict v : det) EXPECT_TRUE(is_detected(v)) << to_string(v);
+}
+
+TEST(Campaign, CaptureSiteFiresOncePerSlot) {
+  // DESIGN D7: the fault injector sees every run.  A defect run taken
+  // whole from the gold run, or resumed from a gold snapshot, is still
+  // unloaded once, so "signature.capture" fires once per gold step and
+  // once per (session, defect) slot.  An unrelated rule arms the injector
+  // so it counts the hits without failing any.
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  const soc::SystemConfig cfg;
+  const auto sessions =
+      sbst::TestProgramGenerator::generate_sessions(sbst::GeneratorConfig{});
+  ASSERT_EQ(sessions.size(), 6u);
+  std::size_t live = 0;
+  for (const auto& s : sessions) live += !s.program.tests.empty();
+  const auto lib =
+      make_defect_library(cfg, soc::BusKind::kAddress, kLib, kSeed);
+  util::FaultInjector& injector = util::FaultInjector::global();
+  for (const unsigned threads : {1u, 4u}) {
+    injector.configure("unrelated.site");
+    run_detection_sessions(cfg, sessions, soc::BusKind::kAddress, lib,
+                           {.parallel = {threads}});
+    EXPECT_EQ(injector.hits("signature.capture"), live * (kLib + 1))
+        << "threads " << threads;
+    injector.disarm();
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sbst/generator.h"
@@ -16,6 +18,7 @@
 #include "soc/bus.h"
 #include "soc/system.h"
 #include "xtalk/defect.h"
+#include "xtalk/electrical.h"
 #include "xtalk/error_model.h"
 #include "xtalk/transient.h"
 
@@ -136,27 +139,44 @@ TEST(FastPath, IdealBusBypassesEvaluation) {
 }
 
 TEST(FastPath, CampaignVerdictsMatchReferencePath) {
-  // The acceptance property: full campaign verdicts with the fast receive
-  // path are identical to the reference evaluation path, on all three
-  // buses, at 1 and 4 threads.
-  const auto prog =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  soc::SystemConfig fast_cfg;  // default: fast_receive
-  soc::SystemConfig ref_cfg;
-  ref_cfg.fast_receive = false;
-  for (const soc::BusKind bus :
-       {soc::BusKind::kAddress, soc::BusKind::kData, soc::BusKind::kControl}) {
-    const auto lib = sim::make_defect_library(fast_cfg, bus, 12, 99);
-    for (const unsigned threads : {1u, 4u}) {
-      const util::ParallelConfig par{threads};
-      const auto fast =
-          sim::run_detection(fast_cfg, prog.program, bus, lib,
-                             {.parallel = par});
-      const auto reference =
-          sim::run_detection(ref_cfg, prog.program, bus, lib,
-                             {.parallel = par});
-      EXPECT_EQ(fast, reference)
-          << soc::to_string(bus) << " threads=" << threads;
+  // The acceptance property: full multi-session campaigns on the fast
+  // receive path -- where a defect run resumes from the gold snapshot
+  // before the first transfer its defect changes, or takes gold's outcome
+  // when there is none -- give the verdicts *and the simulated cycles* of
+  // the reference path, which runs every defect from reset.  On all three
+  // buses, under a slow tester clock and the low-swing backend too, at 1
+  // and 4 threads.
+  const auto sessions =
+      sbst::TestProgramGenerator::generate_sessions(sbst::GeneratorConfig{});
+  soc::SystemConfig slow_clock;
+  slow_clock.clock_period_scale = 3.0;
+  soc::SystemConfig low_swing;
+  low_swing.electrical.backend = xtalk::ElectricalBackend::kLowSwing;
+  const std::pair<const char*, soc::SystemConfig> variants[] = {
+      {"nominal", {}}, {"clock x3", slow_clock}, {"low-swing", low_swing}};
+  for (const auto& [name, fast_cfg] : variants) {
+    ASSERT_TRUE(fast_cfg.fast_receive);
+    soc::SystemConfig ref_cfg = fast_cfg;
+    ref_cfg.fast_receive = false;
+    for (const soc::BusKind bus : {soc::BusKind::kAddress, soc::BusKind::kData,
+                                   soc::BusKind::kControl}) {
+      const auto lib = sim::make_defect_library(fast_cfg, bus, 200, 99);
+      for (const unsigned threads : {1u, 4u}) {
+        const std::string where = std::string(name) + " " +
+                                  soc::to_string(bus) +
+                                  " threads=" + std::to_string(threads);
+        util::CampaignStats fast_stats, ref_stats;
+        const auto fast = sim::run_detection_sessions(
+            fast_cfg, sessions, bus, lib,
+            {.parallel = {threads}, .stats = &fast_stats});
+        const auto reference = sim::run_detection_sessions(
+            ref_cfg, sessions, bus, lib,
+            {.parallel = {threads}, .stats = &ref_stats});
+        EXPECT_EQ(fast, reference) << where;
+        EXPECT_EQ(fast_stats.simulated_cycles, ref_stats.simulated_cycles)
+            << where;
+        EXPECT_EQ(ref_stats.gold_prefix_cycles, 0u) << where;
+      }
     }
   }
 }

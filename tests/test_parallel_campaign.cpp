@@ -122,9 +122,9 @@ TEST(ParallelCampaign, RepeatedRunsWithSameSeedAreIdentical) {
 }
 
 TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
-  // defects_simulated and simulated_cycles are pure functions of the
-  // campaign inputs; wall_seconds and threads are the only host-dependent
-  // fields.
+  // defects_simulated, simulated_cycles and gold_prefix_cycles are pure
+  // functions of the campaign inputs; wall_seconds, the phase timers and
+  // threads are the only host-dependent fields.
   const soc::SystemConfig cfg;
   const auto prog =
       sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
@@ -138,6 +138,9 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_stats.threads, 1u);
   EXPECT_GT(serial_stats.simulated_cycles, 0u);
   EXPECT_GE(serial_stats.wall_seconds, 0.0);
+  // Address-bus defect runs take part of their cycles from the gold run.
+  EXPECT_GT(serial_stats.gold_prefix_cycles, 0u);
+  EXPECT_LE(serial_stats.gold_prefix_cycles, serial_stats.simulated_cycles);
 
   for (unsigned t : kThreadCounts) {
     util::CampaignStats s;
@@ -146,8 +149,26 @@ TEST(ParallelCampaign, StatsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(s.defects_simulated, serial_stats.defects_simulated);
     EXPECT_EQ(s.simulated_cycles, serial_stats.simulated_cycles)
         << "threads " << t;
+    EXPECT_EQ(s.gold_prefix_cycles, serial_stats.gold_prefix_cycles)
+        << "threads " << t;
     EXPECT_EQ(s.threads, t);
+    // The engine's phase timers are disjoint spans of the call.
+    EXPECT_GT(s.gold_seconds, 0.0) << "threads " << t;
+    EXPECT_GT(s.simulate_seconds, 0.0) << "threads " << t;
+    EXPECT_EQ(s.checkpoint_seconds, 0.0) << "threads " << t;
+    EXPECT_LE(s.gold_seconds + s.simulate_seconds + s.checkpoint_seconds,
+              s.wall_seconds + 1e-6)
+        << "threads " << t;
   }
+
+  // The oracle (reference receive path) simulates every run from reset.
+  soc::SystemConfig oracle = cfg;
+  oracle.fast_receive = false;
+  util::CampaignStats oracle_stats;
+  run_detection(oracle, prog.program, soc::BusKind::kAddress, lib,
+                {.parallel = {4}, .stats = &oracle_stats});
+  EXPECT_EQ(oracle_stats.gold_prefix_cycles, 0u);
+  EXPECT_EQ(oracle_stats.simulated_cycles, serial_stats.simulated_cycles);
 }
 
 struct VerdictCounts4 {

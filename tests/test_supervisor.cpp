@@ -186,8 +186,12 @@ TEST(ShardMerge, ShardedRunsMergeToTheSerialResultBitwise) {
               serial_stats.detected_by_timeout);
     EXPECT_EQ(merged_stats.undetected, serial_stats.undetected);
     EXPECT_EQ(merged_stats.sim_errors, serial_stats.sim_errors);
-    // Only shard 0 books the gold runs, so cycles sum exactly too.
+    // Only shard 0 books the gold runs, so cycles sum exactly too; so do
+    // the head cycles the defect runs took from the gold runs.
     EXPECT_EQ(merged_stats.simulated_cycles, serial_stats.simulated_cycles);
+    EXPECT_GT(serial_stats.gold_prefix_cycles, 0u);
+    EXPECT_EQ(merged_stats.gold_prefix_cycles,
+              serial_stats.gold_prefix_cycles);
   }
 }
 
@@ -202,12 +206,21 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   a.detected = 7;
   a.error_log = {"defect 3: boom"};
 
+  a.library_seconds = 0.25;
+  a.gold_seconds = 0.125;
+
   util::CampaignStats b;
   b.defects_simulated = 10;
   b.wall_seconds = 0.5;  // 20 defects/s over only 0.5 s
   b.threads = 4;
   b.detected = 2;
   b.error_log = {"defect 8: bang"};
+  b.gold_prefix_cycles = 640;
+  b.library_seconds = 0.5;
+  b.program_seconds = 0.0625;
+  b.gold_seconds = 0.25;
+  b.simulate_seconds = 0.375;
+  b.checkpoint_seconds = 0.03125;
 
   a.merge_from(b);
 
@@ -219,6 +232,13 @@ TEST(CampaignStatsMerge, RatiosRecomputeFromMergedRawCounters) {
   EXPECT_EQ(a.detected, 9u);
   ASSERT_EQ(a.error_log.size(), 2u);
   EXPECT_EQ(a.error_log[1], "defect 8: bang");
+  // The phase timers sum across workers, like wall_seconds.
+  EXPECT_EQ(a.gold_prefix_cycles, 640u);
+  EXPECT_DOUBLE_EQ(a.library_seconds, 0.75);
+  EXPECT_DOUBLE_EQ(a.program_seconds, 0.0625);
+  EXPECT_DOUBLE_EQ(a.gold_seconds, 0.375);
+  EXPECT_DOUBLE_EQ(a.simulate_seconds, 0.375);
+  EXPECT_DOUBLE_EQ(a.checkpoint_seconds, 0.03125);
 }
 
 TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
@@ -236,6 +256,12 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   st.salvaged_sections = 1;
   st.dropped_slots = 4;
   st.flush_failures = 1;
+  st.gold_prefix_cycles = 456789;
+  st.library_seconds = 0.5;
+  st.program_seconds = 0.015625;
+  st.gold_seconds = 0.125;
+  st.simulate_seconds = 0.75;
+  st.checkpoint_seconds = 0.0625;
 
   util::CampaignStats got;
   ASSERT_TRUE(util::parse_stats_json(st.json("roundtrip"), got));
@@ -252,6 +278,12 @@ TEST(CampaignStatsMerge, JsonLineRoundTripsThroughParse) {
   EXPECT_EQ(got.salvaged_sections, st.salvaged_sections);
   EXPECT_EQ(got.dropped_slots, st.dropped_slots);
   EXPECT_EQ(got.flush_failures, st.flush_failures);
+  EXPECT_EQ(got.gold_prefix_cycles, st.gold_prefix_cycles);
+  EXPECT_NEAR(got.library_seconds, st.library_seconds, 1e-9);
+  EXPECT_NEAR(got.program_seconds, st.program_seconds, 1e-9);
+  EXPECT_NEAR(got.gold_seconds, st.gold_seconds, 1e-9);
+  EXPECT_NEAR(got.simulate_seconds, st.simulate_seconds, 1e-9);
+  EXPECT_NEAR(got.checkpoint_seconds, st.checkpoint_seconds, 1e-9);
 }
 
 TEST(CampaignStatsMerge, ParseRejectsLinesWithoutAStatsObject) {

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -430,13 +431,17 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "detected=%zu timeout=%zu undetected=%zu sim_errors=%zu\n"
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
-                "defects/sec=%.0f\n",
+                "defects/sec=%.0f library=%.3fs program=%.3fs gold=%.3fs "
+                "simulate=%.3fs checkpoint=%.3fs\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
                 stats.defects_simulated,
                 static_cast<unsigned long long>(stats.simulated_cycles),
-                stats.wall_seconds, stats.defects_per_second());
+                stats.wall_seconds, stats.defects_per_second(),
+                stats.library_seconds, stats.program_seconds,
+                stats.gold_seconds, stats.simulate_seconds,
+                stats.checkpoint_seconds);
   out << buf;
 }
 
@@ -644,6 +649,8 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
       beat();
     };
   }
+  using Clock = std::chrono::steady_clock;
+  const auto library_start = Clock::now();
   const auto lib = s.make_library([&beat] {
     if (interrupt_flag().load())
       throw sim::CampaignInterrupted(
@@ -651,7 +658,12 @@ int cmd_campaign(const Parsed& p, std::ostream& out, std::ostream& err) {
           "rerun the same command to resume");
     if (beat) beat();
   });
+  const auto program_start = Clock::now();
   const auto sessions = s.make_sessions();
+  stats.library_seconds =
+      std::chrono::duration<double>(program_start - library_start).count();
+  stats.program_seconds =
+      std::chrono::duration<double>(Clock::now() - program_start).count();
   sim::OnlineResult r;  // off-line, only its verdicts are filled
   if (s.online.enabled)
     r = sim::run_online_detection_sessions(s.system, s.online, sessions,
