@@ -6,7 +6,7 @@
 // Expected shape (paper): side lines (1, 2, 11, 12) at/near zero
 // individual coverage, center lines highest, cumulative reaching 100%.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
 
 #include "bench_util.h"
 #include "sim/campaign.h"
@@ -16,10 +16,7 @@ using namespace xtest;
 
 namespace {
 
-constexpr std::uint64_t kSeed = 20010618;
-
-void print_fig11() {
-  const spec::ScenarioSpec& scn = bench::active_spec();
+bool print_fig11(const spec::ScenarioSpec& scn) {
   const soc::SystemConfig& cfg = scn.system;
   const auto lib =
       sim::make_defect_library(cfg, soc::BusKind::kAddress, scn.defect_count,
@@ -48,29 +45,29 @@ void print_fig11() {
   std::printf("\noverall coverage of the complete program set: %s "
               "(paper: 100%%)\n",
               util::Table::pct(cov.overall).c_str());
-  std::printf("shape checks: line1=%s line12=%s (paper: 0%%), center "
-              "(line 6/7) = %s/%s\n",
-              util::Table::pct(cov.individual[0]).c_str(),
-              util::Table::pct(cov.individual[11]).c_str(),
-              util::Table::pct(cov.individual[5]).c_str(),
-              util::Table::pct(cov.individual[6]).c_str());
-  bench::print_campaign_stats("fig11_addr_coverage", stats);
-}
 
-void BM_DefectSimulationPerDefect(benchmark::State& state) {
-  const soc::SystemConfig& cfg = bench::active_spec().system;
-  const auto lib = sim::make_defect_library(cfg, soc::BusKind::kAddress,
-                                            64, kSeed);
-  const auto gen =
-      sbst::TestProgramGenerator(bench::active_spec().program).generate();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::run_detection(cfg, gen.program, soc::BusKind::kAddress, lib));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lib.size()));
+  // The paper's outermost lines get no coverage.  No library defect lands
+  // on lines 1 and 12 (E9), so the 1% bound only admits incidental
+  // detections.  Lines 2 and 11 carry a few defects, a difference
+  // EXPERIMENTS.md E4 documents, and are not gated.
+  const double line1 = cov.individual[0], line12 = cov.individual[11];
+  const auto peak =
+      std::max_element(cov.individual.begin(), cov.individual.begin() + 12) -
+      cov.individual.begin();
+  bool ok = bench::claim(line1 <= 0.01 && line12 <= 0.01,
+                         "lines 1 and 12 individual coverage <= 1% (paper: "
+                         "none; ours: " + util::Table::pct(line1) + ", " +
+                             util::Table::pct(line12) + ")");
+  ok &= bench::claim(peak >= 4 && peak <= 7,
+                     "highest individual coverage on a center line, 5-8 of "
+                     "12 (ours: line " + std::to_string(peak + 1) + ")");
+  ok &= bench::claim(cov.cumulative[11] == 1.0 && cov.overall == 1.0,
+                     "cumulative coverage after line 12 and overall both "
+                     "100% (ours: " + util::Table::pct(cov.cumulative[11]) +
+                         ", " + util::Table::pct(cov.overall) + ")");
+  bench::print_campaign_stats("fig11_addr_coverage", stats);
+  return ok;
 }
-BENCHMARK(BM_DefectSimulationPerDefect);
 
 }  // namespace
 

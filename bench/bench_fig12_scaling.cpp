@@ -8,10 +8,8 @@
 //
 // The bus widths of the testbed are architectural (12/8), so the sweep
 // parameter is the number of interconnects *under test*: lines 1..k of
-// each bus.  Program bytes, response cells and executed cycles must grow
-// linearly in the number of MA tests.
-
-#include <benchmark/benchmark.h>
+// each bus.  Program bytes and executed cycles must grow linearly in the
+// number of lines under test.
 
 #include "bench_util.h"
 #include "sbst/generator.h"
@@ -22,11 +20,34 @@ using namespace xtest;
 
 namespace {
 
-void print_scaling(soc::BusKind bus) {
+/// Coefficient of determination of the least-squares line through the
+/// points (x[i], y[i]).
+double r_squared(const std::vector<double>& x, const std::vector<double>& y) {
+  const double n = static_cast<double>(x.size());
+  double sx = 0.0, sy = 0.0, sxx = 0.0, syy = 0.0, sxy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sx += x[i];
+    sy += y[i];
+    sxx += x[i] * x[i];
+    syy += y[i] * y[i];
+    sxy += x[i] * y[i];
+  }
+  const double cov = n * sxy - sx * sy;
+  return cov * cov / ((n * sxx - sx * sx) * (n * syy - sy * sy));
+}
+
+/// R^2 of program bytes and of cycles against the lines under test.
+struct LinearFit {
+  double bytes = 0.0;
+  double cycles = 0.0;
+};
+
+LinearFit print_scaling(soc::BusKind bus) {
   const unsigned width =
       bus == soc::BusKind::kAddress ? cpu::kAddrBits : cpu::kDataBits;
   util::Table t({"lines under test", "MA tests placed", "program bytes",
                  "cycles", "bytes per test"});
+  std::vector<double> lines, bytes_at, cycles_at;
   for (unsigned k = 2; k <= width; k += 2) {
     std::vector<xtalk::MafFault> faults;
     for (const auto& f :
@@ -54,24 +75,25 @@ void print_scaling(soc::BusKind bus) {
                tests ? util::Table::num(static_cast<double>(bytes) /
                                         static_cast<double>(tests), 1)
                      : "-"});
+    lines.push_back(k);
+    bytes_at.push_back(static_cast<double>(bytes));
+    cycles_at.push_back(static_cast<double>(cycles));
   }
   std::printf("\n%s bus:\n%s",
               bus == soc::BusKind::kAddress ? "address" : "data",
               t.render().c_str());
+  return {r_squared(lines, bytes_at), r_squared(lines, cycles_at)};
 }
 
-void BM_GenerationVsLineCount(benchmark::State& state) {
-  const unsigned k = static_cast<unsigned>(state.range(0));
-  std::vector<xtalk::MafFault> faults;
-  for (const auto& f : xtalk::enumerate_mafs(cpu::kAddrBits, false))
-    if (f.victim < k) faults.push_back(f);
-  sbst::GeneratorConfig cfg;
-  cfg.include_data_bus = false;
-  cfg.address_faults = faults;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sbst::TestProgramGenerator(cfg).generate());
+/// Section 4.3's "proportional to N", read as a straight-line fit.
+bool claim_linear(const char* bus, const LinearFit& fit) {
+  return bench::claim(fit.bytes >= 0.99 && fit.cycles >= 0.99,
+                      std::string(bus) +
+                          " bus: bytes and cycles linear in lines under "
+                          "test, R^2 >= 0.99 (ours: " +
+                          util::Table::num(fit.bytes, 3) + ", " +
+                          util::Table::num(fit.cycles, 3) + ")");
 }
-BENCHMARK(BM_GenerationVsLineCount)->Arg(2)->Arg(6)->Arg(12);
 
 }  // namespace
 
@@ -79,10 +101,12 @@ int main(int argc, char** argv) {
   return bench::scenario_main(
       argc, argv, "E6: test program size scaling",
       "Section 4.3 (program size and test time proportional to N)",
-      spec::builtin_scenario("paper-baseline"), [] {
-        print_scaling(soc::BusKind::kAddress);
-        print_scaling(soc::BusKind::kData);
-        std::printf("\nExpected: bytes and cycles grow ~linearly with the "
-                    "number of MA tests; bytes-per-test roughly constant.\n");
+      spec::builtin_scenario("paper-baseline"), [](const spec::ScenarioSpec&) {
+        const LinearFit addr = print_scaling(soc::BusKind::kAddress);
+        const LinearFit data = print_scaling(soc::BusKind::kData);
+        std::printf("\n");
+        bool ok = claim_linear("address", addr);
+        ok &= claim_linear("data", data);
+        return ok;
       });
 }

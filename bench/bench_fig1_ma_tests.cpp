@@ -1,9 +1,7 @@
 // E1 -- Fig. 1: Maximum aggressor tests for victim Yi.
 //
 // Prints the MA vector pairs for every victim/fault type of the 8-bit data
-// bus and the 12-bit address bus, then times MA-test generation.
-
-#include <benchmark/benchmark.h>
+// bus and the 12-bit address bus.
 
 #include "bench_util.h"
 #include "util/table.h"
@@ -28,30 +26,19 @@ void print_ma_table(unsigned width, const char* name) {
               static_cast<std::size_t>(4) * width, t.render().c_str());
 }
 
-void BM_MaTestGeneration(benchmark::State& state) {
-  const unsigned width = static_cast<unsigned>(state.range(0));
-  const auto faults = xtalk::enumerate_mafs(width, true);
-  for (auto _ : state) {
-    for (const auto& f : faults)
-      benchmark::DoNotOptimize(xtalk::ma_test(width, f));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(faults.size()));
-}
-BENCHMARK(BM_MaTestGeneration)->Arg(8)->Arg(12)->Arg(32)->Arg(64);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return bench::scenario_main(
       argc, argv, "E1: MA test vector pairs",
       "Fig. 1 (maximum aggressor tests for victim Yi)",
-      spec::builtin_scenario("paper-baseline"), [] {
+      spec::builtin_scenario("paper-baseline"), [](const spec::ScenarioSpec&) {
         print_ma_table(8, "data bus");
         print_ma_table(12, "address bus");
         std::printf("\nFault counts: data bus bidirectional = %zu (paper: "
                     "64), address bus = %zu (paper: 48)\n",
                     xtalk::enumerate_mafs(8, true).size(),
                     xtalk::enumerate_mafs(12, false).size());
+        return true;  // DESIGN.md section 3 gates no claim here
       });
 }

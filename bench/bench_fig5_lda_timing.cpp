@@ -1,9 +1,7 @@
 // E2 -- Fig. 5: bus-transaction timing of the load instruction.
 //
 // Reconstructs the paper's LDA timing diagram from a live trace of the
-// CPU-memory system, then times raw instruction execution.
-
-#include <benchmark/benchmark.h>
+// CPU-memory system.
 
 #include "bench_util.h"
 #include "cpu/assembler.h"
@@ -15,8 +13,8 @@ using namespace xtest;
 
 namespace {
 
-void print_lda_trace() {
-  soc::System sys(bench::active_spec().system);
+bool print_lda_trace(const spec::ScenarioSpec& scn) {
+  soc::System sys(scn.system);
   soc::BusTrace trace;
   sys.set_trace(&trace);
   // The Fig. 4/5 scenario: lda Ax at Ai, operand at Ax.
@@ -48,41 +46,8 @@ void print_lda_trace() {
               soc::render_waveform(trace, soc::BusKind::kAddress).c_str());
   std::printf("\nData-bus waveform:\n%s",
               soc::render_waveform(trace, soc::BusKind::kData).c_str());
+  return true;  // DESIGN.md section 3 gates no claim here
 }
-
-void BM_InstructionExecution(benchmark::State& state) {
-  soc::System sys(bench::active_spec().system);
-  const cpu::AsmResult prog = cpu::assemble(R"(
-start:  lda 0x300
-        add 0x301
-        sta 0x302
-        jmp start
-        .org 0x300
-        .byte 0x11, 0x22
-  )");
-  sys.load_and_reset(prog.image, prog.entry);
-  for (auto _ : state) {
-    sys.processor().step();
-    if (sys.processor().halted()) state.SkipWithError("unexpected halt");
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InstructionExecution);
-
-void BM_FullBusTransfer(benchmark::State& state) {
-  // One crosstalk-evaluated read: address transfer + data transfer.
-  soc::System sys(bench::active_spec().system);
-  cpu::MemoryImage img;
-  img.set(0x300, 0x5A);
-  sys.load_and_reset(img, 0);
-  std::uint16_t a = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.read(static_cast<cpu::Addr>(a)));
-    a = (a + 0x123) & 0xFFF;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FullBusTransfer);
 
 }  // namespace
 

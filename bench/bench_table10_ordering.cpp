@@ -8,8 +8,6 @@
 // and total program size -- the tester-time trade-off the paper's
 // multi-session remark leaves open.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "sbst/generator.h"
 #include "sim/verify.h"
@@ -29,7 +27,7 @@ const char* order_name(sbst::PlacementOrder o) {
   return "?";
 }
 
-void print_ordering_ablation() {
+bool print_ordering_ablation(const spec::ScenarioSpec& scn) {
   util::Table t({"order", "session-0 addr tests", "sessions", "total addr",
                  "total bytes", "total cycles"});
   for (sbst::PlacementOrder order :
@@ -37,7 +35,7 @@ void print_ordering_ablation() {
         sbst::PlacementOrder::kDelaysFirst,
         sbst::PlacementOrder::kGlitchesFirst,
         sbst::PlacementOrder::kCenterOut}) {
-    sbst::GeneratorConfig cfg = bench::active_spec().program;
+    sbst::GeneratorConfig cfg = scn.program;
     cfg.order = order;
     const auto sessions =
         sbst::TestProgramGenerator::generate_sessions(cfg);
@@ -61,16 +59,8 @@ void print_ordering_ablation() {
               "couple of tests of the 47/48 optimum, and the orderings "
               "trade single-session density against total program bytes "
               "and cycles (tester time).\n");
+  return true;  // DESIGN.md section 3 gates no claim here
 }
-
-void BM_SessionsByOrder(benchmark::State& state) {
-  sbst::GeneratorConfig cfg = bench::active_spec().program;
-  cfg.order = static_cast<sbst::PlacementOrder>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sbst::TestProgramGenerator::generate_sessions(cfg));
-}
-BENCHMARK(BM_SessionsByOrder)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 

@@ -8,8 +8,6 @@
 // failing MA tests, and we score whether a candidate's victim wire really
 // is one of the defect's over-threshold wires.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "sim/campaign.h"
 #include "sim/diagnosis.h"
@@ -20,8 +18,7 @@ using namespace xtest;
 
 namespace {
 
-void print_diagnosis_accuracy() {
-  const spec::ScenarioSpec& scn = bench::active_spec();
+bool print_diagnosis_accuracy(const spec::ScenarioSpec& scn) {
   const soc::SystemConfig& cfg = scn.system;
   const soc::System probe(cfg);
   const auto lib = sim::make_defect_library(cfg, soc::BusKind::kAddress,
@@ -74,22 +71,8 @@ void print_diagnosis_accuracy() {
               "one-byte-per-group compaction can deliver -- exactly the "
               "paper's 'without losing any diagnostic information' "
               "granularity.\n");
+  return true;  // DESIGN.md section 3 gates no claim here
 }
-
-void BM_Diagnose(benchmark::State& state) {
-  const soc::SystemConfig& cfg = bench::active_spec().system;
-  const auto gen =
-      sbst::TestProgramGenerator(bench::active_spec().program).generate();
-  const sim::VerificationResult ver = sim::verify_program(gen.program);
-  soc::System sys(cfg);
-  sys.set_forced_maf(
-      soc::ForcedMaf{gen.program.tests[0].bus, gen.program.tests[0].fault});
-  const sim::ResponseSnapshot snap =
-      sim::run_and_capture(sys, gen.program, ver.max_cycles);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sim::diagnose(gen.program, ver.gold, snap));
-}
-BENCHMARK(BM_Diagnose);
 
 }  // namespace
 

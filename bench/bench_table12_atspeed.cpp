@@ -13,8 +13,6 @@
 // but the delay-only class -- cross-bus load defects (E14) -- escapes
 // progressively until a 4x-slow clock sees none of them.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "sim/campaign.h"
 #include "util/rng.h"
@@ -25,7 +23,6 @@ using namespace xtest;
 namespace {
 
 constexpr std::size_t kLoadDefects = 150;
-constexpr std::uint64_t kSeed = 20010618;
 
 struct LoadDefect {
   unsigned wire;
@@ -34,8 +31,9 @@ struct LoadDefect {
 
 /// Delay-only defects: quiet cross-bus load just above the at-speed
 /// delay-detectability threshold (see E14).
-std::vector<LoadDefect> make_load_library(const soc::System& sys) {
-  util::Rng rng(bench::active_spec().seed);
+std::vector<LoadDefect> make_load_library(std::uint64_t seed,
+                                          const soc::System& sys) {
+  util::Rng rng(seed);
   std::vector<LoadDefect> out;
   const auto& nom = sys.nominal_address_network();
   while (out.size() < kLoadDefects) {
@@ -48,15 +46,14 @@ std::vector<LoadDefect> make_load_library(const soc::System& sys) {
   return out;
 }
 
-void print_speed_sweep() {
+bool print_table12(const spec::ScenarioSpec& scn) {
   // Libraries are built against the *at-speed* system: these are the
   // defects a correct test must reject.
-  const spec::ScenarioSpec& scn = bench::active_spec();
   const soc::SystemConfig& rated = scn.system;
   const soc::System probe(rated);
   const auto coupling_lib = sim::make_defect_library(
       rated, soc::BusKind::kAddress, scn.defect_count, scn.seed);
-  const auto load_lib = make_load_library(probe);
+  const auto load_lib = make_load_library(scn.seed, probe);
   const auto sessions = scn.make_sessions();
 
   const util::ParallelConfig par{scn.threads};
@@ -99,26 +96,6 @@ void print_speed_sweep() {
               "(cross-load) defects:\n%s",
               coupling_lib.size(), load_lib.size(), t.render().c_str());
   bench::print_campaign_stats("table12_atspeed", stats);
-}
-
-void BM_SlowClockDetection(benchmark::State& state) {
-  soc::SystemConfig cfg = bench::active_spec().system;
-  cfg.clock_period_scale = 2.0;
-  const auto lib =
-      sim::make_defect_library(bench::active_spec().system,
-                               soc::BusKind::kAddress, 40, kSeed);
-  const auto gen =
-      sbst::TestProgramGenerator(bench::active_spec().program).generate();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sim::run_detection(cfg, gen.program, soc::BusKind::kAddress, lib));
-}
-BENCHMARK(BM_SlowClockDetection);
-
-}  // namespace
-
-void print_table12() {
-  print_speed_sweep();
   std::printf("\nReading: same-bus coupling defects stay covered at any "
               "clock in the MAF model (the speed-independent glitch effect "
               "fires whenever C > Cth), but the delay-only class -- here "
@@ -126,7 +103,10 @@ void print_table12() {
               "slows: exactly the faults a low-speed external tester "
               "cannot see.  Self-test runs at the rated clock by "
               "construction, so it always operates in the top row.\n");
+  return true;  // DESIGN.md section 3 gates no claim here
 }
+
+}  // namespace
 
 int main(int argc, char** argv) {
   spec::ScenarioSpec def = spec::builtin_scenario("paper-baseline");

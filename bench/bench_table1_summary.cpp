@@ -7,9 +7,7 @@
 //    cycles."
 //
 // Prints the per-session and total placement/size/cycle summary of our
-// generator, then times program generation and functional verification.
-
-#include <benchmark/benchmark.h>
+// generator and checks it against those numbers.
 
 #include "bench_util.h"
 #include "sbst/generator.h"
@@ -20,8 +18,8 @@ using namespace xtest;
 
 namespace {
 
-void print_summary() {
-  const auto sessions = bench::active_spec().make_sessions();
+bool print_summary(const spec::ScenarioSpec& scn) {
+  const auto sessions = scn.make_sessions();
   util::Table t({"session", "addr tests", "data tests", "bytes",
                  "response cells", "cycles", "all effective"});
   std::size_t tot_addr = 0, tot_data = 0, tot_bytes = 0;
@@ -61,32 +59,20 @@ void print_summary() {
       std::printf(" %s", u.fault.label().c_str());
     std::printf("\n");
   }
-}
 
-void BM_GenerateSingleSession(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate());
-  }
+  // The paper leaves 7 of the 48 address tests unapplied; ours may place
+  // more, never fewer.  DESIGN.md section 3 reads its 1720 cycles as "low
+  // thousands".
+  bool ok = bench::claim(tot_data == 64,
+                         "all 64 data-bus MA tests placed (paper: 64/64)");
+  ok &= bench::claim(tot_addr + 7 >= 48,
+                     "at most 7 of the 48 address-bus MA tests never placed "
+                     "(paper: 7; ours: " + std::to_string(48 - tot_addr) + ")");
+  ok &= bench::claim(tot_cycles >= 1000 && tot_cycles <= 4000,
+                     "total cycles between 1000 and 4000 (paper: 1720; ours: " +
+                         std::to_string(tot_cycles) + ")");
+  return ok;
 }
-BENCHMARK(BM_GenerateSingleSession);
-
-void BM_GenerateAllSessions(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sbst::TestProgramGenerator::generate_sessions(sbst::GeneratorConfig{}));
-  }
-}
-BENCHMARK(BM_GenerateAllSessions);
-
-void BM_VerifyProgram(benchmark::State& state) {
-  const auto gen =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::verify_program(gen.program));
-  }
-}
-BENCHMARK(BM_VerifyProgram);
 
 }  // namespace
 

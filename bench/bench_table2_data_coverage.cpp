@@ -7,8 +7,6 @@
 // bidirectional data bus, per-line and overall coverage, split by
 // direction to show both halves of the 64-test set pull their weight.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "sim/campaign.h"
 #include "util/table.h"
@@ -17,10 +15,7 @@ using namespace xtest;
 
 namespace {
 
-constexpr std::uint64_t kSeed = 20010618;
-
-void print_data_coverage() {
-  const spec::ScenarioSpec& scn = bench::active_spec();
+bool print_data_coverage(const spec::ScenarioSpec& scn) {
   const soc::SystemConfig& cfg = scn.system;
   const auto lib =
       sim::make_defect_library(cfg, soc::BusKind::kData, scn.defect_count,
@@ -46,6 +41,9 @@ void print_data_coverage() {
   std::printf("\n%s", t.render().c_str());
   std::printf("\noverall data-bus coverage: %s (paper: 100%%)\n",
               util::Table::pct(cov.overall).c_str());
+  const bool ok = bench::claim(cov.overall == 1.0,
+                               "overall data-bus coverage 100% (ours: " +
+                                   util::Table::pct(cov.overall) + ")");
 
   // Direction split: read-only vs write-only programs.
   for (const bool write_dir : {false, true}) {
@@ -65,21 +63,8 @@ void print_data_coverage() {
                 util::Table::pct(sim::coverage(det)).c_str());
   }
   bench::print_campaign_stats("table2_data_coverage", stats);
+  return ok;
 }
-
-void BM_DataDetection(benchmark::State& state) {
-  const soc::SystemConfig& cfg = bench::active_spec().system;
-  const auto lib =
-      sim::make_defect_library(cfg, soc::BusKind::kData, 64, kSeed);
-  const auto gen =
-      sbst::TestProgramGenerator(sbst::GeneratorConfig{}).generate();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sim::run_detection(cfg, gen.program, soc::BusKind::kData, lib));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lib.size()));
-}
-BENCHMARK(BM_DataDetection);
 
 }  // namespace
 

@@ -12,7 +12,8 @@
 // defects that no other MA test detects (the "unique" fraction), and the
 // library-wide impact of the never-placed tests.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <set>
 
 #include "bench_util.h"
 #include "hwbist/bist.h"
@@ -23,10 +24,7 @@ using namespace xtest;
 
 namespace {
 
-constexpr std::uint64_t kSeed = 20010618;
-
-void print_overlap() {
-  const spec::ScenarioSpec& scn = bench::active_spec();
+bool print_overlap(const spec::ScenarioSpec& scn) {
   const soc::SystemConfig& cfg = scn.system;
   const soc::System sys(cfg);
   const auto lib =
@@ -100,32 +98,14 @@ void print_overlap() {
                std::to_string(only)});
   }
   std::printf("\n%s", t.render().c_str());
-  std::printf("\nExpected: the missing tests' defects are (almost) all "
-              "covered by neighbours' tests -> 100%% program coverage "
-              "despite the conflicts.\n");
-}
 
-void BM_DetectionMatrix(benchmark::State& state) {
-  const soc::SystemConfig& cfg = bench::active_spec().system;
-  const soc::System sys(cfg);
-  const auto lib =
-      sim::make_defect_library(cfg, soc::BusKind::kAddress, 100, kSeed);
-  const auto faults = xtalk::enumerate_mafs(cpu::kAddrBits, false);
-  for (auto _ : state) {
-    std::size_t hits = 0;
-    for (const auto& defect : lib.defects()) {
-      const xtalk::RcNetwork net = defect.apply(sys.nominal_address_network());
-      for (const auto& f : faults)
-        hits += sys.address_model().corrupts(net,
-                                             xtalk::ma_test(cpu::kAddrBits, f));
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lib.size() *
-                                                    faults.size()));
+  // The paper's "only a tiny fraction"; DESIGN.md section 3 reads it as
+  // "< a few %".  That overlap is why the missing tests cost no coverage.
+  std::printf("\n");
+  return bench::claim(100 * total_unique < 3 * total_detected,
+                      "unique-to-one-test detections < 3% of all "
+                      "detections");
 }
-BENCHMARK(BM_DetectionMatrix);
 
 }  // namespace
 

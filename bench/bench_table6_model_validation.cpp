@@ -8,8 +8,6 @@
 //   * transient measurement (trapezoidal integration of the full network),
 // and reports where each model places the detectability boundary.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "util/table.h"
 #include "xtalk/defect.h"
@@ -28,7 +26,7 @@ RcNetwork scaled(const RcNetwork& nom, unsigned victim, double target) {
   return net;
 }
 
-void print_sweep() {
+bool print_sweep(const spec::ScenarioSpec&) {
   BusGeometry g;
   g.width = 8;
   const RcNetwork nom(g);
@@ -81,32 +79,8 @@ void print_sweep() {
   }
   std::printf("\nverdict agreement across C in [0.5, 2.5] x Cth: %d/%d "
               "(each model calibrated to its own boundary)\n", agree, total);
+  return true;  // DESIGN.md section 3 gates no claim here
 }
-
-void BM_TransientSimulation(benchmark::State& state) {
-  BusGeometry g;
-  g.width = static_cast<unsigned>(state.range(0));
-  const RcNetwork nom(g);
-  const TransientSimulator sim;
-  const VectorPair gp = ma_test(
-      g.width, {g.width / 2, MafType::kPositiveGlitch,
-                BusDirection::kCoreToCpu});
-  for (auto _ : state) benchmark::DoNotOptimize(sim.simulate(nom, gp));
-}
-BENCHMARK(BM_TransientSimulation)->Arg(8)->Arg(12)->Arg(32);
-
-void BM_AnalyticReceive(benchmark::State& state) {
-  BusGeometry g;
-  g.width = static_cast<unsigned>(state.range(0));
-  const RcNetwork nom(g);
-  const CrosstalkErrorModel model(
-      ErrorModelConfig::calibrated(nom, recommended_cth(nom, 1.6)));
-  const VectorPair gp = ma_test(
-      g.width, {g.width / 2, MafType::kPositiveGlitch,
-                BusDirection::kCoreToCpu});
-  for (auto _ : state) benchmark::DoNotOptimize(model.receive(nom, gp));
-}
-BENCHMARK(BM_AnalyticReceive)->Arg(8)->Arg(12)->Arg(32);
 
 }  // namespace
 

@@ -1,19 +1,16 @@
 // Shared helpers for the experiment benches.
 //
 // Every bench binary reproduces one table/figure of the paper: it prints
-// the reproduction through util::Table first, then runs google-benchmark
-// timings for the underlying kernel so performance regressions in the
-// simulator itself are visible.
+// the reproduction through util::Table and checks the paper's claims about
+// it with claim().  A failed claim makes the process exit 1, so ctest
+// (label `paper`) gates the reproduction instead of just printing it.
 
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "spec/scenario.h"
 #include "util/parallel.h"
@@ -33,6 +30,13 @@ inline std::string bar(double fraction, int width = 40) {
   std::string s(static_cast<std::size_t>(n), '#');
   s.resize(static_cast<std::size_t>(width), ' ');
   return s;
+}
+
+/// Prints `claim ok: <text>` or `claim FAILED: <text>` and returns `ok`, so
+/// a body folds its claims into its own result.
+inline bool claim(bool ok, const std::string& text) {
+  std::printf("claim %s: %s\n", ok ? "ok" : "FAILED", text.c_str());
+  return ok;
 }
 
 /// Human-readable campaign throughput line plus the machine-readable JSON
@@ -55,16 +59,6 @@ inline void print_campaign_stats(const std::string& name,
   std::printf("%s\n", s.json(name).c_str());
 }
 
-/// The scenario this bench process runs under.  scenario_main() fills it
-/// before the reproduction body or any BM_ function executes; bodies read
-/// their system / library / program configuration from here instead of
-/// hard-coding it.
-inline spec::ScenarioSpec& active_spec_slot() {
-  static spec::ScenarioSpec s;
-  return s;
-}
-inline const spec::ScenarioSpec& active_spec() { return active_spec_slot(); }
-
 /// Scenario-driven bench entry point shared by every bench binary:
 ///
 ///   int main(int argc, char** argv) {
@@ -74,47 +68,44 @@ inline const spec::ScenarioSpec& active_spec() { return active_spec_slot(); }
 ///                                 def, print_fig11);
 ///   }
 ///
-/// `--scenario NAME|FILE` (also `--scenario=...`) is parsed and stripped
-/// before google-benchmark sees argv; without it the bench's own default
-/// spec applies and the output is byte-identical to the pre-scenario
-/// binaries.  Bad scenario input exits with the CLI's usage code (2).
-inline int scenario_main(int argc, char** argv, const std::string& title,
-                         const std::string& paper_ref,
-                         spec::ScenarioSpec default_spec,
-                         const std::function<void()>& body,
-                         bool run_benchmarks = true) {
-  std::vector<char*> keep;
+/// The only argument is `--scenario NAME|FILE` (also `--scenario=...`);
+/// without it the bench's own default spec applies.  The body reads its
+/// system / library / program configuration from the validated spec and
+/// returns whether every claim it checked held.  A bad argument or
+/// scenario exits with the CLI's usage code (2), a failed claim with 1.
+inline int scenario_main(
+    int argc, char** argv, const std::string& title,
+    const std::string& paper_ref, spec::ScenarioSpec default_spec,
+    const std::function<bool(const spec::ScenarioSpec&)>& body) {
   std::optional<std::string> scenario;
-  for (int i = 0; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--scenario" && i + 1 < argc) {
+    if (a == "--scenario") {
+      if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        std::fprintf(stderr, "error: --scenario: missing NAME|FILE value\n");
+        return 2;
+      }
       scenario = argv[++i];
     } else if (a.rfind("--scenario=", 0) == 0) {
       scenario = a.substr(std::string("--scenario=").size());
     } else {
-      keep.push_back(argv[i]);
+      std::fprintf(stderr, "error: unknown argument '%s'\n", a.c_str());
+      return 2;
     }
   }
+  spec::ScenarioSpec scn;
   try {
-    active_spec_slot() =
-        scenario ? spec::load_scenario(*scenario) : std::move(default_spec);
-    active_spec_slot().validate();
+    scn = scenario ? spec::load_scenario(*scenario) : std::move(default_spec);
+    scn.validate();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   banner(title, paper_ref);
   if (scenario)
-    std::printf("scenario: %s (%s)\n", active_spec().name.c_str(),
-                active_spec().description.c_str());
-  body();
-  if (run_benchmarks) {
-    int kept = static_cast<int>(keep.size());
-    keep.push_back(nullptr);
-    benchmark::Initialize(&kept, keep.data());
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return 0;
+    std::printf("scenario: %s (%s)\n", scn.name.c_str(),
+                scn.description.c_str());
+  return body(scn) ? 0 : 1;
 }
 
 }  // namespace xtest::bench

@@ -18,16 +18,16 @@ bool HardwareBist::detects(const xtalk::RcNetwork& net,
   return false;
 }
 
-std::vector<sim::Verdict> HardwareBist::run_library(
-    const xtalk::RcNetwork& nominal, const xtalk::CrosstalkErrorModel& model,
-    const xtalk::DefectLibrary& library, const util::ParallelConfig& parallel,
-    util::CampaignStats* stats) const {
+std::vector<sim::Verdict> sweep_library(
+    const xtalk::RcNetwork& nominal, const xtalk::DefectLibrary& library,
+    const util::ParallelConfig& parallel, util::CampaignStats* stats,
+    const std::function<bool(const xtalk::RcNetwork&)>& detects) {
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n = library.size();
   std::vector<sim::Verdict> out(n, sim::Verdict::kUndetected);
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, parallel, [&](std::size_t i, unsigned) {
-        out[i] = detects(library[i].apply(nominal), model)
+        out[i] = detects(library[i].apply(nominal))
                      ? sim::Verdict::kDetected
                      : sim::Verdict::kUndetected;
       });
@@ -47,6 +47,14 @@ std::vector<sim::Verdict> HardwareBist::run_library(
             .count();
   }
   return out;
+}
+
+std::vector<sim::Verdict> HardwareBist::run_library(
+    const xtalk::RcNetwork& nominal, const xtalk::CrosstalkErrorModel& model,
+    const xtalk::DefectLibrary& library, const util::ParallelConfig& parallel,
+    util::CampaignStats* stats) const {
+  return sweep_library(nominal, library, parallel, stats,
+                       [&](const auto& net) { return detects(net, model); });
 }
 
 }  // namespace xtest::hwbist

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "sim/verdict.h"
@@ -20,6 +21,18 @@
 #include "xtalk/rc_network.h"
 
 namespace xtest::hwbist {
+
+/// The library sweep of every BIST baseline: `detects(net)` gives the
+/// verdict of `library[i]` applied to `nominal`.  Defects fan out across
+/// workers (verdicts written by index: bitwise identical for every thread
+/// count); a defect whose evaluation throws is quarantined as kSimError,
+/// with one `error_log` line, instead of aborting the sweep; `stats`
+/// accumulates when non-null.  BIST has no timeout mechanism, so verdicts
+/// are only kDetected / kUndetected / kSimError.
+std::vector<sim::Verdict> sweep_library(
+    const xtalk::RcNetwork& nominal, const xtalk::DefectLibrary& library,
+    const util::ParallelConfig& parallel, util::CampaignStats* stats,
+    const std::function<bool(const xtalk::RcNetwork&)>& detects);
 
 class HardwareBist {
  public:
@@ -41,12 +54,8 @@ class HardwareBist {
   bool detects(const xtalk::RcNetwork& net,
                const xtalk::CrosstalkErrorModel& model) const;
 
-  /// BIST verdict over a whole library applied to `nominal`.  Defects fan
-  /// out across workers (verdicts written by index: bitwise identical for
-  /// every thread count); a defect whose evaluation throws is quarantined
-  /// as kSimError instead of aborting the sweep; `stats` accumulates when
-  /// non-null.  BIST has no timeout mechanism, so verdicts are only
-  /// kDetected / kUndetected / kSimError.
+  /// BIST verdict over a whole library applied to `nominal`
+  /// (sweep_library()).
   std::vector<sim::Verdict> run_library(
       const xtalk::RcNetwork& nominal,
       const xtalk::CrosstalkErrorModel& model,

@@ -1,6 +1,6 @@
 #include "hwbist/random_patterns.h"
 
-#include <chrono>
+#include "hwbist/bist.h"
 
 namespace xtest::hwbist {
 
@@ -28,31 +28,8 @@ std::vector<sim::Verdict> RandomPatternBist::run_library(
     const xtalk::RcNetwork& nominal, const xtalk::CrosstalkErrorModel& model,
     const xtalk::DefectLibrary& library, const util::ParallelConfig& parallel,
     util::CampaignStats* stats) const {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = library.size();
-  std::vector<sim::Verdict> out(n, sim::Verdict::kUndetected);
-  const std::vector<util::ItemError> errors = util::parallel_for_items(
-      n, parallel, [&](std::size_t i, unsigned) {
-        out[i] = detects(library[i].apply(nominal), model)
-                     ? sim::Verdict::kDetected
-                     : sim::Verdict::kUndetected;
-      });
-  for (const util::ItemError& e : errors) {
-    out[e.index] = sim::Verdict::kSimError;
-    if (stats != nullptr)
-      stats->error_log.push_back("defect " + std::to_string(e.index) + ": " +
-                                 e.message);
-  }
-  if (stats != nullptr) {
-    stats->threads = parallel.resolve(n);
-    stats->defects_simulated += n;
-    sim::tally_verdicts(out, *stats);
-    stats->wall_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
-  return out;
+  return sweep_library(nominal, library, parallel, stats,
+                       [&](const auto& net) { return detects(net, model); });
 }
 
 }  // namespace xtest::hwbist

@@ -32,10 +32,7 @@ class RandomPatternBist {
   bool detects(const xtalk::RcNetwork& net,
                const xtalk::CrosstalkErrorModel& model) const;
 
-  /// Verdicts over a library applied to `nominal`.  Defects fan out
-  /// across workers, verdicts written by index (bitwise identical for
-  /// every thread count); throwing defects are quarantined as kSimError;
-  /// `stats` accumulates when non-null.
+  /// Verdicts over a library applied to `nominal` (sweep_library()).
   std::vector<sim::Verdict> run_library(
       const xtalk::RcNetwork& nominal,
       const xtalk::CrosstalkErrorModel& model,

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hwbist/bist.h"
+#include "hwbist/random_patterns.h"
 #include "sim/campaign.h"
 #include "sim/checkpoint.h"
 #include "sim/signature.h"
@@ -664,6 +667,40 @@ TEST(Resilience, InjectedWorkerFaultIsRetriedAndRecovers) {
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.sim_errors, 0u);
   EXPECT_TRUE(stats.error_log.empty());
+}
+
+TEST(Resilience, InjectedBistSweepFaultIsQuarantinedAtItsIndex) {
+  GlobalInjectorGuard guard;
+  const soc::SystemConfig cfg;
+  const soc::System sys(cfg);
+  const auto lib = make_defect_library(cfg, soc::BusKind::kAddress, 8, kSeed);
+  const hwbist::HardwareBist ma(12, false);
+  const hwbist::RandomPatternBist rnd(12, 48, kSeed);
+  using Sweep = std::function<std::vector<Verdict>(util::CampaignStats*)>;
+  const Sweep sweeps[] = {
+      [&](util::CampaignStats* s) {
+        return ma.run_library(sys.nominal_address_network(),
+                              sys.address_model(), lib, {1u}, s);
+      },
+      [&](util::CampaignStats* s) {
+        return rnd.run_library(sys.nominal_address_network(),
+                               sys.address_model(), lib, {1u}, s);
+      }};
+  for (const Sweep& sweep : sweeps) {
+    const std::vector<Verdict> clean = sweep(nullptr);
+    // The 4th defect (index 3) throws; the sweep quarantines it alone.
+    util::FaultInjector::global().configure("parallel.item@4");
+    util::CampaignStats stats;
+    const std::vector<Verdict> faulty = sweep(&stats);
+    util::FaultInjector::global().disarm();
+    ASSERT_EQ(faulty.size(), clean.size());
+    for (std::size_t i = 0; i < clean.size(); ++i)
+      EXPECT_EQ(faulty[i], i == 3 ? Verdict::kSimError : clean[i]) << i;
+    EXPECT_EQ(stats.sim_errors, 1u);
+    ASSERT_EQ(stats.error_log.size(), 1u);
+    EXPECT_EQ(stats.error_log[0].rfind("defect 3: ", 0), 0u)
+        << stats.error_log[0];
+  }
 }
 
 TEST(Resilience, GracefulKillFlushesACheckpointAndResumeMatches) {
