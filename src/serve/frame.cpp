@@ -128,7 +128,6 @@ void FrameDecoder::parse() {
     f.seq = seq;
     f.payload.assign(buf_, kHeaderSize, len);
     ready_.push_back(std::move(f));
-    ++frames_decoded_;
     buf_.erase(0, total);
   }
 }

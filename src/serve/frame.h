@@ -111,7 +111,6 @@ class FrameDecoder {
 
   FrameError error() const { return error_; }
   bool poisoned() const { return error_ != FrameError::kNone; }
-  std::size_t frames_decoded() const { return frames_decoded_; }
   /// Bytes buffered waiting for the rest of a frame (half-open peers hold
   /// this below header+max_payload+trailer by construction).
   std::size_t buffered() const { return buf_.size(); }
@@ -123,7 +122,6 @@ class FrameDecoder {
   std::string buf_;
   std::deque<Frame> ready_;
   FrameError error_ = FrameError::kNone;
-  std::size_t frames_decoded_ = 0;
 };
 
 // --- payload encoding helpers ---------------------------------------------

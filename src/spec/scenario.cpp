@@ -100,22 +100,16 @@ struct KeyDef {
   bool keyed = true;
 };
 
-// Geometry keys share their six-field shape across the three buses.
+// Geometry keys share their five-field shape across the three buses.  A
+// bus's width is the CPU's own (validate()), so it is no key.
 #define XTEST_GEOMETRY_KEYS(prefix, member)                                    \
-  KeyDef{prefix ".width",                                                      \
+  KeyDef{prefix ".wire_length_um",                                             \
          [](const ScenarioSpec& s) {                                           \
-           return u64_text(s.system.member.width);                             \
+           return double_text(s.system.member.wire_length_um);                 \
          },                                                                    \
          [](ScenarioSpec& s, const std::string& v) {                           \
-           s.system.member.width = util::parse_unsigned<unsigned>(v);          \
+           s.system.member.wire_length_um = util::parse_finite(v);             \
          }},                                                                   \
-      KeyDef{prefix ".wire_length_um",                                         \
-             [](const ScenarioSpec& s) {                                       \
-               return double_text(s.system.member.wire_length_um);             \
-             },                                                                \
-             [](ScenarioSpec& s, const std::string& v) {                       \
-               s.system.member.wire_length_um = util::parse_finite(v);         \
-             }},                                                               \
       KeyDef{prefix ".coupling_fF_per_um",                                     \
              [](const ScenarioSpec& s) {                                       \
                return double_text(s.system.member.coupling_fF_per_um);         \
@@ -439,7 +433,7 @@ void ScenarioSpec::validate() const {
                               unsigned expected) {
     if (got != expected)
       throw SpecParseError(
-          0, std::string(which) + ".width = " + std::to_string(got) +
+          0, std::string(which) + " bus width " + std::to_string(got) +
                  " does not match the embedded CPU architecture (" +
                  std::to_string(expected) +
                  " wires); the processor can only drive its own buses");

@@ -85,14 +85,29 @@ class Mt19937_64 {
   std::size_t p_ = kN;
 };
 
+/// Gaussians of mean 0 and standard deviation `sigma` from engine words,
+/// one Marsaglia polar try per word pair (words[2k], words[2k + 1]), k <
+/// `pairs`.  Writes the value of every accepted pair to `out`, in pair
+/// order, and returns how many there are (`out` has room for `pairs`).
+/// Each value is bit for bit what libstdc++'s normal distribution, newly
+/// made with (0, sigma), returns when its first accepted try reads that
+/// pair (rng.cpp).
+std::size_t polar_gaussians(const std::uint64_t* words, std::size_t pairs,
+                            double sigma, double* out);
+
 /// Thin wrapper over Mt19937_64 with convenience draws.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Standard normal times `sigma`.
+  /// Normal with mean 0 and standard deviation `sigma`: the first
+  /// accepted polar try of the next word pairs.
   double gaussian(double sigma) {
-    return std::normal_distribution<double>(0.0, sigma)(engine_);
+    std::uint64_t pair[2] = {};
+    double g = 0.0;
+    do engine_.fill(pair, 2);
+    while (polar_gaussians(pair, 1, sigma, &g) == 0);
+    return g;
   }
 
   /// Uniform in [0, 1).

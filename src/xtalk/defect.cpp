@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
-#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -74,55 +73,16 @@ namespace {
 constexpr std::size_t kFirstRoundWords = std::size_t{4} << 10;
 constexpr std::size_t kMaxRoundWords = std::size_t{128} << 10;
 
-/// Thrown by ReplayEngine when a Gaussian call reads past the round's last
-/// word.
-struct RoundExhausted {};
-
-/// Replays a round's engine words, from a given word on, as the uniform
-/// random bit generator of a std::normal_distribution call.
-class ReplayEngine {
- public:
-  using result_type = util::Mt19937_64::result_type;
-  static constexpr result_type min() { return util::Mt19937_64::min(); }
-  static constexpr result_type max() { return util::Mt19937_64::max(); }
-
-  ReplayEngine(const result_type* next, const result_type* end)
-      : next_(next), end_(end) {}
-
-  result_type operator()() {
-    if (next_ == end_) throw RoundExhausted{};
-    return *next_++;
-  }
-
-  const result_type* position() const { return next_; }
-
- private:
-  const result_type* next_;
-  const result_type* end_;
-};
-
 }  // namespace
 
 // The library is the serial flow's, bit for bit, at every thread count.
-// The serial flow draws one fresh std::normal_distribution<double>(0,
-// sigma) per factor from one MT19937-64 stream.  libstdc++ implements it
-// with Marsaglia's polar method: each try reads two engine words (one
-// generate_canonical<double, 53> word each), a rejected try leaves no
-// state behind, and the call returns right after its first accepted pair
-// -- the saved second value dies with the object.  So the serial factor
-// sequence is one value per accepted word pair, in stream order, and a
-// chain of calls started at any even word offset returns the first
-// accepted pair at or after that offset and stays in step with the
-// serial chain from then on.  Only the words themselves must be produced
-// in order.  Each round therefore:
+// The serial flow draws one factor per accepted polar try of one
+// MT19937-64 stream (util::polar_gaussians), so its factors are a pure
+// map of the stream's word pairs, in order.  Only the words themselves
+// must be produced in order.  Each round therefore:
 //  - fills its word buffer from the engine, serially;
-//  - splits its word pairs into contiguous chunks, one per thread, and
-//    chains calls on a ReplayEngine from each chunk's first pair, keeping
-//    a value only when its accepted pair ends inside the chunk (the next
-//    chunk's first call returns any other one).  A call that runs past
-//    the round's last word has read only rejected pairs; the serial call
-//    would carry on at the next round's first word, which is where the
-//    next round starts, so it is dropped;
+//  - maps its word pairs through the polar step on the threads, each
+//    chunk keeping its accepted values in pair order;
 //  - appends the chunks' values, in order, after the partial candidate
 //    the previous round carried, and runs the Cth acceptance test on
 //    every whole candidate in parallel;
@@ -159,19 +119,10 @@ DefectLibrary DefectLibrary::generate(const RcNetwork& nominal,
     std::vector<std::vector<double>> chunk_factors(parallel.resolve(pairs));
     util::parallel_for_chunks(
         pairs, parallel, [&](std::size_t begin, std::size_t end, unsigned w) {
-          ReplayEngine replay(words.data() + 2 * begin,
-                              words.data() + words.size());
-          const std::uint64_t* chunk_end = words.data() + 2 * end;
-          std::vector<double> out;  // local: no false sharing of its size
-          try {
-            while (replay.position() < chunk_end) {
-              const double g =
-                  std::normal_distribution<double>(0.0, sigma)(replay);
-              if (replay.position() > chunk_end) break;
-              out.push_back(std::max(0.0, 1.0 + g));
-            }
-          } catch (const RoundExhausted&) {
-          }
+          std::vector<double> out(end - begin);  // local: no false sharing
+          out.resize(util::polar_gaussians(words.data() + 2 * begin,
+                                           end - begin, sigma, out.data()));
+          for (double& f : out) f = std::max(0.0, 1.0 + f);
           chunk_factors[w] = std::move(out);
         });
     for (const std::vector<double>& v : chunk_factors)

@@ -517,7 +517,7 @@ TEST(Cli, ScenarioWithARemovedKeyIsAUsageErrorNamingIt) {
        {"campaign.batched = true", "campaign.gold_cache_capacity = 256",
         "system.transition_cache = true", "campaign.retry_errors = true",
         "campaign.defect_deadline_ms = 0",
-        "campaign.checkpoint_every = 32"}) {
+        "campaign.checkpoint_every = 32", "address.width = 12"}) {
     const std::string path = temp_path("removed_key.scn");
     {
       std::ofstream f(path);
@@ -729,7 +729,7 @@ TEST(Cli, NumericFlagsThatWouldWrapAreUsageErrorsNamingTheFlag) {
 TEST(Cli, ScenarioNumbersThatWouldWrapAreUsageErrorsNamingKeyAndLine) {
   for (const char* line :
        {"defects = -1", "campaign.threads = 4294967297",
-        "address.width = 4294967308", "sessions.max = 4294967297",
+        "program.group_size = 4294967297", "sessions.max = 4294967297",
         "program.usable_limit = 65537", "sigma_pct = nan",
         "system.swing_ratio = nan", "system.clock_period_scale = inf"}) {
     const std::string path = temp_path("wrapping_number.scn");

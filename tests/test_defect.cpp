@@ -1,6 +1,7 @@
 #include "xtalk/defect.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <set>
 
@@ -254,6 +255,88 @@ TEST(DefectLibrary, ProgressIsCalledOncePerRound) {
   EXPECT_GE(calls * (std::size_t{128} << 10), min_words);
   EXPECT_EQ(factor_digest(counted), factor_digest(quiet));
   EXPECT_EQ(counted.attempts(), quiet.attempts());
+}
+
+// The library distribution gate.  The pins below come from one library of
+// at least 10^6 candidates per bus, seed 1, of the generator that made the
+// golden rows; the checks draw fresh libraries at another seed.  The seeds
+// are fixed, so these never flake.  The bounds specify any later
+// generator: never widen one to let a change through.
+
+TEST(DefectLibrary, AcceptanceRatioMatchesPinnedYield) {
+  // Each bus's acceptance ratio over >= 10^5 candidates lies within 3
+  // standard errors, sqrt(p (1 - p) / candidates), of the pinned p.
+  struct Pinned {
+    soc::BusKind bus;
+    std::size_t accepted;    // pin: defects at seed 1
+    std::size_t candidates;  // pin: candidates at seed 1
+    std::size_t count;       // check: defects at seed 20010618
+  };
+  constexpr Pinned kPinned[] = {
+      {soc::BusKind::kAddress, 50'000, 1'027'974, 5000},  // p = 4.864%
+      {soc::BusKind::kData, 45'000, 1'069'030, 4500},     // p = 4.209%
+      {soc::BusKind::kControl, 47'000, 1'050'315, 4700},  // p = 4.475%
+  };
+  for (const Pinned& pin : kPinned) {
+    const DefectLibrary lib = sim::make_defect_library(
+        soc::SystemConfig{}, pin.bus, pin.count, 20010618);
+    const double n = static_cast<double>(lib.attempts());
+    ASSERT_GE(n, 1e5) << soc::to_string(pin.bus);
+    const double p = static_cast<double>(pin.accepted) /
+                     static_cast<double>(pin.candidates);
+    EXPECT_NEAR(static_cast<double>(lib.size()) / n, p,
+                3.0 * std::sqrt(p * (1.0 - p) / n))
+        << soc::to_string(pin.bus) << ": " << lib.size() << " of "
+        << lib.attempts() << " candidates";
+  }
+}
+
+TEST(DefectLibrary, DefectiveWireHistogramMatchesPinnedShares) {
+  // E9's defective-wire histogram against each wire's pinned share of all
+  // defective-wire hits, by Pearson's chi-square test at significance
+  // 0.001, with one degree of freedom less than the wires the pin hits.
+  // A defect may hit two wires, but over 400 seeds of 1000-defect
+  // libraries the statistic's mean, variance and 1% tail matched the
+  // chi-square law's.  A wire the pin never hits must stay at 0.
+  struct Pinned {
+    soc::BusKind bus;
+    std::vector<double> hits;  // pin: 50,000 / 45,000 defects at seed 1
+    std::size_t count;         // check: defects at seed 20010618
+    double critical;           // chi-square 0.999 quantile
+  };
+  const Pinned kPinned[] = {
+      {soc::BusKind::kAddress,
+       {0, 1277, 4095, 6511, 7658, 8183, 8316, 7756, 6343, 4170, 1298, 0},
+       5000, 27.877},  // 9 degrees of freedom
+      {soc::BusKind::kData, {0, 3500, 9493, 12280, 12270, 9267, 3481, 0},
+       4500, 20.515},  // 5 degrees of freedom
+  };
+  const soc::SystemConfig system;
+  for (const Pinned& pin : kPinned) {
+    const RcNetwork nominal(pin.bus == soc::BusKind::kAddress
+                                ? system.address_geometry
+                                : system.data_geometry);
+    const std::vector<std::size_t> hist =
+        sim::make_defect_library(system, pin.bus, pin.count, 20010618)
+            .defective_wire_histogram(nominal);
+    ASSERT_EQ(hist.size(), pin.hits.size());
+    double pinned_hits = 0, hits = 0;
+    for (std::size_t w = 0; w < hist.size(); ++w) {
+      pinned_hits += pin.hits[w];
+      hits += static_cast<double>(hist[w]);
+    }
+    double chi2 = 0;
+    for (std::size_t w = 0; w < hist.size(); ++w) {
+      if (pin.hits[w] == 0) {
+        EXPECT_EQ(hist[w], 0u) << soc::to_string(pin.bus) << " wire " << w;
+        continue;
+      }
+      const double expected = hits * pin.hits[w] / pinned_hits;
+      const double d = static_cast<double>(hist[w]) - expected;
+      chi2 += d * d / expected;
+    }
+    EXPECT_LT(chi2, pin.critical) << soc::to_string(pin.bus);
+  }
 }
 
 }  // namespace

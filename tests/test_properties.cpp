@@ -1,6 +1,8 @@
 // Cross-module property and exhaustive tests.
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,7 +135,6 @@ class MaProperties
 
 TEST_P(MaProperties, GlitchPairsAreComplementaryAcrossTypes) {
   const auto [width, victim] = GetParam();
-  if (victim >= width) GTEST_SKIP();
   const auto gp = xtalk::ma_test(
       width, {victim, xtalk::MafType::kPositiveGlitch,
               xtalk::BusDirection::kCpuToCore});
@@ -154,7 +155,6 @@ TEST_P(MaProperties, GlitchPairsAreComplementaryAcrossTypes) {
 
 TEST_P(MaProperties, FaultyV2DiffersInExactlyTheVictim) {
   const auto [width, victim] = GetParam();
-  if (victim >= width) GTEST_SKIP();
   for (xtalk::MafType t : xtalk::kAllMafTypes) {
     const xtalk::MafFault f{victim, t, xtalk::BusDirection::kCpuToCore};
     const auto pair = xtalk::ma_test(width, f);
@@ -164,10 +164,18 @@ TEST_P(MaProperties, FaultyV2DiffersInExactlyTheVictim) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MaProperties,
-    ::testing::Combine(::testing::Values(2u, 4u, 8u, 12u, 16u),
-                       ::testing::Values(0u, 1u, 5u, 11u, 15u)));
+/// Every (width, victim) of widths {2, 4, 8, 12, 16} and victims {0, 1,
+/// 5, 11, 15} with a victim wire on the bus.
+std::vector<std::tuple<unsigned, unsigned>> sweep_points() {
+  std::vector<std::tuple<unsigned, unsigned>> points;
+  for (unsigned width : {2u, 4u, 8u, 12u, 16u})
+    for (unsigned victim : {0u, 1u, 5u, 11u, 15u})
+      if (victim < width) points.emplace_back(width, victim);
+  return points;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MaProperties,
+                         ::testing::ValuesIn(sweep_points()));
 
 // ---------------------------------------------------------------------------
 // Generated programs round-trip through serialisation and still verify.

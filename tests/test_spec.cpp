@@ -63,7 +63,6 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.system.fast_receive = rng.below(2) == 0;
   for (auto* g : {&s.system.address_geometry, &s.system.data_geometry,
                   &s.system.control_geometry}) {
-    g->width = static_cast<unsigned>(2 + rng.below(30));
     g->wire_length_um = 100.0 + 5000.0 * rng.uniform();
     g->coupling_fF_per_um = 0.01 + rng.uniform();
     g->ground_fF_per_um = 0.01 + rng.uniform();
@@ -168,7 +167,7 @@ TEST(ScenarioSpec, NumbersThatWouldWrapOrAreNotFiniteNameKeyAndLine) {
   // double was not finite.
   for (const char* line :
        {"defects = -1", "defects = +5", "defects =  7x",
-        "campaign.threads = 4294967297", "address.width = 4294967308",
+        "campaign.threads = 4294967297", "program.group_size = 4294967297",
         "sessions.max = 4294967297", "program.usable_limit = 65537",
         "seed = 18446744073709551616", "campaign.shard = -1/2",
         "sigma_pct = nan", "system.swing_ratio = nan",
