@@ -48,9 +48,10 @@ void print_library_stats(const spec::ScenarioSpec& scn, soc::BusKind bus) {
   for (const auto& d : lib.defects())
     multi += d.defective_wires(nominal, lib.config().cth_fF).size() > 1;
   std::printf("%s", t.render().c_str());
-  std::printf("defects touching more than one wire: %zu/%zu (the overlap "
-              "that lets 47 placed tests cover all defects)\n", multi,
-              lib.size());
+  std::printf("defects touching more than one wire: %zu/%zu (%.1f%%)\n",
+              multi, lib.size(),
+              100.0 * static_cast<double>(multi) /
+                  static_cast<double>(lib.size()));
 }
 
 }  // namespace

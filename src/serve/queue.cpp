@@ -21,8 +21,8 @@ constexpr const char* kMagic = "xtest-serve-queue v1";
 //   xtest-serve-queue v1
 //   next <id>
 //   crc <8 hex>                        (over the two lines above)
-//   job <id> <prio> <state> <attempts> <exit> <degraded> \
-//       <scn-len> <verdict-len> <stats-len> <err-len>
+//   job <id> <prio> <state> <attempts> <exit> <degraded>   (one line,
+//       <scn-len> <verdict-len> <stats-len> <err-len>       wrapped here)
 //   <scn bytes><verdict bytes><stats bytes><err bytes>\n
 //   crc <8 hex>                        (over header line + payload + '\n')
 //   ... more job records ...

@@ -391,9 +391,12 @@ std::vector<typename Policy::Outcome> run_slots(
   double checkpoint_seconds = 0.0;
   if (!options.checkpoint_path.empty()) {
     const auto open_start = Clock::now();
+    // append(), not "s" + std::to_string(...): GCC 12 reports a false
+    // -Wrestrict on "literal" + std::string&&.
     checkpoint = std::make_unique<CampaignCheckpoint>(
         options.checkpoint_path, options.checkpoint_key, /*flush_every=*/1,
-        shard.count > 1 ? "s" + std::to_string(shard.index) : "");
+        shard.count > 1 ? std::string("s").append(std::to_string(shard.index))
+                        : "");
     const SalvageReport& sr = checkpoint->salvage();
     if (sr.salvaged && options.stats != nullptr) {
       options.stats->salvaged_sections += sr.sections_kept;

@@ -85,7 +85,9 @@ struct ShardSpec {
   bool operator==(const ShardSpec&) const = default;
 };
 
-/// Resilience and scheduling knobs for one campaign call.
+/// Resilience and scheduling knobs for one campaign call.  Every member
+/// has a default member initializer, so a designated initializer names
+/// only the members it sets.
 struct CampaignOptions {
   /// Faulty-run cycle budget = gold cycles * cycle_factor + 1000; a run
   /// exhausting it is a tester timeout (kDetectedByTimeout).  This budget
@@ -99,13 +101,13 @@ struct CampaignOptions {
   /// flushed to this file (atomic write-tmp-then-rename) and restored on
   /// the next run with the same file.  run_detection writes section
   /// "campaign", the session entry points one "session<i>" per session.
-  std::string checkpoint_path;
+  std::string checkpoint_path{};
   /// Campaign identity guard stored in the checkpoint; resuming with a
   /// different key throws.  Required with checkpoint_path (the campaign
   /// throws std::invalid_argument without one): ScenarioSpec::checkpoint_key
   /// names every verdict-relevant input, default_checkpoint_key only the
   /// bus and library.
-  std::string checkpoint_key;
+  std::string checkpoint_key{};
   /// Cooperative cancellation: when non-null and set, workers stop picking
   /// up new defects, the checkpoint is flushed, and the campaign throws
   /// CampaignInterrupted.  Wire a signal handler's flag here for graceful
@@ -114,11 +116,11 @@ struct CampaignOptions {
   /// Shard of the library this call simulates (default: all of it).
   /// Non-owned slots are never simulated, checkpointed, or tallied into
   /// stats; they stay default-outcome placeholders in the returned vector.
-  ShardSpec shard;
+  ShardSpec shard{};
   /// When non-null, called after every newly completed verdict (simulated
   /// or retried) -- the worker-process heartbeat hook.  May be invoked
   /// concurrently from several worker threads; must not throw.
-  std::function<void()> progress;
+  std::function<void()> progress{};
 };
 
 /// Runs `program` under every defect of `library` applied to `bus`.

@@ -240,11 +240,6 @@ const std::vector<KeyDef>& key_table() {
        [](ScenarioSpec& s, const std::string& v) {
          s.program.usable_limit = util::parse_unsigned<cpu::Addr>(v);
        }},
-      {"sessions.multi",
-       [](const ScenarioSpec& s) { return bool_text(s.multi_session); },
-       [](ScenarioSpec& s, const std::string& v) {
-         s.multi_session = bool_value(v);
-       }},
       {"sessions.max",
        [](const ScenarioSpec& s) {
          return u64_text(static_cast<std::uint64_t>(s.max_sessions));
@@ -369,8 +364,6 @@ xtalk::DefectLibrary ScenarioSpec::make_library(
 }
 
 std::vector<sbst::GenerationResult> ScenarioSpec::make_sessions() const {
-  if (!multi_session)
-    return {sbst::TestProgramGenerator(program).generate()};
   return sbst::TestProgramGenerator::generate_sessions(program, max_sessions);
 }
 
@@ -392,7 +385,7 @@ std::string ScenarioSpec::checkpoint_key() const {
     if (!k.keyed) continue;
     const std::string value = k.get(*this);
     if (value != k.get(kDefaults))
-      key += " " + std::string(k.key) + "=" + value;
+      key.append(" ").append(k.key).append("=").append(value);
   }
   return key;
 }

@@ -88,9 +88,8 @@ struct ScenarioSpec {
   /// compaction group size, usable address space.
   sbst::GeneratorConfig program;
 
-  /// Session splitting (Section 5).  `multi_session = false` runs the
-  /// single greedy session only.
-  bool multi_session = true;
+  /// Session splitting (Section 5): at most `max_sessions` greedy
+  /// sessions; 1 runs the single greedy session only.
   int max_sessions = 6;
 
   // Campaign scheduling and resilience (sim::CampaignOptions).
@@ -128,8 +127,8 @@ struct ScenarioSpec {
   xtalk::DefectLibrary make_library(
       const std::function<void()>& progress = {}) const;
 
-  /// The self-test program sessions this scenario selects (one session
-  /// when `multi_session` is off).
+  /// The self-test program sessions this scenario selects (at most
+  /// `max_sessions`).
   std::vector<sbst::GenerationResult> make_sessions() const;
 
   /// Campaign options carrying this scenario's scheduling/resilience

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -44,11 +43,45 @@ double Defect::factor(unsigned i, unsigned j) const {
   return factors_[tri_index(i, j)];
 }
 
-RcNetwork Defect::apply(const RcNetwork& nominal) const {
-  if (nominal.width() != width_)
+namespace {
+
+void require_width(unsigned width, const RcNetwork& nominal,
+                   const char* caller) {
+  if (nominal.width() != width)
     throw std::invalid_argument(
-        "Defect::apply: defect width " + std::to_string(width_) +
+        std::string(caller) + ": defect width " + std::to_string(width) +
         " does not match bus width " + std::to_string(nominal.width()));
+}
+
+/// Sets `sums[w]` to wire w's net coupling once every pair (i < j) of
+/// `nominal` is scaled by its factor in `row` (upper-triangle order, as
+/// Defect stores it).  Each wire adds its neighbours in ascending order,
+/// which is how RcNetwork::net_coupling sums the network Defect::apply
+/// builds; that network's zero diagonal adds +0.0 to a sum that is never
+/// negative.  So every sum is the network's, bit for bit (with
+/// contraction off: this file is compiled with -ffp-contract=off).
+void net_couplings(const RcNetwork& nominal, const double* row,
+                   std::vector<double>& sums) {
+  const unsigned width = nominal.width();
+  sums.assign(width, 0.0);
+  for (unsigned i = 0; i < width; ++i)
+    for (unsigned j = i + 1; j < width; ++j) {
+      const double c = nominal.coupling(i, j) * *row++;
+      sums[i] += c;
+      sums[j] += c;
+    }
+}
+
+/// Engine words per round: the first round is small so a library of a few
+/// defects costs little more than its own words; rounds then double up to
+/// 1 MiB of words.  Both are even, so every round starts on a word pair.
+constexpr std::size_t kFirstRoundWords = std::size_t{4} << 10;
+constexpr std::size_t kMaxRoundWords = std::size_t{128} << 10;
+
+}  // namespace
+
+RcNetwork Defect::apply(const RcNetwork& nominal) const {
+  require_width(width_, nominal, "Defect::apply");
   RcNetwork net = nominal;
   for (unsigned i = 0; i < width_; ++i)
     for (unsigned j = i + 1; j < width_; ++j)
@@ -58,22 +91,14 @@ RcNetwork Defect::apply(const RcNetwork& nominal) const {
 
 std::vector<unsigned> Defect::defective_wires(const RcNetwork& nominal,
                                               double cth_fF) const {
-  const RcNetwork net = apply(nominal);
+  require_width(width_, nominal, "Defect::defective_wires");
+  std::vector<double> sums;
+  net_couplings(nominal, factors_.data(), sums);
   std::vector<unsigned> out;
   for (unsigned i = 0; i < width_; ++i)
-    if (net.net_coupling(i) > cth_fF) out.push_back(i);
+    if (sums[i] > cth_fF) out.push_back(i);
   return out;
 }
-
-namespace {
-
-/// Engine words per round: the first round is small so a library of a few
-/// defects costs little more than its own words; rounds then double up to
-/// 1 MiB of words.  Both are even, so every round starts on a word pair.
-constexpr std::size_t kFirstRoundWords = std::size_t{4} << 10;
-constexpr std::size_t kMaxRoundWords = std::size_t{128} << 10;
-
-}  // namespace
 
 // The library is the serial flow's, bit for bit, at every thread count.
 // The serial flow draws one factor per accepted polar try of one
@@ -84,11 +109,11 @@ constexpr std::size_t kMaxRoundWords = std::size_t{128} << 10;
 //  - maps its word pairs through the polar step on the threads, each
 //    chunk keeping its accepted values in pair order;
 //  - appends the chunks' values, in order, after the partial candidate
-//    the previous round carried, and runs the Cth acceptance test on
-//    every whole candidate in parallel;
-//  - walks the candidates in order, counting attempts and keeping
-//    accepted defects until `count` is reached.
-// At most one round of candidates past the last defect is thrown away.
+//    the previous round carried;
+//  - walks the whole candidates in order, counting attempts, testing
+//    each one's row sums against Cth and keeping an accepted one as a
+//    Defect, until `count` is reached.
+// At most one round of factors past the last defect is thrown away.
 DefectLibrary DefectLibrary::generate(const RcNetwork& nominal,
                                       const DefectConfig& config,
                                       const util::ParallelConfig& parallel,
@@ -110,6 +135,7 @@ DefectLibrary DefectLibrary::generate(const RcNetwork& nominal,
   std::vector<std::uint64_t> words;
   std::size_t round_words = kFirstRoundWords;
   std::vector<double> factors;  // the carried partial candidate, then more
+  std::vector<double> sums;     // one candidate's net couplings
   while (defects.size() < config.count) {
     words.resize(round_words);
     engine.fill(words.data(), words.size());
@@ -129,26 +155,17 @@ DefectLibrary DefectLibrary::generate(const RcNetwork& nominal,
       factors.insert(factors.end(), v.begin(), v.end());
 
     const std::size_t candidates = factors.size() / npairs;
-    std::vector<std::optional<Defect>> accepted(candidates);
-    util::parallel_for_chunks(
-        candidates, parallel,
-        [&](std::size_t begin, std::size_t end, unsigned) {
-          for (std::size_t c = begin; c < end; ++c) {
-            const auto first = factors.begin() + c * npairs;
-            Defect candidate(width, std::vector<double>(first, first + npairs));
-            const RcNetwork net = candidate.apply(nominal);
-            if (net.max_net_coupling() > config.cth_fF)
-              accepted[c] = std::move(candidate);
-          }
-        });
-
     for (std::size_t c = 0; c < candidates && defects.size() < config.count;
          ++c) {
       if (++attempts > config.max_attempts)
         throw std::runtime_error(
             "DefectLibrary::generate: defect yield too low; raise sigma or "
             "lower cth_fF");
-      if (accepted[c]) defects.push_back(std::move(*accepted[c]));
+      const double* row = factors.data() + c * npairs;
+      net_couplings(nominal, row, sums);
+      if (std::any_of(sums.begin(), sums.end(),
+                      [&](double s) { return s > config.cth_fF; }))
+        defects.emplace_back(width, std::vector<double>(row, row + npairs));
     }
     factors.erase(factors.begin(), factors.begin() + candidates * npairs);
     if (progress) progress();

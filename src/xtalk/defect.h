@@ -56,7 +56,9 @@ class Defect {
   /// std::invalid_argument on a width mismatch.
   RcNetwork apply(const RcNetwork& nominal) const;
 
-  /// Wires whose net coupling exceeds `cth_fF` under this defect.
+  /// Wires whose net coupling exceeds `cth_fF` under this defect: the
+  /// net couplings of apply(nominal), summed without building it.  Throws
+  /// std::invalid_argument on a width mismatch.
   std::vector<unsigned> defective_wires(const RcNetwork& nominal,
                                         double cth_fF) const;
 

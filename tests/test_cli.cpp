@@ -517,7 +517,8 @@ TEST(Cli, ScenarioWithARemovedKeyIsAUsageErrorNamingIt) {
        {"campaign.batched = true", "campaign.gold_cache_capacity = 256",
         "system.transition_cache = true", "campaign.retry_errors = true",
         "campaign.defect_deadline_ms = 0",
-        "campaign.checkpoint_every = 32", "address.width = 12"}) {
+        "campaign.checkpoint_every = 32", "address.width = 12",
+        "sessions.multi = false"}) {
     const std::string path = temp_path("removed_key.scn");
     {
       std::ofstream f(path);

@@ -1,5 +1,6 @@
 #include "xtalk/defect.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,8 @@
 
 #include "sim/campaign.h"
 #include "soc/system.h"
+#include "spec/scenario.h"
+#include "util/rng.h"
 #include "xtalk/error_model.h"
 
 namespace xtest::xtalk {
@@ -68,6 +71,40 @@ TEST(Defect, DefectiveWiresUsesCth) {
   const auto bad = d.defective_wires(nom, cth);
   // Both endpoints of the blown-up pair cross the threshold.
   EXPECT_EQ(bad, (std::vector<unsigned>{0, 1}));
+}
+
+TEST(Defect, DefectiveWiresSumsTheAppliedNetworkBitForBit) {
+  // defective_wires, like the library's Cth test, sums each wire's scaled
+  // couplings without building the network.  Each sum must be apply()'s
+  // net_coupling bit for bit: a wire is not defective at its own net
+  // coupling and is at the next double below it (toward -1, so that a
+  // wire whose factors all clamped to 0 is covered too).
+  const soc::SystemConfig paper;
+  const soc::SystemConfig wide = spec::builtin_scenario("wide-bus-32").system;
+  const BusGeometry geometries[] = {
+      paper.address_geometry, paper.data_geometry, paper.control_geometry,
+      wide.address_geometry,  wide.data_geometry,  wide.control_geometry};
+  util::Rng rng(31);
+  for (const BusGeometry& g : geometries) {
+    const RcNetwork nom(g);
+    const unsigned w = nom.width();
+    for (int row = 0; row < 500; ++row) {
+      std::vector<double> factors(w * (w - 1) / 2);
+      for (double& f : factors) f = std::max(0.0, 1.0 + rng.gaussian(0.5));
+      const Defect d(w, factors);
+      const RcNetwork net = d.apply(nom);
+      for (unsigned i = 0; i < w; ++i) {
+        const double c = net.net_coupling(i);
+        const std::vector<unsigned> at = d.defective_wires(nom, c);
+        const std::vector<unsigned> below =
+            d.defective_wires(nom, std::nextafter(c, -1.0));
+        EXPECT_EQ(std::count(at.begin(), at.end(), i), 0)
+            << "width " << w << " row " << row << " wire " << i;
+        EXPECT_EQ(std::count(below.begin(), below.end(), i), 1)
+            << "width " << w << " row " << row << " wire " << i;
+      }
+    }
+  }
 }
 
 TEST(DefectLibrary, GeneratesRequestedCount) {

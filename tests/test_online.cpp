@@ -33,7 +33,7 @@ struct Fixture {
 
 Fixture make_fixture(std::size_t defects = 24) {
   spec::ScenarioSpec scn;
-  scn.multi_session = false;
+  scn.max_sessions = 1;
   scn.defect_count = defects;
   scn.online.enabled = true;
   return {scn.system, scn.online, scn.make_sessions()[0].program,
@@ -149,7 +149,7 @@ TEST(OnlineCampaign, ScheduleChangeRejectsStaleCheckpoint) {
                             soc::BusKind::kAddress, s.library, opts);
   // A different interleaving schedule, keyed like the CLI keys it.
   spec::ScenarioSpec scn;
-  scn.multi_session = false;
+  scn.max_sessions = 1;
   scn.defect_count = 6;
   scn.online.enabled = true;
   scn.online.slice_cycles += 128;
@@ -211,7 +211,7 @@ TEST(OnlineCampaign, ElectricalBackendsSelfConsistent) {
     // The library is generated against the same electricals the campaign
     // simulates, like ScenarioSpec::make_library does.
     spec::ScenarioSpec scn;
-    scn.multi_session = false;
+    scn.max_sessions = 1;
     scn.defect_count = 12;
     scn.system.electrical.backend = backend;
     s.library = scn.make_library();
@@ -340,8 +340,9 @@ TEST(OnlineCampaign, SessionsMergeFirstDetectionWins) {
   ASSERT_GT(live, 1u);
   EXPECT_EQ(merged.gold.rounds, single_gold_rounds);
   for (const sim::OnlineOutcome& o : merged.outcomes)
-    if (sim::is_detected(o.verdict))
+    if (sim::is_detected(o.verdict)) {
       EXPECT_GT(o.detection_latency_cycles, 0u);
+    }
 }
 
 TEST(OnlineCampaign, EmptySessionSetRejected) {

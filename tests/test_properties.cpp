@@ -299,8 +299,9 @@ TEST(SignatureCompaction, MissingContributionFlipsExactlyItsOwnBit) {
       EXPECT_EQ(static_cast<std::uint8_t>(gold ^ observed), pass);
       // No other member's one-hot value overlaps the flipped bits.
       for (unsigned other = 0; other < size; ++other)
-        if (other != fail)
+        if (other != fail) {
           EXPECT_EQ((gold ^ observed) & (1u << other), 0u);
+        }
     }
   }
 }

@@ -165,7 +165,9 @@ TEST(Resilience, ThrowingDefectIsQuarantinedAsSimError) {
     EXPECT_EQ(count_verdicts(det).sim_errors, 1u) << "threads=" << threads;
     EXPECT_EQ(det[kBad], Verdict::kSimError);
     for (std::size_t i = 0; i < det.size(); ++i)
-      if (i != kBad) EXPECT_EQ(det[i], clean[i]) << i;
+      if (i != kBad) {
+        EXPECT_EQ(det[i], clean[i]) << i;
+      }
 
     EXPECT_EQ(stats.retries, 1u);     // retried once, serially
     EXPECT_EQ(stats.sim_errors, 1u);  // ...and still failed

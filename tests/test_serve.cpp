@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -216,6 +218,99 @@ TEST(Frame, FuzzMutatedValidFramesRoundTripOrPoison) {
       EXPECT_TRUE(dec.poisoned() || dec.buffered() > 0);
     }
   }
+}
+
+TEST(Frame, FuzzMutatedFrameStreamsDecodeAPrefixOrPoison) {
+  // A connection's byte stream, damaged anywhere and cut into arbitrary
+  // fragments: the frames before the first damaged byte decode exactly;
+  // every later frame is bytes really in the stream, at the offset where
+  // the decoder read it; poison is for good (the frames completed before
+  // it drain, then nothing more); the buffer stays bounded; nothing
+  // throws.
+  constexpr std::size_t kBound = kHeaderSize + kMaxPayload + kTrailerSize;
+  util::Rng rng(0x5743EA);
+  int poisoned = 0, decoded_past_damage = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<Frame> frames(2 + rng.below(7));
+    std::vector<std::size_t> ends;  // offset just past each frame's bytes
+    std::string valid;
+    for (Frame& f : frames) {
+      std::string payload(rng.below(257), '\0');
+      for (char& c : payload) c = static_cast<char>(rng.below(256));
+      f = make_frame(static_cast<FrameType>(1 + rng.below(13)),
+                     static_cast<std::uint32_t>(rng.below(1ull << 32)),
+                     std::move(payload));
+      valid += encode_frame(f);
+      ends.push_back(valid.size());
+    }
+    std::string bytes = valid;
+    const std::uint64_t edits = 1 + rng.below(3);
+    for (std::uint64_t k = 0; k < edits && !bytes.empty(); ++k) {
+      const std::size_t at = rng.below(bytes.size());
+      switch (rng.below(5)) {
+        case 0:
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.below(8)));
+          break;
+        case 1: bytes.insert(at, 1, static_cast<char>(rng.below(256))); break;
+        case 2: bytes.erase(at, 1); break;
+        case 3: bytes.resize(at); break;
+        default: {  // a duplicated frame, inserted at a frame boundary
+          const std::size_t f = rng.below(frames.size());
+          const std::size_t begin = f == 0 ? 0 : ends[f - 1];
+          bytes.insert(std::min(ends[rng.below(ends.size())], bytes.size()),
+                       valid, begin, ends[f] - begin);
+        }
+      }
+    }
+    const std::size_t damage = static_cast<std::size_t>(
+        std::mismatch(bytes.begin(), bytes.end(), valid.begin(), valid.end())
+            .first -
+        bytes.begin());
+
+    FrameDecoder dec;
+    std::size_t offset = 0;  // stream offset of the next decoded frame
+    std::size_t decoded = 0;
+    bool dead = false;
+    for (std::size_t pos = 0; pos < bytes.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.below(64), bytes.size() - pos);
+      bool fed = false;
+      ASSERT_NO_THROW(fed = dec.feed(bytes.data() + pos, n)) << round;
+      pos += n;
+      EXPECT_LE(dec.buffered(), kBound) << round;
+      if (dead) {
+        EXPECT_FALSE(fed) << round;
+        EXPECT_FALSE(dec.next().has_value()) << round;
+        continue;
+      }
+      while (const std::optional<Frame> f = dec.next()) {
+        const std::string enc = encode_frame(*f);
+        if (offset + enc.size() <= damage) {
+          ASSERT_LT(decoded, frames.size()) << round;
+          EXPECT_EQ(enc, encode_frame(frames[decoded])) << round;
+        } else {
+          EXPECT_EQ(bytes.compare(offset, enc.size(), enc), 0) << round;
+          ++decoded_past_damage;
+        }
+        offset += enc.size();
+        ++decoded;
+      }
+      if (!fed) {
+        dead = true;
+        ++poisoned;
+        EXPECT_TRUE(dec.poisoned()) << round;
+        EXPECT_FALSE(dec.next().has_value()) << round;
+      }
+    }
+    // Damage cannot stop the decoder before it: every whole frame ahead
+    // of the first damaged byte came out.
+    const auto intact = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), damage) - ends.begin());
+    EXPECT_GE(decoded, intact) << round;
+  }
+  // The fuzz reaches both kinds of damage: fatal, and frames past it.
+  EXPECT_GT(poisoned, 0);
+  EXPECT_GT(decoded_past_damage, 0);
 }
 
 TEST(Frame, PayloadHelpersAreBoundsChecked) {
@@ -485,7 +580,7 @@ spec::ScenarioSpec serve_spec(std::size_t defects = 6) {
   s.name = "serve-test";
   s.bus = soc::BusKind::kData;
   s.defect_count = defects;
-  s.multi_session = false;
+  s.max_sessions = 1;
   s.threads = 1;
   s.workers = 2;
   return s;
@@ -787,7 +882,7 @@ TEST_F(ServeFixture, OnlineJobStreamsBitwiseEqualVerdicts) {
   // verdicts.
   spec::ScenarioSpec s = spec::builtin_scenario("online-baseline");
   s.defect_count = 6;
-  s.multi_session = false;
+  s.max_sessions = 1;
   s.threads = 1;
   const std::string reference = reference_chars(s);
   start();

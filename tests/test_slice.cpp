@@ -66,7 +66,7 @@ void check_every_boundary(unsigned threads) {
   // A compact but complete program: single-session generation over both
   // buses exercises every test kind the generator emits.
   spec::ScenarioSpec scn;
-  scn.multi_session = false;
+  scn.max_sessions = 1;
   const sbst::TestProgram prog = scn.make_sessions()[0].program;
 
   const soc::SliceState want = unsliced(cfg, prog);
@@ -95,7 +95,7 @@ TEST(ProgramSlice, EveryBoundaryReferenceThreaded) { check_every_boundary(4); }
 // budget schedule must land on exactly the unsliced run's state.
 TEST(ProgramSlice, PingPongAcrossSystemsMatchesUnsliced) {
   spec::ScenarioSpec scn;
-  scn.multi_session = false;
+  scn.max_sessions = 1;
   const sbst::TestProgram prog = scn.make_sessions()[0].program;
   const soc::SystemConfig cfg;
   const soc::SliceState want = unsliced(cfg, prog);
@@ -118,7 +118,7 @@ TEST(ProgramSlice, PingPongAcrossSystemsMatchesUnsliced) {
 // suspended memory IS the tester-visible state.
 TEST(ProgramSlice, MemoryAtReadsSuspendedMemory) {
   spec::ScenarioSpec scn;
-  scn.multi_session = false;
+  scn.max_sessions = 1;
   const sbst::TestProgram prog = scn.make_sessions()[0].program;
   soc::System sys;
   sbst::ProgramSlice slice(prog);

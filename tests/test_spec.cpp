@@ -76,7 +76,6 @@ ScenarioSpec random_spec(util::Rng& rng) {
   s.program.data_both_directions = rng.below(2) == 0;
   s.program.group_size = static_cast<unsigned>(1 + rng.below(8));
   s.program.usable_limit = static_cast<cpu::Addr>(1 + rng.below(4096));
-  s.multi_session = rng.below(2) == 0;
   s.max_sessions = static_cast<int>(1 + rng.below(8));
   s.cycle_factor = 1 + rng.below(64);
   s.threads = static_cast<unsigned>(rng.below(16));
@@ -397,7 +396,7 @@ TEST(ScenarioSpec, CheckpointKeyCoversScheduleAndBackend) {
 
 TEST(ScenarioSpec, SingleSessionScenarioGeneratesOneProgram) {
   ScenarioSpec s;
-  s.multi_session = false;
+  s.max_sessions = 1;
   EXPECT_EQ(s.make_sessions().size(), 1u);
 }
 

@@ -50,7 +50,7 @@ spec::ScenarioSpec worker_spec(std::size_t defects) {
   s.name = "supervisor-test";
   s.bus = soc::BusKind::kData;
   s.defect_count = defects;
-  s.multi_session = false;
+  s.max_sessions = 1;
   s.threads = 1;
   return s;
 }

@@ -1001,7 +1001,7 @@ int cmd_chaos_serve(const Parsed& p, std::ostream& out, std::ostream& err) {
   spec::ScenarioSpec scn = base_scenario(p);
   if (!has_scenario) {
     scn.defect_count = 10;
-    scn.multi_session = false;
+    scn.max_sessions = 1;
     scn.threads = 1;
   }
   apply_overrides(p, scn);
