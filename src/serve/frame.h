@@ -17,11 +17,13 @@
 // The decoder is incremental and hostile-input-proof: bytes arrive in any
 // fragmentation, and the FIRST malformed thing -- wrong magic, unknown
 // version or type, nonzero reserved bits, oversized length, CRC mismatch
-// -- poisons the stream with a typed FrameError.  A poisoned decoder never
-// resynchronizes: the server drops exactly that connection (never the
-// process) and the client reconnects.  Truncation is not an error, just
-// an incomplete frame waiting for more bytes; the connection deadline
-// reaps peers that stall mid-frame (half-open connections).
+// -- poisons the stream with a typed FrameError.  Frames completed before
+// that point still come out, in order; a poisoned decoder never
+// resynchronizes: the server handles those frames, then drops exactly that
+// connection (never the process), and the client reconnects.  Truncation
+// is not an error, just an incomplete frame waiting for more bytes; the
+// connection deadline reaps peers that stall mid-frame (half-open
+// connections).
 //
 // Ack/retransmit discipline rides on the seq field; see README.md
 // ("Serve frame protocol") for the per-type payload layouts and the
@@ -94,8 +96,10 @@ std::string encode_frame(const Frame& frame);
 
 /// Incremental, allocation-bounded frame parser.  feed() bytes as they
 /// arrive; next() yields completed frames in order.  The first protocol
-/// violation latches error() and makes feed()/next() inert -- the caller
-/// must drop the connection.  Never throws on any input.
+/// violation latches error() and makes feed() inert; frames completed
+/// before the violation, in the same feed() or earlier ones, stay queued
+/// and next() still yields them.  The caller drains them, then drops the
+/// connection.  Never throws on any input.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::uint32_t max_payload = kMaxPayload)
@@ -105,8 +109,9 @@ class FrameDecoder {
   bool feed(const char* data, std::size_t n);
   bool feed(std::string_view bytes) { return feed(bytes.data(), bytes.size()); }
 
-  /// Next completed frame, or nullopt when more bytes are needed (or the
-  /// stream is poisoned).
+  /// Next completed frame, or nullopt when none is queued: more bytes are
+  /// needed, or the stream is poisoned and every frame completed before
+  /// the violation has been taken.
   std::optional<Frame> next();
 
   FrameError error() const { return error_; }

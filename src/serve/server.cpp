@@ -562,7 +562,9 @@ struct Server::Impl {
       }
       c.last_activity = Clock::now();
       if (!c.dec.feed(buf, static_cast<std::size_t>(n))) {
-        // Protocol violation: reject the stream, never the process.
+        // Protocol violation: reject the stream, never the process.  The
+        // frames completed before it are the peer's too; answer them first.
+        while (auto f = c.dec.next()) handle_frame(c, std::move(*f));
         bump(stats.frames_rejected);
         send_error(c, 0, std::string("protocol error: ") +
                              to_string(c.dec.error()));

@@ -4,9 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
+#include <unordered_set>
+#include <utility>
 
 #include "sbst/slice.h"
 #include "sim/checkpoint.h"
@@ -27,6 +30,27 @@ const xtalk::RcNetwork& nominal_net(const soc::System& system,
     case soc::BusKind::kControl: return system.nominal_control_network();
   }
   return system.nominal_address_network();
+}
+
+/// The nominal network exactly as soc::System derives it, without
+/// building a whole simulator.
+xtalk::RcNetwork nominal_network(const soc::SystemConfig& config,
+                                 soc::BusKind bus) {
+  const xtalk::BusGeometry& geometry =
+      bus == soc::BusKind::kAddress ? config.address_geometry
+      : bus == soc::BusKind::kData  ? config.data_geometry
+                                    : config.control_geometry;
+  return xtalk::RcNetwork(geometry);
+}
+
+const xtalk::CrosstalkErrorModel& error_model(const soc::System& system,
+                                             soc::BusKind bus) {
+  switch (bus) {
+    case soc::BusKind::kAddress: return system.address_model();
+    case soc::BusKind::kData: return system.data_model();
+    case soc::BusKind::kControl: return system.control_model();
+  }
+  return system.address_model();
 }
 
 void apply_defect(soc::System& system, soc::BusKind bus,
@@ -52,25 +76,84 @@ void book(util::CampaignStats& stats, const OnlineOutcome& o) {
   }
 }
 
-/// What one slot's run cost in simulated clock cycles: all of them, and
-/// the head of them taken from the gold run instead of being stepped.
+/// What one slot's run cost in simulated clock cycles: all of them, the
+/// head of them taken from the gold run instead of being stepped, and the
+/// cycles the slot's own run stepped (0 for a slot that took a shared run:
+/// the policy counts those once).
 struct SlotCycles {
   std::uint64_t total = 0;
   std::uint64_t from_gold = 0;
+  std::uint64_t stepped = 0;
 };
+
+/// What a policy's batch step stepped: one representative run per
+/// trajectory off gold, and the cycles of those runs and of the re-runs
+/// that keep their fork states.
+struct SharedWork {
+  std::uint64_t trajectories = 0;
+  std::uint64_t stepped_cycles = 0;
+};
+
+/// Worker w's private simulator, built on first use.
+using SystemFor = std::function<soc::System&(unsigned)>;
+
+enum class ItemStatus : std::uint8_t { kSkipped, kDone, kThrew };
+
+/// Runs body(k, worker) for every k of [0, count) on `parallel`'s threads
+/// until `cancelled()`.  Items go out in blocks of about an eighth of a
+/// worker's share, so a few long items (representative runs) spread over
+/// the workers and many short ones (scans) cost few handouts.  An item
+/// whose body throws is reported in the returned status, never rethrown.
+/// Unlike util::parallel_for_items it consults no fault-injection site:
+/// these items are not slots.
+template <typename Body>
+std::vector<ItemStatus> for_each_item(std::size_t count,
+                                      const util::ParallelConfig& parallel,
+                                      const std::function<bool()>& cancelled,
+                                      Body&& body) {
+  std::vector<ItemStatus> status(count, ItemStatus::kSkipped);
+  const std::size_t block =
+      std::max<std::size_t>(1, count / (8 * parallel.resolve(count)));
+  std::atomic<std::size_t> next{0};
+  // The chunks only fix the worker count; the blocks are handed out here.
+  util::parallel_for_chunks(
+      count, parallel, [&](std::size_t, std::size_t, unsigned w) {
+        for (std::size_t begin; (begin = next.fetch_add(block)) < count;) {
+          const std::size_t end = std::min(count, begin + block);
+          for (std::size_t k = begin; k < end && !cancelled(); ++k) {
+            try {
+              body(k, w);
+              status[k] = ItemStatus::kDone;
+            } catch (...) {
+              status[k] = ItemStatus::kThrew;
+            }
+          }
+        }
+      });
+  return status;
+}
 
 // --- per-defect policies ---------------------------------------------------
 // A policy is what one slot of a campaign is.  It names the slot's
-// `Outcome` and supplies two steps; the engine (run_slots) owns the rest:
+// `Outcome` and supplies four steps; the engine (run_slots) owns the rest:
 //
 //   Outcome gold(soc::System&, const sbst::TestProgram&, std::uint64_t& cycles)
 //     runs the program defect-free on a fresh simulator, once per program
 //     before any defect, and returns the gold run's own outcome;
-//   Outcome simulate(soc::System&, const xtalk::Defect&,
-//                    SlotCycles& cycles) const
-//     runs one defect on a worker's simulator, concurrently with other
-//     workers; throws on a simulation failure and leaves the simulator
-//     defect-free either way.
+//   SharedWork share(const xtalk::DefectLibrary&,
+//                    const std::vector<std::size_t>& slots,
+//                    const util::ParallelConfig&, const SystemFor&,
+//                    const std::function<bool()>& cancelled)
+//     may work out the outcomes of `slots` (the call's owned, unrestored
+//     slots) together before the slot loop, sharing runs between them;
+//   Outcome simulate(soc::System&, const xtalk::DefectLibrary&,
+//                    std::size_t i, SlotCycles& cycles) const
+//     slot i's outcome in the slot loop, concurrently with other workers;
+//     throws on a simulation failure;
+//   Outcome run_alone(soc::System&, const xtalk::Defect&,
+//                     SlotCycles& cycles) const
+//     runs one defect by itself, the serial retry of a failed slot.
+// A step that simulates leaves the simulator defect-free, throw or not.
 
 /// The off-line policy (Fig. 9): the whole program runs under the defect
 /// and its tester-visible responses are classified against the gold run.
@@ -78,18 +161,33 @@ struct SlotCycles {
 /// Divergence first: until the first transfer on the bus under test whose
 /// received word the defect changes, a defect run *is* the gold run,
 /// transfer for transfer.  So the gold step records that bus's transfers
-/// and a snapshot every kSnapshotCycles, and each slot scans the transfers
-/// with its defect's evaluator -- every gold transition is still evaluated
-/// under the defect (DESIGN D1).  A slot that never deviates takes gold's
-/// outcome without stepping the CPU; one that does resumes from the
-/// snapshot before its first deviating transfer.  With fast_receive off
-/// (the oracle) nothing is recorded and every slot runs from reset.
+/// and a snapshot every kSnapshotCycles; a slot whose defect changes no
+/// received word takes gold's outcome without stepping the CPU, and one
+/// that does resumes from the snapshot before its first deviating
+/// transfer.
+///
+/// Shared trajectories: the same holds between defect runs.  share() puts
+/// the slots that first leave gold at the same transfer with the same
+/// received word in one group.  The group's representative, its lowest
+/// defect index, runs once from that snapshot and records its own
+/// transfers; each other member scans them with its own evaluator.  A
+/// member that never deviates takes the representative's outcome, and the
+/// others form child groups the same way, each resuming from the
+/// representative's state before its fork transfer.  A received word is a
+/// function of the (held, driven) pair, so a scan evaluates each distinct
+/// pair of a trajectory once, in order of first occurrence, and every
+/// transition is still evaluated under every defect (DESIGN D1).  With
+/// fast_receive off (the oracle) nothing is recorded or shared and every
+/// slot runs from reset.
 class WholeProgramRun {
  public:
   using Outcome = Verdict;
 
-  WholeProgramRun(soc::BusKind bus, const CampaignOptions& options)
-      : bus_(bus), cycle_factor_(options.cycle_factor) {}
+  WholeProgramRun(const soc::SystemConfig& config, soc::BusKind bus,
+                  const CampaignOptions& options)
+      : bus_(bus),
+        cycle_factor_(options.cycle_factor),
+        nominal_(nominal_network(config, bus)) {}
 
   Verdict gold(soc::System& system, const sbst::TestProgram& program,
                std::uint64_t& cycles) {
@@ -102,35 +200,68 @@ class WholeProgramRun {
     if (!gold_.completed)
       throw std::runtime_error("gold run did not complete; bad program");
     budget_ = gold_.cycles * cycle_factor_ + 1000;
+    gold_pairs_ = distinct_pairs(transfers_, 0);
+    thresholds_ = error_model(system, bus_).config();
     cycles = gold_.cycles;
     return Verdict::kUndetected;
   }
 
-  Verdict simulate(soc::System& system, const xtalk::Defect& defect,
-                   SlotCycles& cycles) const {
+  SharedWork share(const xtalk::DefectLibrary& library,
+                   const std::vector<std::size_t>& slots,
+                   const util::ParallelConfig& parallel,
+                   const SystemFor& system_for,
+                   const std::function<bool()>& cancelled) {
+    shared_.assign(library.size(), Shared{});
+    SharedWork work;
+    if (!scan_) return work;
+    std::vector<Group> level = leave_gold(library, slots, parallel, cancelled);
+    // Holds the fork states `level` resumes from while it runs.
+    std::vector<std::vector<soc::SliceState>> states;
+    while (!level.empty() && !cancelled())
+      level = next_level(library, level, states, work, parallel, system_for,
+                         cancelled);
+    return work;
+  }
+
+  Verdict simulate(soc::System& system, const xtalk::DefectLibrary& library,
+                   std::size_t i, SlotCycles& cycles) const {
+    const Shared& s = shared_[i];
+    switch (s.state) {
+      case Shared::kNone: return run_alone(system, library[i], cycles);
+      case Shared::kFailed:
+        throw std::runtime_error("its shared run failed");
+      case Shared::kTaken:
+        // The tester still unloads this run, so the fault injector sees
+        // every slot; a representative's unload was in its own run.
+        util::FaultInjector::global().maybe_fail("signature.capture");
+        break;
+      case Shared::kUnloaded: break;
+    }
+    cycles = s.cycles;
+    return s.verdict;
+  }
+
+  Verdict run_alone(soc::System& system, const xtalk::Defect& defect,
+                    SlotCycles& cycles) const {
     apply_defect(system, bus_, defect);
     try {
       const soc::SliceState* from = nullptr;
       if (scan_) {
-        const std::size_t k = first_deviation(system.evaluator(bus_));
-        if (k == transfers_.size()) {
-          // The defect changes no received word: this run is the gold
-          // run.  The tester still unloads it, so the fault injector
-          // sees every slot.
+        const Deviation d =
+            first_deviation(system.evaluator(bus_), gold_pairs_);
+        if (!d) {
           util::FaultInjector::global().maybe_fail("signature.capture");
           system.clear_defects();
-          cycles = {gold_.cycles, gold_.cycles};
+          cycles = {gold_.cycles, gold_.cycles, 0};
           return Verdict::kUndetected;
         }
-        // Snapshot 0 is the reset: a first deviation in the first budget
-        // runs from reset.
-        if (transfers_[k].snapshot > 0)
-          from = &snapshots_[transfers_[k].snapshot - 1];
+        from = gold_state(d.at);
       }
       const ResponseSnapshot snap =
           run_and_capture(system, *program_, budget_, from);
       system.clear_defects();
-      cycles = {snap.cycles, from != nullptr ? from->cpu.cycles : 0};
+      const std::uint64_t head = from != nullptr ? from->cpu.cycles : 0;
+      cycles = {snap.cycles, head, snap.cycles - head};
       return classify(gold_, snap);
     } catch (...) {
       system.clear_defects();  // keep the worker's simulator reusable
@@ -141,19 +272,76 @@ class WholeProgramRun {
  private:
   /// Cycle cap of the gold run.
   static constexpr std::uint64_t kGoldCap = 1'000'000;
-  /// Gold cycles between two snapshots.  A resumed slot re-simulates at
-  /// most this much of gold (plus the instruction in flight); a snapshot
-  /// is about 4 KB.
+  /// Gold cycles between two snapshots.  A slot resumed from one
+  /// re-simulates at most this much of gold (plus the instruction in
+  /// flight); a snapshot is about 4 KB.
   static constexpr std::uint64_t kSnapshotCycles = 64;
+  static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
 
-  /// One gold transfer on the bus under test: the word the bus held, the
-  /// word driven, the word received, and the snapshot taken before it
-  /// (0 = the reset, k = snapshots_[k - 1]).
+  /// One transfer on the bus under test: the word the bus held, the word
+  /// driven, the word received, and where a run that leaves this one at
+  /// this transfer resumes.  For gold that is a snapshot (0 = the reset,
+  /// k = snapshots_[k - 1]); for a representative, the cycle count at the
+  /// start of the transfer's instruction.
   struct Transfer {
     std::uint64_t held;
     std::uint64_t driven;
     std::uint64_t received;
-    std::size_t snapshot;
+    std::uint64_t resume;
+  };
+
+  /// A distinct (held, driven) pair of a trajectory, the word received on
+  /// it there, and the index of its first transfer.
+  struct Pair {
+    std::uint64_t held;
+    std::uint64_t driven;
+    std::uint64_t received;
+    std::size_t first;
+  };
+
+  /// A scan's result: the first transfer whose received word the scanning
+  /// defect changes, and the word it receives there; `at == kNever` when
+  /// it changes none.
+  struct Deviation {
+    std::size_t at = kNever;
+    std::uint64_t word = 0;
+    explicit operator bool() const { return at != kNever; }
+  };
+
+  /// A slot that deviates at transfer `at` of its group's trajectory,
+  /// receiving `word` there.
+  struct Fork {
+    std::size_t at;
+    std::uint64_t word;
+    std::size_t slot;
+  };
+
+  /// Slots whose received words on the bus under test have matched so
+  /// far, so their runs are one run up to here.  The representative
+  /// (members.front(), the lowest defect index) runs from `from` (nullptr
+  /// = the reset); its transfer number `fork`, counted from `from`, is the
+  /// one where the group left its parent.  The other members scan the
+  /// transfers after it.
+  struct Group {
+    std::vector<std::size_t> members;
+    const soc::SliceState* from = nullptr;
+    std::size_t fork = 0;
+    // The representative's run:
+    std::vector<Transfer> transfers;
+    std::vector<Pair> pairs;  // of the transfers after `fork`
+    Verdict verdict = Verdict::kUndetected;
+    std::uint64_t cycles = 0;
+  };
+
+  /// One slot's result from share().  kTaken: a shared run's outcome whose
+  /// unload is still due; kUnloaded: a representative's own outcome;
+  /// kFailed: its shared run threw, so the slot goes to the serial retry;
+  /// kNone: share() did not reach it, so the slot runs alone.
+  struct Shared {
+    enum State : std::uint8_t { kNone, kTaken, kUnloaded, kFailed };
+    State state = kNone;
+    Verdict verdict = Verdict::kUndetected;
+    SlotCycles cycles;
   };
 
   /// The gold run, sliced into kSnapshotCycles budgets through
@@ -183,26 +371,314 @@ class WholeProgramRun {
     return capture(system, program, rr);
   }
 
-  /// Index of the first recorded transfer whose received word `eval`
-  /// changes from gold's, or transfers_.size() when none does.  Compared
-  /// with gold's received word, not the driven one, so the skip does not
-  /// rest on nominal buses receiving what they are driven.
-  std::size_t first_deviation(const xtalk::BusEvaluator& eval) const {
-    for (std::size_t k = 0; k < transfers_.size(); ++k) {
-      const Transfer& t = transfers_[k];
-      if (eval.receive(t.held, t.driven) != t.received) return k;
+  /// The gold snapshot a run that leaves gold at transfer `at` resumes
+  /// from (nullptr = the reset).
+  const soc::SliceState* gold_state(std::size_t at) const {
+    const std::uint64_t k = transfers_[at].resume;
+    return k > 0 ? &snapshots_[k - 1] : nullptr;
+  }
+
+  /// The distinct (held, driven) pairs of transfers[from..], in order of
+  /// first occurrence.  The set compares both words; its hash only picks
+  /// a bucket.
+  static std::vector<Pair> distinct_pairs(const std::vector<Transfer>& t,
+                                          std::size_t from) {
+    struct Hash {
+      std::size_t operator()(
+          const std::pair<std::uint64_t, std::uint64_t>& k) const {
+        return std::hash<std::uint64_t>{}(k.first * 0x9E3779B97F4A7C15ull ^
+                                          k.second);
+      }
+    };
+    std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, Hash> seen;
+    seen.reserve(t.size() - std::min(from, t.size()));
+    std::vector<Pair> pairs;
+    for (std::size_t k = from; k < t.size(); ++k)
+      if (seen.emplace(t[k].held, t[k].driven).second)
+        pairs.push_back({t[k].held, t[k].driven, t[k].received, k});
+    return pairs;
+  }
+
+  /// The first transfer whose received word `eval` changes: pairs come in
+  /// order of first occurrence, so the first pair that deviates holds it.
+  /// Compared with the trajectory's received word, not the driven one, so
+  /// the scan does not rest on nominal buses receiving what they are
+  /// driven.
+  static Deviation first_deviation(const xtalk::BusEvaluator& eval,
+                                   const std::vector<Pair>& pairs) {
+    for (const Pair& p : pairs) {
+      const std::uint64_t word = eval.receive(p.held, p.driven);
+      if (word != p.received) return {p.first, word};
     }
-    return transfers_.size();
+    return {};
+  }
+
+  /// Scans `pairs_of(k)` with slot slots[k]'s evaluator for every k on
+  /// `parallel`'s threads, then hands each result to `found(k, deviation)`
+  /// in slot order.  A slot whose scan throws is marked kFailed.
+  template <typename PairsOf, typename Found>
+  void scan(const xtalk::DefectLibrary& library,
+            const std::vector<std::size_t>& slots,
+            const util::ParallelConfig& parallel,
+            const std::function<bool()>& cancelled, PairsOf&& pairs_of,
+            Found&& found) {
+    std::vector<Deviation> dev(slots.size());
+    const std::vector<ItemStatus> status = for_each_item(
+        slots.size(), parallel, cancelled, [&](std::size_t k, unsigned) {
+          dev[k] = first_deviation(
+              xtalk::BusEvaluator(library[slots[k]].apply(nominal_),
+                                  thresholds_),
+              pairs_of(k));
+        });
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      if (status[k] == ItemStatus::kThrew)
+        shared_[slots[k]].state = Shared::kFailed;
+      else if (status[k] == ItemStatus::kDone)
+        found(k, dev[k]);
+    }
+  }
+
+  /// Gold is level 0: each slot scans it.  A slot that never deviates
+  /// takes gold's outcome; the others group by their fork, each group
+  /// resuming from the gold snapshot before its fork transfer.
+  std::vector<Group> leave_gold(const xtalk::DefectLibrary& library,
+                                const std::vector<std::size_t>& slots,
+                                const util::ParallelConfig& parallel,
+                                const std::function<bool()>& cancelled) {
+    std::vector<Fork> forks;
+    scan(library, slots, parallel, cancelled,
+         [&](std::size_t) -> const std::vector<Pair>& { return gold_pairs_; },
+         [&](std::size_t k, const Deviation& d) {
+           const std::size_t i = slots[k];
+           Shared& s = shared_[i];
+           if (!d) {
+             s = {Shared::kTaken, Verdict::kUndetected,
+                  {gold_.cycles, gold_.cycles, 0}};
+             return;
+           }
+           const soc::SliceState* from = gold_state(d.at);
+           s.cycles.from_gold = from != nullptr ? from->cpu.cycles : 0;
+           forks.push_back({d.at, d.word, i});
+         });
+    return groups_of(forks, transfers_,
+                     [&](std::size_t at) { return gold_state(at); });
+  }
+
+  /// One level of the tree: each group's representative runs, the other
+  /// members scan its transfers, and those that deviate form the next
+  /// level, whose fork states one re-run per representative keeps in
+  /// `states` (the states `level` resumes from are done with by then).
+  std::vector<Group> next_level(
+      const xtalk::DefectLibrary& library, std::vector<Group>& level,
+      std::vector<std::vector<soc::SliceState>>& states, SharedWork& work,
+      const util::ParallelConfig& parallel, const SystemFor& system_for,
+      const std::function<bool()>& cancelled) {
+    const std::vector<ItemStatus> ran = for_each_item(
+        level.size(), parallel, cancelled, [&](std::size_t g, unsigned w) {
+          run_representative(system_for(w), library, level[g]);
+        });
+    std::vector<std::size_t> members;
+    std::vector<std::size_t> member_group;
+    for (std::size_t g = 0; g < level.size(); ++g) {
+      const Group& group = level[g];
+      if (ran[g] == ItemStatus::kSkipped) continue;
+      ++work.trajectories;
+      if (ran[g] == ItemStatus::kThrew) {
+        // Quarantine: the representative and its members run alone.
+        for (const std::size_t i : group.members)
+          shared_[i].state = Shared::kFailed;
+        continue;
+      }
+      work.stepped_cycles += group.cycles - start_cycles(group);
+      take(group.members.front(), group, Shared::kUnloaded);
+      for (std::size_t m = 1; m < group.members.size(); ++m) {
+        members.push_back(group.members[m]);
+        member_group.push_back(g);
+      }
+    }
+    std::vector<std::vector<Fork>> forks(level.size());
+    scan(library, members, parallel, cancelled,
+         [&](std::size_t k) -> const std::vector<Pair>& {
+           return level[member_group[k]].pairs;
+         },
+         [&](std::size_t k, const Deviation& d) {
+           const std::size_t g = member_group[k];
+           if (!d)
+             take(members[k], level[g], Shared::kTaken);
+           else
+             forks[g].push_back({d.at, d.word, members[k]});
+         });
+    // The instruction boundaries before the fork transfers, per group.
+    std::vector<std::vector<std::uint64_t>> boundaries(level.size());
+    for (std::size_t g = 0; g < level.size(); ++g) {
+      std::vector<std::uint64_t>& b = boundaries[g];
+      for (const Fork& f : forks[g])
+        b.push_back(level[g].transfers[f.at].resume);
+      std::sort(b.begin(), b.end());
+      b.erase(std::unique(b.begin(), b.end()), b.end());
+    }
+    std::vector<std::vector<soc::SliceState>> kept(level.size());
+    const std::vector<ItemStatus> rerun = for_each_item(
+        level.size(), parallel, cancelled, [&](std::size_t g, unsigned w) {
+          if (!boundaries[g].empty())
+            kept[g] =
+                fork_states(system_for(w), library, level[g], boundaries[g]);
+        });
+    std::vector<Group> next;
+    for (std::size_t g = 0; g < level.size(); ++g) {
+      const std::vector<std::uint64_t>& b = boundaries[g];
+      if (b.empty() || rerun[g] == ItemStatus::kSkipped) continue;
+      if (rerun[g] == ItemStatus::kThrew) {
+        for (const Fork& f : forks[g]) shared_[f.slot].state = Shared::kFailed;
+        continue;
+      }
+      work.stepped_cycles += b.back() - start_cycles(level[g]);
+      const std::vector<Transfer>& parent = level[g].transfers;
+      for (Group& child : groups_of(forks[g], parent, [&](std::size_t at) {
+             const auto it = std::lower_bound(b.begin(), b.end(),
+                                              parent[at].resume);
+             return &kept[g][it - b.begin()];
+           }))
+        next.push_back(std::move(child));
+    }
+    states = std::move(kept);
+    return next;
+  }
+
+  /// Cuts `forks` (in ascending slot order) into groups, one per
+  /// (transfer, word), each with its members ascending.  A group resumes
+  /// from `state_at(at)`, the state at the resume point of `parent`'s
+  /// transfer `at`, and its representative's run counts transfers from
+  /// there.
+  template <typename StateAt>
+  static std::vector<Group> groups_of(const std::vector<Fork>& forks,
+                                      const std::vector<Transfer>& parent,
+                                      StateAt&& state_at) {
+    std::map<std::pair<std::size_t, std::uint64_t>, std::size_t> index;
+    std::vector<Group> groups;
+    for (const Fork& f : forks) {
+      const auto [it, fresh] =
+          index.try_emplace({f.at, f.word}, groups.size());
+      if (fresh) {
+        std::size_t first = f.at;
+        while (first > 0 && parent[first - 1].resume == parent[f.at].resume)
+          --first;
+        groups.push_back({});
+        groups.back().from = state_at(f.at);
+        groups.back().fork = f.at - first;
+      }
+      groups[it->second].members.push_back(f.slot);
+    }
+    return groups;
+  }
+
+  /// Gives slot i the outcome and cycles of `group`'s run.
+  void take(std::size_t i, const Group& group, Shared::State state) {
+    Shared& s = shared_[i];
+    s.state = state;
+    s.verdict = group.verdict;
+    s.cycles.total = group.cycles;
+  }
+
+  static std::uint64_t start_cycles(const Group& group) {
+    return group.from != nullptr ? group.from->cpu.cycles : 0;
+  }
+
+  /// Puts `system` in `from` (nullptr = the reset).
+  void resume(soc::System& system, const soc::SliceState* from) const {
+    if (from != nullptr)
+      system.restore_slice(*from);
+    else
+      system.load_and_reset(program_->image, program_->entry);
+  }
+
+  /// The word the bus under test holds in `from`.
+  std::uint64_t held_in(const soc::SliceState* from) const {
+    if (from == nullptr) return 0;  // a bus holds zeros after reset
+    switch (bus_) {
+      case soc::BusKind::kAddress: return from->addr_held.bits();
+      case soc::BusKind::kData: return from->data_held.bits();
+      case soc::BusKind::kControl: return from->ctrl_held.bits();
+    }
+    return 0;
+  }
+
+  /// Runs `group`'s representative from group.from to the end, one
+  /// instruction at a time, recording each transfer on the bus under test
+  /// with the instruction boundary before it; then unloads its responses.
+  void run_representative(soc::System& system,
+                          const xtalk::DefectLibrary& library,
+                          Group& group) const {
+    apply_defect(system, bus_, library[group.members.front()]);
+    soc::BusTrace trace;
+    try {
+      resume(system, group.from);
+      const cpu::Cpu& cpu = system.processor();
+      std::uint64_t held = held_in(group.from);
+      system.set_trace(&trace);
+      while (!cpu.halted() && cpu.cycles() < budget_) {
+        const std::uint64_t boundary = cpu.cycles();
+        system.run(boundary + 1);  // one instruction
+        for (const soc::BusEvent& e : trace.events()) {
+          if (e.bus != bus_) continue;
+          group.transfers.push_back(
+              {held, e.driven.bits(), e.received.bits(), boundary});
+          held = e.driven.bits();
+        }
+        trace.clear();
+      }
+      system.set_trace(nullptr);
+      // A run at its end steps nothing more: this only reads the result.
+      const ResponseSnapshot snap =
+          capture(system, *program_, system.run(budget_));
+      system.clear_defects();
+      group.verdict = classify(gold_, snap);
+      group.cycles = snap.cycles;
+      if (group.members.size() > 1)
+        group.pairs = distinct_pairs(group.transfers, group.fork + 1);
+    } catch (...) {
+      system.set_trace(nullptr);
+      system.clear_defects();
+      throw;
+    }
+  }
+
+  /// Re-runs `group`'s representative from group.from and keeps its state
+  /// at each of `boundaries` (ascending instruction boundaries of its run).
+  std::vector<soc::SliceState> fork_states(
+      soc::System& system, const xtalk::DefectLibrary& library,
+      const Group& group, const std::vector<std::uint64_t>& boundaries) const {
+    apply_defect(system, bus_, library[group.members.front()]);
+    try {
+      resume(system, group.from);
+      std::vector<soc::SliceState> states;
+      states.reserve(boundaries.size());
+      for (const std::uint64_t b : boundaries) {
+        system.run(b);
+        if (system.processor().cycles() != b)
+          throw std::logic_error("fork re-run left its recorded run");
+        states.push_back(system.save_slice());
+      }
+      system.clear_defects();
+      return states;
+    } catch (...) {
+      system.clear_defects();
+      throw;
+    }
   }
 
   soc::BusKind bus_;
   std::uint64_t cycle_factor_;
+  xtalk::RcNetwork nominal_;
+  xtalk::ErrorModelConfig thresholds_;
   const sbst::TestProgram* program_ = nullptr;
   ResponseSnapshot gold_;
   std::uint64_t budget_ = 0;
   bool scan_ = false;
   std::vector<Transfer> transfers_;
+  std::vector<Pair> gold_pairs_;
   std::vector<soc::SliceState> snapshots_;
+  std::vector<Shared> shared_;
 };
 
 /// The on-line policy (sim/online.h): the gold step is the defect-free
@@ -247,8 +723,22 @@ class InterleavedSchedule {
     return out;
   }
 
-  OnlineOutcome simulate(soc::System& system, const xtalk::Defect& defect,
+  /// Shares nothing: every slot runs its whole schedule alone.
+  SharedWork share(const xtalk::DefectLibrary&,
+                   const std::vector<std::size_t>&,
+                   const util::ParallelConfig&, const SystemFor&,
+                   const std::function<bool()>&) const {
+    return {};
+  }
+
+  OnlineOutcome simulate(soc::System& system,
+                         const xtalk::DefectLibrary& library, std::size_t i,
                          SlotCycles& cycles) const {
+    return run_alone(system, library[i], cycles);
+  }
+
+  OnlineOutcome run_alone(soc::System& system, const xtalk::Defect& defect,
+                          SlotCycles& cycles) const {
     apply_defect(system, bus_, defect);
     try {
       soc::InterleavedScheduler sched(system, online_, workload_);
@@ -274,6 +764,7 @@ class InterleavedSchedule {
         if (snap.halted) break;  // matched gold to completion: undetected
       }
       finish(sched, out, cycles.total);
+      cycles.stepped = cycles.total;
       system.clear_defects();
       return out;
     } catch (...) {
@@ -336,7 +827,8 @@ class InterleavedSchedule {
 // --- the engine ------------------------------------------------------------
 
 /// Runs `program` under every defect of `library` through `policy`: the
-/// gold step once, then one outcome per defect, checkpointed (when
+/// gold step once, the policy's batch step over the slots this call
+/// simulates, then one outcome per defect, checkpointed (when
 /// options.checkpoint_path is set) in `section`.  Defects fan out across
 /// `options.parallel.resolve(library.size())` workers, each owning its own
 /// soc::System; outcomes are written by defect index, so the result is
@@ -431,7 +923,9 @@ std::vector<typename Policy::Outcome> run_slots(
             options.cancel->load(std::memory_order_relaxed));
   };
 
-  std::atomic<std::size_t> simulated{0};
+  // Slots this call completes, by index: counted after the loops rather
+  // than on a counter every worker would contend for.
+  std::vector<std::uint8_t> completed(n, 0);
 
   // Each worker lazily owns its private simulator; outcome slots are
   // written by defect index, so the result is independent of the worker
@@ -439,12 +933,23 @@ std::vector<typename Policy::Outcome> run_slots(
   const unsigned workers = options.parallel.resolve(n);
   const auto simulate_start = Clock::now();
   std::vector<std::unique_ptr<soc::System>> systems(workers);
+  const SystemFor system_for = [&](unsigned w) -> soc::System& {
+    if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
+    return *systems[w];
+  };
+  // The policy's batch step covers exactly the slots this call simulates,
+  // so what it shares depends on those slots alone, never on threads.
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!restored[i] && shard.owns(i)) todo.push_back(i);
+  const SharedWork shared =
+      policy.share(library, todo, options.parallel, system_for, cancelled);
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, options.parallel, [&](std::size_t i, unsigned w) {
         if (restored[i] || !shard.owns(i) || cancelled()) return;
-        if (!systems[w]) systems[w] = std::make_unique<soc::System>(config);
-        outcomes[i] = policy.simulate(*systems[w], library[i], run_cycles[i]);
-        simulated.fetch_add(1, std::memory_order_relaxed);
+        outcomes[i] =
+            policy.simulate(system_for(w), library, i, run_cycles[i]);
+        completed[i] = 1;
         if (checkpoint) checkpoint->record(section, i, outcomes[i]);
         notify_progress();
         util::FaultInjector& inj = util::FaultInjector::global();
@@ -472,7 +977,7 @@ std::vector<typename Policy::Outcome> run_slots(
     soc::System system(config);
     try {
       outcomes[e.index] =
-          policy.simulate(system, library[e.index], run_cycles[e.index]);
+          policy.run_alone(system, library[e.index], run_cycles[e.index]);
       recovered = true;
     } catch (const std::exception& retry_error) {
       message = retry_error.what();
@@ -488,10 +993,12 @@ std::vector<typename Policy::Outcome> run_slots(
             "defect " + std::to_string(e.index) + ": " + message);
     }
     if (checkpoint) checkpoint->record(section, e.index, outcomes[e.index]);
-    simulated.fetch_add(1, std::memory_order_relaxed);
+    completed[e.index] = 1;
     notify_progress();
   }
   const double simulate_seconds = seconds_since(simulate_start);
+  const std::size_t simulated = static_cast<std::size_t>(
+      std::count(completed.begin(), completed.end(), 1));
 
   const bool interrupted = cancelled();
   if (checkpoint && !crashed.load()) {
@@ -511,13 +1018,16 @@ std::vector<typename Policy::Outcome> run_slots(
   if (options.stats != nullptr) {
     util::CampaignStats& stats = *options.stats;
     stats.threads = workers;
-    stats.defects_simulated += simulated.load();
+    stats.defects_simulated += simulated;
     stats.restored_from_checkpoint += restored_count;
     stats.retries += retries;
     if (books_gold) stats.simulated_cycles += gold_cycles;
+    stats.trajectories += shared.trajectories;
+    stats.stepped_cycles += shared.stepped_cycles;
     for (const SlotCycles& c : run_cycles) {
       stats.simulated_cycles += c.total;
       stats.gold_prefix_cycles += c.from_gold;
+      stats.stepped_cycles += c.stepped;
     }
     if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
     // Outcome tallies cover the complete owned slice (restored slots
@@ -542,7 +1052,7 @@ std::vector<typename Policy::Outcome> run_slots(
   }
   if (interrupted)
     throw CampaignInterrupted(
-        "campaign interrupted after " + std::to_string(simulated.load()) +
+        "campaign interrupted after " + std::to_string(simulated) +
         " new verdict(s)" +
         (checkpoint ? (crashed.load()
                            ? "; simulated crash, last periodic checkpoint "
@@ -582,17 +1092,6 @@ OnlineResult online_result(std::vector<OnlineOutcome> outcomes,
   for (const OnlineOutcome& o : r.outcomes) r.verdicts.push_back(o.verdict);
   r.gold = gold;
   return r;
-}
-
-/// The nominal network exactly as soc::System derives it, without
-/// building a whole simulator.
-xtalk::RcNetwork nominal_network(const soc::SystemConfig& config,
-                                 soc::BusKind bus) {
-  const xtalk::BusGeometry& geometry =
-      bus == soc::BusKind::kAddress ? config.address_geometry
-      : bus == soc::BusKind::kData  ? config.data_geometry
-                                    : config.control_geometry;
-  return xtalk::RcNetwork(geometry);
 }
 
 }  // namespace
@@ -635,7 +1134,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    soc::BusKind bus,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
-  WholeProgramRun policy(bus, options);
+  WholeProgramRun policy(config, bus, options);
   return run_slots(config, program, library, options, "campaign", policy);
 }
 
@@ -643,7 +1142,7 @@ std::vector<Verdict> run_detection_sessions(
     const soc::SystemConfig& config,
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
     const xtalk::DefectLibrary& library, const CampaignOptions& options) {
-  WholeProgramRun policy(bus, options);
+  WholeProgramRun policy(config, bus, options);
   return run_sessions(config, sessions, library, options, policy);
 }
 

@@ -76,6 +76,11 @@ class FaultInjector {
   /// instead of returning true.
   void maybe_fail(const std::string& site);
 
+  /// Literal-site overload, for the same hot paths as fire(const char*).
+  void maybe_fail(const char* site) {
+    if (armed_.load(std::memory_order_relaxed)) maybe_fail(std::string(site));
+  }
+
   /// Total hits / fires of a concrete site since configure().  Sites are
   /// only tracked while armed.
   std::size_t hits(const std::string& site) const;

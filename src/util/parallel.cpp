@@ -123,6 +123,8 @@ void for_each_counter(F&& f) {
   f("defects", &CampaignStats::defects_simulated);
   f("simulated_cycles", &CampaignStats::simulated_cycles);
   f("gold_prefix_cycles", &CampaignStats::gold_prefix_cycles);
+  f("trajectories", &CampaignStats::trajectories);
+  f("stepped_cycles", &CampaignStats::stepped_cycles);
   f("wall_seconds", &CampaignStats::wall_seconds);
   f("library_seconds", &CampaignStats::library_seconds);
   f("program_seconds", &CampaignStats::program_seconds);

@@ -89,6 +89,18 @@ struct CampaignStats {
   /// count of the snapshot the run resumed from.  Thread-invariant, and
   /// shards sum to the unsharded value; 0 with fast_receive off.
   std::uint64_t gold_prefix_cycles = 0;
+  /// Environment counter: representative runs stepped off gold, one per
+  /// distinct trajectory of the slots that shared a campaign call's runs
+  /// (DESIGN D7).  Thread-invariant within one call, but shards, supervised
+  /// workers and a resume group different slots, so it changes under them;
+  /// 0 with fast_receive off.
+  std::uint64_t trajectories = 0;
+  /// Environment counter: CPU cycles actually stepped in defect runs --
+  /// representative runs, the re-runs that keep their fork states, slots
+  /// run alone and serial retries -- where simulated_cycles also counts
+  /// the cycles a run takes from a shared one.  Thread-invariant within
+  /// one call; changes under shards, workers and resume like trajectories.
+  std::uint64_t stepped_cycles = 0;
   /// Host wall-clock time spent inside campaign calls.
   double wall_seconds = 0.0;
   // Where the host time went, in seconds (environment, like wall_seconds;

@@ -8,9 +8,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <random>
+#include <stdexcept>
 
 namespace xtest::util {
 
@@ -95,6 +96,16 @@ class Mt19937_64 {
 std::size_t polar_gaussians(const std::uint64_t* words, std::size_t pairs,
                             double sigma, double* out);
 
+/// The double in [0, 1) Rng::uniform makes of one engine word: the word
+/// over 2^64, with the 1.0 that rounding gives the top 1,024 words
+/// replaced by the largest double below it.  This is what libstdc++ (GCC
+/// 11 and later) computes for uniform_real_distribution<double>(0, 1),
+/// whose algorithm the standard leaves open.
+inline double unit_interval(std::uint64_t word) {
+  const double u = static_cast<double>(word) / 0x1p64;
+  return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+}
+
 /// Thin wrapper over Mt19937_64 with convenience draws.
 class Rng {
  public:
@@ -110,14 +121,24 @@ class Rng {
     return g;
   }
 
-  /// Uniform in [0, 1).
-  double uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  /// Uniform in [0, 1): unit_interval of the next word.
+  double uniform() { return unit_interval(engine_()); }
 
-  /// Uniform integer in [0, n).
+  /// Uniform integer in [0, n): Lemire's nearly divisionless draw, the
+  /// high word of word x n, redrawn while the low word falls below
+  /// 2^64 mod n.  This is what libstdc++ (GCC 11 and later) computes for
+  /// uniform_int_distribution<uint64_t>(0, n - 1).  Throws
+  /// std::invalid_argument for n == 0.
   std::uint64_t below(std::uint64_t n) {
-    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(engine_);
+    if (n == 0) throw std::invalid_argument("Rng::below: n must be > 0");
+    using Wide = unsigned __int128;
+    Wide product = Wide{engine_()} * n;
+    if (static_cast<std::uint64_t>(product) < n) {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (static_cast<std::uint64_t>(product) < threshold)
+        product = Wide{engine_()} * n;
+    }
+    return static_cast<std::uint64_t>(product >> 64);
   }
 
  private:

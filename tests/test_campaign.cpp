@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/verify.h"
+#include "soc/trace.h"
 #include "util/fault_injector.h"
 
 namespace xtest::sim {
@@ -157,6 +164,99 @@ TEST(Campaign, CaptureSiteFiresOncePerSlot) {
     EXPECT_EQ(injector.hits("signature.capture"), live * (kLib + 1))
         << "threads " << threads;
     injector.disarm();
+  }
+}
+
+/// The words received on `bus` in a run of `program` from reset, with
+/// `defect` (when given) injected on that bus.
+std::vector<std::uint64_t> received_words(const soc::SystemConfig& cfg,
+                                          const sbst::TestProgram& program,
+                                          soc::BusKind bus,
+                                          const xtalk::Defect* defect,
+                                          std::uint64_t budget) {
+  soc::System system(cfg);
+  if (defect != nullptr) {
+    switch (bus) {
+      case soc::BusKind::kAddress:
+        system.set_address_network(
+            defect->apply(system.nominal_address_network()));
+        break;
+      case soc::BusKind::kData:
+        system.set_data_network(defect->apply(system.nominal_data_network()));
+        break;
+      case soc::BusKind::kControl:
+        system.set_control_network(
+            defect->apply(system.nominal_control_network()));
+        break;
+    }
+  }
+  soc::BusTrace trace;
+  system.set_trace(&trace);
+  run_and_capture(system, program, budget);
+  std::vector<std::uint64_t> words;
+  for (const soc::BusEvent& e : trace.events())
+    if (e.bus == bus) words.push_back(e.received.bits());
+  return words;
+}
+
+TEST(Campaign, CaptureFaultInARepresentativeRunRetriesItsGroupAlone) {
+  // DESIGN D7, shared trajectories: the slots that first leave gold at the
+  // same transfer with the same received word share one representative
+  // run.  When that run's unload fails, the representative and every
+  // member go to the serial retry, each running alone, and all get the
+  // unarmed verdict; the other groups are untouched.  At one thread the
+  // first representative to run is the lowest slot that leaves gold, and
+  // its unload is hit 2 of "signature.capture" (gold's is hit 1).  On the
+  // address bus that group is 32 of 200 slots; on the control bus every
+  // slot leaves gold the same way.
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  const soc::SystemConfig cfg;
+  const auto sessions =
+      sbst::TestProgramGenerator::generate_sessions(sbst::GeneratorConfig{});
+  const sbst::TestProgram& program = sessions.front().program;
+  soc::System gold_system(cfg);
+  const std::uint64_t budget =
+      run_and_capture(gold_system, program, 1'000'000).cycles * 16 + 1000;
+  for (const soc::BusKind bus :
+       {soc::BusKind::kAddress, soc::BusKind::kControl}) {
+    const std::string where = soc::to_string(bus);
+    const auto lib = make_defect_library(cfg, bus, 200, kSeed);
+    const std::vector<Verdict> unarmed =
+        run_detection(cfg, program, bus, lib, {.parallel = {1}});
+
+    // The group, from runs from reset: (first transfer whose received
+    // word differs from gold's, the word there) equal to the lowest such
+    // slot's.
+    const std::vector<std::uint64_t> gold =
+        received_words(cfg, program, bus, nullptr, budget);
+    std::optional<std::pair<std::size_t, std::uint64_t>> first;
+    std::size_t group = 0;
+    for (std::size_t i = 0; i < lib.size(); ++i) {
+      const std::vector<std::uint64_t> words =
+          received_words(cfg, program, bus, &lib[i], budget);
+      std::size_t k = 0;
+      while (k < words.size() && k < gold.size() && words[k] == gold[k]) ++k;
+      if (k == words.size()) continue;  // never leaves gold
+      const std::pair<std::size_t, std::uint64_t> fork{k, words[k]};
+      if (!first) first = fork;
+      group += fork == *first;
+    }
+    ASSERT_GE(group, 2u) << where << ": the first group has no member "
+                                     "besides its representative";
+
+    util::FaultInjector& injector = util::FaultInjector::global();
+    injector.configure("signature.capture@2");
+    util::CampaignStats stats;
+    const std::vector<Verdict> armed = run_detection(
+        cfg, program, bus, lib, {.parallel = {1}, .stats = &stats});
+    EXPECT_EQ(injector.fired("signature.capture"), 1u) << where;
+    injector.disarm();
+    EXPECT_EQ(armed, unarmed) << where;
+    EXPECT_EQ(stats.retries, group) << where << ", of " << lib.size();
+    EXPECT_EQ(stats.sim_errors, 0u) << where;
+    EXPECT_TRUE(stats.error_log.empty()) << where;
   }
 }
 

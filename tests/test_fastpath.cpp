@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -17,6 +19,8 @@
 #include "sim/campaign.h"
 #include "soc/bus.h"
 #include "soc/system.h"
+#include "soc/trace.h"
+#include "spec/scenario.h"
 #include "xtalk/defect.h"
 #include "xtalk/electrical.h"
 #include "xtalk/error_model.h"
@@ -181,6 +185,173 @@ TEST(FastPath, CampaignVerdictsMatchReferencePath) {
   }
 }
 
+/// A slot's run from reset: the words it receives on the bus under test,
+/// each with the cycle count at its transfer, and the tester's unload.
+struct TracedRun {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> received;
+  sim::ResponseSnapshot snap;
+};
+
+TracedRun traced_run(const soc::SystemConfig& cfg,
+                     const sbst::TestProgram& program, soc::BusKind bus,
+                     const xtalk::Defect* defect, std::uint64_t budget) {
+  soc::System system(cfg);
+  if (defect != nullptr) {
+    switch (bus) {
+      case soc::BusKind::kAddress:
+        system.set_address_network(
+            defect->apply(system.nominal_address_network()));
+        break;
+      case soc::BusKind::kData:
+        system.set_data_network(defect->apply(system.nominal_data_network()));
+        break;
+      case soc::BusKind::kControl:
+        system.set_control_network(
+            defect->apply(system.nominal_control_network()));
+        break;
+    }
+  }
+  soc::BusTrace trace;
+  system.set_trace(&trace);
+  TracedRun run;
+  run.snap = sim::run_and_capture(system, program, budget);
+  for (const soc::BusEvent& e : trace.events())
+    if (e.bus == bus) run.received.emplace_back(e.received.bits(), e.cycle);
+  return run;
+}
+
+/// The trie of received words on the bus under test: a node is a prefix,
+/// entered at `cycle`; `end` is the unload of the runs that end there.
+struct TrieNode {
+  std::map<std::uint64_t, std::size_t> next;
+  std::uint64_t cycle = 0;
+  std::optional<sim::ResponseSnapshot> end;
+};
+
+TEST(FastPath, SharedTrajectoriesPremiseHoldsOnEveryBuiltin) {
+  // DESIGN D7's premise: a defect changes only the words received on the
+  // bus under test, so runs whose received words have matched so far are
+  // one run.  Every slot of every built-in runs from reset with a trace.
+  // In the trie of their received words, runs that share a node reach it
+  // at the same cycle, and runs that end on the same node unload the same
+  // responses, completion and cycles, and none runs on past a node where
+  // another ended.  Then the campaign engine, which shares runs on that
+  // premise, gives every slot its from-reset verdict and cycles at 1 and
+  // 4 threads, with one representative run per trajectory off gold.
+  for (const std::string& name : spec::builtin_scenario_names()) {
+    const spec::ScenarioSpec s = spec::builtin_scenario(name);
+    const xtalk::DefectLibrary lib = s.make_library();
+    const auto sessions = s.make_sessions();
+    std::uint64_t trajectories = 0;
+    std::uint64_t cycles = 0;
+    std::vector<sim::Verdict> verdicts(lib.size(), sim::Verdict::kUndetected);
+    for (const sbst::GenerationResult& session : sessions) {
+      if (session.program.tests.empty()) continue;
+      const sbst::TestProgram& program = session.program;
+      soc::System gold_system(s.system);
+      const std::uint64_t budget =
+          sim::run_and_capture(gold_system, program, 1'000'000).cycles *
+              s.cycle_factor +
+          1000;
+      const TracedRun gold = traced_run(s.system, program, s.bus, nullptr,
+                                        budget);
+      cycles += gold.snap.cycles;
+      std::vector<TrieNode> trie(1);
+      const auto walk = [&](const TracedRun& run, const std::string& who) {
+        std::size_t at = 0;
+        for (const auto& [word, cycle] : run.received) {
+          const auto [it, fresh] = trie[at].next.try_emplace(word, trie.size());
+          at = it->second;
+          if (fresh) {
+            trie.emplace_back();
+            trie.back().cycle = cycle;
+          } else {
+            EXPECT_EQ(trie[at].cycle, cycle) << name << " " << who;
+          }
+        }
+        TrieNode& node = trie[at];
+        if (!node.end) {
+          node.end = run.snap;
+          return;
+        }
+        EXPECT_EQ(node.end->values, run.snap.values) << name << " " << who;
+        EXPECT_EQ(node.end->completed, run.snap.completed)
+            << name << " " << who;
+        EXPECT_EQ(node.end->cycles, run.snap.cycles) << name << " " << who;
+      };
+      walk(gold, "gold");
+      for (std::size_t i = 0; i < lib.size(); ++i) {
+        const TracedRun run = traced_run(s.system, program, s.bus, &lib[i],
+                                         budget);
+        walk(run, "defect " + std::to_string(i));
+        cycles += run.snap.cycles;
+        verdicts[i] = sim::merge_verdicts(verdicts[i],
+                                          sim::classify(gold.snap, run.snap));
+      }
+      for (const TrieNode& node : trie) {
+        if (!node.end) continue;
+        EXPECT_TRUE(node.next.empty()) << name << ": a run went on past "
+                                              "a node where another ended";
+        ++trajectories;
+      }
+      --trajectories;  // gold's own
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      util::CampaignStats stats;
+      const auto engine = sim::run_detection_sessions(
+          s.system, sessions, s.bus, lib,
+          {.cycle_factor = s.cycle_factor,
+           .parallel = {threads},
+           .stats = &stats});
+      EXPECT_EQ(engine, verdicts) << name << " threads=" << threads;
+      EXPECT_EQ(stats.simulated_cycles, cycles)
+          << name << " threads=" << threads;
+      EXPECT_EQ(stats.trajectories, trajectories)
+          << name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(FastPath, SharedRunCountersAreThreadInvariant) {
+  // trajectories and stepped_cycles depend only on which slots share one
+  // campaign call, so they are the same at every thread count.  The
+  // oracle shares nothing: no trajectory, and every defect cycle is
+  // stepped.
+  const auto sessions =
+      sbst::TestProgramGenerator::generate_sessions(sbst::GeneratorConfig{});
+  const soc::SystemConfig fast_cfg;
+  soc::SystemConfig ref_cfg;
+  ref_cfg.fast_receive = false;
+  std::uint64_t gold_cycles = 0;
+  for (const auto& session : sessions) {
+    if (session.program.tests.empty()) continue;
+    soc::System system(fast_cfg);
+    gold_cycles +=
+        sim::run_and_capture(system, session.program, 1'000'000).cycles;
+  }
+  for (const soc::BusKind bus : {soc::BusKind::kAddress, soc::BusKind::kData,
+                                 soc::BusKind::kControl}) {
+    const auto lib = sim::make_defect_library(fast_cfg, bus, 300, 7);
+    util::CampaignStats serial, parallel, oracle;
+    sim::run_detection_sessions(fast_cfg, sessions, bus, lib,
+                                {.parallel = {1}, .stats = &serial});
+    sim::run_detection_sessions(fast_cfg, sessions, bus, lib,
+                                {.parallel = {4}, .stats = &parallel});
+    sim::run_detection_sessions(ref_cfg, sessions, bus, lib,
+                                {.parallel = {4}, .stats = &oracle});
+    const std::string where = soc::to_string(bus);
+    EXPECT_GT(serial.trajectories, 0u) << where;
+    EXPECT_EQ(serial.trajectories, parallel.trajectories) << where;
+    EXPECT_EQ(serial.stepped_cycles, parallel.stepped_cycles) << where;
+    EXPECT_LT(serial.stepped_cycles,
+              serial.simulated_cycles - serial.gold_prefix_cycles)
+        << where;
+    EXPECT_EQ(oracle.trajectories, 0u) << where;
+    EXPECT_EQ(oracle.stepped_cycles, oracle.simulated_cycles - gold_cycles)
+        << where;
+  }
+}
+
 TEST(FastPath, ForcedMafKeepsFastSystemInLockstep) {
   // The fast system must agree with the reference system across forcing
   // and clearing an ideal MAF, including on the exact MA transition that
@@ -253,6 +424,25 @@ TEST(CampaignStats, JsonCarriesHotPathCounters) {
   EXPECT_NE(j.find("\"build_type\":\""), std::string::npos) << j;
   EXPECT_NE(std::string(util::build_type()), "") << "build_type is never empty";
   EXPECT_DOUBLE_EQ(stats.cache_hit_rate(), 0.0);
+}
+
+TEST(CampaignStats, SharedRunCountersTravelWithTheOthers) {
+  // trajectories and stepped_cycles ride the one counter list: the JSON
+  // line carries them, parse_stats_json reads them back and merge_from
+  // sums them.
+  util::CampaignStats stats;
+  stats.trajectories = 14;
+  stats.stepped_cycles = 2550;
+  const std::string j = stats.json("shared");
+  EXPECT_NE(j.find("\"trajectories\":14"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"stepped_cycles\":2550"), std::string::npos) << j;
+  util::CampaignStats back;
+  ASSERT_TRUE(util::parse_stats_json(j, back));
+  EXPECT_EQ(back.trajectories, 14u);
+  EXPECT_EQ(back.stepped_cycles, 2550u);
+  back.merge_from(stats);
+  EXPECT_EQ(back.trajectories, 28u);
+  EXPECT_EQ(back.stepped_cycles, 5100u);
 }
 
 TEST(LuSolver, ScratchOverloadMatchesAllocatingSolve) {

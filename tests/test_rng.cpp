@@ -1,9 +1,11 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +149,80 @@ TEST(Rng, PolarGaussiansMapWordPairsInOrder) {
                               &none),
               0u)
         << "seed " << seed;
+  }
+}
+
+/// A stand-in engine for the standard distributions: returns `word`.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+TEST(Rng, BelowMatchesStdUniformIntDistribution) {
+  // The oracle: below(n) owns the draw libstdc++ (GCC 11 and later) makes
+  // for uniform_int_distribution<uint64_t>(0, n - 1), so the random-pattern
+  // baseline (E12) and the chaos soaks do not depend on the standard
+  // library's version.  Ranges: tiny ones, ones just above 2^63 where
+  // about half the draws are redrawn, ones near 2^64, and every magnitude
+  // between, drawn in turn from one engine, so a draw that took a word
+  // too many or too few puts every later one off.
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "the oracle is libstdc++'s uniform_int_distribution";
+#endif
+  for (const std::uint64_t seed :
+       {0ull, 1ull, 5489ull, 20010618ull, ~0ull}) {
+    std::mt19937_64 reference(seed);
+    std::mt19937_64 pick(seed ^ 0x9e3779b97f4a7c15ull);
+    Rng rng(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 400'000; ++i) {
+      std::uint64_t n = 1;
+      switch (i % 4) {
+        case 0: n = 1 + pick() % 64; break;
+        case 1: n = (1ull << 63) + pick() % 4096; break;
+        case 2: n = ~0ull - pick() % 4096; break;
+        default: n = std::max<std::uint64_t>(1, pick() >> (pick() % 64));
+      }
+      mismatches +=
+          rng.below(n) !=
+          std::uniform_int_distribution<std::uint64_t>(0, n - 1)(reference);
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+  EXPECT_THROW(Rng(1).below(0), std::invalid_argument);
+}
+
+TEST(Rng, UniformMatchesStdUniformRealDistribution) {
+  // The oracle: uniform() owns libstdc++'s uniform_real_distribution
+  // <double>(0, 1) step, bit for bit, on 2 M engine words and on the edge
+  // words, the top 1,024 of which round to 1.0 and are clamped below it.
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "the oracle is libstdc++'s uniform_real_distribution";
+#endif
+  for (const std::uint64_t seed :
+       {0ull, 1ull, 5489ull, 20010618ull, ~0ull}) {
+    std::mt19937_64 reference(seed);
+    Rng rng(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 400'000; ++i)
+      mismatches +=
+          std::bit_cast<std::uint64_t>(rng.uniform()) !=
+          std::bit_cast<std::uint64_t>(
+              std::uniform_real_distribution<double>(0.0, 1.0)(reference));
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+  for (const std::uint64_t word :
+       {0ull, 1ull, 1ull << 11, (1ull << 53) + 1, (1ull << 63) - 1,
+        ~0ull - 1024, ~0ull - 1023, ~0ull}) {
+    FixedWord engine{word};
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(unit_interval(word)),
+              std::bit_cast<std::uint64_t>(
+                  std::uniform_real_distribution<double>(0.0, 1.0)(engine)))
+        << "word " << word;
+    EXPECT_LT(unit_interval(word), 1.0) << "word " << word;
   }
 }
 

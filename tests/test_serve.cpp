@@ -119,6 +119,26 @@ TEST(Frame, BadMagicPoisons) {
   EXPECT_FALSE(dec.feed(encode_frame(make_frame(FrameType::kPing, 2, ""))));
 }
 
+TEST(Frame, FramesCompletedBeforeTheViolationStillComeOut) {
+  // The poison latches at the first violation; the frames completed before
+  // it, in the same feed, stay queued and come out in order.
+  std::string bytes = encode_frame(make_frame(FrameType::kPing, 1, ""));
+  bytes += encode_frame(make_frame(FrameType::kStatus, 2, ""));
+  bytes.append(16, '\xa5');
+  FrameDecoder dec;
+  EXPECT_FALSE(dec.feed(bytes));
+  EXPECT_EQ(dec.error(), FrameError::kBadMagic);
+  const auto first = dec.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->type, FrameType::kPing);
+  const auto second = dec.next();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->type, FrameType::kStatus);
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_FALSE(dec.feed(encode_frame(make_frame(FrameType::kPing, 3, ""))));
+  EXPECT_FALSE(dec.next().has_value());
+}
+
 TEST(Frame, BadVersionPoisons) {
   std::string bytes = encode_frame(make_frame(FrameType::kPing, 1, ""));
   bytes[4] = 9;
@@ -713,6 +733,36 @@ TEST_F(ServeFixture, MalformedBytesDropOnlyThatConnection) {
   // The daemon is alive and well for the next client.
   Client c(client_options());
   EXPECT_NO_THROW(c.status());
+  EXPECT_GE(server_->stats().frames_rejected, 1u);
+}
+
+TEST_F(ServeFixture, FramesBeforeAViolationAreAnsweredBeforeTheError) {
+  // One write: a valid Ping, then 16 garbage bytes.  The Ping completed
+  // before the violation, so the daemon answers it; then it sends the
+  // protocol Error and drops the connection.
+  start();
+  int fd = util::connect_tcp(port_);
+  ASSERT_GE(fd, 0);
+  std::string bytes = encode_frame(make_frame(FrameType::kPing, 7, ""));
+  bytes.append(16, '\xa5');
+  ASSERT_TRUE(util::write_full(fd, bytes.data(), bytes.size()));
+  FrameDecoder dec;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n =
+        util::retry_eintr([&] { return ::read(fd, buf, sizeof buf); });
+    if (n <= 0) break;
+    dec.feed(buf, static_cast<std::size_t>(n));
+  }
+  util::close_fd(fd);
+  const auto pong = dec.next();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, FrameType::kPong);
+  EXPECT_EQ(pong->seq, 7u);
+  const auto error = dec.next();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->type, FrameType::kError);
+  EXPECT_FALSE(dec.next().has_value());
   EXPECT_GE(server_->stats().frames_rejected, 1u);
 }
 

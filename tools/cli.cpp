@@ -432,7 +432,8 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 "retries=%zu restored=%zu salvaged=%zu dropped=%zu\n"
                 "threads=%u simulations=%zu cycles=%llu wall=%.3fs "
                 "defects/sec=%.0f library=%.3fs program=%.3fs gold=%.3fs "
-                "simulate=%.3fs checkpoint=%.3fs\n",
+                "simulate=%.3fs checkpoint=%.3fs trajectories=%llu "
+                "stepped_cycles=%llu\n",
                 vc.detected, vc.detected_by_timeout, vc.undetected,
                 vc.sim_errors, stats.retries, stats.restored_from_checkpoint,
                 stats.salvaged_sections, stats.dropped_slots, stats.threads,
@@ -441,7 +442,9 @@ void print_campaign_summary(std::ostream& out, const spec::ScenarioSpec& s,
                 stats.wall_seconds, stats.defects_per_second(),
                 stats.library_seconds, stats.program_seconds,
                 stats.gold_seconds, stats.simulate_seconds,
-                stats.checkpoint_seconds);
+                stats.checkpoint_seconds,
+                static_cast<unsigned long long>(stats.trajectories),
+                static_cast<unsigned long long>(stats.stepped_cycles));
   out << buf;
 }
 
