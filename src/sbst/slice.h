@@ -30,6 +30,10 @@ class ProgramSlice {
  public:
   /// Binds to `program`, which must outlive the slice.  Nothing runs yet.
   explicit ProgramSlice(const TestProgram& program) : program_(&program) {}
+  /// Resumes `program` suspended in `state`, a state() of an earlier
+  /// slice of it: the next run() restores it, as if this were that slice.
+  ProgramSlice(const TestProgram& program, const soc::SliceState& state)
+      : program_(&program), state_(state), started_(true) {}
 
   /// Runs up to `budget` more cycles on `system` (rounded up to the
   /// instruction boundary, as Cpu::run does).  The first call performs the

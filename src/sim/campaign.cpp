@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -84,6 +85,13 @@ struct SlotCycles {
   std::uint64_t total = 0;
   std::uint64_t from_gold = 0;
   std::uint64_t stepped = 0;
+
+  SlotCycles& operator+=(const SlotCycles& c) {
+    total += c.total;
+    from_gold += c.from_gold;
+    stepped += c.stepped;
+    return *this;
+  }
 };
 
 /// What a policy's batch step stepped: one representative run per
@@ -133,9 +141,362 @@ std::vector<ItemStatus> for_each_item(std::size_t count,
   return status;
 }
 
-// --- per-defect policies ---------------------------------------------------
-// A policy is what one slot of a campaign is.  It names the slot's
-// `Outcome` and supplies four steps; the engine (run_slots) owns the rest:
+// --- recording the bus under test ------------------------------------------
+
+/// Applies `defect` to `system` for one run and, when it goes, leaves the
+/// system defect-free with no MMIO window mapped, throw or not (an on-line
+/// run can throw inside a functional window).
+class DefectRun {
+ public:
+  DefectRun(soc::System& system, soc::BusKind bus, const xtalk::Defect& defect)
+      : system_(system) {
+    apply_defect(system, bus, defect);
+  }
+  ~DefectRun() {
+    system_.clear_mmio();
+    system_.clear_defects();
+  }
+  DefectRun(const DefectRun&) = delete;
+  DefectRun& operator=(const DefectRun&) = delete;
+
+ private:
+  soc::System& system_;
+};
+
+/// One transfer on the bus under test: the word the bus held, the word
+/// driven, the word received, and the resume point of its run before it,
+/// where a run that leaves this one at this transfer resumes.  For gold
+/// that is an index k into its states (0 = the reset, k = states[k - 1]);
+/// for a representative, a point of its schedule (an instruction boundary
+/// off-line, a round on-line).
+struct Transfer {
+  std::uint64_t held;
+  std::uint64_t driven;
+  std::uint64_t received;
+  std::uint64_t resume;
+};
+
+/// Follows the bus under test through one run: the system logs that bus's
+/// transfers alone, and tag() moves the ones logged since its last call
+/// into `out` with the resume point before them.
+class Recorder {
+ public:
+  Recorder(soc::System& system, soc::BusKind bus, std::vector<Transfer>& out)
+      : system_(system), bus_(bus), out_(out) {
+    system.set_transfer_log(bus, &log_);
+  }
+  ~Recorder() { system_.set_transfer_log(bus_, nullptr); }
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
+  void tag(std::uint64_t resume) {
+    for (const soc::BusTransfer& t : log_)
+      out_.push_back({t.held, t.driven, t.received, resume});
+    log_.clear();
+  }
+
+ private:
+  soc::System& system_;
+  soc::BusKind bus_;
+  std::vector<Transfer>& out_;
+  std::vector<soc::BusTransfer> log_;
+};
+
+// --- schedules -------------------------------------------------------------
+// A schedule is how one slot's run goes: how it is recorded and resumed,
+// and how it is judged.  It names the slot's `Outcome` and the `State` a
+// run resumes from (nullptr = the reset), and supplies:
+//
+//   Outcome gold(soc::System&, const sbst::TestProgram&,
+//                std::uint64_t& cycles, Recorder*, std::vector<State>&)
+//     the defect-free run; with a recorder it tags each transfer with k,
+//     where states[k - 1] (which it keeps) is the state before it;
+//   Outcome run(soc::System&, const State* from, Recorder*,
+//               std::uint64_t& cycles) const
+//     the applied defect's run from `from` to its end, judged against
+//     gold; with a recorder it tags each transfer with a resume point;
+//   std::vector<State> states_at(soc::System&, const State* from,
+//                                const std::vector<std::uint64_t>&) const
+//     re-runs that run and keeps its state at each of the given
+//     (ascending) resume points;
+//   static std::uint64_t cycles_at(const State*)
+//     the cycle count of a state (0 for the reset);
+//   void unload() const
+//     the tester's unload of a run whose outcome a slot takes from another.
+// A run leaves the simulator to its caller (DefectRun cleans it up).
+
+/// The off-line schedule (Fig. 9): the whole program runs under the defect
+/// and its tester-visible responses are classified against the gold run.
+/// Gold keeps a snapshot every kSnapshotCycles; a representative's resume
+/// points are instruction boundaries, so it runs one instruction at a time
+/// while recording, and a fork state is kept by re-running to it.
+class WholeProgramRun {
+ public:
+  using Outcome = Verdict;
+  using State = soc::SliceState;
+
+  explicit WholeProgramRun(const CampaignOptions& options)
+      : cycle_factor_(options.cycle_factor) {}
+
+  Verdict gold(soc::System& system, const sbst::TestProgram& program,
+               std::uint64_t& cycles, Recorder* rec,
+               std::vector<State>& snapshots) {
+    program_ = &program;
+    gold_ = rec != nullptr ? record_gold(system, program, *rec, snapshots)
+                           : run_and_capture(system, program, kGoldCap);
+    if (!gold_.completed)
+      throw std::runtime_error("gold run did not complete; bad program");
+    budget_ = gold_.cycles * cycle_factor_ + 1000;
+    cycles = gold_.cycles;
+    return Verdict::kUndetected;
+  }
+
+  Verdict run(soc::System& system, const State* from, Recorder* rec,
+              std::uint64_t& cycles) const {
+    ResponseSnapshot snap;
+    if (rec == nullptr) {
+      snap = run_and_capture(system, *program_, budget_, from);
+    } else {
+      resume(system, from);
+      const cpu::Cpu& cpu = system.processor();
+      while (!cpu.halted() && cpu.cycles() < budget_) {
+        const std::uint64_t boundary = cpu.cycles();
+        system.run(boundary + 1);  // one instruction
+        rec->tag(boundary);
+      }
+      // A run at its end steps nothing more: this only reads the result.
+      snap = capture(system, *program_, system.run(budget_));
+    }
+    cycles = snap.cycles;
+    return classify(gold_, snap);
+  }
+
+  std::vector<State> states_at(
+      soc::System& system, const State* from,
+      const std::vector<std::uint64_t>& boundaries) const {
+    resume(system, from);
+    std::vector<State> states;
+    states.reserve(boundaries.size());
+    for (const std::uint64_t b : boundaries) {
+      system.run(b);
+      if (system.processor().cycles() != b)
+        throw std::logic_error("fork re-run left its recorded run");
+      states.push_back(system.save_slice());
+    }
+    return states;
+  }
+
+  static std::uint64_t cycles_at(const State* s) {
+    return s != nullptr ? s->cpu.cycles : 0;
+  }
+
+  /// The tester still unloads a run whose outcome was shared, so the
+  /// fault injector sees every slot.
+  void unload() const {
+    util::FaultInjector::global().maybe_fail("signature.capture");
+  }
+
+ private:
+  /// Cycle cap of the gold run.
+  static constexpr std::uint64_t kGoldCap = 1'000'000;
+  /// Gold cycles between two snapshots.  A slot resumed from one
+  /// re-simulates at most this much of gold (plus the instruction in
+  /// flight); a snapshot is about 4 KB.
+  static constexpr std::uint64_t kSnapshotCycles = 64;
+
+  /// The gold run, sliced into kSnapshotCycles budgets through
+  /// sbst::ProgramSlice: records every transfer of the bus under test and
+  /// the state after every budget, then unloads the responses once.
+  static ResponseSnapshot record_gold(soc::System& system,
+                                      const sbst::TestProgram& program,
+                                      Recorder& rec,
+                                      std::vector<State>& snapshots) {
+    sbst::ProgramSlice slice(program);
+    soc::RunResult rr;
+    for (;;) {
+      rr = slice.run(system,
+                     std::min(kSnapshotCycles, kGoldCap - slice.cycles()));
+      rec.tag(snapshots.size());
+      if (slice.halted() || slice.cycles() >= kGoldCap) break;
+      snapshots.push_back(slice.state());
+    }
+    return capture(system, program, rr);
+  }
+
+  /// Puts `system` in `from` (nullptr = the reset).
+  void resume(soc::System& system, const State* from) const {
+    if (from != nullptr)
+      system.restore_slice(*from);
+    else
+      system.load_and_reset(program_->image, program_->entry);
+  }
+
+  std::uint64_t cycle_factor_;
+  const sbst::TestProgram* program_ = nullptr;
+  ResponseSnapshot gold_;
+  std::uint64_t budget_ = 0;
+};
+
+/// The on-line schedule (sim/online.h): rounds of a functional window and
+/// a test slice, with the defect live in both (a field defect does not
+/// care who owns the bus), detected at the first slice boundary whose
+/// snapshot diverges from the gold one.  Resume points are round
+/// boundaries: gold keeps the soc::ScheduleState before each round, a run
+/// tags each transfer of both contexts with its round, and a fork state is
+/// kept by re-running whole rounds to it.
+class InterleavedSchedule {
+ public:
+  using Outcome = OnlineOutcome;
+  using State = soc::ScheduleState;
+
+  explicit InterleavedSchedule(const soc::OnlineConfig& online)
+      : online_(online), workload_(soc::make_default_workload()) {
+    if (online.slice_cycles == 0 || online.workload_cycles == 0)
+      throw std::invalid_argument(
+          "on-line campaign: slice_cycles and workload_cycles must be > 0");
+  }
+
+  /// Runs rounds until the program halts, keeping every slice-boundary
+  /// snapshot.  The gold schedule may not exceed the off-line gold run's
+  /// absolute budget.  The engine discards the gold simulator afterwards,
+  /// so a throw here needs no MMIO cleanup.
+  OnlineOutcome gold(soc::System& system, const sbst::TestProgram& program,
+                     std::uint64_t& cycles, Recorder* rec,
+                     std::vector<State>& states) {
+    program_ = &program;
+    gold_.clear();
+    soc::InterleavedScheduler sched(system, online_, workload_);
+    sbst::ProgramSlice slice(program);
+    for (;;) {
+      gold_.push_back(round(sched, slice, system));
+      if (rec != nullptr) rec->tag(gold_.size() - 1);
+      if (slice.halted()) break;
+      if (slice.cycles() >= 1'000'000)
+        throw std::runtime_error(
+            "gold on-line run did not complete; bad program");
+      if (rec != nullptr) states.push_back(sched.save(slice.state()));
+    }
+    if (slice.reason() != cpu::HaltReason::kHltInstruction)
+      throw std::runtime_error(
+          "gold on-line run halted abnormally; bad program");
+    OnlineOutcome out;
+    finish(sched, out, cycles);
+    fold_session(gold_total, out);
+    return out;
+  }
+
+  OnlineOutcome run(soc::System& system, const State* from, Recorder* rec,
+                    std::uint64_t& cycles) const {
+    soc::InterleavedScheduler sched(system, online_, workload_);
+    sbst::ProgramSlice slice = resume(sched, from);
+    OnlineOutcome out;
+    for (std::uint64_t r = sched.rounds(); r < gold_.size(); ++r) {
+      const RoundSnap snap = round(sched, slice, system);
+      if (rec != nullptr) rec->tag(r);
+      const RoundSnap& g = gold_[r];
+      const bool value_div = snap.values != g.values;
+      const bool halt_div =
+          snap.halted != g.halted ||
+          (snap.halted && g.halted && snap.reason != g.reason);
+      if (value_div || halt_div) {
+        // A schedule still running after the gold schedule completed with
+        // matching responses is the on-line tester timeout; everything
+        // else pins the defect to a response or completion mismatch.
+        out.verdict = !snap.halted && g.halted && !value_div
+                          ? Verdict::kDetectedByTimeout
+                          : Verdict::kDetected;
+        out.detection_latency_cycles = snap.global_cycles;
+        break;
+      }
+      if (snap.halted) break;  // matched gold to completion: undetected
+    }
+    finish(sched, out, cycles);
+    return out;
+  }
+
+  std::vector<State> states_at(soc::System& system, const State* from,
+                               const std::vector<std::uint64_t>& rounds) const {
+    soc::InterleavedScheduler sched(system, online_, workload_);
+    sbst::ProgramSlice slice = resume(sched, from);
+    std::vector<State> states;
+    states.reserve(rounds.size());
+    for (const std::uint64_t r : rounds) {
+      while (sched.rounds() < r) round(sched, slice, system);
+      states.push_back(sched.save(slice.state()));
+    }
+    return states;
+  }
+
+  static std::uint64_t cycles_at(const State* s) {
+    return s != nullptr ? s->global_cycles : 0;
+  }
+
+  /// The on-line tester compares at slice boundaries; it has no unload.
+  void unload() const {}
+
+  /// Interference of every gold schedule run so far (one per session).
+  OnlineOutcome gold_total;
+
+ private:
+  /// What the tester sees at one slice boundary: the response cells
+  /// unloaded from the *suspended* slice memory, the completion status,
+  /// and the global-clock stamp of the boundary.
+  struct RoundSnap {
+    std::vector<std::uint8_t> values;
+    bool halted = false;
+    cpu::HaltReason reason = cpu::HaltReason::kRunning;
+    std::uint64_t global_cycles = 0;
+  };
+
+  /// Puts `sched` in `from` and returns the test context there (nullptr,
+  /// or a state before round 0, = the reset).
+  sbst::ProgramSlice resume(soc::InterleavedScheduler& sched,
+                            const State* from) const {
+    if (from == nullptr || from->rounds == 0)
+      return sbst::ProgramSlice(*program_);
+    sched.restore(*from);
+    return sbst::ProgramSlice(*program_, from->test);
+  }
+
+  /// One round: a functional window, then one test slice.
+  RoundSnap round(soc::InterleavedScheduler& sched, sbst::ProgramSlice& slice,
+                  soc::System& system) const {
+    sched.run_functional_window();
+    sched.begin_test_slice();
+    const std::uint64_t before = slice.cycles();
+    const soc::RunResult rr = slice.run(system, online_.slice_cycles);
+    sched.end_test_slice(rr.cycles - before);
+    RoundSnap snap;
+    snap.values.reserve(program_->response_cells.size());
+    for (cpu::Addr a : program_->response_cells)
+      snap.values.push_back(slice.memory_at(a));
+    snap.halted = slice.halted();
+    snap.reason = slice.reason();
+    snap.global_cycles = sched.global_cycles();
+    return snap;
+  }
+
+  static void finish(soc::InterleavedScheduler& sched, OnlineOutcome& out,
+                     std::uint64_t& cycles) {
+    sched.finish();
+    out.rounds = sched.rounds();
+    const soc::InterferenceCounters& c = sched.interference();
+    out.heartbeats = c.heartbeats;
+    out.deadlines_late = c.deadlines_late;
+    out.deadlines_missed = c.deadlines_missed;
+    cycles = sched.global_cycles();
+  }
+
+  soc::OnlineConfig online_;
+  soc::OnlineWorkload workload_;
+  const sbst::TestProgram* program_ = nullptr;
+  std::vector<RoundSnap> gold_;
+};
+
+// --- shared trajectories ---------------------------------------------------
+// The per-defect policy of the engine (run_slots): what one slot of a
+// campaign is.  It names the slot's `Outcome` and supplies four steps; the
+// engine owns the rest:
 //
 //   Outcome gold(soc::System&, const sbst::TestProgram&, std::uint64_t& cycles)
 //     runs the program defect-free on a fresh simulator, once per program
@@ -144,7 +505,7 @@ std::vector<ItemStatus> for_each_item(std::size_t count,
 //                    const std::vector<std::size_t>& slots,
 //                    const util::ParallelConfig&, const SystemFor&,
 //                    const std::function<bool()>& cancelled)
-//     may work out the outcomes of `slots` (the call's owned, unrestored
+//     works out the outcomes of `slots` (the call's owned, unrestored
 //     slots) together before the slot loop, sharing runs between them;
 //   Outcome simulate(soc::System&, const xtalk::DefectLibrary&,
 //                    std::size_t i, SlotCycles& cycles) const
@@ -155,55 +516,55 @@ std::vector<ItemStatus> for_each_item(std::size_t count,
 //     runs one defect by itself, the serial retry of a failed slot.
 // A step that simulates leaves the simulator defect-free, throw or not.
 
-/// The off-line policy (Fig. 9): the whole program runs under the defect
-/// and its tester-visible responses are classified against the gold run.
+/// The one trajectory tree of both schedules (DESIGN D7, D9).
 ///
 /// Divergence first: until the first transfer on the bus under test whose
 /// received word the defect changes, a defect run *is* the gold run,
 /// transfer for transfer.  So the gold step records that bus's transfers
-/// and a snapshot every kSnapshotCycles; a slot whose defect changes no
-/// received word takes gold's outcome without stepping the CPU, and one
-/// that does resumes from the snapshot before its first deviating
-/// transfer.
+/// and the schedule's states; a slot whose defect changes no received word
+/// takes gold's outcome without stepping the CPU, and one that does
+/// resumes from the state before its first deviating transfer.
 ///
 /// Shared trajectories: the same holds between defect runs.  share() puts
 /// the slots that first leave gold at the same transfer with the same
 /// received word in one group.  The group's representative, its lowest
-/// defect index, runs once from that snapshot and records its own
-/// transfers; each other member scans them with its own evaluator.  A
-/// member that never deviates takes the representative's outcome, and the
-/// others form child groups the same way, each resuming from the
-/// representative's state before its fork transfer.  A received word is a
-/// function of the (held, driven) pair, so a scan evaluates each distinct
-/// pair of a trajectory once, in order of first occurrence, and every
-/// transition is still evaluated under every defect (DESIGN D1).  With
-/// fast_receive off (the oracle) nothing is recorded or shared and every
-/// slot runs from reset.
-class WholeProgramRun {
+/// defect index, runs once from that state and records its own transfers;
+/// each other member scans them with its own evaluator.  A member that
+/// never deviates takes the representative's outcome, and the others form
+/// child groups the same way, each resuming from the representative's
+/// state before its fork transfer.  A received word is a function of the
+/// (held, driven) pair, so a scan evaluates each distinct pair of a
+/// trajectory once, in order of first occurrence, and every transition is
+/// still evaluated under every defect (DESIGN D1).  With fast_receive off
+/// (the oracle) nothing is recorded or shared and every slot runs from
+/// reset.
+template <typename Schedule>
+class SharedTrajectories {
  public:
-  using Outcome = Verdict;
+  using Outcome = typename Schedule::Outcome;
+  using State = typename Schedule::State;
 
-  WholeProgramRun(const soc::SystemConfig& config, soc::BusKind bus,
-                  const CampaignOptions& options)
-      : bus_(bus),
-        cycle_factor_(options.cycle_factor),
+  SharedTrajectories(const soc::SystemConfig& config, soc::BusKind bus,
+                     Schedule schedule)
+      : schedule_(std::move(schedule)),
+        bus_(bus),
         nominal_(nominal_network(config, bus)) {}
 
-  Verdict gold(soc::System& system, const sbst::TestProgram& program,
+  const Schedule& schedule() const { return schedule_; }
+
+  Outcome gold(soc::System& system, const sbst::TestProgram& program,
                std::uint64_t& cycles) {
-    program_ = &program;
     transfers_.clear();
-    snapshots_.clear();
+    states_.clear();
     scan_ = system.fast_receive();
-    gold_ = scan_ ? record_gold(system, program)
-                  : run_and_capture(system, program, kGoldCap);
-    if (!gold_.completed)
-      throw std::runtime_error("gold run did not complete; bad program");
-    budget_ = gold_.cycles * cycle_factor_ + 1000;
+    std::optional<Recorder> rec;
+    if (scan_) rec.emplace(system, bus_, transfers_);
+    const Outcome out = schedule_.gold(system, program, cycles,
+                                       rec ? &*rec : nullptr, states_);
+    trajectories_.assign(1, {out, cycles, cycles});
     gold_pairs_ = distinct_pairs(transfers_, 0);
     thresholds_ = error_model(system, bus_).config();
-    cycles = gold_.cycles;
-    return Verdict::kUndetected;
+    return out;
   }
 
   SharedWork share(const xtalk::DefectLibrary& library,
@@ -211,84 +572,57 @@ class WholeProgramRun {
                    const util::ParallelConfig& parallel,
                    const SystemFor& system_for,
                    const std::function<bool()>& cancelled) {
-    shared_.assign(library.size(), Shared{});
+    slots_.assign(library.size(), Slot{});
+    trajectories_.resize(1);  // gold's
     SharedWork work;
     if (!scan_) return work;
     std::vector<Group> level = leave_gold(library, slots, parallel, cancelled);
     // Holds the fork states `level` resumes from while it runs.
-    std::vector<std::vector<soc::SliceState>> states;
+    std::vector<std::vector<State>> states;
     while (!level.empty() && !cancelled())
       level = next_level(library, level, states, work, parallel, system_for,
                          cancelled);
     return work;
   }
 
-  Verdict simulate(soc::System& system, const xtalk::DefectLibrary& library,
+  Outcome simulate(soc::System& system, const xtalk::DefectLibrary& library,
                    std::size_t i, SlotCycles& cycles) const {
-    const Shared& s = shared_[i];
-    switch (s.state) {
-      case Shared::kNone: return run_alone(system, library[i], cycles);
-      case Shared::kFailed:
-        throw std::runtime_error("its shared run failed");
-      case Shared::kTaken:
-        // The tester still unloads this run, so the fault injector sees
-        // every slot; a representative's unload was in its own run.
-        util::FaultInjector::global().maybe_fail("signature.capture");
-        break;
-      case Shared::kUnloaded: break;
+    const Slot s = slots_[i];
+    switch (s.status) {
+      case Slot::kNone: return run_alone(system, library[i], cycles);
+      case Slot::kFailed: throw std::runtime_error("its shared run failed");
+      case Slot::kTaken: schedule_.unload(); break;
+      case Slot::kUnloaded: break;  // in the representative's own run
     }
-    cycles = s.cycles;
-    return s.verdict;
+    const Trajectory& t = trajectories_[s.trajectory];
+    cycles = {t.cycles, t.from_gold, 0};
+    return t.outcome;
   }
 
-  Verdict run_alone(soc::System& system, const xtalk::Defect& defect,
+  Outcome run_alone(soc::System& system, const xtalk::Defect& defect,
                     SlotCycles& cycles) const {
-    apply_defect(system, bus_, defect);
-    try {
-      const soc::SliceState* from = nullptr;
-      if (scan_) {
-        const Deviation d =
-            first_deviation(system.evaluator(bus_), gold_pairs_);
-        if (!d) {
-          util::FaultInjector::global().maybe_fail("signature.capture");
-          system.clear_defects();
-          cycles = {gold_.cycles, gold_.cycles, 0};
-          return Verdict::kUndetected;
-        }
-        from = gold_state(d.at);
+    const DefectRun defect_run(system, bus_, defect);
+    const State* from = nullptr;
+    if (scan_) {
+      const Deviation d =
+          first_deviation(system.evaluator(bus_), gold_pairs_);
+      if (!d) {
+        schedule_.unload();
+        const Trajectory& gold = trajectories_.front();
+        cycles = {gold.cycles, gold.from_gold, 0};
+        return gold.outcome;
       }
-      const ResponseSnapshot snap =
-          run_and_capture(system, *program_, budget_, from);
-      system.clear_defects();
-      const std::uint64_t head = from != nullptr ? from->cpu.cycles : 0;
-      cycles = {snap.cycles, head, snap.cycles - head};
-      return classify(gold_, snap);
-    } catch (...) {
-      system.clear_defects();  // keep the worker's simulator reusable
-      throw;
+      from = gold_state(d.at);
     }
+    std::uint64_t total = 0;
+    const Outcome out = schedule_.run(system, from, nullptr, total);
+    const std::uint64_t head = Schedule::cycles_at(from);
+    cycles = {total, head, total - head};
+    return out;
   }
 
  private:
-  /// Cycle cap of the gold run.
-  static constexpr std::uint64_t kGoldCap = 1'000'000;
-  /// Gold cycles between two snapshots.  A slot resumed from one
-  /// re-simulates at most this much of gold (plus the instruction in
-  /// flight); a snapshot is about 4 KB.
-  static constexpr std::uint64_t kSnapshotCycles = 64;
   static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-
-  /// One transfer on the bus under test: the word the bus held, the word
-  /// driven, the word received, and where a run that leaves this one at
-  /// this transfer resumes.  For gold that is a snapshot (0 = the reset,
-  /// k = snapshots_[k - 1]); for a representative, the cycle count at the
-  /// start of the transfer's instruction.
-  struct Transfer {
-    std::uint64_t held;
-    std::uint64_t driven;
-    std::uint64_t received;
-    std::uint64_t resume;
-  };
 
   /// A distinct (held, driven) pair of a trajectory, the word received on
   /// it there, and the index of its first transfer.
@@ -321,61 +655,44 @@ class WholeProgramRun {
   /// (members.front(), the lowest defect index) runs from `from` (nullptr
   /// = the reset); its transfer number `fork`, counted from `from`, is the
   /// one where the group left its parent.  The other members scan the
-  /// transfers after it.
+  /// transfers after it.  `from_gold` is what the members' runs take from
+  /// gold: the cycles of the gold state their level-1 ancestor resumed
+  /// from.
   struct Group {
     std::vector<std::size_t> members;
-    const soc::SliceState* from = nullptr;
+    const State* from = nullptr;
     std::size_t fork = 0;
+    std::uint64_t from_gold = 0;
     // The representative's run:
     std::vector<Transfer> transfers;
     std::vector<Pair> pairs;  // of the transfers after `fork`
-    Verdict verdict = Verdict::kUndetected;
+    Outcome outcome{};
     std::uint64_t cycles = 0;
+  };
+
+  /// One run's outcome and cycles, and what its slots take from gold,
+  /// kept once for every slot that shares it.  trajectories_[0] is gold.
+  struct Trajectory {
+    Outcome outcome{};
+    std::uint64_t cycles = 0;
+    std::uint64_t from_gold = 0;
   };
 
   /// One slot's result from share().  kTaken: a shared run's outcome whose
   /// unload is still due; kUnloaded: a representative's own outcome;
   /// kFailed: its shared run threw, so the slot goes to the serial retry;
   /// kNone: share() did not reach it, so the slot runs alone.
-  struct Shared {
-    enum State : std::uint8_t { kNone, kTaken, kUnloaded, kFailed };
-    State state = kNone;
-    Verdict verdict = Verdict::kUndetected;
-    SlotCycles cycles;
+  struct Slot {
+    enum Status : std::uint8_t { kNone, kTaken, kUnloaded, kFailed };
+    Status status = kNone;
+    std::uint32_t trajectory = 0;
   };
 
-  /// The gold run, sliced into kSnapshotCycles budgets through
-  /// sbst::ProgramSlice: records every transfer of the bus under test and
-  /// the state after every budget, then unloads the responses once.
-  ResponseSnapshot record_gold(soc::System& system,
-                               const sbst::TestProgram& program) {
-    soc::BusTrace trace;
-    system.set_trace(&trace);
-    sbst::ProgramSlice slice(program);
-    std::uint64_t held = 0;  // a bus holds zeros after reset
-    soc::RunResult rr;
-    for (;;) {
-      rr = slice.run(system,
-                     std::min(kSnapshotCycles, kGoldCap - slice.cycles()));
-      for (const soc::BusEvent& e : trace.events()) {
-        if (e.bus != bus_) continue;
-        transfers_.push_back(
-            {held, e.driven.bits(), e.received.bits(), snapshots_.size()});
-        held = e.driven.bits();
-      }
-      trace.clear();
-      if (slice.halted() || slice.cycles() >= kGoldCap) break;
-      snapshots_.push_back(slice.state());
-    }
-    system.set_trace(nullptr);
-    return capture(system, program, rr);
-  }
-
-  /// The gold snapshot a run that leaves gold at transfer `at` resumes
-  /// from (nullptr = the reset).
-  const soc::SliceState* gold_state(std::size_t at) const {
+  /// The gold state a run that leaves gold at transfer `at` resumes from
+  /// (nullptr = the reset).
+  const State* gold_state(std::size_t at) const {
     const std::uint64_t k = transfers_[at].resume;
-    return k > 0 ? &snapshots_[k - 1] : nullptr;
+    return k > 0 ? &states_[k - 1] : nullptr;
   }
 
   /// The distinct (held, driven) pairs of transfers[from..], in order of
@@ -432,7 +749,7 @@ class WholeProgramRun {
         });
     for (std::size_t k = 0; k < slots.size(); ++k) {
       if (status[k] == ItemStatus::kThrew)
-        shared_[slots[k]].state = Shared::kFailed;
+        slots_[slots[k]].status = Slot::kFailed;
       else if (status[k] == ItemStatus::kDone)
         found(k, dev[k]);
     }
@@ -440,7 +757,7 @@ class WholeProgramRun {
 
   /// Gold is level 0: each slot scans it.  A slot that never deviates
   /// takes gold's outcome; the others group by their fork, each group
-  /// resuming from the gold snapshot before its fork transfer.
+  /// resuming from the gold state before its fork transfer.
   std::vector<Group> leave_gold(const xtalk::DefectLibrary& library,
                                 const std::vector<std::size_t>& slots,
                                 const util::ParallelConfig& parallel,
@@ -449,19 +766,15 @@ class WholeProgramRun {
     scan(library, slots, parallel, cancelled,
          [&](std::size_t) -> const std::vector<Pair>& { return gold_pairs_; },
          [&](std::size_t k, const Deviation& d) {
-           const std::size_t i = slots[k];
-           Shared& s = shared_[i];
-           if (!d) {
-             s = {Shared::kTaken, Verdict::kUndetected,
-                  {gold_.cycles, gold_.cycles, 0}};
-             return;
-           }
-           const soc::SliceState* from = gold_state(d.at);
-           s.cycles.from_gold = from != nullptr ? from->cpu.cycles : 0;
-           forks.push_back({d.at, d.word, i});
+           if (d)
+             forks.push_back({d.at, d.word, slots[k]});
+           else
+             slots_[slots[k]] = {Slot::kTaken, 0};
          });
-    return groups_of(forks, transfers_,
-                     [&](std::size_t at) { return gold_state(at); });
+    std::vector<Group> groups = groups_of(
+        forks, transfers_, [&](std::size_t at) { return gold_state(at); });
+    for (Group& g : groups) g.from_gold = Schedule::cycles_at(g.from);
+    return groups;
   }
 
   /// One level of the tree: each group's representative runs, the other
@@ -470,7 +783,7 @@ class WholeProgramRun {
   /// `states` (the states `level` resumes from are done with by then).
   std::vector<Group> next_level(
       const xtalk::DefectLibrary& library, std::vector<Group>& level,
-      std::vector<std::vector<soc::SliceState>>& states, SharedWork& work,
+      std::vector<std::vector<State>>& states, SharedWork& work,
       const util::ParallelConfig& parallel, const SystemFor& system_for,
       const std::function<bool()>& cancelled) {
     const std::vector<ItemStatus> ran = for_each_item(
@@ -479,6 +792,7 @@ class WholeProgramRun {
         });
     std::vector<std::size_t> members;
     std::vector<std::size_t> member_group;
+    std::vector<std::uint32_t> trajectory(level.size());
     for (std::size_t g = 0; g < level.size(); ++g) {
       const Group& group = level[g];
       if (ran[g] == ItemStatus::kSkipped) continue;
@@ -486,11 +800,13 @@ class WholeProgramRun {
       if (ran[g] == ItemStatus::kThrew) {
         // Quarantine: the representative and its members run alone.
         for (const std::size_t i : group.members)
-          shared_[i].state = Shared::kFailed;
+          slots_[i].status = Slot::kFailed;
         continue;
       }
-      work.stepped_cycles += group.cycles - start_cycles(group);
-      take(group.members.front(), group, Shared::kUnloaded);
+      work.stepped_cycles += group.cycles - Schedule::cycles_at(group.from);
+      trajectory[g] = static_cast<std::uint32_t>(trajectories_.size());
+      trajectories_.push_back({group.outcome, group.cycles, group.from_gold});
+      slots_[group.members.front()] = {Slot::kUnloaded, trajectory[g]};
       for (std::size_t m = 1; m < group.members.size(); ++m) {
         members.push_back(group.members[m]);
         member_group.push_back(g);
@@ -504,42 +820,44 @@ class WholeProgramRun {
          [&](std::size_t k, const Deviation& d) {
            const std::size_t g = member_group[k];
            if (!d)
-             take(members[k], level[g], Shared::kTaken);
+             slots_[members[k]] = {Slot::kTaken, trajectory[g]};
            else
              forks[g].push_back({d.at, d.word, members[k]});
          });
-    // The instruction boundaries before the fork transfers, per group.
-    std::vector<std::vector<std::uint64_t>> boundaries(level.size());
+    // The resume points before the fork transfers, per group.
+    std::vector<std::vector<std::uint64_t>> points(level.size());
     for (std::size_t g = 0; g < level.size(); ++g) {
-      std::vector<std::uint64_t>& b = boundaries[g];
+      std::vector<std::uint64_t>& p = points[g];
       for (const Fork& f : forks[g])
-        b.push_back(level[g].transfers[f.at].resume);
-      std::sort(b.begin(), b.end());
-      b.erase(std::unique(b.begin(), b.end()), b.end());
+        p.push_back(level[g].transfers[f.at].resume);
+      std::sort(p.begin(), p.end());
+      p.erase(std::unique(p.begin(), p.end()), p.end());
     }
-    std::vector<std::vector<soc::SliceState>> kept(level.size());
+    std::vector<std::vector<State>> kept(level.size());
     const std::vector<ItemStatus> rerun = for_each_item(
         level.size(), parallel, cancelled, [&](std::size_t g, unsigned w) {
-          if (!boundaries[g].empty())
-            kept[g] =
-                fork_states(system_for(w), library, level[g], boundaries[g]);
+          if (!points[g].empty())
+            kept[g] = fork_states(system_for(w), library, level[g], points[g]);
         });
     std::vector<Group> next;
     for (std::size_t g = 0; g < level.size(); ++g) {
-      const std::vector<std::uint64_t>& b = boundaries[g];
-      if (b.empty() || rerun[g] == ItemStatus::kSkipped) continue;
+      const std::vector<std::uint64_t>& p = points[g];
+      if (p.empty() || rerun[g] == ItemStatus::kSkipped) continue;
       if (rerun[g] == ItemStatus::kThrew) {
-        for (const Fork& f : forks[g]) shared_[f.slot].state = Shared::kFailed;
+        for (const Fork& f : forks[g]) slots_[f.slot].status = Slot::kFailed;
         continue;
       }
-      work.stepped_cycles += b.back() - start_cycles(level[g]);
+      work.stepped_cycles += Schedule::cycles_at(&kept[g].back()) -
+                             Schedule::cycles_at(level[g].from);
       const std::vector<Transfer>& parent = level[g].transfers;
       for (Group& child : groups_of(forks[g], parent, [&](std::size_t at) {
-             const auto it = std::lower_bound(b.begin(), b.end(),
-                                              parent[at].resume);
-             return &kept[g][it - b.begin()];
-           }))
+             const auto it =
+                 std::lower_bound(p.begin(), p.end(), parent[at].resume);
+             return &kept[g][it - p.begin()];
+           })) {
+        child.from_gold = level[g].from_gold;
         next.push_back(std::move(child));
+      }
     }
     states = std::move(kept);
     return next;
@@ -572,257 +890,41 @@ class WholeProgramRun {
     return groups;
   }
 
-  /// Gives slot i the outcome and cycles of `group`'s run.
-  void take(std::size_t i, const Group& group, Shared::State state) {
-    Shared& s = shared_[i];
-    s.state = state;
-    s.verdict = group.verdict;
-    s.cycles.total = group.cycles;
-  }
-
-  static std::uint64_t start_cycles(const Group& group) {
-    return group.from != nullptr ? group.from->cpu.cycles : 0;
-  }
-
-  /// Puts `system` in `from` (nullptr = the reset).
-  void resume(soc::System& system, const soc::SliceState* from) const {
-    if (from != nullptr)
-      system.restore_slice(*from);
-    else
-      system.load_and_reset(program_->image, program_->entry);
-  }
-
-  /// The word the bus under test holds in `from`.
-  std::uint64_t held_in(const soc::SliceState* from) const {
-    if (from == nullptr) return 0;  // a bus holds zeros after reset
-    switch (bus_) {
-      case soc::BusKind::kAddress: return from->addr_held.bits();
-      case soc::BusKind::kData: return from->data_held.bits();
-      case soc::BusKind::kControl: return from->ctrl_held.bits();
-    }
-    return 0;
-  }
-
-  /// Runs `group`'s representative from group.from to the end, one
-  /// instruction at a time, recording each transfer on the bus under test
-  /// with the instruction boundary before it; then unloads its responses.
+  /// Runs `group`'s representative from group.from to its end, recording
+  /// each transfer on the bus under test with the resume point before it.
   void run_representative(soc::System& system,
                           const xtalk::DefectLibrary& library,
                           Group& group) const {
-    apply_defect(system, bus_, library[group.members.front()]);
-    soc::BusTrace trace;
-    try {
-      resume(system, group.from);
-      const cpu::Cpu& cpu = system.processor();
-      std::uint64_t held = held_in(group.from);
-      system.set_trace(&trace);
-      while (!cpu.halted() && cpu.cycles() < budget_) {
-        const std::uint64_t boundary = cpu.cycles();
-        system.run(boundary + 1);  // one instruction
-        for (const soc::BusEvent& e : trace.events()) {
-          if (e.bus != bus_) continue;
-          group.transfers.push_back(
-              {held, e.driven.bits(), e.received.bits(), boundary});
-          held = e.driven.bits();
-        }
-        trace.clear();
-      }
-      system.set_trace(nullptr);
-      // A run at its end steps nothing more: this only reads the result.
-      const ResponseSnapshot snap =
-          capture(system, *program_, system.run(budget_));
-      system.clear_defects();
-      group.verdict = classify(gold_, snap);
-      group.cycles = snap.cycles;
-      if (group.members.size() > 1)
-        group.pairs = distinct_pairs(group.transfers, group.fork + 1);
-    } catch (...) {
-      system.set_trace(nullptr);
-      system.clear_defects();
-      throw;
-    }
+    const DefectRun defect_run(system, bus_, library[group.members.front()]);
+    Recorder rec(system, bus_, group.transfers);
+    group.outcome = schedule_.run(system, group.from, &rec, group.cycles);
+    if (group.members.size() > 1)
+      group.pairs = distinct_pairs(group.transfers, group.fork + 1);
   }
 
   /// Re-runs `group`'s representative from group.from and keeps its state
-  /// at each of `boundaries` (ascending instruction boundaries of its run).
-  std::vector<soc::SliceState> fork_states(
-      soc::System& system, const xtalk::DefectLibrary& library,
-      const Group& group, const std::vector<std::uint64_t>& boundaries) const {
-    apply_defect(system, bus_, library[group.members.front()]);
-    try {
-      resume(system, group.from);
-      std::vector<soc::SliceState> states;
-      states.reserve(boundaries.size());
-      for (const std::uint64_t b : boundaries) {
-        system.run(b);
-        if (system.processor().cycles() != b)
-          throw std::logic_error("fork re-run left its recorded run");
-        states.push_back(system.save_slice());
-      }
-      system.clear_defects();
-      return states;
-    } catch (...) {
-      system.clear_defects();
-      throw;
-    }
+  /// at each of `points` (ascending resume points of its run).
+  std::vector<State> fork_states(soc::System& system,
+                                 const xtalk::DefectLibrary& library,
+                                 const Group& group,
+                                 const std::vector<std::uint64_t>& points)
+      const {
+    const DefectRun defect_run(system, bus_, library[group.members.front()]);
+    return schedule_.states_at(system, group.from, points);
   }
 
+  Schedule schedule_;
   soc::BusKind bus_;
-  std::uint64_t cycle_factor_;
   xtalk::RcNetwork nominal_;
   xtalk::ErrorModelConfig thresholds_;
-  const sbst::TestProgram* program_ = nullptr;
-  ResponseSnapshot gold_;
-  std::uint64_t budget_ = 0;
   bool scan_ = false;
   std::vector<Transfer> transfers_;
   std::vector<Pair> gold_pairs_;
-  std::vector<soc::SliceState> snapshots_;
-  std::vector<Shared> shared_;
+  std::vector<State> states_;
+  std::vector<Trajectory> trajectories_;
+  std::vector<Slot> slots_;
 };
 
-/// The on-line policy (sim/online.h): the gold step is the defect-free
-/// interleaved schedule; a defect's run is the whole schedule with the
-/// defect live in the functional windows and the test slices alike (a
-/// field defect does not care who owns the bus), detected at the first
-/// slice boundary whose snapshot diverges from the gold one.
-class InterleavedSchedule {
- public:
-  using Outcome = OnlineOutcome;
-
-  InterleavedSchedule(const soc::OnlineConfig& online, soc::BusKind bus)
-      : online_(online), workload_(soc::make_default_workload()), bus_(bus) {
-    if (online.slice_cycles == 0 || online.workload_cycles == 0)
-      throw std::invalid_argument(
-          "on-line campaign: slice_cycles and workload_cycles must be > 0");
-  }
-
-  /// Runs rounds until the program halts, recording every slice-boundary
-  /// snapshot.  The gold schedule may not exceed the off-line gold run's
-  /// absolute budget.  The engine discards the gold simulator afterwards,
-  /// so a throw here needs no MMIO cleanup.
-  OnlineOutcome gold(soc::System& system, const sbst::TestProgram& program,
-                     std::uint64_t& cycles) {
-    program_ = &program;
-    gold_.clear();
-    soc::InterleavedScheduler sched(system, online_, workload_);
-    sbst::ProgramSlice slice(program);
-    for (;;) {
-      gold_.push_back(round(sched, slice, system));
-      if (slice.halted()) break;
-      if (slice.cycles() >= 1'000'000)
-        throw std::runtime_error(
-            "gold on-line run did not complete; bad program");
-    }
-    if (slice.reason() != cpu::HaltReason::kHltInstruction)
-      throw std::runtime_error(
-          "gold on-line run halted abnormally; bad program");
-    OnlineOutcome out;
-    finish(sched, out, cycles);
-    fold_session(gold_total, out);
-    return out;
-  }
-
-  /// Shares nothing: every slot runs its whole schedule alone.
-  SharedWork share(const xtalk::DefectLibrary&,
-                   const std::vector<std::size_t>&,
-                   const util::ParallelConfig&, const SystemFor&,
-                   const std::function<bool()>&) const {
-    return {};
-  }
-
-  OnlineOutcome simulate(soc::System& system,
-                         const xtalk::DefectLibrary& library, std::size_t i,
-                         SlotCycles& cycles) const {
-    return run_alone(system, library[i], cycles);
-  }
-
-  OnlineOutcome run_alone(soc::System& system, const xtalk::Defect& defect,
-                          SlotCycles& cycles) const {
-    apply_defect(system, bus_, defect);
-    try {
-      soc::InterleavedScheduler sched(system, online_, workload_);
-      sbst::ProgramSlice slice(*program_);
-      OnlineOutcome out;
-      for (const RoundSnap& g : gold_) {
-        const RoundSnap snap = round(sched, slice, system);
-        const bool value_div = snap.values != g.values;
-        const bool halt_div =
-            snap.halted != g.halted ||
-            (snap.halted && g.halted && snap.reason != g.reason);
-        if (value_div || halt_div) {
-          // A schedule still running after the gold schedule completed
-          // with matching responses is the on-line tester timeout;
-          // everything else pins the defect to a response or completion
-          // mismatch.
-          out.verdict = !snap.halted && g.halted && !value_div
-                            ? Verdict::kDetectedByTimeout
-                            : Verdict::kDetected;
-          out.detection_latency_cycles = snap.global_cycles;
-          break;
-        }
-        if (snap.halted) break;  // matched gold to completion: undetected
-      }
-      finish(sched, out, cycles.total);
-      cycles.stepped = cycles.total;
-      system.clear_defects();
-      return out;
-    } catch (...) {
-      system.clear_mmio();
-      system.clear_defects();  // keep the worker's simulator reusable
-      throw;
-    }
-  }
-
-  /// Interference of every gold schedule run so far (one per session).
-  OnlineOutcome gold_total;
-
- private:
-  /// What the tester sees at one slice boundary: the response cells
-  /// unloaded from the *suspended* slice memory, the completion status,
-  /// and the global-clock stamp of the boundary.
-  struct RoundSnap {
-    std::vector<std::uint8_t> values;
-    bool halted = false;
-    cpu::HaltReason reason = cpu::HaltReason::kRunning;
-    std::uint64_t global_cycles = 0;
-  };
-
-  /// One round: a functional window, then one test slice.
-  RoundSnap round(soc::InterleavedScheduler& sched, sbst::ProgramSlice& slice,
-                  soc::System& system) const {
-    sched.run_functional_window();
-    sched.begin_test_slice();
-    const std::uint64_t before = slice.cycles();
-    const soc::RunResult rr = slice.run(system, online_.slice_cycles);
-    sched.end_test_slice(rr.cycles - before);
-    RoundSnap snap;
-    snap.values.reserve(program_->response_cells.size());
-    for (cpu::Addr a : program_->response_cells)
-      snap.values.push_back(slice.memory_at(a));
-    snap.halted = slice.halted();
-    snap.reason = slice.reason();
-    snap.global_cycles = sched.global_cycles();
-    return snap;
-  }
-
-  static void finish(soc::InterleavedScheduler& sched, OnlineOutcome& out,
-                     std::uint64_t& cycles) {
-    sched.finish();
-    out.rounds = sched.rounds();
-    const soc::InterferenceCounters& c = sched.interference();
-    out.heartbeats = c.heartbeats;
-    out.deadlines_late = c.deadlines_late;
-    out.deadlines_missed = c.deadlines_missed;
-    cycles = sched.global_cycles();
-  }
-
-  soc::OnlineConfig online_;
-  soc::OnlineWorkload workload_;
-  soc::BusKind bus_;
-  const sbst::TestProgram* program_ = nullptr;
-  std::vector<RoundSnap> gold_;
-};
 
 // --- the engine ------------------------------------------------------------
 
@@ -874,7 +976,6 @@ std::vector<typename Policy::Outcome> run_slots(
   const double gold_seconds = seconds_since(gold_start);
 
   std::vector<Outcome> outcomes(n);
-  std::vector<SlotCycles> run_cycles(n);
   // Slots already carrying an outcome from a previous (interrupted) run.
   std::vector<std::uint8_t> restored(n, 0);
   std::size_t restored_count = 0;
@@ -931,6 +1032,13 @@ std::vector<typename Policy::Outcome> run_slots(
   // written by defect index, so the result is independent of the worker
   // count and of any interleaving.
   const unsigned workers = options.parallel.resolve(n);
+  // What the slots this call completes cost, summed per worker, each sum
+  // on its own cache line.
+  struct alignas(64) WorkerCycles {
+    SlotCycles sum;
+  };
+  std::vector<WorkerCycles> worker_cycles(workers);
+  SlotCycles retried_cycles;
   const auto simulate_start = Clock::now();
   std::vector<std::unique_ptr<soc::System>> systems(workers);
   const SystemFor system_for = [&](unsigned w) -> soc::System& {
@@ -947,8 +1055,9 @@ std::vector<typename Policy::Outcome> run_slots(
   const std::vector<util::ItemError> errors = util::parallel_for_items(
       n, options.parallel, [&](std::size_t i, unsigned w) {
         if (restored[i] || !shard.owns(i) || cancelled()) return;
-        outcomes[i] =
-            policy.simulate(system_for(w), library, i, run_cycles[i]);
+        SlotCycles cycles;
+        outcomes[i] = policy.simulate(system_for(w), library, i, cycles);
+        worker_cycles[w].sum += cycles;
         completed[i] = 1;
         if (checkpoint) checkpoint->record(section, i, outcomes[i]);
         notify_progress();
@@ -975,9 +1084,10 @@ std::vector<typename Policy::Outcome> run_slots(
     std::string message;
     bool recovered = false;
     soc::System system(config);
+    SlotCycles cycles;
     try {
-      outcomes[e.index] =
-          policy.run_alone(system, library[e.index], run_cycles[e.index]);
+      outcomes[e.index] = policy.run_alone(system, library[e.index], cycles);
+      retried_cycles += cycles;
       recovered = true;
     } catch (const std::exception& retry_error) {
       message = retry_error.what();
@@ -987,7 +1097,6 @@ std::vector<typename Policy::Outcome> run_slots(
     if (!recovered) {
       outcomes[e.index] = Outcome{};
       verdict_of(outcomes[e.index]) = Verdict::kSimError;
-      run_cycles[e.index] = {};
       if (options.stats != nullptr)
         options.stats->error_log.push_back(
             "defect " + std::to_string(e.index) + ": " + message);
@@ -1024,11 +1133,11 @@ std::vector<typename Policy::Outcome> run_slots(
     if (books_gold) stats.simulated_cycles += gold_cycles;
     stats.trajectories += shared.trajectories;
     stats.stepped_cycles += shared.stepped_cycles;
-    for (const SlotCycles& c : run_cycles) {
-      stats.simulated_cycles += c.total;
-      stats.gold_prefix_cycles += c.from_gold;
-      stats.stepped_cycles += c.stepped;
-    }
+    SlotCycles cycles = retried_cycles;
+    for (const WorkerCycles& w : worker_cycles) cycles += w.sum;
+    stats.simulated_cycles += cycles.total;
+    stats.gold_prefix_cycles += cycles.from_gold;
+    stats.stepped_cycles += cycles.stepped;
     if (checkpoint) stats.flush_failures += checkpoint->flush_failures();
     // Outcome tallies cover the complete owned slice (restored slots
     // included) and only a completed call, so an interrupted-then-resumed
@@ -1134,7 +1243,7 @@ std::vector<Verdict> run_detection(const soc::SystemConfig& config,
                                    soc::BusKind bus,
                                    const xtalk::DefectLibrary& library,
                                    const CampaignOptions& options) {
-  WholeProgramRun policy(config, bus, options);
+  SharedTrajectories policy(config, bus, WholeProgramRun(options));
   return run_slots(config, program, library, options, "campaign", policy);
 }
 
@@ -1142,7 +1251,7 @@ std::vector<Verdict> run_detection_sessions(
     const soc::SystemConfig& config,
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
     const xtalk::DefectLibrary& library, const CampaignOptions& options) {
-  WholeProgramRun policy(config, bus, options);
+  SharedTrajectories policy(config, bus, WholeProgramRun(options));
   return run_sessions(config, sessions, library, options, policy);
 }
 
@@ -1152,17 +1261,17 @@ OnlineResult run_online_detection(const soc::SystemConfig& config,
                                   soc::BusKind bus,
                                   const xtalk::DefectLibrary& library,
                                   const CampaignOptions& options) {
-  InterleavedSchedule policy(online, bus);
+  SharedTrajectories policy(config, bus, InterleavedSchedule(online));
   return online_result(
       run_slots(config, program, library, options, "campaign", policy),
-      policy.gold_total);
+      policy.schedule().gold_total);
 }
 
 OnlineResult run_online_detection_sessions(
     const soc::SystemConfig& config, const soc::OnlineConfig& online,
     const std::vector<sbst::GenerationResult>& sessions, soc::BusKind bus,
     const xtalk::DefectLibrary& library, const CampaignOptions& options) {
-  InterleavedSchedule policy(online, bus);
+  SharedTrajectories policy(config, bus, InterleavedSchedule(online));
   bool any = false;
   for (const sbst::GenerationResult& s : sessions)
     any |= !s.program.tests.empty();
@@ -1170,7 +1279,7 @@ OnlineResult run_online_detection_sessions(
     throw std::runtime_error("on-line campaign: no session carries any test");
   return online_result(
       run_sessions(config, sessions, library, options, policy),
-      policy.gold_total);
+      policy.schedule().gold_total);
 }
 
 PerLineCoverage per_line_coverage(const soc::SystemConfig& config,

@@ -15,7 +15,8 @@
 // One engine (campaign.cpp) runs every campaign, off-line and on-line
 // (sim/online.h).  It owns the slot bookkeeping -- checkpoint restore and
 // record, shard ownership, cancellation, quarantine, progress and stats --
-// and a per-defect policy says what one slot is: the whole-program run
+// and one trajectory tree runs each distinct defect behaviour once per
+// program; a schedule says how one slot's run goes: the whole-program run
 // here, the interleaved schedule on-line.
 
 #pragma once

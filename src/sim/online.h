@@ -15,12 +15,18 @@
 //     because the self-test held the core (and, under a defect, because
 //     the defect corrupted the workload's own traffic).
 //
-// The interleaved schedule is the campaign engine's second per-defect
-// policy (sim/campaign.cpp), so every per-defect outcome is a pure
-// function of (config, online config, program, bus, defect) and results
-// are bitwise identical at any thread count, across checkpoint
-// interrupt/resume and under sharding -- the off-line contract, enforced
-// by tests/test_online.cpp.
+// The interleaved schedule is the campaign engine's second schedule
+// (sim/campaign.cpp), on the same trajectory tree as the off-line one: a
+// slot whose defect changes no word received on the bus under test, in
+// either context, takes the gold schedule's outcome; any other resumes
+// from the gold schedule's state (soc::ScheduleState) before the round of
+// its first deviating transfer, and slots that deviate alike share one
+// run (DESIGN D7, D9).  So every per-defect outcome is a pure function of
+// (config, online config, program, bus, defect) and results are bitwise
+// identical at any thread count, across checkpoint interrupt/resume and
+// under sharding, and equal to the oracle's (fast_receive off), which
+// runs every slot's whole schedule from reset -- the off-line contract,
+// enforced by tests/test_online.cpp.
 
 #pragma once
 

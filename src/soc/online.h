@@ -14,7 +14,9 @@
 // the exact architectural state (memory, registers, bus held words) the
 // context last saw; bus transfers stay cycle-accurate through the same
 // BusEvaluator as any off-line run.  The functional window attaches the
-// DeadlineDevice MMIO window; the test slice detaches it.
+// DeadlineDevice MMIO window; the test slice detaches it.  At a round
+// boundary the whole schedule is a ScheduleState, so a run can stop
+// there and resume on another System.
 //
 // Functional interference is measured at the MMIO seam: the workload
 // writes a heartbeat register, and the device timestamps every write on
@@ -67,6 +69,15 @@ struct InterferenceCounters {
   std::uint64_t deadlines_missed = 0;  ///< gap beyond 2*deadline
 };
 
+/// What the heartbeat device carries from one functional window to the
+/// next: the last heartbeat's global time, the register's value and the
+/// counters.
+struct DeadlineState {
+  std::uint64_t last_heartbeat = 0;
+  std::uint8_t last_value = 0;
+  InterferenceCounters counters;
+};
+
 /// Heartbeat register with deadline accounting on the global clock.
 class DeadlineDevice : public MmioDevice {
  public:
@@ -80,10 +91,10 @@ class DeadlineDevice : public MmioDevice {
     global_offset_ = global_offset;
   }
 
-  std::uint8_t read(cpu::Addr) override { return last_value_; }
+  std::uint8_t read(cpu::Addr) override { return state_.last_value; }
 
   void write(cpu::Addr, std::uint8_t data) override {
-    last_value_ = data;
+    state_.last_value = data;
     const std::uint64_t now =
         cpu_ != nullptr ? global_offset_ + cpu_->cycles() : global_offset_;
     account(now);
@@ -93,27 +104,45 @@ class DeadlineDevice : public MmioDevice {
   /// campaign: a workload that died mid-run still shows its starvation).
   void finish(std::uint64_t global_now) { account(global_now); }
 
-  const InterferenceCounters& counters() const { return counters_; }
+  const InterferenceCounters& counters() const { return state_.counters; }
+
+  const DeadlineState& state() const { return state_; }
+  void restore(const DeadlineState& state) { state_ = state; }
 
  private:
   void account(std::uint64_t now) {
-    const std::uint64_t gap = now - last_heartbeat_;
+    const std::uint64_t gap = now - state_.last_heartbeat;
     if (deadline_cycles_ > 0) {
       if (gap > 2 * deadline_cycles_)
-        ++counters_.deadlines_missed;
+        ++state_.counters.deadlines_missed;
       else if (gap > deadline_cycles_)
-        ++counters_.deadlines_late;
+        ++state_.counters.deadlines_late;
     }
-    ++counters_.heartbeats;
-    last_heartbeat_ = now;
+    ++state_.counters.heartbeats;
+    state_.last_heartbeat = now;
   }
 
   std::uint64_t deadline_cycles_;
   const cpu::Cpu* cpu_ = nullptr;
   std::uint64_t global_offset_ = 0;
-  std::uint64_t last_heartbeat_ = 0;
-  std::uint8_t last_value_ = 0;
-  InterferenceCounters counters_;
+  DeadlineState state_;
+};
+
+/// Everything an interleaved run carries across a round boundary, where
+/// neither context is swapped in: both contexts' suspended states,
+/// whether the workload has started, the heartbeat device, the global
+/// clock and the round count.  A run resumed from it continues exactly as
+/// the run that never stopped: every round swaps each context in from its
+/// saved state (held bus words included) before it runs, so nothing else
+/// of the System carries over a boundary.  Before round 0 nothing has
+/// started, so a state with `rounds == 0` is the schedule's reset.
+struct ScheduleState {
+  SliceState test;
+  SliceState functional;
+  bool functional_started = false;
+  DeadlineState device;
+  std::uint64_t global_cycles = 0;
+  std::uint64_t rounds = 0;
 };
 
 /// Alternates the functional workload and caller-run test slices on one
@@ -146,6 +175,22 @@ class InterleavedScheduler {
   /// Closes the interference accounting (tail gap since the last
   /// heartbeat).  Call once, after the last round.
   void finish() { device_.finish(global_cycles_); }
+
+  /// The schedule at a round boundary, with the caller's suspended test
+  /// context.
+  ScheduleState save(const SliceState& test) const {
+    return {test, functional_state_, functional_started_, device_.state(),
+            global_cycles_, rounds_};
+  }
+  /// Resumes at a saved round boundary; the caller resumes its test
+  /// context from `state.test` (sbst::ProgramSlice's resuming constructor).
+  void restore(const ScheduleState& state) {
+    functional_state_ = state.functional;
+    functional_started_ = state.functional_started;
+    device_.restore(state.device);
+    global_cycles_ = state.global_cycles;
+    rounds_ = state.rounds;
+  }
 
   std::uint64_t global_cycles() const { return global_cycles_; }
   std::uint64_t rounds() const { return rounds_; }

@@ -117,9 +117,11 @@ util::BusWord System::apply_bus(TristateBus& bus, const BusChannel& channel,
     received = xtalk::faulty_v2(forced_->fault, pair);
   }
   if (trace_ != nullptr) {
-    trace_->record(BusEvent{cpu_.cycles(), bus.kind(), direction, driven,
-                            received, received != driven});
+    trace_->record(BusEvent{cpu_.cycles(), bus.kind(), direction, pair.v1,
+                            driven, received, received != driven});
   }
+  if (transfer_log_ != nullptr && bus.kind() == transfer_bus_)
+    transfer_log_->push_back({pair.v1.bits(), driven.bits(), received.bits()});
   return received;
 }
 

@@ -139,7 +139,14 @@ class System : public cpu::BusPort {
   /// between the functional and the test context).
   void clear_mmio() { mmio_.clear(); }
 
+  /// Records every transfer of all three buses (nullptr stops).
   void set_trace(BusTrace* trace) { trace_ = trace; }
+  /// Appends every transfer of `bus` alone to `log` as plain words
+  /// (nullptr stops): what a campaign follows of the bus under test.
+  void set_transfer_log(BusKind bus, std::vector<BusTransfer>* log) {
+    transfer_bus_ = bus;
+    transfer_log_ = log;
+  }
 
   // --- slicing -------------------------------------------------------------
 
@@ -228,6 +235,8 @@ class System : public cpu::BusPort {
   std::vector<MmioWindow> mmio_;
   cpu::Cpu cpu_{*this};
   BusTrace* trace_ = nullptr;
+  BusKind transfer_bus_ = BusKind::kAddress;
+  std::vector<BusTransfer>* transfer_log_ = nullptr;
   std::optional<ForcedMaf> forced_;
 };
 

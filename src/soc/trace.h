@@ -1,8 +1,10 @@
 // Bus transaction tracing.
 //
-// Records every bus transfer (cycle, bus, direction, driven word, received
-// word).  Used to regenerate the paper's Fig. 5 timing diagram, to debug
-// test programs, and by tests that assert on exact transition sequences.
+// Records every bus transfer (cycle, bus, direction, held word, driven
+// word, received word).  Used to regenerate the paper's Fig. 5 timing
+// diagram, to debug test programs, and by tests that assert on exact
+// transition sequences.  A campaign that follows one bus records a
+// BusTransfer log of that bus instead (System::set_transfer_log).
 
 #pragma once
 
@@ -20,11 +22,21 @@ struct BusEvent {
   std::uint64_t cycle = 0;
   BusKind bus = BusKind::kAddress;
   xtalk::BusDirection direction = xtalk::BusDirection::kCpuToCore;
+  /// The word the bus held before the transfer: the transition's v1.
+  util::BusWord held;
   util::BusWord driven;
   util::BusWord received;
   bool corrupted = false;  ///< received != driven
 
   std::string to_string() const;
+};
+
+/// One transfer of one bus as plain words: the word the bus held (the
+/// transition's v1), the word driven (v2) and the word received.
+struct BusTransfer {
+  std::uint64_t held = 0;
+  std::uint64_t driven = 0;
+  std::uint64_t received = 0;
 };
 
 class BusTrace {

@@ -86,8 +86,10 @@ struct CampaignStats {
   /// Of simulated_cycles, the head cycles of newly simulated defect runs
   /// taken from the gold run instead of being stepped: the whole gold run
   /// for a defect that never changes a received word, otherwise the cycle
-  /// count of the snapshot the run resumed from.  Thread-invariant, and
-  /// shards sum to the unsharded value; 0 with fast_receive off.
+  /// count of the gold state the run resumed from -- off-line a snapshot,
+  /// on-line the global clock of the round boundary before the round of
+  /// its first deviating transfer.  Thread-invariant, and shards sum to
+  /// the unsharded value; 0 with fast_receive off.
   std::uint64_t gold_prefix_cycles = 0;
   /// Environment counter: representative runs stepped off gold, one per
   /// distinct trajectory of the slots that shared a campaign call's runs
@@ -95,10 +97,11 @@ struct CampaignStats {
   /// workers and a resume group different slots, so it changes under them;
   /// 0 with fast_receive off.
   std::uint64_t trajectories = 0;
-  /// Environment counter: CPU cycles actually stepped in defect runs --
-  /// representative runs, the re-runs that keep their fork states, slots
-  /// run alone and serial retries -- where simulated_cycles also counts
-  /// the cycles a run takes from a shared one.  Thread-invariant within
+  /// Environment counter: cycles actually stepped in defect runs (on-line,
+  /// global cycles of both contexts) -- representative runs, the re-runs
+  /// that keep their fork states, slots run alone and serial retries --
+  /// where simulated_cycles also counts the cycles a run takes from a
+  /// shared one.  Thread-invariant within
   /// one call; changes under shards, workers and resume like trajectories.
   std::uint64_t stepped_cycles = 0;
   /// Host wall-clock time spent inside campaign calls.

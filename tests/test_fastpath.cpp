@@ -7,17 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sbst/generator.h"
+#include "sbst/slice.h"
 #include "sim/campaign.h"
+#include "sim/online.h"
 #include "soc/bus.h"
+#include "soc/online.h"
 #include "soc/system.h"
 #include "soc/trace.h"
 #include "spec/scenario.h"
@@ -192,25 +197,29 @@ struct TracedRun {
   sim::ResponseSnapshot snap;
 };
 
+/// Applies `defect` to `bus` of `system`.
+void inject(soc::System& system, soc::BusKind bus,
+            const xtalk::Defect& defect) {
+  switch (bus) {
+    case soc::BusKind::kAddress:
+      system.set_address_network(
+          defect.apply(system.nominal_address_network()));
+      break;
+    case soc::BusKind::kData:
+      system.set_data_network(defect.apply(system.nominal_data_network()));
+      break;
+    case soc::BusKind::kControl:
+      system.set_control_network(
+          defect.apply(system.nominal_control_network()));
+      break;
+  }
+}
+
 TracedRun traced_run(const soc::SystemConfig& cfg,
                      const sbst::TestProgram& program, soc::BusKind bus,
                      const xtalk::Defect* defect, std::uint64_t budget) {
   soc::System system(cfg);
-  if (defect != nullptr) {
-    switch (bus) {
-      case soc::BusKind::kAddress:
-        system.set_address_network(
-            defect->apply(system.nominal_address_network()));
-        break;
-      case soc::BusKind::kData:
-        system.set_data_network(defect->apply(system.nominal_data_network()));
-        break;
-      case soc::BusKind::kControl:
-        system.set_control_network(
-            defect->apply(system.nominal_control_network()));
-        break;
-    }
-  }
+  if (defect != nullptr) inject(system, bus, *defect);
   soc::BusTrace trace;
   system.set_trace(&trace);
   TracedRun run;
@@ -308,6 +317,244 @@ TEST(FastPath, SharedTrajectoriesPremiseHoldsOnEveryBuiltin) {
           << name << " threads=" << threads;
       EXPECT_EQ(stats.trajectories, trajectories)
           << name << " threads=" << threads;
+    }
+  }
+}
+
+/// What the on-line tester sees at one slice boundary.
+struct Boundary {
+  std::vector<std::uint8_t> values;
+  bool halted = false;
+  cpu::HaltReason reason = cpu::HaltReason::kRunning;
+  bool operator==(const Boundary&) const = default;
+};
+
+/// A slot's on-line schedule from reset, judged at every slice boundary
+/// against `gold` the way the on-line tester judges it (nullptr: this is
+/// gold, run to its halt).  It keeps each transfer on the bus under test
+/// from both contexts, in global order, with the global cycle of the
+/// transfer and its round; the global cycles before each round; what the
+/// tester saw at each boundary; and the outcome and total cycles.
+struct ScheduleRun {
+  std::vector<soc::BusEvent> transfers;
+  std::vector<std::uint64_t> global;
+  std::vector<std::size_t> round;
+  std::vector<std::uint64_t> round_start;
+  std::vector<Boundary> boundaries;
+  sim::OnlineOutcome outcome;
+  std::uint64_t cycles = 0;
+};
+
+ScheduleRun traced_schedule(const spec::ScenarioSpec& s,
+                            const sbst::TestProgram& program,
+                            const xtalk::Defect* defect,
+                            const ScheduleRun* gold) {
+  soc::System system(s.system);
+  if (defect != nullptr) inject(system, s.bus, *defect);
+  const soc::OnlineWorkload workload = soc::make_default_workload();
+  soc::InterleavedScheduler sched(system, s.online, workload);
+  sbst::ProgramSlice slice(program);
+  soc::BusTrace trace;
+  system.set_trace(&trace);
+  std::vector<soc::BusTransfer> log;  // what a campaign records
+  system.set_transfer_log(s.bus, &log);
+  ScheduleRun run;
+  // Moves the traced transfers of a context whose own clock read `own`
+  // when the global clock read `global`.
+  const auto take = [&](std::uint64_t global, std::uint64_t own) {
+    for (const soc::BusEvent& e : trace.events()) {
+      if (e.bus != s.bus) continue;
+      run.transfers.push_back(e);
+      run.global.push_back(global + (e.cycle - own));
+      run.round.push_back(run.round_start.size() - 1);
+    }
+    trace.clear();
+  };
+  std::uint64_t workload_clock = 0;  // the functional context's own clock
+  for (;;) {
+    const std::uint64_t start = sched.global_cycles();
+    run.round_start.push_back(start);
+    sched.run_functional_window();
+    take(start, workload_clock);
+    const std::uint64_t mid = sched.global_cycles();
+    workload_clock += mid - start;
+    sched.begin_test_slice();
+    const std::uint64_t before = slice.cycles();
+    sched.end_test_slice(slice.run(system, s.online.slice_cycles).cycles -
+                         before);
+    take(mid, before);
+    Boundary b;
+    for (const cpu::Addr a : program.response_cells)
+      b.values.push_back(slice.memory_at(a));
+    b.halted = slice.halted();
+    b.reason = slice.reason();
+    run.boundaries.push_back(b);
+    if (gold != nullptr) {
+      const Boundary& g = gold->boundaries[run.boundaries.size() - 1];
+      if (!(b == g)) {
+        run.outcome.verdict = !b.halted && g.halted && b.values == g.values
+                                  ? sim::Verdict::kDetectedByTimeout
+                                  : sim::Verdict::kDetected;
+        run.outcome.detection_latency_cycles = sched.global_cycles();
+        break;
+      }
+    }
+    if (b.halted) break;
+  }
+  system.set_trace(nullptr);
+  system.set_transfer_log(s.bus, nullptr);
+  system.clear_mmio();
+  EXPECT_EQ(log.size(), run.transfers.size());
+  for (std::size_t k = 0; k < std::min(log.size(), run.transfers.size());
+       ++k) {
+    EXPECT_EQ(log[k].held, run.transfers[k].held.bits()) << k;
+    EXPECT_EQ(log[k].driven, run.transfers[k].driven.bits()) << k;
+    EXPECT_EQ(log[k].received, run.transfers[k].received.bits()) << k;
+  }
+  sched.finish();
+  run.outcome.rounds = sched.rounds();
+  run.outcome.heartbeats = sched.interference().heartbeats;
+  run.outcome.deadlines_late = sched.interference().deadlines_late;
+  run.outcome.deadlines_missed = sched.interference().deadlines_missed;
+  run.cycles = sched.global_cycles();
+  return run;
+}
+
+/// The trie of received words of on-line runs: a node is a prefix, entered
+/// at global cycle `global`; `end` is the outcome and cycles of the runs
+/// that end there.
+struct ScheduleTrieNode {
+  std::map<std::uint64_t, std::size_t> next;
+  std::uint64_t global = 0;
+  std::optional<std::pair<sim::OnlineOutcome, std::uint64_t>> end;
+};
+
+TEST(FastPath, SharedTrajectoriesPremiseHoldsOnline) {
+  // DESIGN D7's premise on the on-line schedule: a defect changes only the
+  // words received on the bus under test, in the functional windows and
+  // the test slices alike, so runs whose received words have matched so
+  // far are one run.  Every slot runs from reset with a trace through
+  // both contexts.  In the trie of their received words, runs that share a
+  // node reach it at the same global cycle, runs that end on the same node
+  // have the same outcome and cycles, and none runs on past a node where
+  // another ended.  A scan of gold's distinct (held, driven) pairs, with
+  // each context's own held word from the bus, finds each slot's first
+  // traced deviation, and the campaign's transfer log records those
+  // held words.  Then the campaign engine gives every slot its from-reset
+  // outcome at 1 and 4 threads, with one representative run per
+  // trajectory off gold, and takes from gold the cycles before the round
+  // of each slot's first deviation.  The last library runs short rounds,
+  // so that its slots resume from many round states.
+  std::vector<spec::ScenarioSpec> specs(4, spec::builtin_scenario(
+                                               "online-baseline"));
+  specs[1].bus = soc::BusKind::kData;
+  specs[1].defect_count = 300;
+  specs[2].bus = soc::BusKind::kControl;
+  specs[2].defect_count = 300;
+  specs[3].bus = soc::BusKind::kData;
+  specs[3].defect_count = 300;
+  specs[3].online.workload_cycles = 48;
+  specs[3].online.slice_cycles = 96;
+  for (const spec::ScenarioSpec& s : specs) {
+    ASSERT_TRUE(s.online.enabled);
+    const std::string name = "online " + soc::to_string(s.bus) + " slice " +
+                             std::to_string(s.online.slice_cycles);
+    const xtalk::DefectLibrary lib = s.make_library();
+    const auto sessions = s.make_sessions();
+    std::uint64_t trajectories = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t gold_prefix = 0;
+    sim::OnlineOutcome gold_total;
+    std::vector<sim::OnlineOutcome> outcomes(lib.size());
+    soc::System probe(s.system);
+    for (const sbst::GenerationResult& session : sessions) {
+      if (session.program.tests.empty()) continue;
+      const sbst::TestProgram& program = session.program;
+      const ScheduleRun gold = traced_schedule(s, program, nullptr, nullptr);
+      sim::fold_session(gold_total, gold.outcome);
+      cycles += gold.cycles;
+      // Gold's distinct (held, driven) pairs, in order of first occurrence.
+      std::vector<std::size_t> firsts;
+      std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+      for (std::size_t k = 0; k < gold.transfers.size(); ++k)
+        if (seen.emplace(gold.transfers[k].held.bits(),
+                         gold.transfers[k].driven.bits())
+                .second)
+          firsts.push_back(k);
+      std::vector<ScheduleTrieNode> trie(1);
+      const auto walk = [&](const ScheduleRun& run, const std::string& who) {
+        std::size_t at = 0;
+        for (std::size_t k = 0; k < run.transfers.size(); ++k) {
+          const auto [it, fresh] = trie[at].next.try_emplace(
+              run.transfers[k].received.bits(), trie.size());
+          at = it->second;
+          if (fresh) {
+            trie.emplace_back();
+            trie.back().global = run.global[k];
+          } else {
+            EXPECT_EQ(trie[at].global, run.global[k]) << name << " " << who;
+          }
+        }
+        ScheduleTrieNode& node = trie[at];
+        if (!node.end) {
+          node.end.emplace(run.outcome, run.cycles);
+          return;
+        }
+        EXPECT_EQ(node.end->first, run.outcome) << name << " " << who;
+        EXPECT_EQ(node.end->second, run.cycles) << name << " " << who;
+      };
+      walk(gold, "gold");
+      for (std::size_t i = 0; i < lib.size(); ++i) {
+        const std::string who = "defect " + std::to_string(i);
+        const ScheduleRun run = traced_schedule(s, program, &lib[i], &gold);
+        walk(run, who);
+        cycles += run.cycles;
+        sim::fold_session(outcomes[i], run.outcome);
+        // The first transfer whose received word leaves gold's.
+        std::size_t dev = 0;
+        while (dev < run.transfers.size() && dev < gold.transfers.size() &&
+               run.transfers[dev].received == gold.transfers[dev].received)
+          ++dev;
+        const bool deviates = dev < run.transfers.size();
+        ASSERT_TRUE(!deviates || dev < gold.transfers.size())
+            << name << " " << who << " ran on past gold's end";
+        gold_prefix +=
+            deviates ? gold.round_start[gold.round[dev]] : gold.cycles;
+        // The scan finds the same transfer.
+        inject(probe, s.bus, lib[i]);
+        std::size_t scanned = gold.transfers.size();
+        for (const std::size_t k : firsts) {
+          const soc::BusEvent& e = gold.transfers[k];
+          if (probe.evaluator(s.bus).receive(e.held.bits(), e.driven.bits()) !=
+              e.received.bits()) {
+            scanned = k;
+            break;
+          }
+        }
+        probe.clear_defects();
+        EXPECT_EQ(scanned, deviates ? dev : gold.transfers.size())
+            << name << " " << who;
+      }
+      for (const ScheduleTrieNode& node : trie) {
+        if (!node.end) continue;
+        EXPECT_TRUE(node.next.empty()) << name << ": a run went on past "
+                                              "a node where another ended";
+        ++trajectories;
+      }
+      --trajectories;  // gold's own
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      util::CampaignStats stats;
+      sim::CampaignOptions opts = s.campaign_options(&stats);
+      opts.parallel = {threads};
+      const sim::OnlineResult engine = sim::run_online_detection_sessions(
+          s.system, s.online, sessions, s.bus, lib, opts);
+      const std::string where = name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(engine.outcomes, outcomes) << where;
+      EXPECT_EQ(engine.gold, gold_total) << where;
+      EXPECT_EQ(stats.simulated_cycles, cycles) << where;
+      EXPECT_EQ(stats.trajectories, trajectories) << where;
+      EXPECT_EQ(stats.gold_prefix_cycles, gold_prefix) << where;
     }
   }
 }

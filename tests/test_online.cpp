@@ -10,9 +10,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "sbst/slice.h"
 #include "sim/online.h"
 #include "sim/campaign.h"
+#include "soc/online.h"
 #include "spec/scenario.h"
 #include "util/fault_injector.h"
 #include "util/parallel.h"
@@ -49,6 +52,71 @@ std::string temp_checkpoint(const char* tag) {
 struct InjectorGuard {
   ~InjectorGuard() { util::FaultInjector::global().disarm(); }
 };
+
+/// online-baseline (every session) on `bus`, with `defects` defects.
+spec::ScenarioSpec online_scenario(soc::BusKind bus, std::size_t defects) {
+  spec::ScenarioSpec scn = spec::builtin_scenario("online-baseline");
+  scn.bus = bus;
+  scn.defect_count = defects;
+  return scn;
+}
+
+/// The global cycles of the gold schedules of `sessions`, stepped through
+/// the scheduler directly.
+std::uint64_t gold_schedule_cycles(
+    const spec::ScenarioSpec& scn,
+    const std::vector<sbst::GenerationResult>& sessions) {
+  const soc::OnlineWorkload workload = soc::make_default_workload();
+  std::uint64_t cycles = 0;
+  for (const sbst::GenerationResult& session : sessions) {
+    if (session.program.tests.empty()) continue;
+    soc::System system(scn.system);
+    soc::InterleavedScheduler sched(system, scn.online, workload);
+    sbst::ProgramSlice slice(session.program);
+    while (!slice.halted()) {
+      sched.run_functional_window();
+      sched.begin_test_slice();
+      const std::uint64_t before = slice.cycles();
+      sched.end_test_slice(
+          slice.run(system, scn.online.slice_cycles).cycles - before);
+    }
+    cycles += sched.global_cycles();
+  }
+  return cycles;
+}
+
+/// The verdict tallies, simulated cycles and every on-line counter of two
+/// campaigns agree.
+void expect_same_counters(const util::CampaignStats& a,
+                          const util::CampaignStats& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.defects_simulated, b.defects_simulated) << where;
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles) << where;
+  EXPECT_EQ(a.detected, b.detected) << where;
+  EXPECT_EQ(a.detected_by_timeout, b.detected_by_timeout) << where;
+  EXPECT_EQ(a.undetected, b.undetected) << where;
+  EXPECT_EQ(a.sim_errors, b.sim_errors) << where;
+  EXPECT_EQ(a.online_rounds, b.online_rounds) << where;
+  EXPECT_EQ(a.online_mmio_heartbeats, b.online_mmio_heartbeats) << where;
+  EXPECT_EQ(a.online_deadlines_late, b.online_deadlines_late) << where;
+  EXPECT_EQ(a.online_deadlines_missed, b.online_deadlines_missed) << where;
+  EXPECT_EQ(a.online_detection_latency_cycles,
+            b.online_detection_latency_cycles)
+      << where;
+  EXPECT_EQ(a.online_latency_samples, b.online_latency_samples) << where;
+}
+
+/// The lowest slot that, in `outcomes`, repeats the detected outcome of a
+/// lower slot: a slot whose run is shared with another (equal latencies,
+/// rounds and heartbeats are what one shared run gives).
+std::size_t first_sharing_member(
+    const std::vector<sim::OnlineOutcome>& outcomes) {
+  for (std::size_t j = 0; j < outcomes.size(); ++j)
+    for (std::size_t i = 0; i < j; ++i)
+      if (sim::is_detected(outcomes[j].verdict) && outcomes[i] == outcomes[j])
+        return j;
+  return outcomes.size();
+}
 
 TEST(OnlineCampaign, ThreadCountInvariant) {
   const Fixture s = make_fixture();
@@ -135,6 +203,168 @@ TEST(OnlineCampaign, KillResumeMatchesUninterrupted) {
   EXPECT_EQ(stats.online_latency_samples, ref_stats.online_latency_samples);
   EXPECT_EQ(stats.detected, ref_stats.detected);
   EXPECT_EQ(stats.undetected, ref_stats.undetected);
+}
+
+TEST(OnlineCampaign, FastPathMatchesTheOracle) {
+  // On every bus, at 1 and 4 threads, the fast path (slots resumed from
+  // gold's round states, runs shared between slots) gives the outcomes,
+  // the gold schedule and every counter of the oracle, which runs every
+  // slot's whole schedule from reset: no trajectory, and every defect
+  // cycle stepped.
+  for (const soc::BusKind bus : {soc::BusKind::kAddress, soc::BusKind::kData,
+                                 soc::BusKind::kControl}) {
+    const spec::ScenarioSpec scn = online_scenario(bus, 80);
+    const auto sessions = scn.make_sessions();
+    const auto lib = scn.make_library();
+    const std::uint64_t gold = gold_schedule_cycles(scn, sessions);
+    soc::SystemConfig oracle_cfg = scn.system;
+    oracle_cfg.fast_receive = false;
+    for (const unsigned threads : {1u, 4u}) {
+      const std::string where =
+          soc::to_string(bus) + " threads=" + std::to_string(threads);
+      util::CampaignStats fast_stats, oracle_stats;
+      sim::CampaignOptions opts = scn.campaign_options(&fast_stats);
+      opts.parallel = {threads};
+      const sim::OnlineResult fast = sim::run_online_detection_sessions(
+          scn.system, scn.online, sessions, bus, lib, opts);
+      opts.stats = &oracle_stats;
+      const sim::OnlineResult oracle = sim::run_online_detection_sessions(
+          oracle_cfg, scn.online, sessions, bus, lib, opts);
+      EXPECT_EQ(fast.outcomes, oracle.outcomes) << where;
+      EXPECT_EQ(fast.gold, oracle.gold) << where;
+      expect_same_counters(fast_stats, oracle_stats, where);
+      EXPECT_GT(fast_stats.trajectories, 0u) << where;
+      EXPECT_LT(fast_stats.stepped_cycles, oracle_stats.stepped_cycles)
+          << where;
+      EXPECT_EQ(oracle_stats.trajectories, 0u) << where;
+      EXPECT_EQ(oracle_stats.gold_prefix_cycles, 0u) << where;
+      EXPECT_EQ(oracle_stats.stepped_cycles,
+                oracle_stats.simulated_cycles - gold)
+          << where;
+    }
+  }
+}
+
+TEST(OnlineCampaign, SharedRunCountersAreThreadAndShardInvariant) {
+  // trajectories, stepped_cycles and gold_prefix_cycles depend only on the
+  // slots one call shares, never on the thread count; a slot's gold prefix
+  // (the gold round state it resumes from) does not depend on the other
+  // slots at all, so the shards' prefixes sum to the unsharded one.
+  const spec::ScenarioSpec scn = online_scenario(soc::BusKind::kAddress, 120);
+  const auto sessions = scn.make_sessions();
+  const auto lib = scn.make_library();
+  util::CampaignStats one, four, shards;
+  sim::CampaignOptions opts = scn.campaign_options(&one);
+  opts.parallel = {1};
+  sim::run_online_detection_sessions(scn.system, scn.online, sessions,
+                                     scn.bus, lib, opts);
+  opts.stats = &four;
+  opts.parallel = {4};
+  sim::run_online_detection_sessions(scn.system, scn.online, sessions,
+                                     scn.bus, lib, opts);
+  EXPECT_GT(one.trajectories, 0u);
+  EXPECT_GT(one.gold_prefix_cycles, 0u);
+  EXPECT_EQ(one.trajectories, four.trajectories);
+  EXPECT_EQ(one.stepped_cycles, four.stepped_cycles);
+  EXPECT_EQ(one.gold_prefix_cycles, four.gold_prefix_cycles);
+  for (std::size_t k = 0; k < 2; ++k) {
+    util::CampaignStats part;
+    opts.stats = &part;
+    opts.shard = {k, 2};
+    sim::run_online_detection_sessions(scn.system, scn.online, sessions,
+                                       scn.bus, lib, opts);
+    shards.merge_from(part);
+  }
+  EXPECT_EQ(shards.gold_prefix_cycles, one.gold_prefix_cycles);
+  EXPECT_EQ(shards.simulated_cycles, one.simulated_cycles);
+}
+
+TEST(OnlineCampaign, KillInsideASharedRunResumes) {
+  // A serial campaign killed after half its slots, where a slot on each
+  // side of the kill shares one run, resumes to the uninterrupted
+  // outcomes and counters: the resumed call groups only the slots left.
+  const Fixture s = make_fixture(60);
+  util::CampaignStats ref_stats;
+  sim::CampaignOptions ref_opts;
+  ref_opts.parallel = {1};
+  ref_opts.stats = &ref_stats;
+  const sim::OnlineResult ref = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      ref_opts);
+  const std::size_t kill_after = 30;
+  bool straddles = false;
+  for (std::size_t i = 0; i < kill_after; ++i)
+    for (std::size_t j = kill_after; j < ref.outcomes.size(); ++j)
+      straddles |= sim::is_detected(ref.outcomes[i].verdict) &&
+                   ref.outcomes[i] == ref.outcomes[j];
+  ASSERT_TRUE(straddles) << "no shared run spans the kill point";
+
+  const std::string ckpt = temp_checkpoint("kill_shared");
+  std::remove(ckpt.c_str());
+  util::CampaignStats stats;
+  sim::CampaignOptions opts;
+  opts.parallel = {1};
+  opts.stats = &stats;
+  opts.checkpoint_path = ckpt;
+  opts.checkpoint_key = s.key;
+  InjectorGuard guard;
+  util::FaultInjector::global().configure("campaign.kill@" +
+                                          std::to_string(kill_after));
+  EXPECT_THROW(sim::run_online_detection(s.config, s.online, s.program,
+                                         soc::BusKind::kAddress, s.library,
+                                         opts),
+               sim::CampaignInterrupted);
+  util::FaultInjector::global().disarm();
+  const std::uint64_t first_trajectories = stats.trajectories;
+  opts.parallel = {4};
+  const sim::OnlineResult resumed = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      opts);
+  std::remove(ckpt.c_str());
+  EXPECT_EQ(resumed.outcomes, ref.outcomes);
+  EXPECT_EQ(resumed.gold, ref.gold);
+  EXPECT_EQ(stats.restored_from_checkpoint, kill_after);
+  EXPECT_GT(first_trajectories, 0u);
+  EXPECT_GT(stats.trajectories, first_trajectories);
+  // The tallies and on-line sums cover the completed call only.
+  EXPECT_EQ(stats.online_rounds, ref_stats.online_rounds);
+  EXPECT_EQ(stats.online_mmio_heartbeats, ref_stats.online_mmio_heartbeats);
+  EXPECT_EQ(stats.online_detection_latency_cycles,
+            ref_stats.online_detection_latency_cycles);
+  EXPECT_EQ(stats.online_latency_samples, ref_stats.online_latency_samples);
+  EXPECT_EQ(stats.detected, ref_stats.detected);
+  EXPECT_EQ(stats.undetected, ref_stats.undetected);
+}
+
+TEST(OnlineCampaign, FaultOnASharedSlotRetriesItAlone) {
+  // parallel.item fails the slot loop's item for a slot that took another
+  // slot's shared run; the serial retry runs it alone (gold scan, resume
+  // from gold's round state) to the same outcome and cycles.
+  const Fixture s = make_fixture(60);
+  util::CampaignStats ref_stats;
+  sim::CampaignOptions opts;
+  opts.parallel = {1};
+  opts.stats = &ref_stats;
+  const sim::OnlineResult ref = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      opts);
+  const std::size_t member = first_sharing_member(ref.outcomes);
+  ASSERT_LT(member, ref.outcomes.size()) << "no slot shares a run";
+  util::CampaignStats stats;
+  opts.stats = &stats;
+  InjectorGuard guard;
+  // One thread hands the items out in slot order: hit k is slot k - 1.
+  util::FaultInjector::global().configure("parallel.item@" +
+                                          std::to_string(member + 1));
+  const sim::OnlineResult retried = sim::run_online_detection(
+      s.config, s.online, s.program, soc::BusKind::kAddress, s.library,
+      opts);
+  util::FaultInjector::global().disarm();
+  EXPECT_EQ(retried.outcomes, ref.outcomes);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.sim_errors, 0u);
+  EXPECT_EQ(stats.simulated_cycles, ref_stats.simulated_cycles);
+  EXPECT_EQ(stats.gold_prefix_cycles, ref_stats.gold_prefix_cycles);
 }
 
 TEST(OnlineCampaign, ScheduleChangeRejectsStaleCheckpoint) {
