@@ -730,9 +730,18 @@ class SharedTrajectories {
     return {};
   }
 
+  /// One worker's scan evaluator, on a cache line of its own so that
+  /// rebuilding it never writes a line another worker's evaluator is on.
+  struct alignas(64) ScanEvaluator {
+    xtalk::BusEvaluator eval;
+  };
+
   /// Scans `pairs_of(k)` with slot slots[k]'s evaluator for every k on
   /// `parallel`'s threads, then hands each result to `found(k, deviation)`
-  /// in slot order.  A slot whose scan throws is marked kFailed.
+  /// in slot order.  A slot whose scan throws is marked kFailed.  Each
+  /// worker rebuilds one evaluator in place for every slot it scans (its
+  /// first rebuild allocates the storage, on the worker's own thread); the
+  /// evaluators hold no result and go with the call.
   template <typename PairsOf, typename Found>
   void scan(const xtalk::DefectLibrary& library,
             const std::vector<std::size_t>& slots,
@@ -740,12 +749,12 @@ class SharedTrajectories {
             const std::function<bool()>& cancelled, PairsOf&& pairs_of,
             Found&& found) {
     std::vector<Deviation> dev(slots.size());
+    std::vector<ScanEvaluator> scratch(parallel.resolve(slots.size()));
     const std::vector<ItemStatus> status = for_each_item(
-        slots.size(), parallel, cancelled, [&](std::size_t k, unsigned) {
-          dev[k] = first_deviation(
-              xtalk::BusEvaluator(library[slots[k]].apply(nominal_),
-                                  thresholds_),
-              pairs_of(k));
+        slots.size(), parallel, cancelled, [&](std::size_t k, unsigned w) {
+          xtalk::BusEvaluator& eval = scratch[w].eval;
+          eval.rebuild(nominal_, library[slots[k]], thresholds_);
+          dev[k] = first_deviation(eval, pairs_of(k));
         });
     for (std::size_t k = 0; k < slots.size(); ++k) {
       if (status[k] == ItemStatus::kThrew)

@@ -55,6 +55,10 @@ struct Worker {
   bool chaos_victim = false;
   /// The current incarnation was killed for a heartbeat timeout.
   bool timed_out = false;
+  /// Heartbeats of the current incarnation, and the count at which chaos
+  /// mode kills it.
+  std::uint64_t beats = 0;
+  std::uint64_t chaos_due = 0;
 
   std::size_t spawns = 0;
   std::size_t retries_left = 0;
@@ -221,11 +225,8 @@ SupervisorResult Supervisor::run() {
     result.shards[k].shard = k;
   }
 
-  const std::size_t chaos_cap =
-      opt_.chaos_max_kills > 0 ? opt_.chaos_max_kills : opt_.workers * 3;
   util::Rng chaos_rng(opt_.chaos_seed);
-  Clock::time_point next_chaos =
-      start + std::chrono::milliseconds(opt_.chaos_kill_ms);
+  std::size_t chaos_sent = 0;
 
   auto log = [&](const std::string& line) {
     if (opt_.log != nullptr) *opt_.log << "[supervisor] " << line << "\n";
@@ -251,21 +252,26 @@ SupervisorResult Supervisor::run() {
         " spawn(s): " + why);
   };
 
-  /// The current attempt ended without completing the shard.  Durable
-  /// progress (checkpoint bytes changed) refills the retry budget; a
-  /// chaos kill is supervisor-inflicted and never charges it.
-  auto fail_attempt = [&](Worker& w, const std::string& why) {
+  /// The current attempt ended (with `st`; a spawn failure has none)
+  /// without completing the shard.  Durable progress (checkpoint bytes
+  /// changed) refills the retry budget; a chaos kill is
+  /// supervisor-inflicted and never charges it.  A chaos victim that died
+  /// of anything but the SIGKILL (its own crash raced the kill) failed as
+  /// it would have without chaos.
+  auto fail_attempt = [&](Worker& w, const std::string& why,
+                          const util::ExitStatus& st) {
     w.running = false;
     close_worker_fds(w);
     ++result.respawns;
     std::string snap = util::read_file(w.checkpoint_path).value_or("");
     const bool progressed = snap != w.last_snapshot;
     w.last_snapshot = std::move(snap);
-    const bool chaos = w.chaos_victim;
+    const bool chaos = w.chaos_victim && st.signaled && st.sig == SIGKILL;
     w.chaos_victim = false;
     w.timed_out = false;
     if (chaos) {
       // Respawn immediately: the kill was ours, the worker owes nothing.
+      ++result.chaos_kills;
       w.next_spawn = Clock::now();
       log(shard_name(w) + ": chaos-killed (" + why + "), respawning");
       return;
@@ -291,7 +297,7 @@ SupervisorResult Supervisor::run() {
       w.last_status = "injected spawn failure";
       ++w.spawns;
       result.shards[w.shard].spawns = w.spawns;
-      fail_attempt(w, "injected spawn failure");
+      fail_attempt(w, "injected spawn failure", {});
       return;
     }
     util::Pipe hb{}, out{};
@@ -327,7 +333,7 @@ SupervisorResult Supervisor::run() {
       w.last_status = e.what();
       ++w.spawns;
       result.shards[w.shard].spawns = w.spawns;
-      fail_attempt(w, std::string("spawn failed: ") + e.what());
+      fail_attempt(w, std::string("spawn failed: ") + e.what(), {});
       return;
     }
     // Parent keeps only the read ends; the child's copies came from the
@@ -342,6 +348,17 @@ SupervisorResult Supervisor::run() {
     w.running = true;
     w.timed_out = false;
     w.chaos_victim = false;
+    w.beats = 0;
+    if (opt_.chaos_max_kills > 0) {
+      // An incarnation beats once at startup, once per library round and
+      // once per verdict: a kill due within half its shard's verdicts
+      // finds it still working, however fast the host.
+      const std::uint64_t verdicts =
+          ShardSpec{w.shard, opt_.workers}.owned_of(job_.defect_count) *
+          job_.sections.size();
+      w.chaos_due =
+          1 + chaos_rng.below(std::max<std::uint64_t>(1, verdicts / 2));
+    }
     ++w.spawns;
     result.shards[w.shard].spawns = w.spawns;
     w.hb_deadline = Clock::now() + kHeartbeatTimeout;
@@ -416,6 +433,7 @@ SupervisorResult Supervisor::run() {
       drain(w.out_fd, &w.output);
       const std::size_t beats = drain(w.hb_fd, nullptr);
       if (beats > 0) {
+        w.beats += beats;
         result.heartbeats += beats;
         new_beats += beats;
         if (inj.fire("supervisor.heartbeat")) {
@@ -445,24 +463,18 @@ SupervisorResult Supervisor::run() {
       }
     }
 
-    // Chaos mode: SIGKILL a random live worker on the configured cadence.
-    if (opt_.chaos_kill_ms > 0 && result.chaos_kills < chaos_cap &&
-        Clock::now() >= next_chaos) {
-      std::vector<std::size_t> live;
-      for (std::size_t k = 0; k < workers.size(); ++k)
-        if (workers[k].running && !workers[k].chaos_victim) live.push_back(k);
-      if (!live.empty()) {
-        Worker& victim = workers[live[std::size_t(
-            chaos_rng.below(std::uint64_t(live.size())))]];
-        victim.chaos_victim = true;
-        victim.child.kill(SIGKILL);
-        ++result.chaos_kills;
-        log(shard_name(victim) + ": chaos SIGKILL pid " +
-            std::to_string(victim.child.pid()) + " (" +
-            std::to_string(result.chaos_kills) + "/" +
-            std::to_string(chaos_cap) + ")");
-      }
-      next_chaos = Clock::now() + std::chrono::milliseconds(opt_.chaos_kill_ms);
+    // Chaos mode: SIGKILL each worker at its seeded heartbeat count.
+    for (Worker& w : workers) {
+      if (chaos_sent >= opt_.chaos_max_kills) break;
+      if (!w.running || w.timed_out || w.chaos_victim || w.beats < w.chaos_due)
+        continue;
+      w.chaos_victim = true;
+      w.child.kill(SIGKILL);
+      ++chaos_sent;
+      log(shard_name(w) + ": chaos SIGKILL pid " +
+          std::to_string(w.child.pid()) + " at heartbeat " +
+          std::to_string(w.beats) + " (" + std::to_string(chaos_sent) + "/" +
+          std::to_string(opt_.chaos_max_kills) + ")");
     }
 
     // Reap.
@@ -502,8 +514,9 @@ SupervisorResult Supervisor::run() {
         close_worker_fds(w);
         quarantine(w, "non-retryable " + w.last_status);
       } else {
-        fail_attempt(w, w.last_status +
-                            (w.timed_out ? " (heartbeat timeout)" : ""));
+        fail_attempt(w,
+                     w.last_status + (w.timed_out ? " (heartbeat timeout)" : ""),
+                     st);
       }
     }
   }

@@ -85,14 +85,15 @@ struct SupervisorOptions {
   /// Initial respawn backoff; doubles per progress-less failure, capped
   /// at 5 s.
   std::uint64_t worker_backoff_ms = 50;
-  /// Chaos mode: when > 0, SIGKILL a random live worker roughly every
-  /// this many milliseconds (seeded by chaos_seed, capped at
-  /// chaos_max_kills).  Chaos kills are supervisor-inflicted and never
+  /// Chaos mode: when > 0, SIGKILL up to this many worker processes
+  /// (0 = off).  Each incarnation is killed once it has sent a seeded
+  /// number of heartbeats since its (re)spawn, drawn from [1, half its
+  /// shard's verdicts] at each spawn (seeded by chaos_seed).  A kill is
+  /// due on the worker's own progress, not on wall time, so it lands on a
+  /// fast host too.  Chaos kills are supervisor-inflicted and never
   /// consume the victim's retry budget.
-  std::uint64_t chaos_kill_ms = 0;
-  std::uint64_t chaos_seed = 0;
-  /// 0 = 3 kills per worker.
   std::size_t chaos_max_kills = 0;
+  std::uint64_t chaos_seed = 0;
   /// Cooperative cancellation (SIGINT/SIGTERM): workers get SIGTERM,
   /// flush their checkpoints, and the run throws CampaignInterrupted --
   /// resumable exactly like a single-process campaign.  The flag is also
@@ -133,6 +134,8 @@ struct SupervisorResult {
   util::CampaignStats stats;
   std::vector<ShardOutcome> shards;
   std::size_t respawns = 0;
+  /// Worker processes a chaos SIGKILL killed (a worker that exited on its
+  /// own before the signal landed, cleanly or not, does not count).
   std::size_t chaos_kills = 0;
   std::size_t heartbeats = 0;
 

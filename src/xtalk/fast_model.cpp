@@ -2,6 +2,10 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+
+#include "xtalk/defect.h"
 
 namespace xtest::xtalk {
 
@@ -11,17 +15,47 @@ namespace {
 constexpr double kLn2 = 0.6931471805599453;
 }  // namespace
 
-BusEvaluator::BusEvaluator(const RcNetwork& net, const ErrorModelConfig& config)
-    : width_(net.width()),
-      quiet_is_identity_(config.glitch_threshold_v > 0.0),
-      vdd_v_(config.vdd_v),
-      glitch_threshold_v_(config.glitch_threshold_v),
-      delay_slack_ns_(config.delay_slack_ns),
-      driver_resistance_ohm_(net.driver_resistance()),
-      rows_(static_cast<std::size_t>(width_) * width_),
-      glitch_denom_(width_),
-      ground_(width_) {
+BusEvaluator::BusEvaluator(const RcNetwork& net,
+                           const ErrorModelConfig& config) {
+  build(net, nullptr, config);
+}
+
+void BusEvaluator::rebuild(const RcNetwork& nominal, const Defect& defect,
+                           const ErrorModelConfig& config) {
+  if (defect.width() != nominal.width())
+    throw std::invalid_argument(
+        "BusEvaluator::rebuild: defect width " +
+        std::to_string(defect.width()) + " does not match bus width " +
+        std::to_string(nominal.width()));
+  build(nominal, &defect, config);
+}
+
+void BusEvaluator::build(const RcNetwork& net, const Defect* defect,
+                         const ErrorModelConfig& config) {
+  width_ = net.width();
   assert(width_ >= 1 && width_ <= 64);
+  quiet_is_identity_ = config.glitch_threshold_v > 0.0;
+  vdd_v_ = config.vdd_v;
+  glitch_threshold_v_ = config.glitch_threshold_v;
+  delay_slack_ns_ = config.delay_slack_ns;
+  driver_resistance_ohm_ = net.driver_resistance();
+  const std::size_t w = width_;
+  rows_.resize(w * w);
+  glitch_denom_.resize(w);
+  ground_.resize(w);
+  active_.clear();
+  // The rows are `net`'s, mirrored from the upper triangle (RcNetwork
+  // keeps its matrix symmetric).  With `defect`, each pair is scaled by
+  // its factor as Defect::apply scales it: the applied network's rows.
+  for (unsigned i = 0; i < width_; ++i) {
+    rows_[i * w + i] = net.coupling(i, i);
+    for (unsigned j = i + 1; j < width_; ++j) {
+      const double c = net.coupling(i, j);
+      rows_[i * w + j] = rows_[j * w + i] =
+          defect != nullptr ? c * defect->factor(i, j) : c;
+    }
+  }
+
   // Sound worst-case bounds, conservative in the FP sense: a wire whose
   // worst achievable excursion (all aggressors conspiring) sits strictly
   // below the threshold -- with a relative margin dwarfing any rounding
@@ -29,18 +63,21 @@ BusEvaluator::BusEvaluator(const RcNetwork& net, const ErrorModelConfig& config)
   // on any transition, and receive() need not evaluate it at all.
   constexpr double kFpMargin = 1.0 + 1e-9;
   for (unsigned i = 0; i < width_; ++i) {
-    double sum_abs = 0.0;    // worst |injected charge| on a stable wire
-    double sum_pos2 = 0.0;   // worst Miller load on a switching wire
+    const double* row = &rows_[i * w];
+    double net_coupling = 0.0;  // RcNetwork::net_coupling's sum
+    double sum_abs = 0.0;       // worst |injected charge| on a stable wire
+    double sum_pos2 = 0.0;      // worst Miller load on a switching wire
     for (unsigned j = 0; j < width_; ++j) {
-      const double c = net.coupling(i, j);
-      rows_[static_cast<std::size_t>(i) * width_ + j] = c;
+      const double c = row[j];
+      net_coupling += c;
       sum_abs += c < 0.0 ? -c : c;
       if (c > 0.0) sum_pos2 += 2.0 * c;
     }
     // Exactly the reference's `total`: ground_cap(i) + net_coupling(i),
-    // with net_coupling summing all couplings in ascending wire order.
-    glitch_denom_[i] = net.ground_cap(i) + net.net_coupling(i);
+    // with net_coupling summing all couplings in ascending wire order,
+    // the zero diagonal included.
     ground_[i] = net.ground_cap(i);
+    glitch_denom_[i] = ground_[i] + net_coupling;
 
     const double dv_max = vdd_v_ * sum_abs / glitch_denom_[i];
     const bool can_glitch =

@@ -19,6 +19,13 @@
 // sum keeps the reference's full ascending loop), so its verdicts are
 // bit-identical to `CrosstalkErrorModel::receive` -- enforced by the property
 // tests in tests/test_fastpath.cpp.
+//
+// A defect's evaluator is nominal x factors plus the thresholds, so
+// `rebuild` makes it in place from (nominal network, Defect): the rows are
+// the products Defect::apply forms, and everything else is derived from
+// the rows by the one routine the network constructor uses too.  It equals
+// `BusEvaluator(defect.apply(nominal), config)` bit for bit, without the
+// network copy, and reuses the evaluator's storage.
 
 #pragma once
 
@@ -30,14 +37,24 @@
 
 namespace xtest::xtalk {
 
-/// Precomputed per-defect receive evaluator.  Immutable after construction,
-/// so one instance may be shared by concurrent readers.
+class Defect;
+
+/// Precomputed per-defect receive evaluator.  receive() is const, so one
+/// instance may be shared by concurrent readers while nobody rebuilds it.
 class BusEvaluator {
  public:
   /// Empty evaluator (width 0): behaves like an ideal bus.
   BusEvaluator() = default;
 
   BusEvaluator(const RcNetwork& net, const ErrorModelConfig& config);
+
+  /// Makes this evaluator BusEvaluator(defect.apply(nominal), config), bit
+  /// for bit, without building the applied network: whatever it held
+  /// before is replaced, and its storage is reused.  Throws
+  /// std::invalid_argument on a width mismatch, as Defect::apply does,
+  /// and then holds what it held before.
+  void rebuild(const RcNetwork& nominal, const Defect& defect,
+               const ErrorModelConfig& config);
 
   unsigned width() const { return width_; }
 
@@ -66,6 +83,12 @@ class BusEvaluator {
   std::uint64_t receive(std::uint64_t v1, std::uint64_t v2) const;
 
  private:
+  /// The one build routine: the rows are `net`'s couplings, each pair
+  /// i < j scaled by `defect`'s factor when it is set; the bounds, the
+  /// active set and the denominators then come from the stored rows.
+  void build(const RcNetwork& net, const Defect* defect,
+             const ErrorModelConfig& config);
+
   unsigned width_ = 0;
   bool quiet_is_identity_ = false;
   bool always_identity_ = false;

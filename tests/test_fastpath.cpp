@@ -116,6 +116,109 @@ TEST(FastModel, ZeroGlitchThresholdStillMatchesReference) {
   }
 }
 
+TEST(FastModel, RebuildEqualsTheAppliedNetworksEvaluator) {
+  // The scans rebuild one evaluator in place, defect after defect, from
+  // nominal x factors.  Each rebuild must be the evaluator of the applied
+  // network whatever the evaluator held before: the widths below go
+  // 3 -> 12 -> 32 -> 3 -> 12 -> 8 -> 3 -> 12 -> 3 ..., and the wide-bus and
+  // low-swing scenarios bring other couplings and thresholds.
+  struct Bus {
+    std::string name;
+    RcNetwork nominal;
+    ErrorModelConfig thresholds;
+    xtalk::DefectLibrary library;
+  };
+  constexpr std::size_t kDefects = 300;
+  std::vector<Bus> order;  // in rebuild order
+  const auto add = [&](const char* scenario, soc::BusKind bus) {
+    const soc::SystemConfig cfg = spec::builtin_scenario(scenario).system;
+    const soc::System system(cfg);
+    const bool addr = bus == soc::BusKind::kAddress;
+    const bool data = bus == soc::BusKind::kData;
+    order.push_back(
+        {std::string(scenario) + " " + soc::to_string(bus),
+         addr   ? system.nominal_address_network()
+         : data ? system.nominal_data_network()
+                : system.nominal_control_network(),
+         (addr   ? system.address_model()
+          : data ? system.data_model()
+                 : system.control_model())
+             .config(),
+         sim::make_defect_library(cfg, bus, kDefects, 5)});
+  };
+  add("paper-baseline", soc::BusKind::kControl);
+  add("paper-baseline", soc::BusKind::kAddress);
+  {
+    xtalk::BusGeometry g;
+    g.width = 32;
+    const RcNetwork nominal(g);
+    xtalk::DefectConfig dc;
+    dc.cth_fF = xtalk::recommended_cth(nominal);
+    dc.count = kDefects;
+    dc.seed = 5;
+    order.push_back({"32 wires", nominal,
+                     ErrorModelConfig::calibrated(nominal, dc.cth_fF),
+                     xtalk::DefectLibrary::generate(nominal, dc)});
+  }
+  add("wide-bus-32", soc::BusKind::kControl);
+  add("wide-bus-32", soc::BusKind::kAddress);
+  // Every pair of an 8-wire bus is 65,536 transfers a defect, so only the
+  // paper's data bus takes part.
+  add("paper-baseline", soc::BusKind::kData);
+  add("low-swing-bus", soc::BusKind::kControl);
+  add("low-swing-bus", soc::BusKind::kAddress);
+  const Bus& wires32 = order[2];
+
+  std::mt19937_64 rng(11);
+  BusEvaluator eval;
+  std::size_t step = 0;
+  for (std::size_t k = 0; k < kDefects; ++k)
+    for (const Bus& bus : order) {
+      const unsigned width = bus.nominal.width();
+      const std::string where = bus.name + " defect " + std::to_string(k);
+      if (++step % 97 == 0) {
+        // A defect of another width throws and leaves the evaluator as
+        // it was; the rebuild below must still be exact.
+        const unsigned before = eval.width();
+        const Bus& other = width == 32 ? order.front() : wires32;
+        EXPECT_THROW(
+            eval.rebuild(bus.nominal, other.library[k], bus.thresholds),
+            std::invalid_argument)
+            << where;
+        EXPECT_EQ(eval.width(), before) << where;
+      }
+      const xtalk::Defect& defect = bus.library[k];
+      eval.rebuild(bus.nominal, defect, bus.thresholds);
+      const BusEvaluator fresh(defect.apply(bus.nominal), bus.thresholds);
+      ASSERT_EQ(eval.width(), fresh.width()) << where;
+      EXPECT_EQ(eval.active_wires(), fresh.active_wires()) << where;
+      EXPECT_EQ(eval.always_identity(), fresh.always_identity()) << where;
+      EXPECT_EQ(eval.quiet_is_identity(), fresh.quiet_is_identity()) << where;
+
+      std::size_t pairs = 0;
+      std::size_t mismatches = 0;
+      const auto compare = [&](std::uint64_t v1, std::uint64_t v2) {
+        ++pairs;
+        if (eval.receive(v1, v2) != fresh.receive(v1, v2)) ++mismatches;
+      };
+      for (const xtalk::MafFault& f : xtalk::enumerate_mafs(width, true)) {
+        const VectorPair pair = xtalk::ma_test(width, f);
+        compare(pair.v1.bits(), pair.v2.bits());
+      }
+      const std::uint64_t mask = BusWord::mask(width);
+      if (width <= 8) {
+        for (std::uint64_t v1 = 0; v1 <= mask; ++v1)
+          for (std::uint64_t v2 = 0; v2 <= mask; ++v2) compare(v1, v2);
+      } else {
+        for (int t = 0; t < 256; ++t) {
+          const std::uint64_t v1 = rng() & mask;
+          compare(v1, rng() & mask);
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << where << " of " << pairs << " pairs";
+    }
+}
+
 TEST(FastPath, QuietBusTransferSkipsEvaluation) {
   // A quiet transfer (re-driving the held word) samples the driven word
   // without evaluation, even on a defect whose evaluator is active: with a
@@ -561,9 +664,9 @@ TEST(FastPath, SharedTrajectoriesPremiseHoldsOnline) {
 
 TEST(FastPath, SharedRunCountersAreThreadInvariant) {
   // trajectories and stepped_cycles depend only on which slots share one
-  // campaign call, so they are the same at every thread count.  The
-  // oracle shares nothing: no trajectory, and every defect cycle is
-  // stepped.
+  // campaign call, so they are the same at every thread count, and so
+  // are the verdicts.  The oracle shares nothing: no trajectory, and
+  // every defect cycle is stepped.
   const auto sessions =
       sbst::TestProgramGenerator::generate_sessions(sbst::GeneratorConfig{});
   const soc::SystemConfig fast_cfg;
@@ -579,17 +682,33 @@ TEST(FastPath, SharedRunCountersAreThreadInvariant) {
   for (const soc::BusKind bus : {soc::BusKind::kAddress, soc::BusKind::kData,
                                  soc::BusKind::kControl}) {
     const auto lib = sim::make_defect_library(fast_cfg, bus, 300, 7);
-    util::CampaignStats serial, parallel, oracle;
-    sim::run_detection_sessions(fast_cfg, sessions, bus, lib,
-                                {.parallel = {1}, .stats = &serial});
-    sim::run_detection_sessions(fast_cfg, sessions, bus, lib,
-                                {.parallel = {4}, .stats = &parallel});
-    sim::run_detection_sessions(ref_cfg, sessions, bus, lib,
-                                {.parallel = {4}, .stats = &oracle});
+    util::CampaignStats serial, oracle;
+    const std::vector<sim::Verdict> verdicts = sim::run_detection_sessions(
+        fast_cfg, sessions, bus, lib, {.parallel = {1}, .stats = &serial});
     const std::string where = soc::to_string(bus);
+    // Odd worker counts too: a scan's per-worker scratch indexed wrongly
+    // shows first where the workers' shares are uneven.
+    for (const unsigned threads : {2u, 3u, 4u}) {
+      util::CampaignStats parallel;
+      EXPECT_EQ(sim::run_detection_sessions(
+                    fast_cfg, sessions, bus, lib,
+                    {.parallel = {threads}, .stats = &parallel}),
+                verdicts)
+          << where << " threads=" << threads;
+      EXPECT_EQ(serial.trajectories, parallel.trajectories)
+          << where << " threads=" << threads;
+      EXPECT_EQ(serial.stepped_cycles, parallel.stepped_cycles)
+          << where << " threads=" << threads;
+      EXPECT_EQ(serial.simulated_cycles, parallel.simulated_cycles)
+          << where << " threads=" << threads;
+      EXPECT_EQ(serial.gold_prefix_cycles, parallel.gold_prefix_cycles)
+          << where << " threads=" << threads;
+    }
+    EXPECT_EQ(sim::run_detection_sessions(ref_cfg, sessions, bus, lib,
+                                          {.parallel = {4}, .stats = &oracle}),
+              verdicts)
+        << where;
     EXPECT_GT(serial.trajectories, 0u) << where;
-    EXPECT_EQ(serial.trajectories, parallel.trajectories) << where;
-    EXPECT_EQ(serial.stepped_cycles, parallel.stepped_cycles) << where;
     EXPECT_LT(serial.stepped_cycles,
               serial.simulated_cycles - serial.gold_prefix_cycles)
         << where;

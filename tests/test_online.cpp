@@ -246,27 +246,39 @@ TEST(OnlineCampaign, FastPathMatchesTheOracle) {
 }
 
 TEST(OnlineCampaign, SharedRunCountersAreThreadAndShardInvariant) {
-  // trajectories, stepped_cycles and gold_prefix_cycles depend only on the
-  // slots one call shares, never on the thread count; a slot's gold prefix
-  // (the gold round state it resumes from) does not depend on the other
-  // slots at all, so the shards' prefixes sum to the unsharded one.
+  // Outcomes, trajectories, stepped_cycles and gold_prefix_cycles depend
+  // only on the slots one call shares, never on the thread count; a slot's
+  // gold prefix (the gold round state it resumes from) does not depend on
+  // the other slots at all, so the shards' prefixes sum to the unsharded
+  // one.
   const spec::ScenarioSpec scn = online_scenario(soc::BusKind::kAddress, 120);
   const auto sessions = scn.make_sessions();
   const auto lib = scn.make_library();
-  util::CampaignStats one, four, shards;
+  util::CampaignStats one, shards;
   sim::CampaignOptions opts = scn.campaign_options(&one);
   opts.parallel = {1};
-  sim::run_online_detection_sessions(scn.system, scn.online, sessions,
-                                     scn.bus, lib, opts);
-  opts.stats = &four;
-  opts.parallel = {4};
-  sim::run_online_detection_sessions(scn.system, scn.online, sessions,
-                                     scn.bus, lib, opts);
+  const sim::OnlineResult serial = sim::run_online_detection_sessions(
+      scn.system, scn.online, sessions, scn.bus, lib, opts);
   EXPECT_GT(one.trajectories, 0u);
   EXPECT_GT(one.gold_prefix_cycles, 0u);
-  EXPECT_EQ(one.trajectories, four.trajectories);
-  EXPECT_EQ(one.stepped_cycles, four.stepped_cycles);
-  EXPECT_EQ(one.gold_prefix_cycles, four.gold_prefix_cycles);
+  // Odd worker counts too: a scan's per-worker scratch indexed wrongly
+  // shows first where the workers' shares are uneven.
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    util::CampaignStats stats;
+    opts.stats = &stats;
+    opts.parallel = {threads};
+    const sim::OnlineResult r = sim::run_online_detection_sessions(
+        scn.system, scn.online, sessions, scn.bus, lib, opts);
+    EXPECT_EQ(r.outcomes, serial.outcomes) << "threads=" << threads;
+    EXPECT_EQ(one.trajectories, stats.trajectories) << "threads=" << threads;
+    EXPECT_EQ(one.stepped_cycles, stats.stepped_cycles)
+        << "threads=" << threads;
+    EXPECT_EQ(one.gold_prefix_cycles, stats.gold_prefix_cycles)
+        << "threads=" << threads;
+    EXPECT_EQ(one.simulated_cycles, stats.simulated_cycles)
+        << "threads=" << threads;
+  }
+  opts.parallel = {4};
   for (std::size_t k = 0; k < 2; ++k) {
     util::CampaignStats part;
     opts.stats = &part;

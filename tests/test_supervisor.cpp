@@ -411,6 +411,29 @@ TEST(Supervisor, OnlineRunMatchesInProcessOutcomes) {
   }
 }
 
+TEST(Supervisor, ChaosKillsLandAndResumeToTheInProcessVerdicts) {
+  // Chaos kills are due on a worker's heartbeats since its spawn, not on
+  // wall time: a 12-defect campaign finishes in milliseconds, and a kill
+  // due within half of a shard's verdicts (here the first three beats)
+  // still finds the worker running.  Every kill resumes from the shard
+  // checkpoint to the in-process verdicts.
+  const spec::ScenarioSpec s = worker_spec(12);
+  const std::vector<Verdict> serial = serial_verdicts(s);
+
+  SupervisorFixture fx(s, "chaos_kills");
+  SupervisorOptions opt;
+  opt.workers = 2;
+  opt.chaos_seed = 12;
+  opt.chaos_max_kills = 4;
+  const SupervisorResult r = Supervisor(fx.job, opt).run();
+
+  EXPECT_GE(r.chaos_kills, 1u);
+  EXPECT_LE(r.chaos_kills, 4u);
+  EXPECT_GE(r.respawns, r.chaos_kills);
+  EXPECT_FALSE(r.degraded());
+  EXPECT_EQ(r.verdicts, serial);
+}
+
 TEST(Supervisor, MoreWorkersThanDefectsLeavesEmptyShardsHealthy) {
   const spec::ScenarioSpec s = worker_spec(3);
   const std::vector<Verdict> serial = serial_verdicts(s);

@@ -750,9 +750,10 @@ std::vector<sim::OnlineOutcome> campaign_outcomes(
 }
 
 /// Worker-kill soak (`chaos --workers N`): runs the campaign supervised,
-/// SIGKILLing random worker processes on a steady cadence, and requires
-/// the merged outcomes to be bitwise equal to the uninterrupted
-/// in-process run -- the multi-process half of the resilience contract.
+/// SIGKILLing each worker process at a seeded heartbeat count, and
+/// requires at least one kill to land (with a kill budget) and the merged
+/// outcomes to be bitwise equal to the uninterrupted in-process run --
+/// the multi-process half of the resilience contract.
 /// --faults forwards a spec to the supervisor (supervisor.spawn,
 /// supervisor.heartbeat) and every worker (worker.exit, checkpoint.*).
 int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
@@ -818,7 +819,6 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
 
     sim::SupervisorOptions sup;
     sup.workers = s.workers;
-    sup.chaos_kill_ms = 25;
     sup.chaos_seed = s.seed ^ static_cast<std::uint64_t>(bus);
     sup.chaos_max_kills = kill_budget;
     sup.cancel = &interrupt_flag();
@@ -837,6 +837,12 @@ int cmd_chaos_workers(const Parsed& p, std::ostream& out, std::ostream& err) {
       err << "error: chaos: merged supervised outcomes diverged from the "
              "uninterrupted in-process reference (bus="
           << soc::to_string(bus) << " workers=" << s.workers << ")\n";
+      return kExitSim;
+    }
+    if (kill_budget > 0 && r.chaos_kills == 0) {
+      err << "error: chaos: no worker kill landed (bus="
+          << soc::to_string(bus) << " workers=" << s.workers
+          << "), so the soak exercised no resume\n";
       return kExitSim;
     }
     total_kills += r.chaos_kills;
